@@ -21,8 +21,15 @@ from pathlib import Path
 from . import __version__
 from .embeddings import EmbeddingError, EmbeddingTable, load_embeddings
 from .evaluation import EvalError, MatchCounts, build_report, format_report, match_exact
-from .kb import KnowledgeBase, SnapshotError, format_qid, load_snapshot, parse_qid
-from .linker import FineTypedMention, LinkerConfig, link_mention
+from .kb import (
+    KnowledgeBase,
+    MissingClassRootsError,
+    SnapshotError,
+    format_qid,
+    load_snapshot,
+    parse_qid,
+)
+from .linker import FineTypedMention, LinkerConfig, link_mention, require_class_roots
 from .tagger import (
     CorpusError,
     PrecomputedVectors,
@@ -55,6 +62,7 @@ _VALIDATION_ERRORS = (
     EmbeddingError,
     CorpusError,
     EvalError,
+    MissingClassRootsError,
 )
 
 _PATH_KEYS = {
@@ -437,9 +445,8 @@ def cmd_tag(args) -> int:
             f" source provides {provider.dim}"
         )
     corpus = attach_vectors(corpus, provider)
-    tagged = [
-        SequenceExample(ex.tokens, gold_tags=model.predict(ex.vectors)) for ex in corpus
-    ]
+    tag_sequences = model.predict_batch([ex.vectors for ex in corpus])
+    tagged = [SequenceExample(ex.tokens, gold_tags=tags) for ex, tags in zip(corpus, tag_sequences)]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "tagged.conll"
     write_conll(out, tagged)
@@ -454,6 +461,7 @@ def cmd_link(args) -> int:
     if not tagged_path.is_file():
         raise ConfigError(f"tagged corpus does not exist: {tagged_path}")
     hierarchy = load_hierarchy(cfg.hierarchy)
+    require_class_roots(hierarchy, cfg.linker)
     kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
     table = load_embeddings(cfg.embeddings)
     corpus = read_conll(tagged_path)
@@ -492,6 +500,7 @@ def cmd_pipeline(args) -> int:
 
     with _stage("load inputs"):
         hierarchy = load_hierarchy(cfg.hierarchy)
+        require_class_roots(hierarchy, cfg.linker)
         kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
         table = load_embeddings(cfg.embeddings)
         provider = _make_provider(cfg, table)
@@ -514,7 +523,7 @@ def cmd_pipeline(args) -> int:
             print(f"train: final loss {model.final_loss:.6f}")
 
     with _stage("tag corpus"):
-        tag_sequences = [model.predict(ex.vectors) for ex in corpus]
+        tag_sequences = model.predict_batch([ex.vectors for ex in corpus])
         write_conll(
             cfg.output_dir / "tagged.conll",
             [SequenceExample(ex.tokens, gold_tags=tags)

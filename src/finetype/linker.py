@@ -20,7 +20,7 @@ from .embeddings import (
     phrase_similarity,
     tokenize,
 )
-from .kb import NARROWED_CATEGORIES, EntityRecord, KnowledgeBase
+from .kb import NARROWED_CATEGORIES, EntityRecord, KnowledgeBase, MissingClassRootsError
 from .tagger import MentionSpan
 from .taxonomy import TypeHierarchy, TypeLabel
 
@@ -44,6 +44,19 @@ class LinkerConfig:
         if self.similarity_mode not in SIMILARITY_MODES:
             raise ValueError(f"unknown similarity mode: {self.similarity_mode!r}")
         self.class_roots = {k: frozenset(v) for k, v in self.class_roots.items()}
+
+
+def require_class_roots(hierarchy: TypeHierarchy, cfg: LinkerConfig) -> None:
+    """Fail unless every narrowable category among the hierarchy roots has
+    class roots configured; linking a mention of it would fail otherwise."""
+    missing = [
+        f"class_roots.{root}" for root in map(str, hierarchy.roots)
+        if root in NARROWED_CATEGORIES and not cfg.class_roots.get(root)
+    ]
+    if missing:
+        raise MissingClassRootsError(
+            f"no class roots configured for narrowable categories: set {', '.join(missing)}"
+        )
 
 
 @dataclass(frozen=True)

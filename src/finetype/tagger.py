@@ -255,6 +255,12 @@ class PrecomputedVectors:
 
 
 def attach_vectors(corpus: Sequence[SequenceExample], provider) -> list[SequenceExample]:
+    """Copies of the sentences carrying their vectors. A sidecar must hold
+    exactly one entry per corpus sentence."""
+    if isinstance(provider, PrecomputedVectors) and len(provider.sentences) != len(corpus):
+        raise CorpusError(
+            f"sidecar holds {len(provider.sentences)} sentences but the corpus has {len(corpus)}"
+        )
     return [
         replace(ex, vectors=provider.vectors_for(i, ex.tokens))
         for i, ex in enumerate(corpus)
@@ -296,13 +302,37 @@ class TaggerConfig:
         return self.hidden_size * (2 if self.bidirectional else 1)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# Padded token slots (sentences x longest length) per inference chunk. The
+# activations of a chunk scale with it, so it caps the peak memory of tagging
+# a corpus of any size, while each step of the recurrence still serves many
+# short sentences at once. On 64-d input with a bidirectional 128-unit model,
+# larger budgets raised peak RSS (by 5 MiB at 512 slots, 55 MiB at 4096) and
+# tagged at most 3% faster.
+INFERENCE_TOKEN_SLOTS = 256
+
+
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit ``(s, shift)`` with which ``s * tanh(s * z) + shift`` is the
+    gate activation of the (4H,) pre-activation ``z``: the sigmoid in its
+    tanh form 0.5 * (1 + tanh(z / 2)) on the input, forget and output blocks,
+    and tanh on the candidate block."""
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift = np.full(4 * hidden, 0.5)
+    shift[2 * hidden : 3 * hidden] = 0.0
+    return scale, shift
+
+
+def _cell(z, c_prev, scale, shift):
+    """Gated update from pre-activations ``z`` (..., 4H), gate blocks ordered
+    input, forget, candidate, output. Returns (gates, c, tanh(c), h)."""
+    hidden = c_prev.shape[-1]
+    a = np.tanh(z * scale)
+    a *= scale
+    a += shift
+    c = a[..., hidden : 2 * hidden] * c_prev + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
+    tc = np.tanh(c)
+    return a, c, tc, a[..., 3 * hidden :] * tc
 
 
 def lstm_cell_step(
@@ -320,74 +350,74 @@ def lstm_cell_step(
         raise ValueError(
             f"dimension mismatch: x{x.shape} w{w.shape} h{h_prev.shape} u{u.shape}"
         )
-    z = w @ x + u @ h_prev + b
-    i = _sigmoid(z[:hidden])
-    f = _sigmoid(z[hidden : 2 * hidden])
-    g = np.tanh(z[2 * hidden : 3 * hidden])
-    o = _sigmoid(z[3 * hidden :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    _, c, _, h = _cell(w @ x + u @ h_prev + b, c_prev, *_gate_affine(hidden))
     return h, c
 
 
-def _lstm_forward(w, u, b, x):
-    length = len(x)
+def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` over the last axis of ``x``, as one 2-D matmul."""
+    flat = x.reshape(-1, x.shape[-1]) @ w.T
+    return flat.reshape(x.shape[:-1] + (w.shape[0],))
+
+
+def _lstm_forward(w, u, b, x, keep_cache=False):
+    """Run the recurrence over a right-padded, time-major batch ``x`` (T, B, D).
+
+    The input projection ``x W^T + b`` of every step is one matmul ahead of
+    the loop; each step then adds only ``h U^T``. Returns the hidden states
+    (T, B, H) and, with ``keep_cache``, what ``_lstm_backward`` needs.
+    Padded steps simply run on after a sentence ends; nothing reads them.
+    """
+    steps, batch, _ = x.shape
     hidden = u.shape[1]
-    gates = np.zeros((length, 4 * hidden))
-    cs = np.zeros((length, hidden))
-    tcs = np.zeros((length, hidden))
-    hs = np.zeros((length, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    for t in range(length):
-        z = w @ x[t] + u @ h + b
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden : 2 * hidden])
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = _sigmoid(z[3 * hidden :])
-        c_prev = c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t, :hidden] = i
-        gates[t, hidden : 2 * hidden] = f
-        gates[t, 2 * hidden : 3 * hidden] = g
-        gates[t, 3 * hidden :] = o
-        cs[t] = c
-        tcs[t] = tc
-        hs[t] = h
-    return hs, {"gates": gates, "cs": cs, "tcs": tcs, "hs": hs, "x": x}
+    scale, shift = _gate_affine(hidden)
+    zx = _dense(x, w) + b
+    hs = np.zeros((steps + 1, batch, hidden))  # hs[t + 1] is the state after step t
+    c = np.zeros((batch, hidden))
+    if keep_cache:
+        gates = np.empty_like(zx)
+        cs = np.zeros((steps + 1, batch, hidden))
+        tcs = np.empty((steps, batch, hidden))
+    ut = u.T
+    for t in range(steps):
+        a, c, tc, hs[t + 1] = _cell(zx[t] + hs[t] @ ut, c, scale, shift)
+        if keep_cache:
+            gates[t], cs[t + 1], tcs[t] = a, c, tc
+    if not keep_cache:
+        return hs[1:], None
+    return hs[1:], {"gates": gates, "cs": cs, "tcs": tcs, "hs": hs, "x": x}
 
 
-def _lstm_backward(w, u, b, cache, dhs, dw, du, db):
-    """Backpropagate through time, accumulating parameter gradients in place."""
+def _lstm_backward(u, cache, dhs):
+    """Backpropagate through time from dL/dh (T, B, H); returns (dW, dU, db).
+
+    dZ is stored for every step so each parameter gradient is a single matmul
+    after the loop. A padded step follows its sentence's real steps and gets
+    zero dL/dh, so it passes zero carries back and adds exactly nothing.
+    """
     gates, cs, tcs, hs, x = cache["gates"], cache["cs"], cache["tcs"], cache["hs"], cache["x"]
-    length, hidden = tcs.shape
-    dh_carry = np.zeros(hidden)
-    dc_carry = np.zeros(hidden)
-    for t in range(length - 1, -1, -1):
-        i = gates[t, :hidden]
-        f = gates[t, hidden : 2 * hidden]
-        g = gates[t, 2 * hidden : 3 * hidden]
-        o = gates[t, 3 * hidden :]
-        c_prev = cs[t - 1] if t > 0 else np.zeros(hidden)
-        h_prev = hs[t - 1] if t > 0 else np.zeros(hidden)
-
+    steps, batch, hidden = tcs.shape
+    i, f, g, o = np.moveaxis(gates.reshape(steps, batch, 4, hidden), 2, 0)
+    # Everything but the carried dh and dc is known before the loop: dZ is dc
+    # times via_c on the input, forget and candidate blocks and dh times
+    # via_h on the output block, and dc gains dh times dc_dh.
+    via_c = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g**2)], axis=2)
+    via_h = tcs * o * (1.0 - o)
+    dc_dh = o * (1.0 - tcs**2)
+    dz = np.empty((steps, batch, 4, hidden))
+    dh_carry = np.zeros((batch, hidden))
+    dc_carry = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
         dh = dhs[t] + dh_carry
-        do = dh * tcs[t]
-        dc = dc_carry + dh * o * (1.0 - tcs[t] ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_carry = dc * f
-
-        dz = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)]
-        )
-        dw += np.outer(dz, x[t])
-        du += np.outer(dz, h_prev)
-        db += dz
-        dh_carry = u.T @ dz
+        dc = dc_carry + dh * dc_dh[t]
+        np.multiply(dc[:, None], via_c[t], out=dz[t, :, :3])
+        np.multiply(dh, via_h[t], out=dz[t, :, 3])
+        dc_carry = dc * f[t]
+        dh_carry = dz[t].reshape(batch, -1) @ u
+    flat = dz.reshape(-1, 4 * hidden)
+    dw = flat.T @ x.reshape(-1, x.shape[-1])
+    du = flat.T @ hs[:-1].reshape(-1, hidden)
+    return dw, du, flat.sum(axis=0)
 
 
 def init_params(cfg: TaggerConfig, tag_count: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -418,40 +448,129 @@ def init_params(cfg: TaggerConfig, tag_count: int, rng: np.random.Generator) -> 
     return params
 
 
+def _pad(rows: Sequence[np.ndarray], steps: int, dtype=float) -> np.ndarray:
+    """Stack (L_k, ...) arrays right-padded with zeros and time-major: (steps, B, ...)."""
+    out = np.zeros((steps, len(rows)) + np.shape(rows[0])[1:], dtype=dtype)
+    for k, row in enumerate(rows):
+        out[: len(row), k] = row
+    return out
+
+
+def _pad_batch(xs: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check that every sentence's vectors are (L, dim) and pad them into one
+    time-major batch (T, B, dim); returns the batch and the lengths."""
+    arrays = [np.asarray(x, dtype=float) for x in xs]
+    for x in arrays:
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError(f"expected vectors of shape (L, {dim}), got {x.shape}")
+    lengths = np.array([len(x) for x in arrays])
+    return _pad(arrays, int(lengths.max())), lengths
+
+
+def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
+    """(T, B) time index that reverses each sentence within its own length
+    and keeps its padding in place, so padding still follows the real steps.
+    It is its own inverse."""
+    t = np.arange(steps)[:, None]
+    return np.where(t < lengths, lengths - 1 - t, t)
+
+
+def _encode(params, x, lengths, cfg, mask=None, keep_cache=False):
+    """Per-token logits (T, B, K) for a right-padded, time-major batch.
+
+    The residual path adds the projected input embedding to the (optionally
+    dropped-out) encoder output; ``mask`` is the padded (T, B, width) dropout
+    mask. The cache holds the decoder input and, with ``keep_cache``, the
+    recurrence state that backpropagation needs.
+    """
+    hs, fwd = _lstm_forward(params["lstm_w"], params["lstm_u"], params["lstm_b"], x, keep_cache)
+    cache: dict = {"fwd": fwd}
+    if cfg.bidirectional:
+        rev = _reversal(lengths, len(x))
+        cols = np.arange(x.shape[1])
+        hs_rev, cache["bwd"] = _lstm_forward(
+            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[rev, cols],
+            keep_cache,
+        )
+        hs = np.concatenate([hs, hs_rev[rev, cols]], axis=2)
+        cache["rev"] = rev
+    if mask is not None:
+        hs = hs * mask
+    cache["dec_in"] = hs + _dense(x, params["proj_w"])
+    return _dense(cache["dec_in"], params["dec_w"]) + params["dec_b"], cache
+
+
 def sentence_forward(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     cfg: TaggerConfig,
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Per-token logits for one sentence; the residual path adds the projected
-    input embedding to the (optionally dropped-out) encoder output."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != cfg.embedding_dim:
-        raise ValueError(f"expected vectors of shape (L, {cfg.embedding_dim}), got {x.shape}")
-    hs_fwd, cache_fwd = _lstm_forward(params["lstm_w"], params["lstm_u"], params["lstm_b"], x)
-    cache: dict = {"x": x, "fwd": cache_fwd}
-    if cfg.bidirectional:
-        hs_bwd_rev, cache_bwd = _lstm_forward(
-            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[::-1]
-        )
-        cache["bwd"] = cache_bwd
-        hs = np.concatenate([hs_fwd, hs_bwd_rev[::-1]], axis=1)
-    else:
-        hs = hs_fwd
-    if dropout_mask is not None:
-        hs = hs * dropout_mask
-    cache["mask"] = dropout_mask
-    proj = x @ params["proj_w"].T
-    dec_in = hs + proj
-    cache["dec_in"] = dec_in
-    logits = dec_in @ params["dec_w"].T + params["dec_b"]
-    return logits, cache
+    """Per-token logits (L, K) for one sentence, run as a batch of one; the
+    returned cache holds the decoder input ``dec_in`` (L, width)."""
+    xb, lengths = _pad_batch([x], cfg.embedding_dim)
+    mask = None if dropout_mask is None else np.asarray(dropout_mask)[:, None]
+    logits, cache = _encode(params, xb, lengths, cfg, mask)
+    return logits[:, 0], {"dec_in": cache["dec_in"][:, 0]}
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def batch_loss_grads(
+    params: dict[str, np.ndarray],
+    xs: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+    cfg: TaggerConfig,
+    grads: dict[str, np.ndarray],
+    scale: float = 1.0,
+    dropout_masks: Sequence[np.ndarray] | None = None,
+) -> float:
+    """Summed token negative log-likelihood of a batch of sentences, run
+    together right-padded to the longest; gradients of ``scale * nll_sum``
+    are accumulated into ``grads``.
+
+    The loss gradient is zero at padded positions, which therefore add
+    nothing to any gradient.
+    """
+    x, lengths = _pad_batch(xs, cfg.embedding_dim)
+    steps, batch, dim = x.shape
+    mask = None if dropout_masks is None else _pad(dropout_masks, steps)
+    logits, cache = _encode(params, x, lengths, cfg, mask, keep_cache=True)
+    valid = np.arange(steps)[:, None] < lengths
+    t_idx, b_idx = np.nonzero(valid)
+    gold = _pad(targets, steps, dtype=int)[t_idx, b_idx]
+    log_probs = _log_softmax(logits)
+    nll = -float(log_probs[t_idx, b_idx, gold].sum())
+
+    dlogits = np.exp(log_probs)
+    dlogits[t_idx, b_idx, gold] -= 1.0
+    dlogits[~valid] = 0.0
+    dlogits *= scale
+
+    width = cfg.encoder_width
+    dlogits = dlogits.reshape(-1, logits.shape[2])
+    grads["dec_w"] += dlogits.T @ cache["dec_in"].reshape(-1, width)
+    grads["dec_b"] += dlogits.sum(axis=0)
+    ddec_in = dlogits @ params["dec_w"]
+    grads["proj_w"] += ddec_in.T @ x.reshape(-1, dim)
+
+    dhs = ddec_in.reshape(steps, batch, width)
+    if mask is not None:
+        dhs = dhs * mask
+    hidden = cfg.hidden_size
+    directions = [("", cache["fwd"], dhs[..., :hidden])]
+    if cfg.bidirectional:
+        rev = cache["rev"]
+        directions.append(("_rev", cache["bwd"], dhs[..., hidden:][rev, np.arange(batch)]))
+    for suffix, lstm_cache, dhs_dir in directions:
+        dw, du, db = _lstm_backward(params["lstm_u" + suffix], lstm_cache, dhs_dir)
+        grads["lstm_w" + suffix] += dw
+        grads["lstm_u" + suffix] += du
+        grads["lstm_b" + suffix] += db
+    return nll
 
 
 def sentence_loss_grads(
@@ -463,39 +582,23 @@ def sentence_loss_grads(
     scale: float = 1.0,
     dropout_mask: np.ndarray | None = None,
 ) -> float:
-    """Summed token negative log-likelihood; gradients of ``scale * nll_sum``
-    are accumulated into ``grads``."""
-    logits, cache = sentence_forward(params, x, cfg, dropout_mask)
-    log_probs = _log_softmax(logits)
-    length = len(x)
-    nll = -float(log_probs[np.arange(length), targets].sum())
+    """Summed token negative log-likelihood of one sentence, run as a batch
+    of one; gradients of ``scale * nll_sum`` are accumulated into ``grads``."""
+    masks = None if dropout_mask is None else [dropout_mask]
+    return batch_loss_grads(params, [x], [targets], cfg, grads, scale, masks)
 
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(length), targets] -= 1.0
-    dlogits *= scale
 
-    dec_in = cache["dec_in"]
-    grads["dec_w"] += dlogits.T @ dec_in
-    grads["dec_b"] += dlogits.sum(axis=0)
-    ddec_in = dlogits @ params["dec_w"]
-    grads["proj_w"] += ddec_in.T @ x
-
-    dhs = ddec_in
-    if cache["mask"] is not None:
-        dhs = dhs * cache["mask"]
-    hidden = cfg.hidden_size
-    _lstm_backward(
-        params["lstm_w"], params["lstm_u"], params["lstm_b"],
-        cache["fwd"], dhs[:, :hidden],
-        grads["lstm_w"], grads["lstm_u"], grads["lstm_b"],
-    )
-    if cfg.bidirectional:
-        _lstm_backward(
-            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"],
-            cache["bwd"], dhs[::-1, hidden:],
-            grads["lstm_w_rev"], grads["lstm_u_rev"], grads["lstm_b_rev"],
-        )
-    return nll
+def _length_chunks(lengths: Sequence[int], budget: int) -> list[list[int]]:
+    """Indices of the non-empty sentences, sorted by length and cut into runs
+    whose padded size (count x longest) is at most ``budget``; a sentence
+    longer than the budget forms a run of its own."""
+    chunks: list[list[int]] = []
+    for i in sorted((i for i, n in enumerate(lengths) if n), key=lengths.__getitem__):
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= budget:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 @dataclass
@@ -520,8 +623,24 @@ class TaggerModel:
         return logits
 
     def predict(self, vectors: np.ndarray) -> list[str]:
-        logits = self.encode(vectors)
-        return [self.tags[i] for i in logits.argmax(axis=1)] if len(logits) else []
+        return self.predict_batch([vectors])[0]
+
+    def predict_batch(self, sentences: Sequence[np.ndarray]) -> list[list[str]]:
+        """Tags for each sentence's vectors, in input order, dropout disabled.
+
+        Sentences run sorted by length in padded chunks of at most
+        ``INFERENCE_TOKEN_SLOTS`` token slots, keeping no backward caches, so
+        memory stays flat however large the corpus is.
+        """
+        lengths = [len(v) for v in sentences]
+        tags: list[list[str]] = [[] for _ in sentences]
+        for chunk in _length_chunks(lengths, INFERENCE_TOKEN_SLOTS):
+            x, chunk_lengths = _pad_batch([sentences[i] for i in chunk], self.config.embedding_dim)
+            logits, _ = _encode(self.params, x, chunk_lengths, self.config)
+            best = logits.argmax(axis=2)
+            for k, i in enumerate(chunk):
+                tags[i] = [self.tags[j] for j in best[: lengths[i], k]]
+        return tags
 
     def save(self, path: str | os.PathLike[str]) -> None:
         payload = {
@@ -580,17 +699,17 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
             total_tokens = int(sum(len(examples[i]) for i in batch))
+            masks = None
+            if cfg.dropout > 0.0:
+                masks = [
+                    (rng.random((len(examples[i]), width)) >= cfg.dropout) / (1.0 - cfg.dropout)
+                    for i in batch
+                ]
             grads = {k: np.zeros_like(v) for k, v in params.items()}
-            batch_nll = 0.0
-            for i in batch:
-                mask = None
-                if cfg.dropout > 0.0:
-                    keep = rng.random((len(examples[i]), width)) >= cfg.dropout
-                    mask = keep / (1.0 - cfg.dropout)
-                batch_nll += sentence_loss_grads(
-                    params, examples[i].vectors, targets[i], cfg,
-                    grads, scale=1.0 / total_tokens, dropout_mask=mask,
-                )
+            batch_nll = batch_loss_grads(
+                params, [examples[i].vectors for i in batch], [targets[i] for i in batch],
+                cfg, grads, scale=1.0 / total_tokens, dropout_masks=masks,
+            )
             loss = batch_nll / total_tokens
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -616,14 +735,11 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
 
 def token_accuracy(model: TaggerModel, corpus: Sequence[SequenceExample]) -> float:
     """Fraction of tokens whose predicted tag equals the gold tag."""
-    correct = 0
-    total = 0
-    for ex in corpus:
-        if ex.gold_tags is None or ex.vectors is None or not len(ex):
-            continue
-        predicted = model.predict(ex.vectors)
-        correct += sum(p == g for p, g in zip(predicted, ex.gold_tags))
-        total += len(ex)
-    if total == 0:
+    scored = [ex for ex in corpus if ex.gold_tags is not None and ex.vectors is not None and len(ex)]
+    if not scored:
         raise TrainingError("no labeled tokens to score")
-    return correct / total
+    predicted = model.predict_batch([ex.vectors for ex in scored])
+    correct = sum(
+        p == g for ex, tags in zip(scored, predicted) for p, g in zip(tags, ex.gold_tags)
+    )
+    return correct / sum(len(ex) for ex in scored)

@@ -419,6 +419,23 @@ def test_pipeline_runtime_failure_exits_2(tmp_path, demo_config_path, capsys):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "link"])
+def test_missing_class_roots_fail_before_work(tmp_path, demo_config_path, pipeline_out, capsys,
+                                              command):
+    cfg = tmp_path / "no-person.cfg"
+    cfg.write_text(
+        demo_cfg_with_absolute_paths(demo_config_path).replace("class_roots.person = Q5\n", "")
+    )
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--output-dir", str(out)]
+    if command == "link":
+        argv += ["--tagged", str(pipeline_out / "tagged.conll")]
+    code = main(argv)
+    assert code == 1
+    assert "class_roots.person" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # --- misc ---------------------------------------------------------------------------------
 
 def test_demo_config_command(capsys):

@@ -482,6 +482,14 @@ def test_parse_sidecar_and_alignment():
         provider.vectors_for(5, ["tok"])
 
 
+def test_attach_vectors_rejects_sidecar_sentence_count_mismatch():
+    provider = PrecomputedVectors([np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((1, 2))])
+    corpus = [SequenceExample(["a"]), SequenceExample(["b", "c"])]
+    with pytest.raises(CorpusError, match="sidecar holds 3 sentences but the corpus has 2"):
+        attach_vectors(corpus, provider)
+    assert len(attach_vectors(corpus + [SequenceExample(["d"])], provider)) == 3
+
+
 def test_parse_sidecar_needs_header():
     with pytest.raises(CorpusError, match="header"):
         parse_sidecar(["x 1 2"])
