@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import pickle
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -32,12 +31,12 @@ from .kb import (
 from .linker import FineTypedMention, LinkerConfig, link_mention, require_class_roots
 from .tagger import (
     CorpusError,
+    ModelError,
     PrecomputedVectors,
     SequenceExample,
     StaticVectors,
     TaggerConfig,
     TaggerModel,
-    TrainingError,
     attach_vectors,
     extract_spans,
     read_conll,
@@ -63,6 +62,7 @@ _VALIDATION_ERRORS = (
     CorpusError,
     EvalError,
     MissingClassRootsError,
+    ModelError,
 )
 
 _PATH_KEYS = {
@@ -73,8 +73,6 @@ _TAGGER_KEYS = {
     "hidden_size", "embedding_dim", "dropout", "batch_size", "epochs",
     "learning_rate", "beta1", "beta2", "eps", "bidirectional",
 }
-_LINKER_KEYS = {"threshold", "similarity_mode"}
-_OTHER_KEYS = {"seed", "granularity", "vector_source", "case_sensitive"}
 
 
 @dataclasses.dataclass
@@ -178,11 +176,17 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
     return cfg
 
 
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> PipelineConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    values = parse_config_text(path.read_text(encoding="utf-8"))
+def load_config(path: str | Path | None,
+                overrides: dict[str, str] | None = None) -> PipelineConfig:
+    """The configuration in ``path`` (the defaults when None) with overrides applied."""
+    values: dict[str, str] = {}
+    base_dir = Path.cwd()
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        values = parse_config_text(path.read_text(encoding="utf-8"))
+        base_dir = path.parent.resolve()
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -190,20 +194,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
         if key in _PATH_KEYS:
             value = Path(value).resolve()
         values[key] = str(value)
-    return build_config(values, path.parent.resolve())
-
-
-def _require_paths(cfg: PipelineConfig, keys: list[str]) -> None:
-    """Fail before any work when a referenced input is missing."""
-    problems = []
-    for key in keys:
-        value = getattr(cfg, key)
-        if value is None:
-            problems.append(f"{key} is not configured")
-        elif not Path(value).is_file():
-            problems.append(f"{key} does not exist: {value}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    return build_config(values, base_dir)
 
 
 @contextmanager
@@ -216,7 +207,7 @@ def _stage(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Shared pipeline pieces
+# Loading
 
 
 def project_tags_to_coarse(tags: list[str], hierarchy: TypeHierarchy) -> list[str]:
@@ -232,59 +223,154 @@ def project_tags_to_coarse(tags: list[str], hierarchy: TypeHierarchy) -> list[st
     return projected
 
 
-def _project_label(label: str, hierarchy: TypeHierarchy) -> str:
-    return str(hierarchy.coarse_of(label)) if label in hierarchy else label
+def _output_dir(cfg: PipelineConfig) -> Path:
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir
 
 
-def _make_provider(cfg: PipelineConfig, table: EmbeddingTable | None):
-    if cfg.vector_source == "precomputed":
-        if cfg.token_vectors is None:
-            raise ConfigError("vector_source = precomputed requires token_vectors")
-        return PrecomputedVectors.load(cfg.token_vectors)
-    if cfg.token_vectors is not None:
-        return StaticVectors(load_embeddings(cfg.token_vectors))
-    if table is None:
-        raise ConfigError("no token vector source: set token_vectors or embeddings")
-    return StaticVectors(table)
+# Configuration keys that command-line flags of the same name override.
+_FLAG_KEYS = ["output_dir", "seed", "corpus", "model", "granularity", "threshold", "epochs",
+              "kb", "case_sensitive"]
 
 
-def _reconcile_dim(cfg: PipelineConfig, provider) -> None:
-    if cfg.embedding_dim_fixed and cfg.tagger.embedding_dim != provider.dim:
-        raise ConfigError(
-            f"embedding_dim is {cfg.tagger.embedding_dim} but the vector source"
-            f" provides dimension {provider.dim}"
-        )
-    cfg.tagger = dataclasses.replace(cfg.tagger, embedding_dim=provider.dim)
+@dataclasses.dataclass
+class Inputs:
+    """A command's configuration and the inputs it reads; what the command
+    does not need stays None."""
+
+    cfg: PipelineConfig
+    hierarchy: TypeHierarchy | None = None
+    kb: KnowledgeBase | None = None
+    table: EmbeddingTable | None = None
+    corpus: list[SequenceExample] | None = None
+    training: list[SequenceExample] | None = None
+    model: TaggerModel | None = None
+    pred: Path | None = None
 
 
-def _train_model(cfg: PipelineConfig, hierarchy: TypeHierarchy, provider) -> TaggerModel:
-    corpus_path = cfg.train_corpus or cfg.corpus
-    corpus = read_conll(corpus_path)
-    labeled = []
-    for ex in corpus:
-        if ex.gold_tags is None:
-            raise TrainingError(f"training corpus {corpus_path} has untagged sentences")
-        labeled.append(
-            SequenceExample(ex.tokens, gold_tags=project_tags_to_coarse(ex.gold_tags, hierarchy))
-        )
-    labeled = attach_vectors(labeled, provider)
-    return train(labeled, cfg.tagger)
+def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
+    """Load the configuration and the inputs named by ``keys``.
+
+    ``hierarchy``, ``kb``, ``embeddings`` (the linker's table) and ``corpus``
+    are the configured files; ``tagged`` reads ``--tagged`` (default
+    ``<output_dir>/tagged.conll``) as the corpus; ``pred`` is ``--pred``
+    (default ``<output_dir>/linked.jsonl``), checked here and read by
+    ``evaluate_linked``. ``model`` loads the configured model and ``train``
+    builds a coarse-tagged training set from ``train_corpus`` (default: the
+    corpus); given both, a configured model is used and nothing is trained.
+    With either, token vectors are attached to the sentences read.
+
+    Every path is checked before ``stage("load inputs")`` opens; every
+    condition spanning inputs (class roots when linking, the vector
+    dimension, the sidecar's sentence count, gold tags to train on) is
+    checked inside it, before any command does work.
+    """
+    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None}
+    cfg = load_config(getattr(args, "config", None), overrides)
+    use_model = "model" in keys and (cfg.model is not None or "train" not in keys)
+    training = "train" in keys and not use_model
+    paths = {key: getattr(cfg, key) for key in ("hierarchy", "kb", "embeddings", "corpus")
+             if key in keys}
+    for key, default in (("tagged", "tagged.conll"), ("pred", "linked.jsonl")):
+        if key in keys:
+            flag = getattr(args, key)
+            paths[key] = Path(flag) if flag else cfg.output_dir / default
+    if use_model:
+        paths["model"] = cfg.model
+    if training:
+        paths["train_corpus" if cfg.train_corpus else "corpus"] = cfg.train_corpus or cfg.corpus
+    if use_model or training:
+        if cfg.vector_source == "precomputed" or cfg.token_vectors is not None:
+            paths["token_vectors"] = cfg.token_vectors
+        else:
+            paths["embeddings"] = cfg.embeddings
+    problems = [f"{key} is not configured" if path is None else f"{key} does not exist: {path}"
+                for key, path in paths.items() if path is None or not Path(path).is_file()]
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+    inputs = Inputs(cfg, pred=paths.get("pred"))
+    with stage("load inputs"):
+        if "hierarchy" in keys:
+            inputs.hierarchy = load_hierarchy(cfg.hierarchy)
+            if "kb" in keys:
+                require_class_roots(inputs.hierarchy, cfg.linker)
+        if "kb" in keys:
+            inputs.kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
+        if "embeddings" in paths:
+            inputs.table = load_embeddings(cfg.embeddings)
+        if use_model or training:
+            if cfg.vector_source == "precomputed":
+                provider = PrecomputedVectors.load(cfg.token_vectors)
+            elif cfg.token_vectors is not None:
+                provider = StaticVectors(load_embeddings(cfg.token_vectors))
+            else:
+                provider = StaticVectors(inputs.table)
+            if use_model:
+                inputs.model = TaggerModel.load(cfg.model)
+            dim = inputs.model.config.embedding_dim if use_model else cfg.tagger.embedding_dim
+            if (use_model or cfg.embedding_dim_fixed) and dim != provider.dim:
+                owner = f"model {cfg.model}" if use_model else "embedding_dim"
+                raise ConfigError(f"{owner} expects {dim}-dimensional vectors but the vector"
+                                  f" source provides dimension {provider.dim}")
+            cfg.tagger = dataclasses.replace(cfg.tagger, embedding_dim=provider.dim)
+        if "corpus" in keys or "tagged" in keys:
+            inputs.corpus = read_conll(paths.get("tagged", cfg.corpus))
+            if use_model or training:
+                inputs.corpus = attach_vectors(inputs.corpus, provider)
+        if training:
+            source = cfg.train_corpus or cfg.corpus
+            examples = attach_vectors(read_conll(source), provider)
+            if any(ex.gold_tags is None for ex in examples):
+                raise ConfigError(f"training corpus {source} has untagged sentences:"
+                                  " supply a trained model via 'model ='")
+            inputs.training = [
+                dataclasses.replace(ex, gold_tags=project_tags_to_coarse(ex.gold_tags,
+                                                                         inputs.hierarchy))
+                for ex in examples
+            ]
+    return inputs
 
 
-def link_corpus(
-    corpus: list[SequenceExample],
-    tag_sequences: list[list[str]],
-    kb: KnowledgeBase,
-    hierarchy: TypeHierarchy,
-    table: EmbeddingTable,
-    linker_cfg: LinkerConfig,
-) -> list[tuple[int, FineTypedMention]]:
-    """Extract spans from per-sentence tags and link every mention."""
+# ---------------------------------------------------------------------------
+# Steps: each runs on loaded inputs and writes its output file
+
+
+def train_tagger(inputs: Inputs) -> TaggerModel:
+    """Train on the loaded training set; save to ``model`` or ``<output_dir>/model.npz``."""
+    cfg = inputs.cfg
+    model = train(inputs.training, cfg.tagger)
+    path = cfg.model or _output_dir(cfg) / "model.npz"
+    model.save(path)
+    print(f"train: {cfg.tagger.epochs} epochs, final loss {model.final_loss:.6f} -> {path}")
+    return model
+
+
+def tag_corpus(inputs: Inputs) -> list[SequenceExample]:
+    """Tag the loaded corpus with the model; write and return ``tagged.conll``'s sentences."""
+    tag_sequences = inputs.model.predict_batch([ex.vectors for ex in inputs.corpus])
+    tagged = [SequenceExample(ex.tokens, gold_tags=tags)
+              for ex, tags in zip(inputs.corpus, tag_sequences)]
+    out = _output_dir(inputs.cfg) / "tagged.conll"
+    write_conll(out, tagged)
+    mention_total = sum(len(extract_spans(tags)) for tags in tag_sequences)
+    print(f"tag: {len(tagged)} sentences, {mention_total} mentions -> {out}")
+    return tagged
+
+
+def link_mentions(inputs: Inputs, tagged: list[SequenceExample]) -> Path:
+    """Link every mention tagged in ``tagged``; write ``linked.jsonl`` and return its path."""
     linked: list[tuple[int, FineTypedMention]] = []
-    for doc, (ex, tags) in enumerate(zip(corpus, tag_sequences)):
-        for span in extract_spans(tags):
-            linked.append((doc, link_mention(span, ex.tokens, kb, hierarchy, table, linker_cfg)))
-    return linked
+    for doc, ex in enumerate(tagged):
+        for span in extract_spans(ex.gold_tags or []):
+            linked.append((doc, link_mention(span, ex.tokens, inputs.kb, inputs.hierarchy,
+                                             inputs.table, inputs.cfg.linker)))
+    out = _output_dir(inputs.cfg) / "linked.jsonl"
+    write_linked(out, tagged, linked)
+    resolved = sum(1 for _, m in linked if m.entity is not None)
+    print(f"link: {len(linked)} mentions, {resolved} resolved to entities -> {out}")
+    return out
 
 
 def write_linked(path: Path, corpus: list[SequenceExample],
@@ -322,17 +408,15 @@ def read_linked(path: Path) -> list[dict]:
     return records
 
 
-def evaluate_linked(
-    records: list[dict],
-    gold_corpus: list[SequenceExample],
-    hierarchy: TypeHierarchy,
-    granularity: str,
-) -> MatchCounts:
-    """Per-sentence exact matching of linked records against gold tags.
+def evaluate_linked(inputs: Inputs, pred: Path) -> None:
+    """Score the linked records in ``pred`` against the loaded gold corpus by
+    per-sentence exact matching; write and print the report.
 
     Verifies the prediction file indexes the same tokenization as the gold
     corpus, reporting the first offending sentence.
     """
+    records = read_linked(pred)
+    gold_corpus, hierarchy, granularity = inputs.corpus, inputs.hierarchy, inputs.cfg.granularity
     pred_by_doc: dict[int, list[tuple[int, int, str]]] = {}
     for rec in sorted(records, key=lambda r: (r["doc"], r["start"], r["end"])):
         doc = int(rec["doc"])
@@ -352,8 +436,8 @@ def evaluate_linked(
                 f" {rec['surface']!r} != corpus text {surface!r}"
             )
         label = str(rec["fine"])
-        if granularity == "coarse":
-            label = _project_label(label, hierarchy)
+        if granularity == "coarse" and label in hierarchy:
+            label = str(hierarchy.coarse_of(label))
         pred_by_doc.setdefault(doc, []).append((start, end, label))
 
     counts = MatchCounts()
@@ -365,7 +449,7 @@ def evaluate_linked(
             gold_tags = project_tags_to_coarse(gold_tags, hierarchy)
         gold_spans = [(s.start, s.end, str(s.coarse)) for s in extract_spans(gold_tags)]
         counts = counts + match_exact(pred_by_doc.get(doc, []), gold_spans)
-    return counts
+    print(_write_report(counts, hierarchy, granularity, _output_dir(inputs.cfg)))
 
 
 def _report_order(hierarchy: TypeHierarchy, granularity: str) -> list[str]:
@@ -390,169 +474,51 @@ def _write_report(counts: MatchCounts, hierarchy: TypeHierarchy, granularity: st
 # Commands
 
 
-def cmd_ingest_kb(args) -> int:
-    snapshot = Path(args.snapshot)
-    if not snapshot.is_file():
-        raise ConfigError(f"snapshot does not exist: {snapshot}")
-    kb = load_snapshot(snapshot, case_sensitive=args.case_sensitive)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "wb") as fh:
-        pickle.dump(kb, fh, protocol=4)
+def cmd_ingest_kb(args) -> None:
+    kb = load_inputs(args, {"kb"}).kb
     if len(kb) == 0:
-        print("warning: snapshot is empty; wrote an empty knowledge base", file=sys.stderr)
-    print(
-        f"ingest: {len(kb)} records, {kb.label_index_size} label keys,"
-        f" {kb.alias_index_size} alias keys -> {out}"
-    )
-    return EXIT_OK
+        print("warning: snapshot is empty", file=sys.stderr)
+    print(f"ingest: {len(kb)} records, {kb.label_index_size} label keys,"
+          f" {kb.alias_index_size} alias keys")
 
 
-def _overrides_from(args, keys: list[str]) -> dict[str, str]:
-    return {key: getattr(args, key.replace("-", "_")) for key in keys
-            if getattr(args, key.replace("-", "_"), None) is not None}
+def cmd_train(args) -> None:
+    train_tagger(load_inputs(args, {"hierarchy", "train"}))
 
 
-_COMMON_OVERRIDES = ["output_dir", "seed", "corpus", "model", "granularity",
-                     "threshold", "epochs"]
+def cmd_tag(args) -> None:
+    tag_corpus(load_inputs(args, {"corpus", "model"}))
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, _overrides_from(args, _COMMON_OVERRIDES))
-    _require_paths(cfg, ["hierarchy", "corpus"])
-    hierarchy = load_hierarchy(cfg.hierarchy)
-    table = load_embeddings(cfg.embeddings) if cfg.embeddings else None
-    provider = _make_provider(cfg, table)
-    _reconcile_dim(cfg, provider)
-    model = _train_model(cfg, hierarchy, provider)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    model_path = cfg.model or (cfg.output_dir / "model.pkl")
-    model.save(model_path)
-    print(f"train: {cfg.tagger.epochs} epochs, final loss {model.final_loss:.6f} -> {model_path}")
-    return EXIT_OK
+def cmd_link(args) -> None:
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "tagged"})
+    link_mentions(inputs, inputs.corpus)
 
 
-def cmd_tag(args) -> int:
-    cfg = load_config(args.config, _overrides_from(args, _COMMON_OVERRIDES))
-    _require_paths(cfg, ["corpus", "model"])
-    model = TaggerModel.load(cfg.model)
-    corpus = read_conll(cfg.corpus)
-    table = load_embeddings(cfg.embeddings) if cfg.embeddings else None
-    provider = _make_provider(cfg, table)
-    if provider.dim != model.config.embedding_dim:
-        raise ConfigError(
-            f"model expects {model.config.embedding_dim}-dimensional vectors,"
-            f" source provides {provider.dim}"
-        )
-    corpus = attach_vectors(corpus, provider)
-    tag_sequences = model.predict_batch([ex.vectors for ex in corpus])
-    tagged = [SequenceExample(ex.tokens, gold_tags=tags) for ex, tags in zip(corpus, tag_sequences)]
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.output_dir / "tagged.conll"
-    write_conll(out, tagged)
-    print(f"tag: {len(tagged)} sentences -> {out}")
-    return EXIT_OK
+def cmd_evaluate(args) -> None:
+    inputs = load_inputs(args, {"hierarchy", "corpus", "pred"})
+    evaluate_linked(inputs, inputs.pred)
 
 
-def cmd_link(args) -> int:
-    cfg = load_config(args.config, _overrides_from(args, _COMMON_OVERRIDES))
-    _require_paths(cfg, ["hierarchy", "kb", "embeddings"])
-    tagged_path = Path(args.tagged) if args.tagged else cfg.output_dir / "tagged.conll"
-    if not tagged_path.is_file():
-        raise ConfigError(f"tagged corpus does not exist: {tagged_path}")
-    hierarchy = load_hierarchy(cfg.hierarchy)
-    require_class_roots(hierarchy, cfg.linker)
-    kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
-    table = load_embeddings(cfg.embeddings)
-    corpus = read_conll(tagged_path)
-    tag_sequences = [ex.gold_tags or ["O"] * len(ex.tokens) for ex in corpus]
-    linked = link_corpus(corpus, tag_sequences, kb, hierarchy, table, cfg.linker)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.output_dir / "linked.jsonl"
-    write_linked(out, corpus, linked)
-    print(f"link: {len(linked)} mentions -> {out}")
-    return EXIT_OK
-
-
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, _overrides_from(args, _COMMON_OVERRIDES))
-    _require_paths(cfg, ["hierarchy"])
-    pred_path = Path(args.pred) if args.pred else cfg.output_dir / "linked.jsonl"
-    gold_path = Path(args.gold) if args.gold else cfg.corpus
-    if not pred_path.is_file():
-        raise ConfigError(f"prediction file does not exist: {pred_path}")
-    if gold_path is None or not Path(gold_path).is_file():
-        raise ConfigError(f"gold corpus does not exist: {gold_path}")
-    hierarchy = load_hierarchy(cfg.hierarchy)
-    gold_corpus = read_conll(gold_path)
-    records = read_linked(pred_path)
-    counts = evaluate_linked(records, gold_corpus, hierarchy, cfg.granularity)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    table = _write_report(counts, hierarchy, cfg.granularity, cfg.output_dir)
-    print(table)
-    return EXIT_OK
-
-
-def cmd_pipeline(args) -> int:
-    cfg = load_config(args.config, _overrides_from(args, _COMMON_OVERRIDES))
-    _require_paths(cfg, ["hierarchy", "kb", "embeddings", "corpus"])
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-
-    with _stage("load inputs"):
-        hierarchy = load_hierarchy(cfg.hierarchy)
-        require_class_roots(hierarchy, cfg.linker)
-        kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
-        table = load_embeddings(cfg.embeddings)
-        provider = _make_provider(cfg, table)
-        _reconcile_dim(cfg, provider)
-        corpus = attach_vectors(read_conll(cfg.corpus), provider)
-    has_gold = all(ex.gold_tags is not None for ex in corpus)
-
+def cmd_pipeline(args) -> None:
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train"},
+                         _stage)
     with _stage("train tagger"):
-        if cfg.model is not None:
-            if not Path(cfg.model).is_file():
-                raise ConfigError(f"model does not exist: {cfg.model}")
-            model = TaggerModel.load(cfg.model)
-        else:
-            if not has_gold:
-                raise ConfigError(
-                    "corpus has no gold tags: supply a trained model via 'model ='"
-                )
-            model = _train_model(cfg, hierarchy, provider)
-            model.save(cfg.output_dir / "model.pkl")
-            print(f"train: final loss {model.final_loss:.6f}")
-
+        if inputs.model is None:
+            inputs.model = train_tagger(inputs)
     with _stage("tag corpus"):
-        tag_sequences = model.predict_batch([ex.vectors for ex in corpus])
-        write_conll(
-            cfg.output_dir / "tagged.conll",
-            [SequenceExample(ex.tokens, gold_tags=tags)
-             for ex, tags in zip(corpus, tag_sequences)],
-        )
-        mention_total = sum(len(extract_spans(tags)) for tags in tag_sequences)
-        print(f"tag: {len(corpus)} sentences, {mention_total} mentions")
-
+        tagged = tag_corpus(inputs)
     with _stage("link mentions"):
-        linked = link_corpus(corpus, tag_sequences, kb, hierarchy, table, cfg.linker)
-        write_linked(cfg.output_dir / "linked.jsonl", corpus, linked)
-        resolved = sum(1 for _, m in linked if m.entity is not None)
-        print(f"link: {len(linked)} mentions, {resolved} resolved to entities")
-
-    if not has_gold:
+        linked = link_mentions(inputs, tagged)
+    if any(ex.gold_tags is None for ex in inputs.corpus):
         print("warning: corpus has no gold annotations; skipping evaluation", file=sys.stderr)
-        return EXIT_OK
-
+        return
     with _stage("evaluate"):
-        records = read_linked(cfg.output_dir / "linked.jsonl")
-        counts = evaluate_linked(records, corpus, hierarchy, cfg.granularity)
-        table_text = _write_report(counts, hierarchy, cfg.granularity, cfg.output_dir)
-        print(table_text)
-    return EXIT_OK
+        evaluate_linked(inputs, linked)
 
 
-def cmd_demo_config(args) -> int:
+def cmd_demo_config(args) -> None:
     print(Path(__file__).parent / "data" / "demo" / "pipeline.cfg")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,13 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest-kb", help="validate and index a KB snapshot")
-    p.add_argument("snapshot", help="newline-delimited JSON snapshot")
-    p.add_argument("out", help="output path for the indexed artifact")
+    p = sub.add_parser("ingest-kb", help="validate and summarize a KB snapshot")
+    p.add_argument("kb", metavar="SNAPSHOT", help="newline-delimited JSON snapshot")
     p.add_argument("--case-sensitive", action="store_true")
     p.set_defaults(func=cmd_ingest_kb)
 
-    def common(p):
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="flat key/value configuration file")
         p.add_argument("--output-dir", dest="output_dir")
         p.add_argument("--seed", type=int)
@@ -578,29 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--granularity", choices=["fine", "coarse"])
         p.add_argument("--threshold", type=float)
         p.add_argument("--epochs", type=int)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train the coarse tagger")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("tag", help="tag a corpus with a trained model")
-    common(p)
-    p.set_defaults(func=cmd_tag)
-
-    p = sub.add_parser("link", help="link mentions in a tagged corpus")
-    common(p)
+    command("train", cmd_train, "train the coarse tagger")
+    command("tag", cmd_tag, "tag a corpus with a trained model")
+    p = command("link", cmd_link, "link mentions in a tagged corpus")
     p.add_argument("--tagged", help="tagged corpus (default: <output_dir>/tagged.conll)")
-    p.set_defaults(func=cmd_link)
-
-    p = sub.add_parser("evaluate", help="score a linked output against gold annotations")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score a linked output against gold annotations")
     p.add_argument("--pred", help="linked output (default: <output_dir>/linked.jsonl)")
-    p.add_argument("--gold", help="gold corpus (default: the configured corpus)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="run tag -> link -> evaluate end to end")
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
+    p.add_argument("--gold", dest="corpus", metavar="GOLD",
+                   help="gold corpus (default: the configured corpus)")
+    command("pipeline", cmd_pipeline, "run tag -> link -> evaluate end to end")
 
     p = sub.add_parser("demo-config", help="print the packaged demo configuration path")
     p.set_defaults(func=cmd_demo_config)
@@ -610,13 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def console_main() -> None:

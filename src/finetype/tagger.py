@@ -9,9 +9,10 @@ dropout on the encoder output; everything is deterministic under a seed.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
-from dataclasses import dataclass, field, replace
+import zipfile
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,10 @@ class CorpusError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (empty corpus, missing tags, divergence)."""
+
+
+class ModelError(ValueError):
+    """Unreadable or malformed model file."""
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +425,28 @@ def _lstm_backward(u, cache, dhs):
     return dw, du, flat.sum(axis=0)
 
 
+def param_shapes(cfg: TaggerConfig, tag_count: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in initialization order."""
+    gates, width = 4 * cfg.hidden_size, cfg.encoder_width
+    shapes = {"lstm_w": (gates, cfg.embedding_dim), "lstm_u": (gates, cfg.hidden_size),
+              "lstm_b": (gates,)}
+    if cfg.bidirectional:
+        shapes.update({f"{name}_rev": shape for name, shape in shapes.items()})
+    shapes.update(proj_w=(width, cfg.embedding_dim), dec_w=(tag_count, width), dec_b=(tag_count,))
+    return shapes
+
+
 def init_params(cfg: TaggerConfig, tag_count: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases with the forget-gate block at 1."""
-    hidden, dim = cfg.hidden_size, cfg.embedding_dim
-
-    def glorot(rows, cols):
-        scale = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-scale, scale, size=(rows, cols))
-
-    def lstm_bias():
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0
-        return bias
-
-    params = {
-        "lstm_w": glorot(4 * hidden, dim),
-        "lstm_u": glorot(4 * hidden, hidden),
-        "lstm_b": lstm_bias(),
-    }
-    if cfg.bidirectional:
-        params["lstm_w_rev"] = glorot(4 * hidden, dim)
-        params["lstm_u_rev"] = glorot(4 * hidden, hidden)
-        params["lstm_b_rev"] = lstm_bias()
-    params["proj_w"] = glorot(cfg.encoder_width, dim)
-    params["dec_w"] = glorot(tag_count, cfg.encoder_width)
-    params["dec_b"] = np.zeros(tag_count)
+    params = {}
+    for name, shape in param_shapes(cfg, tag_count).items():
+        if len(shape) == 2:
+            scale = np.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-scale, scale, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+            if name.startswith("lstm_b"):
+                params[name][cfg.hidden_size : 2 * cfg.hidden_size] = 1.0
     return params
 
 
@@ -643,20 +645,31 @@ class TaggerModel:
         return tags
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        payload = {
-            "config": self.config,
-            "tags": self.tags,
-            "params": self.params,
-            "loss_curve": self.loss_curve,
-        }
+        """Write one ``.npz`` archive at exactly ``path``: a member per
+        parameter plus ``meta``, a JSON string holding the config, tags and
+        loss curve. Writing through a handle keeps numpy from appending
+        ``.npz`` to the name."""
+        meta = json.dumps({"config": asdict(self.config), "tags": self.tags,
+                           "loss_curve": self.loss_curve})
         with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=4)
+            np.savez(fh, meta=np.array(meta), **self.params)
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "TaggerModel":
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        return cls(**payload)
+        """Read a file written by ``save``. Object-array members are refused, so
+        loading runs no code from the file."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(data["meta"].item())
+                params = {key: data[key] for key in data.files if key != "meta"}
+            model = cls(TaggerConfig(**meta["config"]), list(meta["tags"]), params,
+                        list(meta["loss_curve"]))
+        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+            raise ModelError(f"{path}: not a readable model file: {exc}") from None
+        shapes = {key: value.shape for key, value in params.items()}
+        if shapes != param_shapes(model.config, len(model.tags)):
+            raise ModelError(f"{path}: parameters do not match the model's config and tags")
+        return model
 
 
 def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:

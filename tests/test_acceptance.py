@@ -293,7 +293,7 @@ def test_end_to_end_reproducibility(tmp_path, demo_config_path, capsys):
     capsys.readouterr()
     elapsed = time.monotonic() - t0
     names = sorted(p.name for p in outputs[0].iterdir())
-    assert names == ["linked.jsonl", "model.pkl", "report.json", "report.txt", "tagged.conll"]
+    assert names == ["linked.jsonl", "model.npz", "report.json", "report.txt", "tagged.conll"]
     for name in names:
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()

@@ -1,10 +1,11 @@
 import json
-import pickle
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from finetype import cli
 from finetype.cli import (
     ConfigError,
     build_config,
@@ -13,6 +14,8 @@ from finetype.cli import (
     parse_config_text,
     project_tags_to_coarse,
 )
+from finetype.kb import load_snapshot
+from finetype.tagger import TaggerConfig, TaggerModel, init_params
 from finetype.taxonomy import parse_hierarchy
 
 from conftest import DEMO_DIR
@@ -104,39 +107,39 @@ def test_project_tags_to_coarse():
 
 # --- ingest-kb -------------------------------------------------------------------
 
-def test_ingest_kb_summary(tmp_path, capsys):
-    out = tmp_path / "kb.pkl"
-    code = main(["ingest-kb", str(DEMO_DIR / "snapshot.jsonl"), str(out)])
+def test_ingest_kb_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["ingest-kb", str(DEMO_DIR / "snapshot.jsonl")])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "30 records" in printed
-    with open(out, "rb") as fh:
-        kb = pickle.load(fh)
-    assert kb.lookup("iPad").id == 2796
+    kb = load_snapshot(DEMO_DIR / "snapshot.jsonl")
+    assert (f"30 records, {kb.label_index_size} label keys, {kb.alias_index_size} alias keys"
+            in printed)
+    assert not any(tmp_path.iterdir())
 
 
 def test_ingest_kb_malformed_line_cited(tmp_path, capsys):
     snapshot = tmp_path / "bad.jsonl"
     good = json.dumps({"qid": "Q1", "label": "a"})
     snapshot.write_text(good + "\n" + good.replace("Q1", "Q2") + "\n{broken\n")
-    code = main(["ingest-kb", str(snapshot), str(tmp_path / "kb.pkl")])
+    code = main(["ingest-kb", str(snapshot)])
     assert code == 1
     assert "line 3" in capsys.readouterr().err
 
 
-def test_ingest_kb_empty_snapshot_warns(tmp_path, capsys):
+def test_ingest_kb_empty_snapshot_warns(tmp_path, capsys, monkeypatch):
     snapshot = tmp_path / "empty.jsonl"
     snapshot.write_text("")
-    out = tmp_path / "kb.pkl"
-    code = main(["ingest-kb", str(snapshot), str(out)])
+    monkeypatch.chdir(tmp_path)
+    code = main(["ingest-kb", str(snapshot)])
     captured = capsys.readouterr()
     assert code == 0
     assert "warning" in captured.err
-    assert out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
 
 def test_ingest_kb_missing_snapshot(tmp_path, capsys):
-    code = main(["ingest-kb", str(tmp_path / "nope.jsonl"), str(tmp_path / "kb.pkl")])
+    code = main(["ingest-kb", str(tmp_path / "nope.jsonl")])
     assert code == 1
 
 
@@ -153,7 +156,7 @@ def test_pipeline_links_ipad_to_computer(pipeline_out):
 
 
 def test_pipeline_writes_all_artifacts(pipeline_out):
-    for name in ("model.pkl", "tagged.conll", "linked.jsonl", "report.txt", "report.json"):
+    for name in ("model.npz", "tagged.conll", "linked.jsonl", "report.txt", "report.json"):
         assert (pipeline_out / name).exists(), name
 
 
@@ -198,7 +201,7 @@ def test_pipeline_untagged_corpus_needs_model_then_links_without_report(
 
     code = main(["pipeline", "--config", str(demo_config_path),
                  "--corpus", str(untagged), "--output-dir", str(out),
-                 "--model", str(pipeline_out / "model.pkl")])
+                 "--model", str(pipeline_out / "model.npz")])
     captured = capsys.readouterr()
     assert code == 0
     assert "skipping evaluation" in captured.err
@@ -224,7 +227,7 @@ def test_staged_commands_match_pipeline(tmp_path, demo_config_path, pipeline_out
     for argv in (
         ["train", "--config", str(demo_config_path), "--output-dir", str(out)],
         ["tag", "--config", str(demo_config_path), "--output-dir", str(out),
-         "--model", str(out / "model.pkl")],
+         "--model", str(out / "model.npz")],
         ["link", "--config", str(demo_config_path), "--output-dir", str(out)],
         ["evaluate", "--config", str(demo_config_path), "--output-dir", str(out)],
     ):
@@ -434,6 +437,81 @@ def test_missing_class_roots_fail_before_work(tmp_path, demo_config_path, pipeli
     assert code == 1
     assert "class_roots.person" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+# --- model files ----------------------------------------------------------------------------
+
+def save_random_model(path, embedding_dim):
+    cfg = TaggerConfig(hidden_size=4, embedding_dim=embedding_dim)
+    tags = ["O", "B-person", "I-person"]
+    TaggerModel(cfg, tags, init_params(cfg, len(tags), np.random.default_rng(0))).save(path)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "tag"])
+def test_model_dimension_mismatch_fails_before_work(tmp_path, demo_config_path, capsys, command):
+    model = tmp_path / "model8.npz"
+    save_random_model(model, embedding_dim=8)  # the demo's token vectors are 16-d
+    out = tmp_path / "out"
+    code = main([command, "--config", str(demo_config_path), "--output-dir", str(out),
+                 "--model", str(model)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "8-dimensional" in err and "dimension 16" in err
+    assert not (out / "tagged.conll").exists()
+
+
+UNPICKLED = []
+
+
+def record_unpickling():
+    UNPICKLED.append(True)
+
+
+class PicklePayload:
+    def __reduce__(self):
+        return record_unpickling, ()
+
+
+@pytest.mark.parametrize("kind", ["garbage", "truncated", "object-member", "wrong-shapes"])
+def test_malformed_model_file_exits_1_and_names_it(tmp_path, demo_config_path, capsys, kind):
+    model = tmp_path / "model.npz"
+    if kind == "garbage":
+        model.write_text("garbage\n")
+    elif kind == "truncated":
+        save_random_model(model, embedding_dim=16)
+        model.write_bytes(model.read_bytes()[: model.stat().st_size // 2])
+    elif kind == "object-member":
+        save_random_model(model, embedding_dim=16)
+        with np.load(model) as data:
+            members = {key: data[key] for key in data.files}
+        members["dec_b"] = np.array([PicklePayload()], dtype=object)
+        with open(model, "wb") as fh:
+            np.savez(fh, **members)
+    else:
+        cfg = TaggerConfig(hidden_size=4, embedding_dim=16)
+        TaggerModel(cfg, ["O"], init_params(cfg, 3, np.random.default_rng(0))).save(model)
+    code = main(["tag", "--config", str(demo_config_path), "--output-dir", str(tmp_path / "out"),
+                 "--model", str(model)])
+    assert code == 1
+    assert str(model) in capsys.readouterr().err
+    assert UNPICKLED == []
+
+
+def test_pipeline_missing_model_fails_before_any_input_loads(tmp_path, demo_config_path, capsys,
+                                                             monkeypatch):
+    def must_not_load(*args, **kwargs):
+        raise AssertionError("an input was loaded")
+
+    for name in ("load_hierarchy", "load_snapshot", "load_embeddings", "read_conll"):
+        monkeypatch.setattr(cli, name, must_not_load)
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
+                 "--model", str(tmp_path / "missing.npz")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "model does not exist" in err
+    assert "stage" not in err
+    assert not out.exists()
 
 
 # --- misc ---------------------------------------------------------------------------------

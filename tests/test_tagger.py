@@ -345,12 +345,31 @@ def test_loss_curve_length_matches_epochs():
 def test_model_save_load_round_trip(tmp_path):
     corpus = synthetic_corpus()
     model = train(corpus, desk_cfg(epochs=3))
-    path = tmp_path / "model.pkl"
+    path = tmp_path / "model.npz"
     model.save(path)
     loaded = TaggerModel.load(path)
     assert loaded.tags == model.tags
     x = corpus[0].vectors
     assert np.array_equal(loaded.encode(x), model.encode(x))
+
+    bidirectional = train(corpus, desk_cfg(epochs=2, bidirectional=True))
+    for saved in (model, bidirectional):
+        directory = tmp_path / f"bidirectional-{saved.config.bidirectional}"
+        directory.mkdir()
+        saved.save(directory / "model.bin")
+        saved.save(directory / "again.bin")
+        # written at exactly the given paths, byte for byte the same
+        assert sorted(p.name for p in directory.iterdir()) == ["again.bin", "model.bin"]
+        assert (directory / "again.bin").read_bytes() == (directory / "model.bin").read_bytes()
+        loaded = TaggerModel.load(directory / "model.bin")
+        assert loaded.config == saved.config
+        assert loaded.tags == saved.tags
+        assert loaded.loss_curve == saved.loss_curve
+        assert loaded.params.keys() == saved.params.keys()
+        for key, value in saved.params.items():
+            assert loaded.params[key].dtype == value.dtype
+            assert np.array_equal(loaded.params[key], value), key
+    assert np.array_equal(loaded.encode(x), bidirectional.encode(x))
 
 
 # ---------------------------------------------------------------------------
