@@ -257,8 +257,9 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
     (default ``<output_dir>/linked.jsonl``), checked here and read by
     ``evaluate_linked``. ``model`` loads the configured model and ``train``
     builds a coarse-tagged training set from ``train_corpus`` (default: the
-    corpus); given both, a configured model is used and nothing is trained.
-    With either, token vectors are attached to the sentences read.
+    corpus, read once for both); given both, a configured model is used and
+    nothing is trained. With either, token vectors are attached to the
+    sentences read.
 
     Every path is checked before ``stage("load inputs")`` opens; every
     condition spanning inputs (class roots when linking, the vector
@@ -321,7 +322,10 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
                 inputs.corpus = attach_vectors(inputs.corpus, provider)
         if training:
             source = cfg.train_corpus or cfg.corpus
-            examples = attach_vectors(read_conll(source), provider)
+            if cfg.train_corpus is None and "corpus" in keys:
+                examples = inputs.corpus
+            else:
+                examples = attach_vectors(read_conll(source), provider)
             if any(ex.gold_tags is None for ex in examples):
                 raise ConfigError(f"training corpus {source} has untagged sentences:"
                                   " supply a trained model via 'model ='")

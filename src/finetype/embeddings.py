@@ -126,26 +126,31 @@ def phrase_similarity(
 ) -> float | None:
     """Similarity between two token lists under the table's vocabulary.
 
-    Default mode averages cosine over all description x subtype token pairs,
-    skipping any pair with an out-of-vocabulary token; the alternative
-    compares the mean vectors of each side. Returns None (undefined) when
-    every pair is skipped, so out-of-vocabulary phrases never masquerade as
-    low-similarity ones.
+    Each side is reduced to one unit direction and the score is their dot
+    product. The default mode averages the side's unit vectors, so by
+    bilinearity the score is the mean cosine over all description x subtype
+    token pairs; the alternative normalizes the side's mean vector instead.
+    Out-of-vocabulary tokens are skipped; the result is None (undefined) when
+    a side has no usable vector, so out-of-vocabulary phrases never
+    masquerade as low-similarity ones.
     """
     if not description_tokens or not subtype_tokens:
         raise EmbeddingError("phrase similarity requires nonempty token lists")
     if mode not in SIMILARITY_MODES:
         raise EmbeddingError(f"unknown similarity mode: {mode!r}")
-    # Zero vectors carry no direction; treat them like out-of-vocabulary tokens.
-    desc = [v for v in (table.get(t) for t in description_tokens) if v is not None and v.any()]
-    sub = [v for v in (table.get(t) for t in subtype_tokens) if v is not None and v.any()]
-    if not desc or not sub:
-        return None
-    if mode == MEAN_VECTOR:
-        u = np.mean(desc, axis=0)
-        v = np.mean(sub, axis=0)
-        if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
+    directions = []
+    for tokens in (description_tokens, subtype_tokens):
+        # Zero vectors carry no direction; treat them like out-of-vocabulary tokens.
+        rows = np.array([v for v in map(table.get, tokens) if v is not None and v.any()])
+        if not len(rows):
             return None
-        return cosine(u, v)
-    scores = [cosine(d, s) for d in desc for s in sub]
-    return float(np.mean(scores))
+        if mode == PAIRWISE_MEAN:
+            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        mean = rows.mean(axis=0)
+        if mode == MEAN_VECTOR:
+            norm = np.linalg.norm(mean)
+            if norm == 0.0:
+                return None
+            mean = mean / norm
+        directions.append(mean)
+    return float(np.clip(directions[0] @ directions[1], -1.0, 1.0))

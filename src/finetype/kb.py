@@ -2,9 +2,9 @@
 
 Lookup follows a two-stage exact-match protocol: labels first, then the
 "also known as" alias redirection list, returning the candidate with the
-numerically lowest Q-id (the most-referenced variant). A reverse
-subclass-of index supports narrowing the searchable entities for the
-person/location/organization categories.
+numerically lowest Q-id (the most-referenced variant). For the
+person/location/organization categories a reverse subclass-of index gives the
+class closure that lookup hits must be instances of.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ def parse_qid(text: str) -> int:
     m = _QID_RE.match(str(text).strip())
     if not m:
         raise SnapshotError(f"not a Q-id: {text!r}")
-    return int(m.group(1))
+    try:
+        return int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        raise SnapshotError(f"Q-id has too many digits ({len(m.group(1))})") from None
 
 
 def format_qid(numeric: int) -> str:
@@ -76,18 +79,23 @@ def _parse_id_list(value: object, field: str) -> tuple[int, ...]:
     return tuple(parse_qid(v) for v in value)
 
 
+def _text(value: object) -> str:
+    """A label or alias as stripped text; JSON null counts as empty."""
+    return "" if value is None else str(value).strip()
+
+
 def parse_record(line: str) -> EntityRecord:
     """Parse one JSON snapshot line; unknown fields are ignored."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SnapshotError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SnapshotError("record is not a JSON object")
     if "qid" not in obj:
         raise SnapshotError("record has no 'qid' field")
     entity_id = parse_qid(obj["qid"])
-    label = str(obj.get("label", "")).strip()
+    label = _text(obj.get("label"))
     if not label:
         raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
     raw_aliases = obj.get("aliases", [])
@@ -95,7 +103,7 @@ def parse_record(line: str) -> EntityRecord:
         raise SnapshotError("field 'aliases' must be an array")
     aliases: list[str] = []
     for alias in raw_aliases:
-        alias = str(alias).strip()
+        alias = _text(alias)
         if alias and alias != label and alias not in aliases:
             aliases.append(alias)
     return EntityRecord(
@@ -142,22 +150,19 @@ class KnowledgeBase:
     def alias_index_size(self) -> int:
         return len(self._alias_index)
 
-    def all_ids(self) -> set[int]:
-        return set(self.records)
-
     def lookup(
         self,
         surface: str,
-        candidates: set[int] | None = None,
+        classes: set[int] | None = None,
         use_aliases: bool = True,
     ) -> EntityRecord | None:
         """Resolve a surface form, or return None when both stages miss.
 
         Stage 1 matches labels, stage 2 aliases; an exact label match always
-        preempts alias candidates. Within the winning stage the record with
-        the lowest numeric id wins, making the result independent of
-        insertion order. ``candidates`` restricts the searchable universe
-        before either stage applies.
+        preempts alias candidates. Given ``classes``, a hit counts only when
+        one of its instance-of links lies in it. Within the winning stage the
+        record with the lowest numeric id wins, making the result independent
+        of insertion order.
         """
         if not surface or not surface.strip():
             raise ValueError("lookup surface must be nonempty")
@@ -166,9 +171,9 @@ class KnowledgeBase:
         if use_aliases:
             stages.append(self._alias_index)
         for index in stages:
-            ids = index.get(key, set())
-            if candidates is not None:
-                ids = ids & candidates
+            ids = index.get(key, ())
+            if classes is not None:
+                ids = [i for i in ids if not classes.isdisjoint(self.records[i].instance_of)]
             if ids:
                 return self.records[min(ids)]
         return None
@@ -190,28 +195,22 @@ class KnowledgeBase:
 
     def narrow_candidates(
         self, coarse: str, class_roots: Mapping[str, Iterable[int]]
-    ) -> set[int]:
-        """Searchable entity ids for a coarse category.
+    ) -> set[int] | None:
+        """Classes whose instances a mention of ``coarse`` may link to.
 
-        person/location/organization are narrowed to entities whose
-        instance-of links fall inside the subclass closure of the configured
-        class roots; every other category searches the whole snapshot.
+        person/location/organization are narrowed to the subclass closure of
+        the configured class roots, to be passed to ``lookup`` as
+        ``classes``; every other category is not narrowed and gets None.
         """
         coarse = str(coarse)
         if coarse not in NARROWED_CATEGORIES:
-            return self.all_ids()
+            return None
         roots = set(class_roots.get(coarse, ()))
         if not roots:
             raise MissingClassRootsError(
                 f"no class roots configured for narrowable category {coarse!r}"
             )
-        allowed = self.subclass_closure(roots)
-        return {
-            rec.id
-            for rec in self.records.values()
-            if allowed.intersection(rec.instance_of)
-        }
-
+        return self.subclass_closure(roots)
 
 def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.

@@ -1,12 +1,12 @@
 """Mention linking: resolve a coarse-typed span against the knowledge base
 and cluster the entity onto a fine subtype.
 
-For a person/location/organization mention the searchable entities are first
-narrowed by class membership, the surface is resolved by label-then-alias
-lookup, and the entity description is scored by average cosine similarity
-against each candidate subtype name. The best subtype strictly above the
-similarity threshold wins; every failure mode falls back to the coarse label
-so linking is total.
+The surface is resolved by label-then-alias lookup; for a
+person/location/organization mention a hit counts only when it is an instance
+of the category's class closure. The entity description is scored by average
+cosine similarity against each candidate subtype name. The best subtype
+strictly above the similarity threshold wins; every failure mode falls back to
+the coarse label so linking is total.
 """
 
 from __future__ import annotations
@@ -135,10 +135,7 @@ def link_mention(
     if not hierarchy.is_root(coarse):
         return FineTypedMention(span, entity=None, fine_type=coarse, score=None)
     surface = " ".join(tokens[span.start : span.end])
-    candidates = None
-    if coarse in NARROWED_CATEGORIES:
-        candidates = kb.narrow_candidates(coarse, cfg.class_roots)
-    record = kb.lookup(surface, candidates=candidates)
+    record = kb.lookup(surface, classes=kb.narrow_candidates(coarse, cfg.class_roots))
     if record is None:
         return FineTypedMention(span, entity=None, fine_type=coarse, score=None)
     clustered = cluster_to_subtype(record, coarse, hierarchy, table, cfg, kb=kb)

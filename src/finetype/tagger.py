@@ -195,10 +195,13 @@ def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
         if dim is None:
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 1 or not parts[0].isdigit():
+            # ASCII digits only: str.isdigit also accepts digits int() rejects, like '²'
+            if not (line.isascii() and line.isdigit()):
                 raise CorpusError(f"line {lineno}: expected a dimension header")
-            dim = int(parts[0])
+            try:
+                dim = int(line)
+            except ValueError:
+                raise CorpusError(f"line {lineno}: dimension header is too long") from None
             if dim < 1:
                 raise CorpusError(f"line {lineno}: dimension must be positive")
             continue

@@ -168,6 +168,22 @@ def test_pipeline_demo_report_is_perfect(pipeline_out):
     assert report["per_class"]["product.computer"]["f1"] == 1.0
 
 
+def test_pipeline_reads_and_vectorizes_the_corpus_once(tmp_path, demo_config_path, monkeypatch,
+                                                     capsys):
+    # without train_corpus the tagger trains on the corpus it tags
+    calls = {"read_conll": 0, "attach_vectors": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == {"read_conll": 1, "attach_vectors": 1}
+    assert json.loads((out / "report.json").read_text())["micro_f1"] == 1.0
+
+
 def test_pipeline_missing_embeddings_fails_before_work(tmp_path, demo_config_path, capsys):
     cfg_text = demo_config_path.read_text().replace(
         "embeddings = wiki_vectors.vec", "embeddings = missing.vec"
@@ -403,6 +419,26 @@ def test_pipeline_with_precomputed_sidecar_matches_static_run(
     # identical vectors and seed: the whole run reproduces the static-table one
     assert (out / "linked.jsonl").read_bytes() == (pipeline_out / "linked.jsonl").read_bytes()
     assert (out / "report.json").read_bytes() == (pipeline_out / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("header", ["\u00b2", "1" * 5000],
+                         ids=["superscript-two", "5000-digits"])
+def test_pipeline_bad_sidecar_header_fails_before_work(tmp_path, demo_config_path, capsys,
+                                                      header):
+    sidecar = tmp_path / "context.vec"
+    sidecar.write_text(f"{header}\n1 0\n")
+    cfg = tmp_path / "sidecar.cfg"
+    cfg.write_text(
+        demo_cfg_with_absolute_paths(demo_config_path).replace(
+            f"token_vectors = {DEMO_DIR / 'token_vectors.vec'}",
+            f"token_vectors = {sidecar}\nvector_source = precomputed",
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    assert "line 1: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_runtime_failure_exits_2(tmp_path, demo_config_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from finetype.embeddings import (
     MEAN_VECTOR,
+    PAIRWISE_MEAN,
     EmbeddingError,
     EmbeddingTable,
     cosine,
@@ -198,6 +199,43 @@ def test_mean_vector_mode_fully_oov_side_is_undefined(small_table):
 def test_unknown_mode_rejected(small_table):
     with pytest.raises(EmbeddingError, match="mode"):
         phrase_similarity(["sun"], ["sun"], small_table, mode="max")
+
+
+def per_pair_similarity_oracle(description_tokens, subtype_tokens, table, mode):
+    """The per-pair formulation: mean of cosine over every in-vocabulary pair,
+    or cosine of the two mean vectors; zero vectors count as out of vocabulary."""
+    desc = [v for v in (table.get(t) for t in description_tokens) if v is not None and v.any()]
+    sub = [v for v in (table.get(t) for t in subtype_tokens) if v is not None and v.any()]
+    if not desc or not sub:
+        return None
+    if mode == MEAN_VECTOR:
+        u = np.mean(desc, axis=0)
+        v = np.mean(sub, axis=0)
+        if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
+            return None
+        return cosine(u, v)
+    return float(np.mean([cosine(d, s) for d in desc for s in sub]))
+
+
+@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
+def test_one_formula_matches_per_pair_oracle(mode, demo_table):
+    rng = np.random.default_rng(11)
+    vectors = {f"w{i}": rng.standard_normal(8) * rng.uniform(0.01, 100) for i in range(30)}
+    vectors["zero"] = np.zeros(8)
+    vectors["neg"] = -vectors["w0"]  # cancels w0 in a mean
+    for table in (EmbeddingTable(8, vectors), demo_table):
+        vocab = table.tokens() + ["oov", "zero", "unseen"]
+        cases = [(["w0", "neg"], ["w1"]), (["zero"], ["w1"]), (["oov", "zero"], ["oov"])]
+        for _ in range(200):
+            cases.append((list(rng.choice(vocab, size=rng.integers(1, 12))),
+                          list(rng.choice(vocab, size=rng.integers(1, 6)))))
+        for desc, sub in cases:
+            want = per_pair_similarity_oracle(desc, sub, table, mode)
+            got = phrase_similarity(desc, sub, table, mode)
+            if want is None:
+                assert got is None, (desc, sub)
+            else:
+                assert got == pytest.approx(want, abs=1e-12), (desc, sub)
 
 
 # --- tokenize ------------------------------------------------------------------------

@@ -99,6 +99,31 @@ def test_empty_label_rejected():
         ingest_snapshot([record_line("Q1", "  ")])
 
 
+def test_null_label_is_empty():
+    line = json.dumps({"qid": "Q1", "label": None})
+    with pytest.raises(SnapshotError, match="line 1: record Q1 has an empty label"):
+        ingest_snapshot([line])
+
+
+def test_null_aliases_are_dropped():
+    line = json.dumps({"qid": "Q1", "label": "x", "aliases": [None, "y", None]})
+    kb = ingest_snapshot([line])
+    assert kb.records[1].aliases == ("y",)
+    assert kb.lookup("None") is None
+
+
+@pytest.mark.parametrize("bad", [
+    "1" * 5000,
+    '{"qid": "Q1", "label": "x", "description": %s}' % ("7" * 5000),
+    json.dumps({"qid": "Q" + "1" * 5000, "label": "x"}),
+    json.dumps({"qid": "Q1", "label": "x", "instance_of": ["Q" + "2" * 5000]}),
+    "[" * 100000,
+], ids=["bare-number", "number-field", "qid", "qid-link", "deep-nesting"])
+def test_oversized_values_cite_line(bad):
+    with pytest.raises(SnapshotError, match="line 2: "):
+        ingest_snapshot([record_line("Q9", "ok"), bad])
+
+
 def test_alias_equal_to_label_is_dropped():
     kb = ingest_snapshot([record_line("Q7", "Foo", aliases=["Foo", "Bar", "Bar"])])
     assert kb.records[7].aliases == ("Bar",)
@@ -145,9 +170,15 @@ def test_lookup_stage_precedence_label_beats_alias():
 
 
 def test_lookup_candidate_restriction(fixture_kb):
-    only_football = {27069141}
-    assert fixture_kb.lookup("Michael Jordan", candidates=only_football).id == 27069141
-    assert fixture_kb.lookup("Michael Jordan", candidates=set()) is None
+    # two "Michael Jordan" labels: Q41421 an instance of Q5, Q27069141 of Q515
+    kb = ingest_snapshot(FIXTURE_LINES[:4] + [
+        record_line("Q27069141", "Michael Jordan", instance_of=["Q515"]),
+    ])
+    assert kb.lookup("Michael Jordan", classes={515}).id == 27069141
+    assert kb.lookup("Michael Jordan", classes={5}).id == 41421
+    assert fixture_kb.lookup("Michael Jordan", classes=set()) is None
+    # alias hits are filtered the same way
+    assert fixture_kb.lookup("Michael Jeffrey Jordan", classes={515}) is None
 
 
 def test_lookup_alias_stage_can_be_disabled(fixture_kb):
@@ -228,17 +259,26 @@ def test_closure_is_a_fixed_point(fixture_kb):
 
 
 def test_narrow_person_filters_by_instance_of(fixture_kb):
-    got = fixture_kb.narrow_candidates("person", {"person": {5}})
-    assert got == {41421, 27069141}
+    classes = fixture_kb.narrow_candidates("person", {"person": {5}})
+    assert classes == {5}
+    assert fixture_kb.lookup("Michael Jordan", classes=classes).id == 41421
+    # Paris is no instance of human, and iPad has no instance-of links at all
+    assert fixture_kb.lookup("Paris", classes=classes) is None
+    assert fixture_kb.lookup("iPad", classes=classes) is None
 
 
 def test_narrow_product_returns_all_ids(fixture_kb):
-    assert fixture_kb.narrow_candidates("product", {}) == fixture_kb.all_ids()
+    # not narrowed: every entity stays searchable, with or without instance-of links
+    assert fixture_kb.narrow_candidates("product", {}) is None
+    for rec in fixture_kb.records.values():
+        assert fixture_kb.lookup(rec.label, classes=None) is not None
 
 
 def test_narrow_person_on_empty_kb():
     kb = ingest_snapshot([])
-    assert kb.narrow_candidates("person", {"person": {5}}) == set()
+    classes = kb.narrow_candidates("person", {"person": {5}})
+    assert classes == {5}  # absent roots are kept
+    assert kb.lookup("Michael Jordan", classes=classes) is None
 
 
 def test_narrow_missing_class_roots():
@@ -248,8 +288,72 @@ def test_narrow_missing_class_roots():
 
 
 def test_narrow_location_uses_closure(fixture_kb):
-    got = fixture_kb.narrow_candidates("location", {"location": {2221906}})
-    assert got == {90}  # Paris: instance of city, city subclass of the root
+    classes = fixture_kb.narrow_candidates("location", {"location": {2221906}})
+    assert classes == {2221906, 515}
+    # Paris: instance of city, city subclass of the root
+    assert fixture_kb.lookup("Paris", classes=classes).id == 90
+    assert fixture_kb.lookup("Michael Jordan", classes=classes) is None
+
+
+# --- narrowed lookup against the scan-then-intersect oracle -------------------
+
+NARROWED_ROOTS = {"person": {5}, "location": {2221906}, "organization": {43229}}
+
+
+def scan_narrow_oracle(kb, coarse, class_roots):
+    """Narrowing by scanning the whole KB: the ids whose instance-of links
+    meet the class-root closure, or every id for a category not narrowed."""
+    if coarse not in NARROWED_ROOTS:
+        return set(kb.records)
+    allowed = kb.subclass_closure(class_roots[coarse])
+    return {rec.id for rec in kb.records.values() if allowed.intersection(rec.instance_of)}
+
+
+def intersect_lookup_oracle(kb, surface, candidates, use_aliases=True):
+    """Lookup restricted to a candidate id set by intersecting each stage's hits."""
+    key = normalize_surface(surface, kb.case_sensitive)
+    stages = [kb._label_index] + ([kb._alias_index] if use_aliases else [])
+    for index in stages:
+        ids = index.get(key, set()) & candidates
+        if ids:
+            return kb.records[min(ids)]
+    return None
+
+
+def random_class_kb(seed):
+    """Homonyms and shared aliases over a random subclass tree under the
+    three narrowed roots plus foreign classes."""
+    rng = random.Random(seed)
+    classes = [5, 2221906, 43229, 4830453, 7, 8]
+    lines = [record_line("Q5", "human"), record_line("Q2221906", "geographic location"),
+             record_line("Q43229", "organization"), record_line("Q7", "foreign"),
+             record_line("Q4830453", "business", subclass_of=["Q43229"]),
+             record_line("Q8", "other", subclass_of=["Q7"])]
+    for qid in range(100, 130):
+        parent = rng.choice(classes)
+        lines.append(record_line(f"Q{qid}", f"class {qid}", subclass_of=[f"Q{parent}"]))
+        classes.append(qid)
+    for qid in range(1000, 1300):
+        lines.append(record_line(
+            f"Q{qid}", f"name {rng.randrange(40)}",
+            aliases=[f"name {rng.randrange(40)}" for _ in range(rng.randrange(3))],
+            instance_of=[f"Q{c}" for c in rng.sample(classes, rng.randrange(3))],
+        ))
+    return ingest_snapshot(lines)
+
+
+@pytest.mark.parametrize("kb_name", ["demo", "fixture", "random"])
+def test_narrowed_lookup_matches_scan_oracle(kb_name, demo_kb, fixture_kb):
+    kb = {"demo": demo_kb, "fixture": fixture_kb, "random": random_class_kb(3)}[kb_name]
+    surfaces = {s for rec in kb.records.values() for s in (rec.label, *rec.aliases)}
+    for coarse in [*NARROWED_ROOTS, "product"]:
+        classes = kb.narrow_candidates(coarse, NARROWED_ROOTS)
+        candidates = scan_narrow_oracle(kb, coarse, NARROWED_ROOTS)
+        for surface in sorted(surfaces):
+            for use_aliases in (True, False):
+                assert (kb.lookup(surface, classes=classes, use_aliases=use_aliases)
+                        == intersect_lookup_oracle(kb, surface, candidates, use_aliases)), \
+                    (coarse, surface, use_aliases)
 
 
 def test_entity_record_defaults():
