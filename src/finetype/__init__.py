@@ -5,7 +5,7 @@ alias redirection, and cosine-similarity clustering onto a two-level type
 hierarchy, plus an exact-match evaluation engine.
 """
 
-from .embeddings import EmbeddingTable, cosine, load_embeddings, phrase_similarity, tokenize
+from .embeddings import EmbeddingTable, load_embeddings, phrase_similarity, tokenize
 from .evaluation import (
     Counts,
     EvalReport,
@@ -48,7 +48,6 @@ __all__ = [
     "TypeLabel",
     "build_report",
     "cluster_to_subtype",
-    "cosine",
     "default_hierarchy_path",
     "extract_spans",
     "ingest_snapshot",

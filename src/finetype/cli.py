@@ -131,7 +131,9 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
     for key, value in values.items():
         try:
             if key in _PATH_KEYS:
-                setattr(cfg, key, (base_dir / value).resolve() if value else None)
+                if not value:
+                    raise ConfigError(f"key {key!r}: expected a path, got an empty value")
+                setattr(cfg, key, (base_dir / value).resolve())
             elif key == "seed":
                 cfg.seed = int(value)
             elif key == "granularity":
@@ -310,6 +312,14 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
                 provider = StaticVectors(inputs.table)
             if use_model:
                 inputs.model = TaggerModel.load(cfg.model)
+                try:  # each tag: O, or B-/I- over a hierarchy root or a label outside it
+                    for tag in inputs.model.tags:
+                        extract_spans([tag])
+                        if inputs.hierarchy and (project_tags_to_coarse([tag], inputs.hierarchy)
+                                                 != [tag]):
+                            raise ValueError(f"tag {tag!r} is not over a hierarchy root")
+                except ValueError as exc:
+                    raise ModelError(f"{cfg.model}: {exc}") from None
             dim = inputs.model.config.embedding_dim if use_model else cfg.tagger.embedding_dim
             if (use_model or cfg.embedding_dim_fixed) and dim != provider.dim:
                 owner = f"model {cfg.model}" if use_model else "embedding_dim"
@@ -347,7 +357,8 @@ def train_tagger(inputs: Inputs) -> TaggerModel:
     model = train(inputs.training, cfg.tagger)
     path = cfg.model or _output_dir(cfg) / "model.npz"
     model.save(path)
-    print(f"train: {cfg.tagger.epochs} epochs, final loss {model.final_loss:.6f} -> {path}")
+    loss = "none" if model.final_loss is None else f"{model.final_loss:.6f}"
+    print(f"train: {cfg.tagger.epochs} epochs, final loss {loss} -> {path}")
     return model
 
 

@@ -105,19 +105,6 @@ def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
         return parse_embeddings(fh)
 
 
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """dot(u, v) / (|u| |v|), clipped to [-1, 1] against float round-off."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    if a.shape != b.shape:
-        raise EmbeddingError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise EmbeddingError("cosine is undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def phrase_similarity(
     description_tokens: Sequence[str],
     subtype_tokens: Sequence[str],

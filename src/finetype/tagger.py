@@ -302,8 +302,12 @@ class TaggerConfig:
             raise ValueError("hidden_size and embedding_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be positive and epochs non-negative")
+        if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
+            raise ValueError("batch_size must be positive, and epochs and seed non-negative")
+        if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.eps < np.inf):
+            raise ValueError("learning_rate and eps must be finite and non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
     @property
     def encoder_width(self) -> int:
@@ -341,25 +345,6 @@ def _cell(z, c_prev, scale, shift):
     c = a[..., hidden : 2 * hidden] * c_prev + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
     tc = np.tanh(c)
     return a, c, tc, a[..., 3 * hidden :] * tc
-
-
-def lstm_cell_step(
-    x: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-    w: np.ndarray,
-    u: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One gated update. ``w`` is (4H, D), ``u`` is (4H, H), ``b`` is (4H,),
-    with gate blocks ordered input, forget, candidate, output."""
-    h_prev, c_prev = state
-    hidden = u.shape[1]
-    if x.shape[-1] != w.shape[1] or h_prev.shape[-1] != hidden:
-        raise ValueError(
-            f"dimension mismatch: x{x.shape} w{w.shape} h{h_prev.shape} u{u.shape}"
-        )
-    _, c, _, h = _cell(w @ x + u @ h_prev + b, c_prev, *_gate_affine(hidden))
-    return h, c
 
 
 def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -505,20 +490,6 @@ def _encode(params, x, lengths, cfg, mask=None, keep_cache=False):
     return _dense(cache["dec_in"], params["dec_w"]) + params["dec_b"], cache
 
 
-def sentence_forward(
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    cfg: TaggerConfig,
-    dropout_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Per-token logits (L, K) for one sentence, run as a batch of one; the
-    returned cache holds the decoder input ``dec_in`` (L, width)."""
-    xb, lengths = _pad_batch([x], cfg.embedding_dim)
-    mask = None if dropout_mask is None else np.asarray(dropout_mask)[:, None]
-    logits, cache = _encode(params, xb, lengths, cfg, mask)
-    return logits[:, 0], {"dec_in": cache["dec_in"][:, 0]}
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -578,21 +549,6 @@ def batch_loss_grads(
     return nll
 
 
-def sentence_loss_grads(
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    targets: np.ndarray,
-    cfg: TaggerConfig,
-    grads: dict[str, np.ndarray],
-    scale: float = 1.0,
-    dropout_mask: np.ndarray | None = None,
-) -> float:
-    """Summed token negative log-likelihood of one sentence, run as a batch
-    of one; gradients of ``scale * nll_sum`` are accumulated into ``grads``."""
-    masks = None if dropout_mask is None else [dropout_mask]
-    return batch_loss_grads(params, [x], [targets], cfg, grads, scale, masks)
-
-
 def _length_chunks(lengths: Sequence[int], budget: int) -> list[list[int]]:
     """Indices of the non-empty sentences, sorted by length and cut into runs
     whose padded size (count x longest) is at most ``budget``; a sentence
@@ -619,15 +575,8 @@ class TaggerModel:
     def final_loss(self) -> float | None:
         return self.loss_curve[-1] if self.loss_curve else None
 
-    def encode(self, vectors: np.ndarray) -> np.ndarray:
-        """Per-token logits over the tag set, dropout disabled."""
-        vectors = np.asarray(vectors, dtype=float)
-        if len(vectors) == 0:
-            return np.zeros((0, len(self.tags)))
-        logits, _ = sentence_forward(self.params, vectors, self.config, dropout_mask=None)
-        return logits
-
     def predict(self, vectors: np.ndarray) -> list[str]:
+        """Tags for one sentence; ``perfbench/spans.py`` traces it as ``tagger.predict``."""
         return self.predict_batch([vectors])[0]
 
     def predict_batch(self, sentences: Sequence[np.ndarray]) -> list[list[str]]:
@@ -747,15 +696,3 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
         loss_curve.append(epoch_nll / epoch_tokens if epoch_tokens else 0.0)
 
     return TaggerModel(config=cfg, tags=tag_set, params=params, loss_curve=loss_curve)
-
-
-def token_accuracy(model: TaggerModel, corpus: Sequence[SequenceExample]) -> float:
-    """Fraction of tokens whose predicted tag equals the gold tag."""
-    scored = [ex for ex in corpus if ex.gold_tags is not None and ex.vectors is not None and len(ex)]
-    if not scored:
-        raise TrainingError("no labeled tokens to score")
-    predicted = model.predict_batch([ex.vectors for ex in scored])
-    correct = sum(
-        p == g for ex, tags in zip(scored, predicted) for p, g in zip(tags, ex.gold_tags)
-    )
-    return correct / sum(len(ex) for ex in scored)

@@ -28,9 +28,9 @@ from finetype.kb import ingest_snapshot
 from finetype.linker import LinkerConfig, cluster_to_subtype, link_mention
 from finetype.tagger import MentionSpan, extract_spans, tags_of_spans
 from test_cli import DEMO_DIR
-from test_tagger import desk_cfg, run_gradient_check, synthetic_corpus
+from test_tagger import desk_cfg, run_gradient_check, synthetic_corpus, token_accuracy
 
-from finetype.tagger import TaggerConfig, token_accuracy, train
+from finetype.tagger import TaggerConfig, train
 
 
 def ok(name: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,16 @@ def test_build_config_bad_value_cites_key():
         build_config({"seed": "lots"}, Path("."))
     with pytest.raises(ConfigError, match="granularity"):
         build_config({"granularity": "medium"}, Path("."))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-inf"),
+    ("learning_rate", "-0.5"), ("beta1", "1"), ("beta1", "nan"), ("beta2", "1"), ("beta2", "nan"),
+    ("eps", "nan"), ("eps", "inf"), ("eps", "-1e-8"),
+])
+def test_build_config_tagger_value_out_of_range_cites_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        build_config({key: value}, Path("."))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -389,6 +400,58 @@ def demo_cfg_with_absolute_paths(demo_config_path):
     return "\n".join(lines) + "\n"
 
 
+def set_key(text, key, value):
+    """Config text with ``key`` set to ``value``: its line replaced, or one appended."""
+    line = f"{key} = {value}"
+    edited, count = re.subn(rf"^{re.escape(key)} =.*$", lambda _: line, text, flags=re.M)
+    return edited if count else text + line + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(cli._PATH_KEYS))
+def test_empty_path_value_fails_before_work(tmp_path, demo_config_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "blank.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), key, ""))
+    code = main(["pipeline", "--config", str(cfg)])
+    assert code == 1
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["blank.cfg"]
+
+
+def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
+                 "--epochs", "0"])
+    assert code == 0
+    assert "0 epochs, final loss none" in capsys.readouterr().out
+    assert (out / "linked.jsonl").exists()
+
+
+# Keys the demo config leaves unset; they are edited too, after every key it sets.
+UNSET_KEYS = ["beta1", "beta2", "eps", "embedding_dim", "bidirectional", "vector_source",
+               "case_sensitive", "train_corpus", "model"]
+EDITS = ["", "garb@ge", "-1", "0", "1", "nan", "inf"]
+
+
+def test_config_edits_never_fail_after_work_starts(tmp_path, demo_config_path, capsys):
+    # a bad value exits 1 before any work; a value that parses must run (exit 0).
+    # Sizes large enough to allocate huge arrays are left out.
+    base = set_key(demo_cfg_with_absolute_paths(demo_config_path), "epochs", "1")
+    keys = [line.split("=")[0].strip() for line in base.splitlines()
+            if "=" in line and not line.startswith("#")]
+    failures = []
+    for run, (key, value) in enumerate((k, v) for k in keys + UNSET_KEYS for v in EDITS):
+        cfg = tmp_path / f"run{run}" / "edited.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text(set_key(base, key, value))
+        with np.errstate(all="ignore"):
+            code = main(["pipeline", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        if code not in (0, 1):
+            failures.append(f"{key} = {value!r}: exit {code}: {err.strip()}")
+    assert failures == []
+
+
 def test_pipeline_with_precomputed_sidecar_matches_static_run(
     tmp_path, demo_config_path, pipeline_out, capsys
 ):
@@ -477,9 +540,9 @@ def test_missing_class_roots_fail_before_work(tmp_path, demo_config_path, pipeli
 
 # --- model files ----------------------------------------------------------------------------
 
-def save_random_model(path, embedding_dim):
+def save_random_model(path, embedding_dim, tags=("O", "B-person", "I-person")):
     cfg = TaggerConfig(hidden_size=4, embedding_dim=embedding_dim)
-    tags = ["O", "B-person", "I-person"]
+    tags = list(tags)
     TaggerModel(cfg, tags, init_params(cfg, len(tags), np.random.default_rng(0))).save(path)
 
 
@@ -531,6 +594,23 @@ def test_malformed_model_file_exits_1_and_names_it(tmp_path, demo_config_path, c
     assert code == 1
     assert str(model) in capsys.readouterr().err
     assert UNPICKLED == []
+
+
+@pytest.mark.parametrize("tags, bad", [
+    (["O", "X"], "X"),
+    (["B-", "O"], "B-"),
+    (["O", "B-person.artist", "I-person.artist"], "B-person.artist"),
+], ids=["not-bio", "no-label", "non-root-label"])
+def test_model_tag_set_checked_before_work(tmp_path, demo_config_path, capsys, tags, bad):
+    model = tmp_path / "model.npz"
+    save_random_model(model, embedding_dim=16, tags=tags)
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
+                 "--model", str(model)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(model) in err and repr(bad) in err
+    assert not out.exists()
 
 
 def test_pipeline_missing_model_fails_before_any_input_loads(tmp_path, demo_config_path, capsys,

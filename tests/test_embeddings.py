@@ -11,12 +11,25 @@ from finetype.embeddings import (
     PAIRWISE_MEAN,
     EmbeddingError,
     EmbeddingTable,
-    cosine,
     load_embeddings,
     parse_embeddings,
     phrase_similarity,
     tokenize,
 )
+
+
+def cosine(u, v):
+    """dot(u, v) / (|u| |v|), clipped to [-1, 1] against float round-off: the
+    per-pair formula that the one-direction similarity is checked against."""
+    a = np.asarray(u, dtype=float)
+    b = np.asarray(v, dtype=float)
+    if a.shape != b.shape:
+        raise EmbeddingError(f"length mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise EmbeddingError("cosine is undefined for a zero vector")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def mp_cosine(u, v):

@@ -14,18 +14,54 @@ from finetype.tagger import (
     TaggerConfig,
     TaggerModel,
     TrainingError,
+    _cell,
+    _encode,
+    _gate_affine,
+    _pad_batch,
     attach_vectors,
+    batch_loss_grads,
     extract_spans,
     init_params,
-    lstm_cell_step,
     parse_conll,
     parse_sidecar,
-    sentence_forward,
-    sentence_loss_grads,
     tags_of_spans,
-    token_accuracy,
     train,
 )
+
+
+# ---------------------------------------------------------------------------
+# One sentence through the batched core
+
+
+def lstm_cell_step(x, state, w, u, b):
+    """One gated update with the recurrence's own gate math: ``w`` is (4H, D),
+    ``u`` is (4H, H), ``b`` is (4H,), gate blocks input, forget, candidate,
+    output. Returns (h, c)."""
+    h_prev, c_prev = state
+    _, c, _, h = _cell(w @ x + u @ h_prev + b, c_prev, *_gate_affine(u.shape[1]))
+    return h, c
+
+
+def sentence_logits(params, x, cfg, dropout_mask=None):
+    """Per-token logits (L, K) and decoder input (L, width) of one sentence,
+    run as a batch of one."""
+    xb, lengths = _pad_batch([x], cfg.embedding_dim)
+    mask = None if dropout_mask is None else np.asarray(dropout_mask)[:, None]
+    logits, cache = _encode(params, xb, lengths, cfg, mask)
+    return logits[:, 0], cache["dec_in"][:, 0]
+
+
+def logits_of(model: TaggerModel, x) -> np.ndarray:
+    return sentence_logits(model.params, x, model.config)[0]
+
+
+def token_accuracy(model, corpus):
+    """Fraction of the corpus's tokens whose predicted tag equals the gold tag."""
+    predicted = model.predict_batch([ex.vectors for ex in corpus])
+    correct = sum(
+        p == g for ex, tags in zip(corpus, predicted) for p, g in zip(tags, ex.gold_tags)
+    )
+    return correct / sum(len(ex) for ex in corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +126,6 @@ def test_cell_saturated_forget_gate_grows_linearly():
     assert np.all(np.abs(h) <= 1.0)
 
 
-def test_cell_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        lstm_cell_step(
-            np.zeros(3), (np.zeros(2), np.zeros(2)),
-            np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Encoder contracts
 
@@ -110,7 +138,7 @@ def make_model(cfg: TaggerConfig, tag_count=3, seed=5) -> TaggerModel:
 
 def test_encode_empty_sequence():
     model = make_model(TaggerConfig(hidden_size=4, embedding_dim=3, epochs=1))
-    logits = model.encode(np.zeros((0, 3)))
+    logits = logits_of(model, np.zeros((0, 3)))
     assert logits.shape == (0, 3)
     assert model.predict(np.zeros((0, 3))) == []
 
@@ -119,14 +147,14 @@ def test_encode_shape_contract():
     cfg = TaggerConfig(hidden_size=6, embedding_dim=4)
     model = make_model(cfg, tag_count=5)
     for length in (1, 2, 9):
-        logits = model.encode(np.random.default_rng(1).standard_normal((length, 4)))
+        logits = logits_of(model, np.random.default_rng(1).standard_normal((length, 4)))
         assert logits.shape == (length, 5)
 
 
 def test_softmax_rows_normalize():
     cfg = TaggerConfig(hidden_size=6, embedding_dim=4)
     model = make_model(cfg, tag_count=5)
-    logits = model.encode(np.random.default_rng(2).standard_normal((7, 4)))
+    logits = logits_of(model, np.random.default_rng(2).standard_normal((7, 4)))
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -136,7 +164,7 @@ def test_encode_inference_is_deterministic():
     cfg = TaggerConfig(hidden_size=8, embedding_dim=4, dropout=0.5)
     model = make_model(cfg)
     x = np.random.default_rng(3).standard_normal((6, 4))
-    assert np.array_equal(model.encode(x), model.encode(x))
+    assert np.array_equal(logits_of(model, x), logits_of(model, x))
 
 
 def test_residual_identity_when_lstm_output_is_forced_to_zero():
@@ -146,9 +174,9 @@ def test_residual_identity_when_lstm_output_is_forced_to_zero():
     hidden = cfg.hidden_size
     model.params["lstm_b"][3 * hidden :] = -1e9
     x = np.random.default_rng(4).standard_normal((6, 4))
-    logits, cache = sentence_forward(model.params, x, cfg)
+    logits, dec_in = sentence_logits(model.params, x, cfg)
     proj = x @ model.params["proj_w"].T
-    assert np.array_equal(cache["dec_in"], proj)
+    assert np.array_equal(dec_in, proj)
     assert np.array_equal(logits, proj @ model.params["dec_w"].T + model.params["dec_b"])
 
 
@@ -156,14 +184,14 @@ def test_encode_rejects_wrong_vector_dimension():
     cfg = TaggerConfig(hidden_size=4, embedding_dim=3)
     model = make_model(cfg)
     with pytest.raises(ValueError, match=r"\(L, 3\)"):
-        model.encode(np.zeros((2, 7)))
+        logits_of(model, np.zeros((2, 7)))
 
 
 def test_bidirectional_doubles_encoder_width():
     cfg = TaggerConfig(hidden_size=4, embedding_dim=3, bidirectional=True)
     model = make_model(cfg, tag_count=2)
     assert model.params["dec_w"].shape == (2, 8)
-    logits = model.encode(np.random.default_rng(5).standard_normal((4, 3)))
+    logits = logits_of(model, np.random.default_rng(5).standard_normal((4, 3)))
     assert logits.shape == (4, 2)
 
 
@@ -172,7 +200,7 @@ def test_bidirectional_doubles_encoder_width():
 
 
 def loss_only(params, x, targets, cfg):
-    logits, _ = sentence_forward(params, x, cfg)
+    logits, _ = sentence_logits(params, x, cfg)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -float(log_probs[np.arange(len(x)), targets].sum())
@@ -184,7 +212,7 @@ def run_gradient_check(cfg, length=5, tag_count=3, seed=9):
     x = rng.standard_normal((length, cfg.embedding_dim))
     targets = rng.integers(0, tag_count, size=length)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    sentence_loss_grads(params, x, targets, cfg, grads, scale=1.0)
+    batch_loss_grads(params, [x], [targets], cfg, grads, scale=1.0)
     eps = 1e-5
     worst = 0.0
     for key, value in params.items():
@@ -222,13 +250,13 @@ def test_gradients_with_dropout_mask_fixed():
     targets = rng.integers(0, 3, size=4)
     mask = (rng.random((4, 4)) >= 0.5) / 0.5
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    sentence_loss_grads(params, x, targets, cfg, grads, scale=1.0, dropout_mask=mask)
+    batch_loss_grads(params, [x], [targets], cfg, grads, scale=1.0, dropout_masks=[mask])
     # numeric check on one parameter block through the masked path
     eps = 1e-5
     key, idx = "proj_w", (1, 2)
 
     def masked_loss():
-        logits, _ = sentence_forward(params, x, cfg, dropout_mask=mask)
+        logits, _ = sentence_logits(params, x, cfg, dropout_mask=mask)
         shifted = logits - logits.max(axis=1, keepdims=True)
         lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return -float(lp[np.arange(4), targets].sum())
@@ -350,7 +378,7 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = TaggerModel.load(path)
     assert loaded.tags == model.tags
     x = corpus[0].vectors
-    assert np.array_equal(loaded.encode(x), model.encode(x))
+    assert np.array_equal(logits_of(loaded, x), logits_of(model, x))
 
     bidirectional = train(corpus, desk_cfg(epochs=2, bidirectional=True))
     for saved in (model, bidirectional):
@@ -369,7 +397,7 @@ def test_model_save_load_round_trip(tmp_path):
         for key, value in saved.params.items():
             assert loaded.params[key].dtype == value.dtype
             assert np.array_equal(loaded.params[key], value), key
-    assert np.array_equal(loaded.encode(x), bidirectional.encode(x))
+    assert np.array_equal(logits_of(loaded, x), logits_of(bidirectional, x))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from finetype.tagger import (
     _length_chunks,
     batch_loss_grads,
     init_params,
-    sentence_forward,
     train,
 )
 
-from test_tagger import synthetic_corpus
+from test_tagger import sentence_logits, synthetic_corpus
 
 # ---------------------------------------------------------------------------
 # Oracle: one sentence, one timestep at a time
@@ -207,7 +206,7 @@ def test_sentence_forward_matches_oracle(bidirectional):
     params = init_params(cfg, 5, rng)
     for length in (1, 2, 11):
         x = rng.standard_normal((length, cfg.embedding_dim))
-        got, _ = sentence_forward(params, x, cfg)
+        got, _ = sentence_logits(params, x, cfg)
         want, _ = oracle_forward(params, x, cfg)
         assert relative_error(got, want) <= 1e-12
 
