@@ -502,7 +502,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_tag(args) -> None:
-    tag_corpus(load_inputs(args, {"corpus", "model"}))
+    tag_corpus(load_inputs(args, {"hierarchy", "corpus", "model"}))
 
 
 def cmd_link(args) -> None:

@@ -9,12 +9,13 @@ class closure that lookup hits must be instances of.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 NARROWED_CATEGORIES = frozenset({"person", "location", "organization"})
 
@@ -50,7 +51,7 @@ def normalize_surface(surface: str, case_sensitive: bool = False) -> str:
     return s if case_sensitive else s.casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     """One knowledge-base entity with its typing links.
 
@@ -71,8 +72,15 @@ class EntityRecord:
         return format_qid(self.id)
 
 
+# A record's validated fields, in EntityRecord order, as the KB keeps them.
+_Fields = tuple[int, str, tuple[str, ...], str, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_INSTANCE_OF = 4
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _parse_id_list(value: object, field: str) -> tuple[int, ...]:
-    if value is None:
+    if value is None or value == []:
         return ()
     if not isinstance(value, list):
         raise SnapshotError(f"field {field!r} must be an array of Q-ids")
@@ -84,12 +92,24 @@ def _text(value: object) -> str:
     return "" if value is None else str(value).strip()
 
 
-def parse_record(line: str) -> EntityRecord:
-    """Parse one JSON snapshot line; unknown fields are ignored."""
+def _decode(line: str) -> object:
+    """The JSON value of one line. A line that is not one value followed only
+    by JSON whitespace goes through ``json.loads``, whose error is reported."""
     try:
-        obj = json.loads(line)
+        value, end = _raw_decode(line)
+        if end == len(line) or not line[end:].strip(" \t\n\r"):
+            return value
+    except (ValueError, RecursionError, TypeError):
+        pass
+    try:
+        return json.loads(line)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SnapshotError(f"invalid JSON: {exc}") from None
+
+
+def _parse_fields(line: str) -> _Fields:
+    """The fields of one JSON snapshot line, validated; unknown fields are ignored."""
+    obj = _decode(line)
     if not isinstance(obj, dict):
         raise SnapshotError("record is not a JSON object")
     if "qid" not in obj:
@@ -106,41 +126,73 @@ def parse_record(line: str) -> EntityRecord:
         alias = _text(alias)
         if alias and alias != label and alias not in aliases:
             aliases.append(alias)
-    return EntityRecord(
-        id=entity_id,
-        label=label,
-        aliases=tuple(aliases),
-        description=str(obj.get("description", "") or ""),
-        instance_of=_parse_id_list(obj.get("instance_of"), "instance_of"),
-        subclass_of=_parse_id_list(obj.get("subclass_of"), "subclass_of"),
-        occupation=_parse_id_list(obj.get("occupation"), "occupation"),
+    return (
+        entity_id,
+        label,
+        tuple(aliases),
+        str(obj.get("description", "") or ""),
+        _parse_id_list(obj.get("instance_of"), "instance_of"),
+        _parse_id_list(obj.get("subclass_of"), "subclass_of"),
+        _parse_id_list(obj.get("occupation"), "occupation"),
     )
+
+
+class _Records(Mapping):
+    """Read-only id -> EntityRecord view over the KB's fields; each record is
+    built on first access and the same object is returned after that."""
+
+    def __init__(self, fields: dict[int, _Fields]):
+        self._fields = fields
+        self._built: dict[int, EntityRecord] = {}
+
+    def __getitem__(self, entity_id: int) -> EntityRecord:
+        rec = self._built.get(entity_id)
+        if rec is None:
+            rec = self._built[entity_id] = EntityRecord(*self._fields[entity_id])
+        return rec
+
+    def __contains__(self, entity_id: object) -> bool:
+        return entity_id in self._fields
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields)
 
 
 class KnowledgeBase:
     """Indexed, immutable view over an ingested snapshot."""
 
-    def __init__(self, records: Iterable[EntityRecord], case_sensitive: bool = False):
+    def __init__(self, records: Iterable[EntityRecord] = (), case_sensitive: bool = False):
         self.case_sensitive = case_sensitive
-        self.records: dict[int, EntityRecord] = {}
+        self._fields: dict[int, _Fields] = {}
+        self.records: Mapping[int, EntityRecord] = _Records(self._fields)
         self._label_index: dict[str, set[int]] = {}
         self._alias_index: dict[str, set[int]] = {}
         self._subclass_children: dict[int, set[int]] = {}
+        self._closures: dict[frozenset[int], frozenset[int]] = {}
         for rec in records:
-            if rec.id in self.records:
+            if rec.id in self._fields:
                 raise SnapshotError(f"duplicate entity id {rec.qid}")
-            self.records[rec.id] = rec
-            self._label_index.setdefault(self._key(rec.label), set()).add(rec.id)
-            for alias in rec.aliases:
-                self._alias_index.setdefault(self._key(alias), set()).add(rec.id)
-            for parent in rec.subclass_of:
-                self._subclass_children.setdefault(parent, set()).add(rec.id)
+            self._add((rec.id, rec.label, rec.aliases, rec.description, rec.instance_of,
+                       rec.subclass_of, rec.occupation))
+
+    def _add(self, fields: _Fields) -> None:
+        """Store one entity's fields and index its label, aliases and subclass links."""
+        entity_id, label, aliases, _, _, subclass_of, _ = fields
+        self._fields[entity_id] = fields
+        self._label_index.setdefault(self._key(label), set()).add(entity_id)
+        for alias in aliases:
+            self._alias_index.setdefault(self._key(alias), set()).add(entity_id)
+        for parent in subclass_of:
+            self._subclass_children.setdefault(parent, set()).add(entity_id)
 
     def _key(self, surface: str) -> str:
         return normalize_surface(surface, self.case_sensitive)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._fields)
 
     @property
     def label_index_size(self) -> int:
@@ -153,7 +205,7 @@ class KnowledgeBase:
     def lookup(
         self,
         surface: str,
-        classes: set[int] | None = None,
+        classes: AbstractSet[int] | None = None,
         use_aliases: bool = True,
     ) -> EntityRecord | None:
         """Resolve a surface form, or return None when both stages miss.
@@ -173,7 +225,7 @@ class KnowledgeBase:
         for index in stages:
             ids = index.get(key, ())
             if classes is not None:
-                ids = [i for i in ids if not classes.isdisjoint(self.records[i].instance_of)]
+                ids = [i for i in ids if not classes.isdisjoint(self._fields[i][_INSTANCE_OF])]
             if ids:
                 return self.records[min(ids)]
         return None
@@ -195,46 +247,61 @@ class KnowledgeBase:
 
     def narrow_candidates(
         self, coarse: str, class_roots: Mapping[str, Iterable[int]]
-    ) -> set[int] | None:
+    ) -> frozenset[int] | None:
         """Classes whose instances a mention of ``coarse`` may link to.
 
         person/location/organization are narrowed to the subclass closure of
         the configured class roots, to be passed to ``lookup`` as
-        ``classes``; every other category is not narrowed and gets None.
+        ``classes``; every other category is not narrowed and gets None. The
+        KB is immutable, so each root set's closure is computed once.
         """
         coarse = str(coarse)
         if coarse not in NARROWED_CATEGORIES:
             return None
-        roots = set(class_roots.get(coarse, ()))
+        roots = frozenset(class_roots.get(coarse, ()))
         if not roots:
             raise MissingClassRootsError(
                 f"no class roots configured for narrowable category {coarse!r}"
             )
-        return self.subclass_closure(roots)
+        closure = self._closures.get(roots)
+        if closure is None:
+            closure = self._closures[roots] = frozenset(self.subclass_closure(roots))
+        return closure
+
 
 def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.
 
-    Raises SnapshotError with the offending line number on malformed input
-    or duplicate ids.
+    One pass decodes, validates and indexes each line. Raises SnapshotError
+    with the offending line number on malformed input or duplicate ids.
     """
-    records: list[EntityRecord] = []
+    kb = KnowledgeBase(case_sensitive=case_sensitive)
     seen: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            rec = parse_record(raw)
-        except SnapshotError as exc:
-            raise SnapshotError(f"line {lineno}: {exc}") from None
-        if rec.id in seen:
-            raise SnapshotError(
-                f"line {lineno}: duplicate entity id {rec.qid}"
-                f" (first seen on line {seen[rec.id]})"
-            )
-        seen[rec.id] = lineno
-        records.append(rec)
-    return KnowledgeBase(records, case_sensitive=case_sensitive)
+    # The loop makes no reference cycles: what the KB does not keep is freed
+    # by reference counting, so cyclic collections would only rescan the
+    # growing KB and free nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = _parse_fields(raw)
+            except SnapshotError as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from None
+            entity_id = record[0]
+            if entity_id in seen:
+                raise SnapshotError(
+                    f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
+                    f" (first seen on line {seen[entity_id]})"
+                )
+            seen[entity_id] = lineno
+            kb._add(record)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return kb
 
 
 def load_snapshot(path: str | os.PathLike[str], case_sensitive: bool = False) -> KnowledgeBase:

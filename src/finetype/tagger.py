@@ -10,6 +10,7 @@ dropout on the encoder output; everything is deterministic under a seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
@@ -279,6 +280,13 @@ def attach_vectors(corpus: Sequence[SequenceExample], provider) -> list[Sequence
 # Model
 
 
+# Most parameters a tagger may have, counted with a one-tag decoder: 2**27
+# float64 values are 1 GiB per copy, and training keeps four (the parameters,
+# their gradients and Adam's two moments). The paper's bidirectional
+# H=512 model over 1024-d vectors has about 7.3M.
+MAX_PARAMETERS = 2**27
+
+
 @dataclass
 class TaggerConfig:
     """Desk-scale defaults; the original architecture used hidden size 512,
@@ -308,6 +316,11 @@ class TaggerConfig:
             raise ValueError("learning_rate and eps must be finite and non-negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        size = sum(math.prod(shape) for shape in param_shapes(self, 1).values())
+        if size > MAX_PARAMETERS:
+            raise ValueError(f"hidden_size {self.hidden_size} and embedding_dim"
+                             f" {self.embedding_dim} give {size} parameters, more than"
+                             f" MAX_PARAMETERS ({MAX_PARAMETERS})")
 
     @property
     def encoder_width(self) -> int:

@@ -82,11 +82,18 @@ def test_build_config_bad_value_cites_key():
 @pytest.mark.parametrize("key, value", [
     ("seed", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-inf"),
     ("learning_rate", "-0.5"), ("beta1", "1"), ("beta1", "nan"), ("beta2", "1"), ("beta2", "nan"),
-    ("eps", "nan"), ("eps", "inf"), ("eps", "-1e-8"),
+    ("eps", "nan"), ("eps", "inf"), ("eps", "-1e-8"), ("hidden_size", "99999999999999999999"),
+    ("embedding_dim", "99999999999999999999"), ("hidden_size", "6000"),
 ])
 def test_build_config_tagger_value_out_of_range_cites_key(key, value):
     with pytest.raises(ConfigError, match=key):
         build_config({key: value}, Path("."))
+
+
+def test_build_config_accepts_the_papers_tagger_size():
+    cfg = build_config({"hidden_size": "512", "embedding_dim": "1024", "bidirectional": "true"},
+                       Path("."))
+    assert cfg.tagger.encoder_width == 1024
 
 
 def test_load_config_missing_file(tmp_path):
@@ -418,6 +425,16 @@ def test_empty_path_value_fails_before_work(tmp_path, demo_config_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["blank.cfg"]
 
 
+def test_oversized_tagger_fails_before_work(tmp_path, demo_config_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), "hidden_size", HUGE))
+    code = main(["pipeline", "--config", str(cfg)])
+    assert code == 1
+    assert "hidden_size" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
+
+
 def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
@@ -430,17 +447,19 @@ def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
 # Keys the demo config leaves unset; they are edited too, after every key it sets.
 UNSET_KEYS = ["beta1", "beta2", "eps", "embedding_dim", "bidirectional", "vector_source",
                "case_sensitive", "train_corpus", "model"]
-EDITS = ["", "garb@ge", "-1", "0", "1", "nan", "inf"]
+HUGE = "99999999999999999999"
+EDITS = ["", "garb@ge", "-1", "0", "1", "nan", "inf", HUGE]
 
 
 def test_config_edits_never_fail_after_work_starts(tmp_path, demo_config_path, capsys):
     # a bad value exits 1 before any work; a value that parses must run (exit 0).
-    # Sizes large enough to allocate huge arrays are left out.
+    # A huge epoch count is legal and would only train for ever, so it is left out.
     base = set_key(demo_cfg_with_absolute_paths(demo_config_path), "epochs", "1")
     keys = [line.split("=")[0].strip() for line in base.splitlines()
             if "=" in line and not line.startswith("#")]
+    edits = [(k, v) for k in keys + UNSET_KEYS for v in EDITS if (k, v) != ("epochs", HUGE)]
     failures = []
-    for run, (key, value) in enumerate((k, v) for k in keys + UNSET_KEYS for v in EDITS):
+    for run, (key, value) in enumerate(edits):
         cfg = tmp_path / f"run{run}" / "edited.cfg"
         cfg.parent.mkdir()
         cfg.write_text(set_key(base, key, value))
@@ -596,16 +615,19 @@ def test_malformed_model_file_exits_1_and_names_it(tmp_path, demo_config_path, c
     assert UNPICKLED == []
 
 
-@pytest.mark.parametrize("tags, bad", [
-    (["O", "X"], "X"),
-    (["B-", "O"], "B-"),
-    (["O", "B-person.artist", "I-person.artist"], "B-person.artist"),
-], ids=["not-bio", "no-label", "non-root-label"])
-def test_model_tag_set_checked_before_work(tmp_path, demo_config_path, capsys, tags, bad):
+TAG_SET_CASES = {"not-bio": (["O", "X"], "X"), "no-label": (["B-", "O"], "B-"),
+                 "non-root-label": (["O", "B-person.artist", "I-person.artist"], "B-person.artist")}
+
+
+@pytest.mark.parametrize("command, case", [
+    *(("pipeline", case) for case in TAG_SET_CASES), *(("tag", case) for case in TAG_SET_CASES),
+], ids=[*TAG_SET_CASES, *(f"tag-{case}" for case in TAG_SET_CASES)])
+def test_model_tag_set_checked_before_work(tmp_path, demo_config_path, capsys, command, case):
+    tags, bad = TAG_SET_CASES[case]
     model = tmp_path / "model.npz"
     save_random_model(model, embedding_dim=16, tags=tags)
     out = tmp_path / "out"
-    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
+    code = main([command, "--config", str(demo_config_path), "--output-dir", str(out),
                  "--model", str(model)])
     err = capsys.readouterr().err
     assert code == 1

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEMO_DIR
 from finetype.kb import (
     EntityRecord,
     KnowledgeBase,
@@ -366,3 +368,250 @@ def test_knowledge_base_rejects_duplicate_records_directly():
     rec = EntityRecord(id=1, label="x")
     with pytest.raises(SnapshotError):
         KnowledgeBase([rec, rec])
+
+
+def test_narrowing_computes_each_closure_once(fixture_kb, monkeypatch):
+    calls = []
+    closure = KnowledgeBase.subclass_closure
+    monkeypatch.setattr(KnowledgeBase, "subclass_closure",
+                        lambda self, roots: calls.append(roots) or closure(self, roots))
+    first = fixture_kb.narrow_candidates("location", {"location": {2221906}})
+    again = fixture_kb.narrow_candidates("location", {"location": [2221906]})
+    assert again is first and first == {2221906, 515}
+    assert isinstance(first, frozenset)
+    assert len(calls) == 1
+    assert fixture_kb.narrow_candidates("person", {"person": {5}}) == {5}
+    assert len(calls) == 2
+
+
+# --- records built on first access ---------------------------------------------
+
+def test_records_mapping_builds_each_record_once(fixture_kb):
+    records = fixture_kb.records
+    rec = records[41421]
+    assert rec is records[41421] is records.get(41421) is fixture_kb.lookup("MJ")
+    assert rec == EntityRecord(41421, "Michael Jordan", ("Michael Jeffrey Jordan", "MJ"),
+                               "american basketball player", (5,), (), (3665646,))
+    assert 41421 in records and 41422 not in records and "Q41421" not in records
+    assert records.get(41422) is None
+    with pytest.raises(KeyError):
+        records[41422]
+    assert len(records) == len(fixture_kb) == 10
+    assert sorted(records) == sorted(rec.id for rec in records.values())
+    assert any(r is rec for r in records.values())
+    with pytest.raises(TypeError):
+        records[1] = rec
+
+
+def test_entity_record_has_slots():
+    rec = EntityRecord(id=3, label="thing")
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.label = "other"
+
+
+# --- cyclic GC paused during ingest and restored --------------------------------
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("lines, error", [
+    ([record_line("Q1", "a"), record_line("Q2", "b")], None),
+    ([record_line("Q1", "a"), "{not json"], "line 2: invalid JSON"),
+    ([record_line("Q1", "a"), record_line("Q1", "b")], "line 2: duplicate entity id Q1"),
+], ids=["ok", "malformed", "duplicate"])
+def test_ingest_restores_caller_gc_state(caller_gc, lines, error):
+    seen = []
+
+    def observed():
+        for line in lines:
+            seen.append(gc.isenabled())
+            yield line
+
+    was = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
+    try:
+        if error is None:
+            assert len(ingest_snapshot(observed())) == 2
+        else:
+            with pytest.raises(SnapshotError, match=error):
+                ingest_snapshot(observed())
+        assert gc.isenabled() is caller_gc
+        assert seen == [False, False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# --- one-pass ingest against the record-by-record oracle ------------------------
+
+def oracle_parse_record(line):
+    """The snapshot line parser as it was before ingest became one pass."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SnapshotError("record is not a JSON object")
+    if "qid" not in obj:
+        raise SnapshotError("record has no 'qid' field")
+    entity_id = parse_qid(obj["qid"])
+    label = "" if obj.get("label") is None else str(obj.get("label")).strip()
+    if not label:
+        raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
+    raw_aliases = obj.get("aliases", [])
+    if not isinstance(raw_aliases, list):
+        raise SnapshotError("field 'aliases' must be an array")
+    aliases = []
+    for alias in raw_aliases:
+        alias = "" if alias is None else str(alias).strip()
+        if alias and alias != label and alias not in aliases:
+            aliases.append(alias)
+
+    def id_list(value, field):
+        if value is None:
+            return ()
+        if not isinstance(value, list):
+            raise SnapshotError(f"field {field!r} must be an array of Q-ids")
+        return tuple(parse_qid(v) for v in value)
+
+    return EntityRecord(
+        id=entity_id, label=label, aliases=tuple(aliases),
+        description=str(obj.get("description", "") or ""),
+        instance_of=id_list(obj.get("instance_of"), "instance_of"),
+        subclass_of=id_list(obj.get("subclass_of"), "subclass_of"),
+        occupation=id_list(obj.get("occupation"), "occupation"),
+    )
+
+
+def oracle_ingest(lines, case_sensitive=False):
+    """Parse every line into a record, then index the record list: the records
+    by id and the label, alias and subclass-children indexes."""
+    records, seen = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            rec = oracle_parse_record(raw)
+        except SnapshotError as exc:
+            raise SnapshotError(f"line {lineno}: {exc}") from None
+        if rec.id in seen:
+            raise SnapshotError(f"line {lineno}: duplicate entity id {rec.qid}"
+                                f" (first seen on line {seen[rec.id]})")
+        seen[rec.id] = lineno
+        records[rec.id] = rec
+    labels, aliases, children = {}, {}, {}
+    for rec in records.values():
+        labels.setdefault(normalize_surface(rec.label, case_sensitive), set()).add(rec.id)
+        for alias in rec.aliases:
+            aliases.setdefault(normalize_surface(alias, case_sensitive), set()).add(rec.id)
+        for parent in rec.subclass_of:
+            children.setdefault(parent, set()).add(rec.id)
+    return records, labels, aliases, children
+
+
+def outcome(ingest, lines, case_sensitive=False):
+    """Everything an ingest yields, as comparable values: the error text, or the
+    records in order and the three indexes."""
+    try:
+        result = ingest(lines, case_sensitive=case_sensitive)
+    except SnapshotError as exc:
+        return ("error", str(exc))
+    if isinstance(result, KnowledgeBase):
+        result = (dict(result.records), result._label_index, result._alias_index,
+                  result._subclass_children)
+    records, *indexes = result
+    return ("ok", list(records.items()), *indexes)
+
+
+def random_snapshot_lines(seed):
+    """Homonyms, null, blank, duplicate and label-equal aliases, whitespace and
+    case variants, unknown fields, a 60-digit Q-id, blank lines and record
+    lines padded with JSON whitespace."""
+    rng = random.Random(seed)
+    names = ["Ada", "ada", " Ada ", "Bob  Lee", "bob lee", "Core", "\u00c9t\u00e9", "E\u0301te\u0301"]
+    ids = rng.sample(range(1, 10**6), 400)
+    lines = []
+    for i, qid in enumerate(ids):
+        label = rng.choice(names)
+        aliases = [rng.choice([*names, None, "", "  ", label]) for _ in range(rng.randrange(4))]
+        obj = {"qid": f"Q{qid}", "label": label, "aliases": aliases,
+               "description": rng.choice(["", None, "a thing", 0, 7.5]),
+               "instance_of": [f"Q{rng.choice(ids)}" for _ in range(rng.randrange(3))],
+               "subclass_of": rng.choice([[], None, [f"Q{rng.choice(ids[:20])}"]]),
+               "occupation": rng.choice([[], None, ["Q82955", "Q82955"]]),
+               "sitelinks": rng.choice([None, {"en": label}])}
+        for key in rng.sample(sorted(obj), rng.randrange(3)):
+            if key not in ("qid", "label"):
+                del obj[key]
+        line = json.dumps(obj, ensure_ascii=rng.random() < 0.5)
+        lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["\n", " \r\n", ""]))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["\n", "   \n", ""]))
+    long_id = "Q" + "9" * 60  # over-long for a real Q-id, but a valid one
+    lines.append(json.dumps({"qid": long_id, "label": "Ada", "instance_of": [long_id]}))
+    return lines
+
+
+MALFORMED_LINES = [
+    "{not json", "", "[1, 2]", "null", "1" * 5000, '"Q1"', '{"label": "x"}',
+    json.dumps({"qid": "Q" + "1" * 5000, "label": "x"}),
+    json.dumps({"qid": "Q1", "label": "x", "instance_of": ["Q" + "2" * 5000]}),
+    '{"qid": "Q1", "label": "x", "description": %s}' % ("7" * 5000),
+    "[" * 100000,
+    json.dumps({"qid": "Q01", "label": "x"}), json.dumps({"qid": 7, "label": "x"}),
+    json.dumps({"qid": "Q1", "label": " "}), json.dumps({"qid": "Q1", "label": None}),
+    json.dumps({"qid": "Q1", "label": "x", "aliases": "y"}),
+    json.dumps({"qid": "Q1", "label": "x", "aliases": None}),
+    json.dumps({"qid": "Q1", "label": "x", "instance_of": "Q5"}),
+    json.dumps({"qid": "Q1", "label": "x", "subclass_of": 0}),
+    json.dumps({"qid": "Q1", "label": "x", "occupation": {}}),
+    json.dumps({"qid": "Q1", "label": "x", "occupation": ["Q5", "5"]}),
+    '{"qid": "Q1", "label": "x"} {"qid": "Q2", "label": "y"}',
+    '{"qid": "Q1", "label": "x"} trailing',
+    '{"qid": "Q1", "label": "x"}\x0b', '{"qid": "Q1", "label": "x"}\u00a0',
+    '\ufeff{"qid": "Q1", "label": "x"}', '\x0b{"qid": "Q1", "label": "x"}',
+    '{"qid": "Q1", "label": "x", "label": ""}',
+    json.dumps({"qid": "Q41421", "label": "duplicate"}),
+]
+
+
+@pytest.mark.parametrize("name", ["demo", "fixture", "random"])
+def test_one_pass_ingest_matches_oracle(name):
+    lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
+             "fixture": FIXTURE_LINES, "random": random_snapshot_lines(5)}[name]
+    for case_sensitive in (False, True):
+        expected = outcome(oracle_ingest, lines, case_sensitive)
+        assert expected[0] == "ok"
+        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+    kb = ingest_snapshot(lines)
+    for rec in kb.records.values():
+        assert kb.lookup(rec.label) is kb.records[kb.lookup(rec.label).id]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_LINES)
+def test_one_pass_ingest_error_text_matches_oracle(bad):
+    lines = FIXTURE_LINES[:5] + [bad, FIXTURE_LINES[5]]
+    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+              st.sampled_from(["Q1", "Q2", "q3", " Q4 ", "Q0", "Q", "Q²", "Q1\n"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+record_objects = st.dictionaries(
+    st.sampled_from(["qid", "label", "aliases", "description", "instance_of", "subclass_of",
+                     "occupation"]),
+    json_values,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), record_objects,
+              st.sampled_from(["", "\n", " \r\n", "\x0b", " x"]))
+    .map(lambda t: t[0] + json.dumps(t[1]) + t[2]),
+    st.text(max_size=12),
+), max_size=6))
+def test_one_pass_ingest_matches_oracle_on_generated_lines(lines):
+    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
