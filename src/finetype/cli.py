@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -73,6 +73,7 @@ _TAGGER_KEYS = {
     "hidden_size", "embedding_dim", "dropout", "batch_size", "epochs",
     "learning_rate", "beta1", "beta2", "eps", "bidirectional",
 }
+_CHOICES = {"granularity": ("fine", "coarse"), "vector_source": ("static", "precomputed")}
 
 
 @dataclasses.dataclass
@@ -136,16 +137,11 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
                 setattr(cfg, key, (base_dir / value).resolve())
             elif key == "seed":
                 cfg.seed = int(value)
-            elif key == "granularity":
-                if value not in ("fine", "coarse"):
-                    raise ConfigError(f"granularity must be 'fine' or 'coarse', got {value!r}")
-                cfg.granularity = value
-            elif key == "vector_source":
-                if value not in ("static", "precomputed"):
-                    raise ConfigError(
-                        f"vector_source must be 'static' or 'precomputed', got {value!r}"
-                    )
-                cfg.vector_source = value
+            elif key in _CHOICES:
+                if value not in _CHOICES[key]:
+                    raise ConfigError(f"key {key!r}: expected one of"
+                                      f" {', '.join(map(repr, _CHOICES[key]))}, got {value!r}")
+                setattr(cfg, key, value)
             elif key == "case_sensitive":
                 cfg.case_sensitive = _parse_bool(key, value)
             elif key == "bidirectional":
@@ -190,10 +186,9 @@ def load_config(path: str | Path | None,
         values = parse_config_text(path.read_text(encoding="utf-8"))
         base_dir = path.parent.resolve()
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        # flag paths are cwd-relative, unlike file values (config-relative)
-        if key in _PATH_KEYS:
+        # flag paths are cwd-relative, unlike file values (config-relative);
+        # an empty one stays empty, so build_config rejects it
+        if key in _PATH_KEYS and value:
             value = Path(value).resolve()
         values[key] = str(value)
     return build_config(values, base_dir)
@@ -201,10 +196,11 @@ def load_config(path: str | Path | None,
 
 @contextmanager
 def _stage(name: str):
+    """Name the failing step on stderr; steps look it up at run time, so it can be wrapped."""
     try:
         yield
     except Exception:
-        print(f"pipeline stage failed: {name}", file=sys.stderr)
+        print(f"stage failed: {name}", file=sys.stderr)
         raise
 
 
@@ -230,9 +226,9 @@ def _output_dir(cfg: PipelineConfig) -> Path:
     return cfg.output_dir
 
 
-# Configuration keys that command-line flags of the same name override.
-_FLAG_KEYS = ["output_dir", "seed", "corpus", "model", "granularity", "threshold", "epochs",
-              "kb", "case_sensitive"]
+# Configuration keys that every command's flags of the same name override;
+# ingest-kb's SNAPSHOT and --case-sensitive override kb and case_sensitive.
+_FLAG_KEYS = ["output_dir", "seed", "corpus", "model", "granularity", "threshold", "epochs"]
 
 
 @dataclasses.dataclass
@@ -250,7 +246,7 @@ class Inputs:
     pred: Path | None = None
 
 
-def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
+def load_inputs(args, keys: set[str]) -> Inputs:
     """Load the configuration and the inputs named by ``keys``.
 
     ``hierarchy``, ``kb``, ``embeddings`` (the linker's table) and ``corpus``
@@ -261,14 +257,15 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
     builds a coarse-tagged training set from ``train_corpus`` (default: the
     corpus, read once for both); given both, a configured model is used and
     nothing is trained. With either, token vectors are attached to the
-    sentences read.
+    sentences read, from the source chosen here once: the ``precomputed``
+    sidecar, ``token_vectors`` as a table, or the linker's ``embeddings``.
 
-    Every path is checked before ``stage("load inputs")`` opens; every
+    Every path is checked before the "load inputs" stage opens; every
     condition spanning inputs (class roots when linking, the vector
     dimension, the sidecar's sentence count, gold tags to train on) is
     checked inside it, before any command does work.
     """
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
+    overrides = {key: getattr(args, key) for key in (*_FLAG_KEYS, "kb", "case_sensitive")
                  if getattr(args, key, None) is not None}
     cfg = load_config(getattr(args, "config", None), overrides)
     use_model = "model" in keys and (cfg.model is not None or "train" not in keys)
@@ -283,18 +280,19 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
         paths["model"] = cfg.model
     if training:
         paths["train_corpus" if cfg.train_corpus else "corpus"] = cfg.train_corpus or cfg.corpus
+    vectors = None  # the tagger's vector source: "sidecar", "table" or "embeddings"
     if use_model or training:
-        if cfg.vector_source == "precomputed" or cfg.token_vectors is not None:
-            paths["token_vectors"] = cfg.token_vectors
-        else:
-            paths["embeddings"] = cfg.embeddings
+        vectors = ("sidecar" if cfg.vector_source == "precomputed"
+                   else "table" if cfg.token_vectors is not None else "embeddings")
+        key = "embeddings" if vectors == "embeddings" else "token_vectors"
+        paths[key] = getattr(cfg, key)
     problems = [f"{key} is not configured" if path is None else f"{key} does not exist: {path}"
                 for key, path in paths.items() if path is None or not Path(path).is_file()]
     if problems:
         raise ConfigError("; ".join(problems))
 
     inputs = Inputs(cfg, pred=paths.get("pred"))
-    with stage("load inputs"):
+    with _stage("load inputs"):
         if "hierarchy" in keys:
             inputs.hierarchy = load_hierarchy(cfg.hierarchy)
             if "kb" in keys:
@@ -303,13 +301,12 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
             inputs.kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
         if "embeddings" in paths:
             inputs.table = load_embeddings(cfg.embeddings)
-        if use_model or training:
-            if cfg.vector_source == "precomputed":
+        if vectors:
+            if vectors == "sidecar":
                 provider = PrecomputedVectors.load(cfg.token_vectors)
-            elif cfg.token_vectors is not None:
-                provider = StaticVectors(load_embeddings(cfg.token_vectors))
             else:
-                provider = StaticVectors(inputs.table)
+                provider = StaticVectors(inputs.table if vectors == "embeddings"
+                                         else load_embeddings(cfg.token_vectors))
             if use_model:
                 inputs.model = TaggerModel.load(cfg.model)
                 try:  # each tag: O, or B-/I- over a hierarchy root or a label outside it
@@ -328,7 +325,7 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
             cfg.tagger = dataclasses.replace(cfg.tagger, embedding_dim=provider.dim)
         if "corpus" in keys or "tagged" in keys:
             inputs.corpus = read_conll(paths.get("tagged", cfg.corpus))
-            if use_model or training:
+            if vectors:
                 inputs.corpus = attach_vectors(inputs.corpus, provider)
         if training:
             source = cfg.train_corpus or cfg.corpus
@@ -348,44 +345,47 @@ def load_inputs(args, keys: set[str], stage=nullcontext) -> Inputs:
 
 
 # ---------------------------------------------------------------------------
-# Steps: each runs on loaded inputs and writes its output file
+# Steps: each runs on loaded inputs in its own stage and writes its output file
 
 
 def train_tagger(inputs: Inputs) -> TaggerModel:
     """Train on the loaded training set; save to ``model`` or ``<output_dir>/model.npz``."""
-    cfg = inputs.cfg
-    model = train(inputs.training, cfg.tagger)
-    path = cfg.model or _output_dir(cfg) / "model.npz"
-    model.save(path)
-    loss = "none" if model.final_loss is None else f"{model.final_loss:.6f}"
-    print(f"train: {cfg.tagger.epochs} epochs, final loss {loss} -> {path}")
-    return model
+    with _stage("train tagger"):
+        cfg = inputs.cfg
+        model = train(inputs.training, cfg.tagger)
+        path = cfg.model or _output_dir(cfg) / "model.npz"
+        model.save(path)
+        loss = "none" if model.final_loss is None else f"{model.final_loss:.6f}"
+        print(f"train: {cfg.tagger.epochs} epochs, final loss {loss} -> {path}")
+        return model
 
 
 def tag_corpus(inputs: Inputs) -> list[SequenceExample]:
     """Tag the loaded corpus with the model; write and return ``tagged.conll``'s sentences."""
-    tag_sequences = inputs.model.predict_batch([ex.vectors for ex in inputs.corpus])
-    tagged = [SequenceExample(ex.tokens, gold_tags=tags)
-              for ex, tags in zip(inputs.corpus, tag_sequences)]
-    out = _output_dir(inputs.cfg) / "tagged.conll"
-    write_conll(out, tagged)
-    mention_total = sum(len(extract_spans(tags)) for tags in tag_sequences)
-    print(f"tag: {len(tagged)} sentences, {mention_total} mentions -> {out}")
-    return tagged
+    with _stage("tag corpus"):
+        tag_sequences = inputs.model.predict_batch([ex.vectors for ex in inputs.corpus])
+        tagged = [SequenceExample(ex.tokens, gold_tags=tags)
+                  for ex, tags in zip(inputs.corpus, tag_sequences)]
+        out = _output_dir(inputs.cfg) / "tagged.conll"
+        write_conll(out, tagged)
+        mention_total = sum(len(extract_spans(tags)) for tags in tag_sequences)
+        print(f"tag: {len(tagged)} sentences, {mention_total} mentions -> {out}")
+        return tagged
 
 
 def link_mentions(inputs: Inputs, tagged: list[SequenceExample]) -> Path:
     """Link every mention tagged in ``tagged``; write ``linked.jsonl`` and return its path."""
-    linked: list[tuple[int, FineTypedMention]] = []
-    for doc, ex in enumerate(tagged):
-        for span in extract_spans(ex.gold_tags or []):
-            linked.append((doc, link_mention(span, ex.tokens, inputs.kb, inputs.hierarchy,
-                                             inputs.table, inputs.cfg.linker)))
-    out = _output_dir(inputs.cfg) / "linked.jsonl"
-    write_linked(out, tagged, linked)
-    resolved = sum(1 for _, m in linked if m.entity is not None)
-    print(f"link: {len(linked)} mentions, {resolved} resolved to entities -> {out}")
-    return out
+    with _stage("link mentions"):
+        linked: list[tuple[int, FineTypedMention]] = []
+        for doc, ex in enumerate(tagged):
+            for span in extract_spans(ex.gold_tags or []):
+                linked.append((doc, link_mention(span, ex.tokens, inputs.kb, inputs.hierarchy,
+                                                 inputs.table, inputs.cfg.linker)))
+        out = _output_dir(inputs.cfg) / "linked.jsonl"
+        write_linked(out, tagged, linked)
+        resolved = sum(1 for _, m in linked if m.entity is not None)
+        print(f"link: {len(linked)} mentions, {resolved} resolved to entities -> {out}")
+        return out
 
 
 def write_linked(path: Path, corpus: list[SequenceExample],
@@ -406,7 +406,13 @@ def write_linked(path: Path, corpus: list[SequenceExample],
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+_LINKED_FIELDS = {"doc": int, "start": int, "end": int, "surface": str, "fine": str}
+
+
 def read_linked(path: Path) -> list[dict]:
+    """The records of a ``linked.jsonl`` file; each line must be a JSON object
+    whose ``doc``, ``start`` and ``end`` are integers and whose ``surface`` and
+    ``fine`` are strings."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -414,11 +420,16 @@ def read_linked(path: Path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
                 raise EvalError(f"{path} line {lineno}: invalid JSON: {exc}") from None
-            for field in ("doc", "start", "end", "surface", "fine"):
+            if not isinstance(obj, dict):
+                raise EvalError(f"{path} line {lineno}: record is not a JSON object")
+            for field, kind in _LINKED_FIELDS.items():
                 if field not in obj:
                     raise EvalError(f"{path} line {lineno}: missing field {field!r}")
+                if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+                    raise EvalError(f"{path} line {lineno}: field {field!r} must be"
+                                    f" {'an integer' if kind is int else 'a string'}")
             records.append(obj)
     return records
 
@@ -430,41 +441,42 @@ def evaluate_linked(inputs: Inputs, pred: Path) -> None:
     Verifies the prediction file indexes the same tokenization as the gold
     corpus, reporting the first offending sentence.
     """
-    records = read_linked(pred)
-    gold_corpus, hierarchy, granularity = inputs.corpus, inputs.hierarchy, inputs.cfg.granularity
-    pred_by_doc: dict[int, list[tuple[int, int, str]]] = {}
-    for rec in sorted(records, key=lambda r: (r["doc"], r["start"], r["end"])):
-        doc = int(rec["doc"])
-        if doc < 0 or doc >= len(gold_corpus):
-            raise EvalError(f"tokenization mismatch in sentence {doc}: no such gold sentence")
-        tokens = gold_corpus[doc].tokens
-        start, end = int(rec["start"]), int(rec["end"])
-        if start < 0 or end > len(tokens) or start >= end:
-            raise EvalError(
-                f"tokenization mismatch in sentence {doc}: span [{start}, {end})"
-                f" outside {len(tokens)} tokens"
-            )
-        surface = " ".join(tokens[start:end])
-        if surface != rec["surface"]:
-            raise EvalError(
-                f"tokenization mismatch in sentence {doc}: prediction surface"
-                f" {rec['surface']!r} != corpus text {surface!r}"
-            )
-        label = str(rec["fine"])
-        if granularity == "coarse" and label in hierarchy:
-            label = str(hierarchy.coarse_of(label))
-        pred_by_doc.setdefault(doc, []).append((start, end, label))
+    with _stage("evaluate"):
+        records = read_linked(pred)
+        gold_corpus, hierarchy = inputs.corpus, inputs.hierarchy
+        granularity = inputs.cfg.granularity
+        pred_by_doc: dict[int, list[tuple[int, int, str]]] = {}
+        for rec in sorted(records, key=lambda r: (r["doc"], r["start"], r["end"])):
+            doc, start, end = rec["doc"], rec["start"], rec["end"]
+            if doc < 0 or doc >= len(gold_corpus):
+                raise EvalError(f"tokenization mismatch in sentence {doc}: no such gold sentence")
+            tokens = gold_corpus[doc].tokens
+            if start < 0 or end > len(tokens) or start >= end:
+                raise EvalError(
+                    f"tokenization mismatch in sentence {doc}: span [{start}, {end})"
+                    f" outside {len(tokens)} tokens"
+                )
+            surface = " ".join(tokens[start:end])
+            if surface != rec["surface"]:
+                raise EvalError(
+                    f"tokenization mismatch in sentence {doc}: prediction surface"
+                    f" {rec['surface']!r} != corpus text {surface!r}"
+                )
+            label = rec["fine"]
+            if granularity == "coarse" and label in hierarchy:
+                label = str(hierarchy.coarse_of(label))
+            pred_by_doc.setdefault(doc, []).append((start, end, label))
 
-    counts = MatchCounts()
-    for doc, ex in enumerate(gold_corpus):
-        if ex.gold_tags is None:
-            raise EvalError(f"gold corpus sentence {doc} has no annotations")
-        gold_tags = ex.gold_tags
-        if granularity == "coarse":
-            gold_tags = project_tags_to_coarse(gold_tags, hierarchy)
-        gold_spans = [(s.start, s.end, str(s.coarse)) for s in extract_spans(gold_tags)]
-        counts = counts + match_exact(pred_by_doc.get(doc, []), gold_spans)
-    print(_write_report(counts, hierarchy, granularity, _output_dir(inputs.cfg)))
+        counts = MatchCounts()
+        for doc, ex in enumerate(gold_corpus):
+            if ex.gold_tags is None:
+                raise EvalError(f"gold corpus sentence {doc} has no annotations")
+            gold_tags = ex.gold_tags
+            if granularity == "coarse":
+                gold_tags = project_tags_to_coarse(gold_tags, hierarchy)
+            gold_spans = [(s.start, s.end, str(s.coarse)) for s in extract_spans(gold_tags)]
+            counts = counts + match_exact(pred_by_doc.get(doc, []), gold_spans)
+        print(_write_report(counts, hierarchy, granularity, _output_dir(inputs.cfg)))
 
 
 def _report_order(hierarchy: TypeHierarchy, granularity: str) -> list[str]:
@@ -516,20 +528,14 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train"},
-                         _stage)
-    with _stage("train tagger"):
-        if inputs.model is None:
-            inputs.model = train_tagger(inputs)
-    with _stage("tag corpus"):
-        tagged = tag_corpus(inputs)
-    with _stage("link mentions"):
-        linked = link_mentions(inputs, tagged)
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train"})
+    if inputs.model is None:
+        inputs.model = train_tagger(inputs)
+    linked = link_mentions(inputs, tag_corpus(inputs))
     if any(ex.gold_tags is None for ex in inputs.corpus):
         print("warning: corpus has no gold annotations; skipping evaluation", file=sys.stderr)
         return
-    with _stage("evaluate"):
-        evaluate_linked(inputs, linked)
+    evaluate_linked(inputs, linked)
 
 
 def cmd_demo_config(args) -> None:
@@ -552,13 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="flat key/value configuration file")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--corpus")
-        p.add_argument("--model")
-        p.add_argument("--granularity", choices=["fine", "coarse"])
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--epochs", type=int)
+        for key in _FLAG_KEYS:  # values are checked by build_config, like the file's
+            p.add_argument("--" + key.replace("_", "-"))
         p.set_defaults(func=func)
         return p
 
@@ -581,12 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_VALIDATION if isinstance(exc, _VALIDATION_ERRORS) else EXIT_RUNTIME
     return EXIT_OK
 
 

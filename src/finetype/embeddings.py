@@ -105,6 +105,37 @@ def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
         return parse_embeddings(fh)
 
 
+def phrase_direction(
+    tokens: Sequence[str], table: EmbeddingTable, mode: str = PAIRWISE_MEAN
+) -> np.ndarray | None:
+    """One token list reduced to the vector that ``phrase_similarity`` dots.
+
+    The default mode averages the unit vectors of the tokens; the alternative
+    normalizes their mean vector to unit length. Out-of-vocabulary tokens and
+    zero vectors, which carry no direction, are skipped; the result is None
+    when no token has a usable vector.
+    """
+    if mode not in SIMILARITY_MODES:
+        raise EmbeddingError(f"unknown similarity mode: {mode!r}")
+    rows = np.array([v for v in map(table.get, tokens) if v is not None and v.any()])
+    if not len(rows):
+        return None
+    if mode == PAIRWISE_MEAN:
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    mean = rows.mean(axis=0)
+    if mode == MEAN_VECTOR:
+        norm = np.linalg.norm(mean)
+        if norm == 0.0:
+            return None
+        mean = mean / norm
+    return mean
+
+
+def direction_similarity(left: np.ndarray, right: np.ndarray) -> float:
+    """The score of two ``phrase_direction`` results: their dot product, clipped to [-1, 1]."""
+    return float(np.clip(left @ right, -1.0, 1.0))
+
+
 def phrase_similarity(
     description_tokens: Sequence[str],
     subtype_tokens: Sequence[str],
@@ -113,31 +144,19 @@ def phrase_similarity(
 ) -> float | None:
     """Similarity between two token lists under the table's vocabulary.
 
-    Each side is reduced to one unit direction and the score is their dot
-    product. The default mode averages the side's unit vectors, so by
-    bilinearity the score is the mean cosine over all description x subtype
-    token pairs; the alternative normalizes the side's mean vector instead.
-    Out-of-vocabulary tokens are skipped; the result is None (undefined) when
-    a side has no usable vector, so out-of-vocabulary phrases never
-    masquerade as low-similarity ones.
+    Each side is reduced by ``phrase_direction`` and the two are scored by
+    ``direction_similarity``. In the default mode each side is the mean of
+    its unit vectors, so by bilinearity the score is the mean cosine over all
+    description x subtype token pairs. The result is None (undefined) when a
+    side has no usable vector, so out-of-vocabulary phrases never masquerade
+    as low-similarity ones.
     """
     if not description_tokens or not subtype_tokens:
         raise EmbeddingError("phrase similarity requires nonempty token lists")
-    if mode not in SIMILARITY_MODES:
-        raise EmbeddingError(f"unknown similarity mode: {mode!r}")
-    directions = []
-    for tokens in (description_tokens, subtype_tokens):
-        # Zero vectors carry no direction; treat them like out-of-vocabulary tokens.
-        rows = np.array([v for v in map(table.get, tokens) if v is not None and v.any()])
-        if not len(rows):
-            return None
-        if mode == PAIRWISE_MEAN:
-            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        mean = rows.mean(axis=0)
-        if mode == MEAN_VECTOR:
-            norm = np.linalg.norm(mean)
-            if norm == 0.0:
-                return None
-            mean = mean / norm
-        directions.append(mean)
-    return float(np.clip(directions[0] @ directions[1], -1.0, 1.0))
+    description = phrase_direction(description_tokens, table, mode)
+    if description is None:
+        return None
+    subtype = phrase_direction(subtype_tokens, table, mode)
+    if subtype is None:
+        return None
+    return direction_similarity(description, subtype)

@@ -3,8 +3,9 @@ and cluster the entity onto a fine subtype.
 
 The surface is resolved by label-then-alias lookup; for a
 person/location/organization mention a hit counts only when it is an instance
-of the category's class closure. The entity description is scored by average
-cosine similarity against each candidate subtype name. The best subtype
+of the category's class closure. The entity description is reduced once to a
+direction and scored by average cosine similarity against each candidate
+subtype name's direction. The best subtype
 strictly above the similarity threshold wins; every failure mode falls back to
 the coarse label so linking is total.
 """
@@ -17,7 +18,9 @@ from .embeddings import (
     PAIRWISE_MEAN,
     SIMILARITY_MODES,
     EmbeddingTable,
-    phrase_similarity,
+    direction_similarity,
+    phrase_direction,
+    phrase_similarity,  # noqa: F401  unused here; perfbench/spans.py traces it by this module
     tokenize,
 )
 from .kb import NARROWED_CATEGORIES, EntityRecord, KnowledgeBase, MissingClassRootsError
@@ -88,31 +91,34 @@ def cluster_to_subtype(
 ) -> tuple[TypeLabel, float] | None:
     """Best subtype of ``coarse`` for the entity, with its similarity score.
 
-    The entity description is tokenized and scored against each subtype name
-    in hierarchy document order; when the description is empty and ``kb`` is
-    given, the labels of the candidate-field entities stand in for it. Only
-    scores strictly above the threshold qualify; ties keep the earliest
-    subtype. Returns None when nothing qualifies or every score is undefined.
+    The entity description is tokenized and reduced once by
+    ``phrase_direction``; each subtype name's direction, in hierarchy
+    document order, is scored against it by ``direction_similarity``. When
+    the description is empty and ``kb`` is given, the labels of the
+    candidate-field entities stand in for it. Subtypes whose name has no
+    usable vector (or no word token) are skipped. Only scores strictly above
+    the threshold qualify; ties keep the earliest subtype. Returns None when
+    nothing qualifies or every score is undefined.
     """
     subtypes = hierarchy.subtypes_of(coarse)
     if not subtypes:
         return None
-    evidence = tokenize(entity.description)
-    if not evidence and kb is not None:
+    tokens = tokenize(entity.description)
+    if not tokens and kb is not None:
         for linked_id in candidate_fields(entity, coarse):
             linked = kb.records.get(linked_id)
             if linked is not None:
-                evidence.extend(tokenize(linked.label))
-    if not evidence:
+                tokens.extend(tokenize(linked.label))
+    evidence = phrase_direction(tokens, table, cfg.similarity_mode)
+    if evidence is None:
         return None
     best: tuple[TypeLabel, float] | None = None
     for subtype in subtypes:
-        score = phrase_similarity(
-            evidence, tokenize(subtype.leaf), table, cfg.similarity_mode
-        )
-        if score is None or score <= cfg.threshold:
+        leaf = phrase_direction(tokenize(subtype.leaf), table, cfg.similarity_mode)
+        if leaf is None:
             continue
-        if best is None or score > best[1]:
+        score = direction_similarity(evidence, leaf)
+        if score > cfg.threshold and (best is None or score > best[1]):
             best = (subtype, score)
     return best
 

@@ -622,9 +622,10 @@ class TaggerModel:
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "TaggerModel":
         """Read a file written by ``save``. Object-array members are refused, so
-        loading runs no code from the file."""
+        loading runs no code from the file. Reading through a handle closes the
+        file even when numpy fails to open the archive."""
         try:
-            with np.load(path, allow_pickle=False) as data:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 meta = json.loads(data["meta"].item())
                 params = {key: data[key] for key in data.files if key != "meta"}
             model = cls(TaggerConfig(**meta["config"]), list(meta["tags"]), params,

@@ -115,6 +115,29 @@ def test_flag_paths_resolve_against_cwd(tmp_path, demo_config_path, monkeypatch)
     assert cfg.corpus == (demo_config_path.parent / "corpus.conll").resolve()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "abc", "seed"), ("--epochs", "1.5", "epochs"),
+    ("--granularity", "medium", "granularity"), ("--threshold", "x", "threshold"),
+    ("--threshold", "2", "threshold"), ("--seed", "-1", "seed"),
+    ("--output-dir", "", "output_dir"), ("--corpus", "", "corpus"), ("--model", "", "model"),
+])
+def test_flag_values_are_checked_like_config_values(tmp_path, demo_config_path, capsys, flag,
+                                                     value, key):
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
+                 flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err and "stage" not in err
+    assert not out.exists()
+    # the same value in the config file (whose output_dir is "out") fails the same way
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), key, value))
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_project_tags_to_coarse():
     h = parse_hierarchy(["person", "person.artist"])
     tags = ["B-person.artist", "I-person.artist", "O", "B-date", "B-person"]
@@ -382,6 +405,32 @@ def test_evaluate_tokenization_mismatch_cites_sentence(tmp_path, capsys):
     assert "tokenization mismatch in sentence 1" in capsys.readouterr().err
 
 
+LINKED_RECORD_CASES = {
+    "int-line": 5, "array-line": [1], "string-line": "x",
+    "doc-string": {"doc": "x"}, "doc-null": {"doc": None}, "doc-bool": {"doc": True},
+    "start-float": {"start": 0.5}, "end-float": {"end": 1.0}, "surface-int": {"surface": 3},
+    "fine-null": {"fine": None}, "fine-list": {"fine": ["person"]},
+}
+
+
+@pytest.mark.parametrize("case", LINKED_RECORD_CASES)
+def test_evaluate_malformed_linked_record_exits_1_and_cites_line(tmp_path, capsys, case):
+    pred, gold = write_eval_fixture(tmp_path, tp=2, fp=0, fn=0)
+    first, second = pred.read_text().splitlines()
+    bad = LINKED_RECORD_CASES[case]
+    if isinstance(bad, dict):
+        bad = {**json.loads(second), **bad}
+    pred.write_text(f"{first}\n{json.dumps(bad)}\n")
+    code = main(["evaluate", "--config", str(eval_cfg(tmp_path)), "--pred", str(pred),
+                 "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{pred} line 2: " in err
+    if isinstance(LINKED_RECORD_CASES[case], dict):
+        assert repr(next(iter(LINKED_RECORD_CASES[case]))) in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_evaluate_span_outside_sentence(tmp_path, capsys):
     pred, gold = write_eval_fixture(tmp_path, tp=1, fp=0, fn=0)
     records = [json.loads(l) for l in pred.read_text().splitlines()]
@@ -521,6 +570,23 @@ def test_pipeline_bad_sidecar_header_fails_before_work(tmp_path, demo_config_pat
     assert code == 1
     assert "line 1: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_skips_subtype_without_word_token(tmp_path, demo_config_path, capsys):
+    hierarchy = tmp_path / "types"
+    hierarchy.write_text((DEMO_DIR / ".." / "wikigold.types").read_text() + "person.+\n")
+    cfg = tmp_path / "plus.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), "hierarchy",
+                           hierarchy))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    # the demo has no mention a "+" subtype could take, so linking is unchanged
+    plain = tmp_path / "plain"
+    assert main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(plain)]) == 0
+    capsys.readouterr()
+    assert (out / "linked.jsonl").read_bytes() == (plain / "linked.jsonl").read_bytes()
 
 
 def test_pipeline_runtime_failure_exits_2(tmp_path, demo_config_path, capsys):

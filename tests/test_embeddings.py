@@ -11,8 +11,10 @@ from finetype.embeddings import (
     PAIRWISE_MEAN,
     EmbeddingError,
     EmbeddingTable,
+    direction_similarity,
     load_embeddings,
     parse_embeddings,
+    phrase_direction,
     phrase_similarity,
     tokenize,
 )
@@ -212,6 +214,31 @@ def test_mean_vector_mode_fully_oov_side_is_undefined(small_table):
 def test_unknown_mode_rejected(small_table):
     with pytest.raises(EmbeddingError, match="mode"):
         phrase_similarity(["sun"], ["sun"], small_table, mode="max")
+    with pytest.raises(EmbeddingError, match="mode"):
+        phrase_direction(["sun"], small_table, mode="max")
+
+
+@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
+def test_phrase_direction_without_usable_vector_is_none(mode):
+    table = EmbeddingTable(2, {"sun": np.array([1.0, 0.0]), "void": np.zeros(2)})
+    for tokens in ([], ["quark"], ["void"], ["quark", "void"]):
+        assert phrase_direction(tokens, table, mode) is None
+
+
+def test_phrase_direction_reductions(small_table):
+    sun, star = np.array([1.0, 0.0]), np.array([0.9, 0.1])
+    pairwise = phrase_direction(["sun", "star", "quark"], small_table, PAIRWISE_MEAN)
+    assert np.allclose(pairwise, (sun + star / np.linalg.norm(star)) / 2, rtol=0, atol=1e-15)
+    mean = phrase_direction(["sun", "star", "quark"], small_table, MEAN_VECTOR)
+    assert np.allclose(mean, (sun + star) / np.linalg.norm(sun + star), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
+def test_phrase_similarity_is_clipped_dot_of_directions(small_table, mode):
+    left = phrase_direction(["sun", "star"], small_table, mode)
+    right = phrase_direction(["wave", "sea"], small_table, mode)
+    assert phrase_similarity(["sun", "star"], ["wave", "sea"], small_table, mode) == float(
+        np.clip(left @ right, -1.0, 1.0)) == direction_similarity(left, right)
 
 
 def per_pair_similarity_oracle(description_tokens, subtype_tokens, table, mode):

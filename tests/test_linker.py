@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from finetype.embeddings import EmbeddingTable, tokenize
+from finetype.embeddings import (MEAN_VECTOR, PAIRWISE_MEAN, EmbeddingTable, phrase_similarity,
+                                  tokenize)
 from finetype.kb import EntityRecord, ingest_snapshot
 from finetype.linker import (
     FineTypedMention,
@@ -151,6 +152,94 @@ def test_threshold_independent_argmax(hierarchy, demo_table, demo_kb):
     # raising the threshold above the winning score only suppresses the result
     high = cluster_to_subtype(entity, "product", hierarchy, demo_table, demo_cfg(threshold=0.9))
     assert high is None
+
+
+def per_subtype_oracle(entity, coarse, hierarchy, table, cfg, kb=None):
+    """The loop ``cluster_to_subtype`` replaced: one ``phrase_similarity`` call,
+    reducing the evidence again, per subtype."""
+    subtypes = hierarchy.subtypes_of(coarse)
+    if not subtypes:
+        return None
+    evidence = tokenize(entity.description)
+    if not evidence and kb is not None:
+        for linked_id in candidate_fields(entity, coarse):
+            linked = kb.records.get(linked_id)
+            if linked is not None:
+                evidence.extend(tokenize(linked.label))
+    if not evidence:
+        return None
+    best = None
+    for subtype in subtypes:
+        leaf = tokenize(subtype.leaf)
+        if not leaf:  # the loop raised here; a leaf with no word token is now skipped
+            continue
+        score = phrase_similarity(evidence, leaf, table, cfg.similarity_mode)
+        if score is None or score <= cfg.threshold:
+            continue
+        if best is None or score > best[1]:
+            best = (subtype, score)
+    return best
+
+
+def assert_same_clustering(got, want, context):
+    if want is None:
+        assert got is None, context
+    else:
+        assert got is not None, context
+        assert (str(got[0]), got[1]) == (str(want[0]), want[1]), context
+
+
+@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
+def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, demo_table, demo_kb,
+                                                                   mode):
+    for threshold in (0.0, 0.1, 0.5):
+        cfg = demo_cfg(threshold=threshold, similarity_mode=mode)
+        for entity in demo_kb.records.values():
+            for coarse in map(str, hierarchy.roots):
+                for kb in (None, demo_kb):
+                    want = per_subtype_oracle(entity, coarse, hierarchy, demo_table, cfg, kb)
+                    got = cluster_to_subtype(entity, coarse, hierarchy, demo_table, cfg, kb)
+                    assert_same_clustering(got, want, (entity.id, coarse, threshold))
+
+
+@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
+def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables(mode):
+    # Random tables and hierarchies with exact ties (repeated vectors), zero
+    # vectors, OOV and no-word leaves, and thresholds set exactly at a score.
+    rng = np.random.default_rng(23)
+    for case in range(150):
+        dim = int(rng.integers(1, 5))
+        vectors = {f"w{i}": rng.standard_normal(dim) for i in range(8)}
+        vectors["twin"] = vectors["w0"].copy()
+        vectors["zero"] = np.zeros(dim)
+        table = EmbeddingTable(dim, vectors)
+        vocab = list(vectors) + ["oov"]
+        leaves = {"_".join(rng.choice(vocab, size=rng.integers(1, 3)))
+                  for _ in range(rng.integers(1, 7))}
+        leaves |= set(rng.choice(["+", "oov", "zero", "w0", "twin"], size=2))
+        names = list(leaves)
+        rng.shuffle(names)
+        h = parse_hierarchy(["t", *(f"t.{leaf}" for leaf in names)])
+        entity = EntityRecord(id=1, label="e",
+                              description=" ".join(rng.choice(vocab, size=rng.integers(0, 4))))
+        evidence = tokenize(entity.description)
+        scores = [phrase_similarity(evidence, tokenize(leaf), table, mode)
+                  for leaf in names if evidence and tokenize(leaf)]
+        thresholds = [0.0, 0.1] + [s for s in scores if s is not None and 0.0 <= s <= 1.0]
+        for threshold in thresholds:
+            cfg = LinkerConfig(threshold=threshold, similarity_mode=mode)
+            assert_same_clustering(cluster_to_subtype(entity, "t", h, table, cfg),
+                                   per_subtype_oracle(entity, "t", h, table, cfg),
+                                   (case, names, entity.description, threshold))
+
+
+def test_leaf_without_word_token_is_skipped(demo_table):
+    h = parse_hierarchy(["product", "product.+", "product.computer"])
+    entity = EntityRecord(id=1, label="x", description="line of tablet computers")
+    got = cluster_to_subtype(entity, "product", h, demo_table, demo_cfg())
+    assert got is not None and got[0] == "product.computer"
+    only = parse_hierarchy(["product", "product.+"])
+    assert cluster_to_subtype(entity, "product", only, demo_table, demo_cfg()) is None
 
 
 # --- link_mention ------------------------------------------------------------------

@@ -8,13 +8,15 @@ Runs are derandomized so the suite stays deterministic.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finetype.cli import ConfigError, build_config, parse_config_text
+from finetype.cli import ConfigError, build_config, parse_config_text, read_linked
 from finetype.embeddings import EmbeddingError, parse_embeddings
+from finetype.evaluation import EvalError
 from finetype.kb import SnapshotError, ingest_snapshot
 from finetype.tagger import CorpusError, parse_conll, parse_sidecar
 from finetype.taxonomy import HierarchyError, parse_hierarchy
@@ -77,6 +79,33 @@ records = st.dictionaries(
 @example(['{"qid": "Q1", "label": null, "aliases": [null]}'])
 def test_ingest_snapshot_fuzz(lines):
     returns_or_raises(SnapshotError, ingest_snapshot, lines)
+
+
+linked_fields = {"doc": st.integers(), "start": st.integers(), "end": st.integers(),
+                 "surface": st.text(max_size=8), "fine": st.text(max_size=8)}
+linked_records = st.one_of(
+    st.fixed_dictionaries(linked_fields),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(linked_fields, json_values)),
+).map(json.dumps)
+
+
+@fuzz
+@given(st.one_of(lines_of(linked_records, numbers), st.lists(linked_records, max_size=4)))
+@example(["5"])
+@example(['{"doc": "x", "start": 0, "end": 1, "surface": "a", "fine": "b"}'])
+@example(["[" * 100_000])
+@example(["1" * 5000])
+def test_read_linked_fuzz(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "linked.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            records = read_linked(path)
+        except EvalError:
+            return
+    for record in records:  # what evaluate_linked indexes and compares
+        assert all(type(record[key]) is int for key in ("doc", "start", "end"))
+        assert all(type(record[key]) is str for key in ("surface", "fine"))
 
 
 @fuzz
