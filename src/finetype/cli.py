@@ -44,6 +44,7 @@ from .tagger import (
     write_conll,
 )
 from .taxonomy import HierarchyError, TypeHierarchy, load_hierarchy
+from .textfile import open_utf8
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,7 +184,8 @@ def load_config(path: str | Path | None,
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        values = parse_config_text(path.read_text(encoding="utf-8"))
+        with open_utf8(path, ConfigError) as fh:
+            values = parse_config_text(fh.read())
         base_dir = path.parent.resolve()
     for key, value in (overrides or {}).items():
         # flag paths are cwd-relative, unlike file values (config-relative);
@@ -253,7 +255,8 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     are the configured files; ``tagged`` reads ``--tagged`` (default
     ``<output_dir>/tagged.conll``) as the corpus; ``pred`` is ``--pred``
     (default ``<output_dir>/linked.jsonl``), checked here and read by
-    ``evaluate_linked``. ``model`` loads the configured model and ``train``
+    ``evaluate_linked``. ``output_dir`` checks that the output directory is
+    one or can be made. ``model`` loads the configured model and ``train``
     builds a coarse-tagged training set from ``train_corpus`` (default: the
     corpus, read once for both); given both, a configured model is used and
     nothing is trained. With either, token vectors are attached to the
@@ -288,6 +291,10 @@ def load_inputs(args, keys: set[str]) -> Inputs:
         paths[key] = getattr(cfg, key)
     problems = [f"{key} is not configured" if path is None else f"{key} does not exist: {path}"
                 for key, path in paths.items() if path is None or not Path(path).is_file()]
+    if "output_dir" in keys:  # steps create it when they first write; a file there would fail
+        existing = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists())
+        if not existing.is_dir():
+            problems.append(f"output_dir is not a directory: {existing}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -414,7 +421,7 @@ def read_linked(path: Path) -> list[dict]:
     whose ``doc``, ``start`` and ``end`` are integers and whose ``surface`` and
     ``fine`` are strings."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, EvalError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -510,25 +517,26 @@ def cmd_ingest_kb(args) -> None:
 
 
 def cmd_train(args) -> None:
-    train_tagger(load_inputs(args, {"hierarchy", "train"}))
+    train_tagger(load_inputs(args, {"hierarchy", "train", "output_dir"}))
 
 
 def cmd_tag(args) -> None:
-    tag_corpus(load_inputs(args, {"hierarchy", "corpus", "model"}))
+    tag_corpus(load_inputs(args, {"hierarchy", "corpus", "model", "output_dir"}))
 
 
 def cmd_link(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "tagged"})
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "tagged", "output_dir"})
     link_mentions(inputs, inputs.corpus)
 
 
 def cmd_evaluate(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "corpus", "pred"})
+    inputs = load_inputs(args, {"hierarchy", "corpus", "pred", "output_dir"})
     evaluate_linked(inputs, inputs.pred)
 
 
 def cmd_pipeline(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train"})
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train",
+                                "output_dir"})
     if inputs.model is None:
         inputs.model = train_tagger(inputs)
     linked = link_mentions(inputs, tag_corpus(inputs))

@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .textfile import open_utf8
+
 log = logging.getLogger(__name__)
 
 PAIRWISE_MEAN = "pairwise-mean"
@@ -101,7 +103,7 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
 
 
 def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, EmbeddingError) as fh:
         return parse_embeddings(fh)
 
 

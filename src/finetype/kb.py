@@ -17,6 +17,8 @@ import unicodedata
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
+from .textfile import open_utf8
+
 NARROWED_CATEGORIES = frozenset({"person", "location", "organization"})
 
 _QID_RE = re.compile(r"^[Qq]([1-9][0-9]*)$")
@@ -305,5 +307,5 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
 
 
 def load_snapshot(path: str | os.PathLike[str], case_sensitive: bool = False) -> KnowledgeBase:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, SnapshotError) as fh:
         return ingest_snapshot(fh, case_sensitive=case_sensitive)

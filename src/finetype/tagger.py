@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .textfile import open_utf8
 
 
 class CorpusError(ValueError):
@@ -166,7 +167,7 @@ def parse_conll(lines: Iterable[str]) -> list[SequenceExample]:
 
 
 def read_conll(path: str | os.PathLike[str]) -> list[SequenceExample]:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, CorpusError) as fh:
         return parse_conll(fh)
 
 
@@ -249,7 +250,7 @@ class PrecomputedVectors:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "PrecomputedVectors":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path, CorpusError) as fh:
             return cls(parse_sidecar(fh))
 
     def vectors_for(self, index: int, tokens: Sequence[str]) -> np.ndarray:
@@ -327,13 +328,11 @@ class TaggerConfig:
         return self.hidden_size * (2 if self.bidirectional else 1)
 
 
-# Padded token slots (sentences x longest length) per inference chunk. The
-# activations of a chunk scale with it, so it caps the peak memory of tagging
-# a corpus of any size, while each step of the recurrence still serves many
-# short sentences at once. On 64-d input with a bidirectional 128-unit model,
-# larger budgets raised peak RSS (by 5 MiB at 512 slots, 55 MiB at 4096) and
-# tagged at most 3% faster.
-INFERENCE_TOKEN_SLOTS = 256
+# Sentences per tagging group. Tagging holds one group's input vectors and
+# logits (its tokens x (D + K) floats) and one step's gates (B x 4H), so this
+# count, not the corpus size, bounds its memory; on ragged corpora a group of
+# 48 keeps about 30 to 48 rows in each step's products.
+INFERENCE_GROUP_SIZE = 48
 
 
 def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,31 +365,25 @@ def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape[:-1] + (w.shape[0],))
 
 
-def _lstm_forward(w, u, b, x, keep_cache=False):
+def _lstm_forward(w, u, b, x):
     """Run the recurrence over a right-padded, time-major batch ``x`` (T, B, D).
 
     The input projection ``x W^T + b`` of every step is one matmul ahead of
     the loop; each step then adds only ``h U^T``. Returns the hidden states
-    (T, B, H) and, with ``keep_cache``, what ``_lstm_backward`` needs.
-    Padded steps simply run on after a sentence ends; nothing reads them.
+    (T, B, H) and what ``_lstm_backward`` needs. Padded steps simply run on
+    after a sentence ends; nothing reads them.
     """
     steps, batch, _ = x.shape
     hidden = u.shape[1]
     scale, shift = _gate_affine(hidden)
     zx = _dense(x, w) + b
     hs = np.zeros((steps + 1, batch, hidden))  # hs[t + 1] is the state after step t
-    c = np.zeros((batch, hidden))
-    if keep_cache:
-        gates = np.empty_like(zx)
-        cs = np.zeros((steps + 1, batch, hidden))
-        tcs = np.empty((steps, batch, hidden))
+    gates = np.empty_like(zx)
+    cs = np.zeros((steps + 1, batch, hidden))
+    tcs = np.empty((steps, batch, hidden))
     ut = u.T
     for t in range(steps):
-        a, c, tc, hs[t + 1] = _cell(zx[t] + hs[t] @ ut, c, scale, shift)
-        if keep_cache:
-            gates[t], cs[t + 1], tcs[t] = a, c, tc
-    if not keep_cache:
-        return hs[1:], None
+        gates[t], cs[t + 1], tcs[t], hs[t + 1] = _cell(zx[t] + hs[t] @ ut, cs[t], scale, shift)
     return hs[1:], {"gates": gates, "cs": cs, "tcs": tcs, "hs": hs, "x": x}
 
 
@@ -459,13 +452,19 @@ def _pad(rows: Sequence[np.ndarray], steps: int, dtype=float) -> np.ndarray:
     return out
 
 
-def _pad_batch(xs: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check that every sentence's vectors are (L, dim) and pad them into one
-    time-major batch (T, B, dim); returns the batch and the lengths."""
+def _checked_vectors(xs: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Each sentence's vectors as a float array, checked to be (L, dim)."""
     arrays = [np.asarray(x, dtype=float) for x in xs]
     for x in arrays:
         if x.ndim != 2 or x.shape[1] != dim:
             raise ValueError(f"expected vectors of shape (L, {dim}), got {x.shape}")
+    return arrays
+
+
+def _pad_batch(xs: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check that every sentence's vectors are (L, dim) and pad them into one
+    time-major batch (T, B, dim); returns the batch and the lengths."""
+    arrays = _checked_vectors(xs, dim)
     lengths = np.array([len(x) for x in arrays])
     return _pad(arrays, int(lengths.max())), lengths
 
@@ -478,22 +477,21 @@ def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
     return np.where(t < lengths, lengths - 1 - t, t)
 
 
-def _encode(params, x, lengths, cfg, mask=None, keep_cache=False):
+def _encode(params, x, lengths, cfg, mask=None):
     """Per-token logits (T, B, K) for a right-padded, time-major batch.
 
     The residual path adds the projected input embedding to the (optionally
     dropped-out) encoder output; ``mask`` is the padded (T, B, width) dropout
-    mask. The cache holds the decoder input and, with ``keep_cache``, the
-    recurrence state that backpropagation needs.
+    mask. The cache holds the decoder input and the recurrence state that
+    backpropagation needs.
     """
-    hs, fwd = _lstm_forward(params["lstm_w"], params["lstm_u"], params["lstm_b"], x, keep_cache)
+    hs, fwd = _lstm_forward(params["lstm_w"], params["lstm_u"], params["lstm_b"], x)
     cache: dict = {"fwd": fwd}
     if cfg.bidirectional:
         rev = _reversal(lengths, len(x))
         cols = np.arange(x.shape[1])
         hs_rev, cache["bwd"] = _lstm_forward(
-            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[rev, cols],
-            keep_cache,
+            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[rev, cols]
         )
         hs = np.concatenate([hs, hs_rev[rev, cols]], axis=2)
         cache["rev"] = rev
@@ -527,7 +525,7 @@ def batch_loss_grads(
     x, lengths = _pad_batch(xs, cfg.embedding_dim)
     steps, batch, dim = x.shape
     mask = None if dropout_masks is None else _pad(dropout_masks, steps)
-    logits, cache = _encode(params, x, lengths, cfg, mask, keep_cache=True)
+    logits, cache = _encode(params, x, lengths, cfg, mask)
     valid = np.arange(steps)[:, None] < lengths
     t_idx, b_idx = np.nonzero(valid)
     gold = _pad(targets, steps, dtype=int)[t_idx, b_idx]
@@ -562,17 +560,60 @@ def batch_loss_grads(
     return nll
 
 
-def _length_chunks(lengths: Sequence[int], budget: int) -> list[list[int]]:
-    """Indices of the non-empty sentences, sorted by length and cut into runs
-    whose padded size (count x longest) is at most ``budget``; a sentence
-    longer than the budget forms a run of its own."""
-    chunks: list[list[int]] = []
-    for i in sorted((i for i, n in enumerate(lengths) if n), key=lengths.__getitem__):
-        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= budget:
-            chunks[-1].append(i)
-        else:
-            chunks.append([i])
-    return chunks
+def _packed_logits(params, cfg, xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token logits of a group of non-empty sentences ``xs``, longest
+    first, and the step offsets of their time-major packed rows.
+
+    Step t has one row per sentence still running, and those are a prefix of
+    the group: sentence k's token t is row ``offsets[t] + k``. The forward
+    direction reads step t's rows as a slice, the reverse one gathers each
+    running sentence's token ``L_k - 1 - t`` by a row index, so no padded
+    slot is computed. The input projection is made per step, and each
+    direction adds its share ``h dec_w[:, dir]^T`` of the linear decoder to
+    the logits at once, so only the input and the logits are held per token;
+    the residual ``x (dec_w proj_w)^T + dec_b`` is added once.
+    """
+    lengths = np.array([len(x) for x in xs])
+    running = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    x = np.empty((offsets[-1], cfg.embedding_dim))
+    for k, xk in enumerate(xs):
+        x[offsets[: len(xk)] + k] = xk
+    dec_w, hidden = params["dec_w"], cfg.hidden_size
+    logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
+    scale, shift = _gate_affine(hidden)
+    rows_of = np.arange(len(xs))
+    for d, suffix in enumerate(["", "_rev"] if cfg.bidirectional else [""]):
+        wt, ut = params["lstm_w" + suffix].T, params["lstm_u" + suffix].T
+        b = params["lstm_b" + suffix]
+        dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
+        h = c = np.zeros((len(xs), hidden))
+        for t, n in enumerate(running):
+            rows = (offsets[lengths[:n] - 1 - t] + rows_of[:n] if suffix
+                    else slice(offsets[t], offsets[t + 1]))
+            z = x[rows] @ wt
+            z += b
+            z += h[:n] @ ut
+            _, c, _, h = _cell(z, c[:n], scale, shift)
+            logits[rows] += h @ dec_t
+    return logits, offsets
+
+
+def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray]):
+    """Yield ``(i, logits)`` with the (L, K) per-token logits of each
+    non-empty sentence ``i``, dropout disabled.
+
+    The sentences run sorted by length in groups of ``INFERENCE_GROUP_SIZE``
+    through ``_packed_logits``, so memory stays flat however large the
+    corpus is.
+    """
+    arrays = _checked_vectors(sentences, cfg.embedding_dim)
+    order = sorted((i for i, x in enumerate(arrays) if len(x)), key=lambda i: len(arrays[i]))
+    for lo in range(0, len(order), INFERENCE_GROUP_SIZE):
+        group = order[lo : lo + INFERENCE_GROUP_SIZE][::-1]
+        logits, offsets = _packed_logits(params, cfg, [arrays[i] for i in group])
+        for k, i in enumerate(group):
+            yield i, logits[offsets[: len(arrays[i])] + k]
 
 
 @dataclass
@@ -593,20 +634,10 @@ class TaggerModel:
         return self.predict_batch([vectors])[0]
 
     def predict_batch(self, sentences: Sequence[np.ndarray]) -> list[list[str]]:
-        """Tags for each sentence's vectors, in input order, dropout disabled.
-
-        Sentences run sorted by length in padded chunks of at most
-        ``INFERENCE_TOKEN_SLOTS`` token slots, keeping no backward caches, so
-        memory stays flat however large the corpus is.
-        """
-        lengths = [len(v) for v in sentences]
+        """Tags for each sentence's vectors, in input order, dropout disabled."""
         tags: list[list[str]] = [[] for _ in sentences]
-        for chunk in _length_chunks(lengths, INFERENCE_TOKEN_SLOTS):
-            x, chunk_lengths = _pad_batch([sentences[i] for i in chunk], self.config.embedding_dim)
-            logits, _ = _encode(self.params, x, chunk_lengths, self.config)
-            best = logits.argmax(axis=2)
-            for k, i in enumerate(chunk):
-                tags[i] = [self.tags[j] for j in best[: lengths[i], k]]
+        for i, logits in _streamed_logits(self.params, self.config, sentences):
+            tags[i] = [self.tags[j] for j in logits.argmax(axis=1)]
         return tags
 
     def save(self, path: str | os.PathLike[str]) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
+from .textfile import open_utf8
+
 
 class HierarchyError(ValueError):
     """Malformed hierarchy document, or navigation over an unknown label."""
@@ -145,7 +147,7 @@ def parse_hierarchy(lines: Iterable[str]) -> TypeHierarchy:
 
 
 def load_hierarchy(path: str | os.PathLike[str]) -> TypeHierarchy:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, HierarchyError) as fh:
         return parse_hierarchy(fh)
 
 

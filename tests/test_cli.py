@@ -18,8 +18,9 @@ from finetype.cli import (
 from finetype.kb import load_snapshot
 from finetype.tagger import TaggerConfig, TaggerModel, init_params
 from finetype.taxonomy import parse_hierarchy
+from finetype.textfile import open_utf8
 
-from conftest import DEMO_DIR
+from conftest import DATA_DIR, DEMO_DIR
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +571,80 @@ def test_pipeline_bad_sidecar_header_fails_before_work(tmp_path, demo_config_pat
     assert code == 1
     assert "line 1: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output_dir", ["afile", "afile/sub"])
+def test_output_dir_naming_a_file_fails_before_work(tmp_path, demo_config_path, capsys,
+                                                   monkeypatch, output_dir):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory\n")
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", output_dir])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"output_dir is not a directory: {tmp_path / 'afile'}" in err
+    assert "stage failed" not in err  # rejected with the path checks, before loading
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
+def with_latin1_line(src, dst):
+    """Copy ``src`` to ``dst`` with a Latin-1 line appended; returns that line's number."""
+    data = src.read_bytes()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    dst.write_bytes(data + "caf\xe9\n".encode("latin-1"))
+    return data.count(b"\n") + 1
+
+
+def non_utf8_run(case, tmp_path, demo_config_path, pipeline_out):
+    """(argv, file that is not UTF-8, number of its first such line) for one input."""
+    text = demo_cfg_with_absolute_paths(demo_config_path)
+    good, bad = tmp_path / "good", tmp_path / f"bad-{case}"
+    if case == "config":
+        good.write_text(text)
+    elif case == "sidecar":
+        good.write_text("16\n" + " ".join(["0.5"] * 16) + "\n")
+    sources = {"hierarchy": DATA_DIR / "wikigold.types", "kb": DEMO_DIR / "snapshot.jsonl",
+               "embeddings": DEMO_DIR / "wiki_vectors.vec",
+               "token_vectors": DEMO_DIR / "token_vectors.vec",
+               "corpus": DEMO_DIR / "corpus.conll", "gold": DEMO_DIR / "corpus.conll",
+               "tagged": pipeline_out / "tagged.conll"}
+    if case == "pred":
+        bad.write_bytes(b"\xff\xfe")
+        lineno = 1
+    else:
+        lineno = with_latin1_line(sources.get(case, good), bad)
+    if case in ("hierarchy", "kb", "embeddings", "token_vectors", "corpus"):
+        text = set_key(text, case, bad)
+    elif case == "sidecar":
+        text = set_key(set_key(text, "token_vectors", bad), "vector_source", "precomputed")
+    cfg = bad if case == "config" else tmp_path / "edited.cfg"
+    if case != "config":
+        cfg.write_text(text)
+    argv = {"tagged": ["link", "--tagged", str(bad)],
+            "gold": ["evaluate", "--gold", str(bad), "--pred", str(pipeline_out / "linked.jsonl")],
+            "pred": ["evaluate", "--pred", str(bad)]}.get(case, ["pipeline"])
+    return argv + ["--config", str(cfg), "--output-dir", str(tmp_path / "out")], bad, lineno
+
+
+@pytest.mark.parametrize("case", ["config", "hierarchy", "kb", "embeddings", "token_vectors",
+                                  "sidecar", "corpus", "tagged", "gold", "pred"])
+def test_non_utf8_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, pipeline_out,
+                                                        capsys, case):
+    argv, bad, lineno = non_utf8_run(case, tmp_path, demo_config_path, pipeline_out)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {bad} line {lineno}: not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_line_is_counted_as_text_reading_counts_lines(tmp_path):
+    bad = tmp_path / "mixed-endings"
+    bad.write_bytes(b"a\r\nb\rc\n\nok \xc3\xa9\n\xe9\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(bad))} line 6: not UTF-8 text$"):
+        with open_utf8(bad, ConfigError) as fh:
+            fh.read()
 
 
 def test_pipeline_skips_subtype_without_word_token(tmp_path, demo_config_path, capsys):

@@ -1,16 +1,21 @@
 """The batched tagger against the per-sentence, per-timestep implementation it
 replaced, kept here as the oracle: the same recurrence, loss and gradients,
-and the same training trajectory, one sentence and one step at a time."""
+and the same training trajectory, one sentence and one step at a time. The
+streamed tagging path is checked against the padded path training runs."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from finetype.tagger import (
-    INFERENCE_TOKEN_SLOTS,
+    INFERENCE_GROUP_SIZE,
     SequenceExample,
     TaggerConfig,
     TaggerModel,
-    _length_chunks,
+    _encode,
+    _pad_batch,
+    _streamed_logits,
     batch_loss_grads,
     init_params,
     train,
@@ -231,7 +236,7 @@ def test_training_follows_the_oracle_trajectory():
 
 
 def ragged_corpus(dim, rng):
-    lengths = [0, 1, 1, 4, INFERENCE_TOKEN_SLOTS + 9, 2, 1, 17, 3, 30, 0, 8] * 3
+    lengths = [0, 1, 1, 4, 75, 2, 1, 17, 3, 30, 0, 8] * 3
     return [rng.standard_normal((n, dim)) for n in lengths]
 
 
@@ -255,13 +260,73 @@ def test_predict_batch_checks_vector_shape():
         model.predict_batch([np.zeros((2, 3)), np.zeros((2, 7))])
 
 
-def test_length_chunks_respect_the_slot_budget():
-    lengths = [0, 5, 1, 40, 3, 0, 12, 7, 7, 2]
-    chunks = _length_chunks(lengths, 16)
-    flat = [i for chunk in chunks for i in chunk]
-    assert sorted(flat) == [i for i, n in enumerate(lengths) if n]
-    assert [lengths[i] for i in flat] == sorted(n for n in lengths if n)
-    for chunk in chunks:
-        longest = max(lengths[i] for i in chunk)
-        assert len(chunk) == 1 or len(chunk) * longest <= 16
-    assert [3] in chunks  # longer than the budget: a chunk of its own
+def padded_logits(params, cfg, sentences):
+    """Each sentence's (L, K) logits from the padded path, the whole corpus as
+    one right-padded batch: the oracle of the streamed path."""
+    x, lengths = _pad_batch(sentences, cfg.embedding_dim)
+    logits, _ = _encode(params, x, lengths, cfg)
+    return [logits[:n, k] for k, n in enumerate(lengths)]
+
+
+def cycled_lengths(count):
+    """``count`` ragged lengths from 0 to 11, 0 and 1 among them."""
+    return [(7 * k) % 12 for k in range(count)]
+
+
+STREAM_CASES = {
+    "ragged": [0, 1, 1, 4, 2, 1, 17, 3, 30, 0, 8] * 3,
+    "group-less-one": cycled_lengths(INFERENCE_GROUP_SIZE - 1),
+    "group": cycled_lengths(INFERENCE_GROUP_SIZE),
+    "group-plus-one": cycled_lengths(INFERENCE_GROUP_SIZE + 1),
+    "one-far-longer": [3, 1, 0, 4, 2, 90, 5, 1, 2, 6],
+    "all-empty": [0, 0],
+}
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_logits_match_the_padded_path(bidirectional, case):
+    lengths = STREAM_CASES[case]
+    cfg = TaggerConfig(hidden_size=6, embedding_dim=3, bidirectional=bidirectional)
+    rng = np.random.default_rng(23)
+    model = TaggerModel(config=cfg, tags=[f"t{i}" for i in range(5)],
+                        params=init_params(cfg, 5, rng))
+    sentences = [rng.standard_normal((n, cfg.embedding_dim)) for n in lengths]
+    want = padded_logits(model.params, cfg, sentences)
+    got = dict(_streamed_logits(model.params, cfg, sentences))
+    assert sorted(got) == [i for i, n in enumerate(lengths) if n]
+    for i, logits in got.items():
+        assert logits.shape == want[i].shape
+        assert relative_error(logits, want[i]) <= 1e-12, i
+    assert model.predict_batch(sentences) == [
+        [model.tags[j] for j in got[i].argmax(axis=1)] if i in got else []
+        for i in range(len(lengths))
+    ]
+
+
+# tracemalloc peak of the padded path (sorted chunks of at most 256 padded
+# token slots, no backward caches) tagging ``contextual_corpus``, measured
+# with numpy 2.4.6. Streaming must not need more.
+PADDED_PATH_PEAK_BYTES = 3_300_172
+
+
+def contextual_corpus():
+    """A bidirectional H=128 model over 64-d vectors and 320 sentences of 3 to
+    120 tokens (lognormal around 14), the shape of contextual tagging."""
+    rng = np.random.default_rng(11)
+    cfg = TaggerConfig(hidden_size=128, embedding_dim=64, bidirectional=True)
+    model = TaggerModel(cfg, [f"t{i}" for i in range(9)], init_params(cfg, 9, rng))
+    lengths = np.clip(np.round(14.0 * rng.lognormal(0.0, 0.8, 320)), 3, 120).astype(int)
+    return model, [rng.standard_normal((n, 64)) for n in lengths]
+
+
+def test_streamed_tagging_peak_memory_stays_within_the_padded_paths():
+    model, sentences = contextual_corpus()
+    assert max(map(len, sentences)) == 120
+    tracemalloc.start()
+    try:
+        model.predict_batch(sentences)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PADDED_PATH_PEAK_BYTES
