@@ -236,7 +236,10 @@ def test_training_follows_the_oracle_trajectory():
 
 
 def ragged_corpus(dim, rng):
-    lengths = [0, 1, 1, 4, 75, 2, 1, 17, 3, 30, 0, 8] * 3
+    """Ragged sentences, empty and length-1 ones among them, with more
+    non-empty sentences than one inference group holds."""
+    lengths = [0, 1, 1, 4, 75, 2, 1, 17, 3, 30, 0, 8] * 6
+    assert sum(n > 0 for n in lengths) > INFERENCE_GROUP_SIZE
     return [rng.standard_normal((n, dim)) for n in lengths]
 
 
@@ -269,24 +272,35 @@ def padded_logits(params, cfg, sentences):
 
 
 def cycled_lengths(count):
-    """``count`` ragged lengths from 0 to 11, 0 and 1 among them."""
-    return [(7 * k) % 12 for k in range(count)]
+    """``count`` ragged non-empty lengths from 1 to 12."""
+    return [1 + (7 * k) % 12 for k in range(count)]
 
 
+def with_empties(lengths, every):
+    """``lengths`` with an empty sentence before every ``every``-th one."""
+    return [m for k, n in enumerate(lengths) for m in ([0, n] if k % every == 0 else [n])]
+
+
+G = INFERENCE_GROUP_SIZE
+
+# Each case's lengths and the number of inference groups they make.
 STREAM_CASES = {
-    "ragged": [0, 1, 1, 4, 2, 1, 17, 3, 30, 0, 8] * 3,
-    "group-less-one": cycled_lengths(INFERENCE_GROUP_SIZE - 1),
-    "group": cycled_lengths(INFERENCE_GROUP_SIZE),
-    "group-plus-one": cycled_lengths(INFERENCE_GROUP_SIZE + 1),
-    "one-far-longer": [3, 1, 0, 4, 2, 90, 5, 1, 2, 6],
-    "all-empty": [0, 0],
+    "ragged": ([0, 1, 1, 4, 2, 1, 17, 3, 30, 0, 8] * 3, 1),
+    "group-less-one": (cycled_lengths(G - 1), 1),
+    "group": (cycled_lengths(G), 1),
+    "group-plus-one": (cycled_lengths(G + 1), 2),
+    "several-groups-with-empties": (with_empties(cycled_lengths(2 * G + 5), 7), 3),
+    "one-far-longer": ([3, 1, 0, 4, 2, 90, 5, 1, 2, 6], 1),
+    "one-far-longer-across-groups": (with_empties(cycled_lengths(G + 3), 5) + [90], 2),
+    "all-empty": ([0, 0], 0),
 }
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_streamed_logits_match_the_padded_path(bidirectional, case):
-    lengths = STREAM_CASES[case]
+    lengths, groups = STREAM_CASES[case]
+    assert -(-sum(n > 0 for n in lengths) // G) == groups
     cfg = TaggerConfig(hidden_size=6, embedding_dim=3, bidirectional=bidirectional)
     rng = np.random.default_rng(23)
     model = TaggerModel(config=cfg, tags=[f"t{i}" for i in range(5)],
