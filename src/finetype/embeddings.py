@@ -60,10 +60,11 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
 
     An optional first line ``COUNT DIM`` (two integers) declares the shape up
     front. The dimension is otherwise fixed by the first entry; any later
-    mismatch is an error citing the line. Duplicate tokens keep the last
-    occurrence and emit a warning.
+    mismatch, or a value that is not finite, is an error citing the line.
+    Duplicate tokens keep the last occurrence and emit a warning.
     """
     vectors: dict[str, np.ndarray] = {}
+    rows: list[tuple[int, str, np.ndarray]] = []  # line, token and values of each entry
     dim: int | None = None
     declared_count: int | None = None
     for lineno, raw in enumerate(lines, start=1):
@@ -95,8 +96,15 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
         if token in vectors:
             log.warning("duplicate token %r at line %d: keeping the last occurrence", token, lineno)
         vectors[token] = values
+        rows.append((lineno, token, values))
     if dim is None or not vectors:
         raise EmbeddingError("embedding file contains no entries")
+    # one finiteness check per block of rows, not per row; a block's copy stays small
+    for lo in range(0, len(rows), 4096):
+        finite = np.isfinite([values for _, _, values in rows[lo : lo + 4096]]).all(axis=1)
+        if not finite.all():
+            lineno, token, _ = rows[lo + int(finite.argmin())]
+            raise EmbeddingError(f"line {lineno}: a value for {token!r} is not finite")
     if declared_count is not None and declared_count != len(vectors):
         log.warning("header declared %d entries, file contains %d", declared_count, len(vectors))
     return EmbeddingTable(dim, vectors)
@@ -104,7 +112,10 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
 
 def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
     with open_utf8(path, EmbeddingError) as fh:
-        return parse_embeddings(fh)
+        try:
+            return parse_embeddings(fh)
+        except EmbeddingError as exc:
+            raise EmbeddingError(f"{path}: {exc}") from None
 
 
 def phrase_direction(

@@ -5,6 +5,8 @@ or a precomputed contextual-vector sidecar), feed a gated LSTM encoder with a
 residual connection from the projected input, and a softmax layer decodes
 per-token tags. Training is plain Adam over mini-batches with inverted
 dropout on the encoder output; everything is deterministic under a seed.
+Training and tagging run one recurrence (``_recurrence``) over the same
+packed, longest-first, time-major rows (``_Layout``).
 """
 
 from __future__ import annotations
@@ -182,14 +184,18 @@ def write_conll(path: str | os.PathLike[str], examples: Iterable[SequenceExample
 
 def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
     """Read precomputed per-token vectors: a dimension header line, then one
-    float row per token with blank lines between sentences."""
+    float row per token with blank lines between sentences, all finite."""
     dim: int | None = None
     sentences: list[np.ndarray] = []
     current: list[np.ndarray] = []
 
-    def flush() -> None:
-        if current:
-            sentences.append(np.array(current, dtype=float))
+    def flush(end: int) -> None:
+        if current:  # its rows are the lines just before line ``end``
+            sentence = np.array(current, dtype=float)
+            if not np.isfinite(sentence).all():
+                bad = end - len(current) + int(np.isfinite(sentence).all(axis=1).argmin())
+                raise CorpusError(f"line {bad}: value is not finite")
+            sentences.append(sentence)
             current.clear()
 
     for lineno, raw in enumerate(lines, start=1):
@@ -208,7 +214,7 @@ def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
                 raise CorpusError(f"line {lineno}: dimension must be positive")
             continue
         if not line:
-            flush()
+            flush(lineno)
             continue
         try:
             row = np.array([float(v) for v in line.split()], dtype=float)
@@ -217,9 +223,9 @@ def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
         if len(row) != dim:
             raise CorpusError(f"line {lineno}: expected {dim} values, found {len(row)}")
         current.append(row)
-    flush()
     if dim is None:
         raise CorpusError("sidecar file has no dimension header")
+    flush(lineno + 1)  # a header was read, so there was a line
     return sentences
 
 
@@ -251,7 +257,10 @@ class PrecomputedVectors:
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "PrecomputedVectors":
         with open_utf8(path, CorpusError) as fh:
-            return cls(parse_sidecar(fh))
+            try:
+                return cls(parse_sidecar(fh))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: {exc}") from None
 
     def vectors_for(self, index: int, tokens: Sequence[str]) -> np.ndarray:
         if index >= len(self.sentences):
@@ -340,11 +349,8 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     gate activation of the (4H,) pre-activation ``z``: the sigmoid in its
     tanh form 0.5 * (1 + tanh(z / 2)) on the input, forget and output blocks,
     and tanh on the candidate block."""
-    scale = np.full(4 * hidden, 0.5)
-    scale[2 * hidden : 3 * hidden] = 1.0
-    shift = np.full(4 * hidden, 0.5)
-    shift[2 * hidden : 3 * hidden] = 0.0
-    return scale, shift
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    return scale, 1.0 - scale
 
 
 def _cell(z, c_prev, scale, shift):
@@ -357,66 +363,6 @@ def _cell(z, c_prev, scale, shift):
     c = a[..., hidden : 2 * hidden] * c_prev + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
     tc = np.tanh(c)
     return a, c, tc, a[..., 3 * hidden :] * tc
-
-
-def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` over the last axis of ``x``, as one 2-D matmul."""
-    flat = x.reshape(-1, x.shape[-1]) @ w.T
-    return flat.reshape(x.shape[:-1] + (w.shape[0],))
-
-
-def _lstm_forward(w, u, b, x):
-    """Run the recurrence over a right-padded, time-major batch ``x`` (T, B, D).
-
-    The input projection ``x W^T + b`` of every step is one matmul ahead of
-    the loop; each step then adds only ``h U^T``. Returns the hidden states
-    (T, B, H) and what ``_lstm_backward`` needs. Padded steps simply run on
-    after a sentence ends; nothing reads them.
-    """
-    steps, batch, _ = x.shape
-    hidden = u.shape[1]
-    scale, shift = _gate_affine(hidden)
-    zx = _dense(x, w) + b
-    hs = np.zeros((steps + 1, batch, hidden))  # hs[t + 1] is the state after step t
-    gates = np.empty_like(zx)
-    cs = np.zeros((steps + 1, batch, hidden))
-    tcs = np.empty((steps, batch, hidden))
-    ut = u.T
-    for t in range(steps):
-        gates[t], cs[t + 1], tcs[t], hs[t + 1] = _cell(zx[t] + hs[t] @ ut, cs[t], scale, shift)
-    return hs[1:], {"gates": gates, "cs": cs, "tcs": tcs, "hs": hs, "x": x}
-
-
-def _lstm_backward(u, cache, dhs):
-    """Backpropagate through time from dL/dh (T, B, H); returns (dW, dU, db).
-
-    dZ is stored for every step so each parameter gradient is a single matmul
-    after the loop. A padded step follows its sentence's real steps and gets
-    zero dL/dh, so it passes zero carries back and adds exactly nothing.
-    """
-    gates, cs, tcs, hs, x = cache["gates"], cache["cs"], cache["tcs"], cache["hs"], cache["x"]
-    steps, batch, hidden = tcs.shape
-    i, f, g, o = np.moveaxis(gates.reshape(steps, batch, 4, hidden), 2, 0)
-    # Everything but the carried dh and dc is known before the loop: dZ is dc
-    # times via_c on the input, forget and candidate blocks and dh times
-    # via_h on the output block, and dc gains dh times dc_dh.
-    via_c = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g**2)], axis=2)
-    via_h = tcs * o * (1.0 - o)
-    dc_dh = o * (1.0 - tcs**2)
-    dz = np.empty((steps, batch, 4, hidden))
-    dh_carry = np.zeros((batch, hidden))
-    dc_carry = np.zeros((batch, hidden))
-    for t in range(steps - 1, -1, -1):
-        dh = dhs[t] + dh_carry
-        dc = dc_carry + dh * dc_dh[t]
-        np.multiply(dc[:, None], via_c[t], out=dz[t, :, :3])
-        np.multiply(dh, via_h[t], out=dz[t, :, 3])
-        dc_carry = dc * f[t]
-        dh_carry = dz[t].reshape(batch, -1) @ u
-    flat = dz.reshape(-1, 4 * hidden)
-    dw = flat.T @ x.reshape(-1, x.shape[-1])
-    du = flat.T @ hs[:-1].reshape(-1, hidden)
-    return dw, du, flat.sum(axis=0)
 
 
 def param_shapes(cfg: TaggerConfig, tag_count: int) -> dict[str, tuple[int, ...]]:
@@ -444,14 +390,6 @@ def init_params(cfg: TaggerConfig, tag_count: int, rng: np.random.Generator) -> 
     return params
 
 
-def _pad(rows: Sequence[np.ndarray], steps: int, dtype=float) -> np.ndarray:
-    """Stack (L_k, ...) arrays right-padded with zeros and time-major: (steps, B, ...)."""
-    out = np.zeros((steps, len(rows)) + np.shape(rows[0])[1:], dtype=dtype)
-    for k, row in enumerate(rows):
-        out[: len(row), k] = row
-    return out
-
-
 def _checked_vectors(xs: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     """Each sentence's vectors as a float array, checked to be (L, dim)."""
     arrays = [np.asarray(x, dtype=float) for x in xs]
@@ -461,49 +399,110 @@ def _checked_vectors(xs: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     return arrays
 
 
-def _pad_batch(xs: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check that every sentence's vectors are (L, dim) and pad them into one
-    time-major batch (T, B, dim); returns the batch and the lengths."""
-    arrays = _checked_vectors(xs, dim)
-    lengths = np.array([len(x) for x in arrays])
-    return _pad(arrays, int(lengths.max())), lengths
+class _Layout:
+    """Time-major packed rows of a batch of sentences with ``lengths``, sorted
+    stably, longest first: step t has a row for each sentence still running,
+    a prefix of the order, so the k-th sentence's token t is row
+    ``offsets[t] + k`` and no padded slot exists. At that position the
+    reverse direction reads token ``L_k - 1 - t``, row ``reverse[offsets[t] + k]``."""
+
+    def __init__(self, lengths: Sequence[int]):
+        lengths = np.asarray(lengths, dtype=int)
+        self.order = np.argsort(-lengths, kind="stable")  # batch indices, longest first
+        lengths = lengths[self.order]
+        running = (lengths[:, None] > np.arange(lengths.max(initial=0))).sum(axis=0)
+        self.offsets = np.concatenate([[0], np.cumsum(running)])  # then the row count
+        self.rows = [self.offsets[:n] + k for k, n in enumerate(lengths)]
+        step = np.repeat(np.arange(len(running)), running)
+        k = np.arange(self.offsets[-1]) - self.offsets[step]
+        self.reverse = self.offsets[lengths[k] - 1 - step] + k
+
+    def pack(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-sentence (L, ...) arrays, in batch order, laid out as packed rows."""
+        out = np.empty((self.offsets[-1],) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+        for rows, i in zip(self.rows, self.order):
+            out[rows] = arrays[i]
+        return out
+
+    def steps(self, reverse: bool):
+        """Each step's packed positions and the rows its direction reads there."""
+        for t in range(len(self.offsets) - 1):
+            pos = slice(self.offsets[t], self.offsets[t + 1])
+            yield pos, self.reverse[pos] if reverse else pos
 
 
-def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
-    """(T, B) time index that reverses each sentence within its own length
-    and keeps its padding in place, so padding still follows the real steps.
-    It is its own inverse."""
-    t = np.arange(steps)[:, None]
-    return np.where(t < lengths, lengths - 1 - t, t)
+def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout):
+    """Run one direction of the LSTM over the packed rows ``x`` of ``layout``:
+    each step projects its own input and updates the carries of the n
+    sentences still running, the first n. Yields per step its positions, the
+    rows of ``x`` it read, the gates, tanh(c), h_prev, c_prev and h."""
+    suffix = "_rev" if reverse else ""
+    wt, ut, b = params["lstm_w" + suffix].T, params["lstm_u" + suffix].T, params["lstm_b" + suffix]
+    hidden = ut.shape[0]
+    scale, shift = _gate_affine(hidden)
+    h = c = np.zeros((len(layout.order), hidden))
+    for pos, rows in layout.steps(reverse):
+        n = pos.stop - pos.start
+        h_prev, c_prev = h[:n], c[:n]
+        z = x[rows] @ wt
+        z += b
+        z += h_prev @ ut
+        gates, c, tc, h = _cell(z, c_prev, scale, shift)
+        yield pos, rows, gates, tc, h_prev, c_prev, h
 
 
-def _encode(params, x, lengths, cfg, mask=None):
-    """Per-token logits (T, B, K) for a right-padded, time-major batch.
-
-    The residual path adds the projected input embedding to the (optionally
-    dropped-out) encoder output; ``mask`` is the padded (T, B, width) dropout
-    mask. The cache holds the decoder input and the recurrence state that
-    backpropagation needs.
-    """
-    hs, fwd = _lstm_forward(params["lstm_w"], params["lstm_u"], params["lstm_b"], x)
-    cache: dict = {"fwd": fwd}
-    if cfg.bidirectional:
-        rev = _reversal(lengths, len(x))
-        cols = np.arange(x.shape[1])
-        hs_rev, cache["bwd"] = _lstm_forward(
-            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[rev, cols]
-        )
-        hs = np.concatenate([hs, hs_rev[rev, cols]], axis=2)
-        cache["rev"] = rev
-    if mask is not None:
-        hs = hs * mask
-    cache["dec_in"] = hs + _dense(x, params["proj_w"])
-    return _dense(cache["dec_in"], params["dec_w"]) + params["dec_b"], cache
+def _forward(params, cfg, xs: Sequence[np.ndarray], masks: Sequence[np.ndarray] | None = None):
+    """Per-token logits of a batch of sentences in the packed rows of their
+    ``_Layout``, and the cache backpropagation needs: per direction, a tape
+    of each row's gates, tanh(c), h_prev and c_prev. The residual path adds
+    the projected input to the encoder output times the dropout ``masks``."""
+    arrays = _checked_vectors(xs, cfg.embedding_dim)
+    layout = _Layout([len(x) for x in arrays])
+    x = layout.pack(arrays)
+    hidden = cfg.hidden_size
+    hs = np.empty((len(x), cfg.encoder_width))
+    tapes = [np.empty((len(x), 7 * hidden)) for _ in range(1 + cfg.bidirectional)]
+    for d, tape in enumerate(tapes):
+        for pos, rows, *record, h in _recurrence(params, d, x, layout):
+            np.concatenate(record, axis=1, out=tape[pos])
+            hs[rows, d * hidden : (d + 1) * hidden] = h
+    mask = None if masks is None else layout.pack(masks)
+    dec_in = (hs if mask is None else hs * mask) + x @ params["proj_w"].T
+    cache = {"layout": layout, "x": x, "mask": mask, "dec_in": dec_in, "tapes": tapes}
+    return dec_in @ params["dec_w"].T + params["dec_b"], cache
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _recurrence_grads(params, reverse: bool, tape, layout: _Layout, x, dhs, grads) -> None:
+    """Add one direction's dW, dU and db into ``grads``, backpropagating
+    dL/dh ``dhs`` (a row per row of ``x``) through the steps in reverse. The
+    carries are as wide as the batch and step t updates the first n, so a
+    sentence that ends at step t starts with zero carry; dZ is kept per
+    packed position, so each gradient is one product over all rows."""
+    suffix = "_rev" if reverse else ""
+    u = params["lstm_u" + suffix]
+    count, hidden = len(tape), u.shape[1]
+    i, f, g, o, tc, h_prev, c_prev = np.moveaxis(tape.reshape(count, 7, hidden), 1, 0)
+    # Everything but the carried dh and dc is known before the loop: dZ is dc
+    # times via_c on the input, forget and candidate blocks and dh times
+    # via_h on the output block, and dc gains dh times dc_dh.
+    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
+    via_h = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc**2)
+    dz = np.empty((count, 4, hidden))
+    dh_carry = np.zeros((len(layout.order), hidden))
+    dc_carry = np.zeros_like(dh_carry)
+    for pos, rows in reversed(list(layout.steps(reverse))):
+        n = pos.stop - pos.start
+        dh = dhs[rows] + dh_carry[:n]
+        dc = dc_carry[:n] + dh * dc_dh[pos]
+        np.multiply(dc[:, None], via_c[pos], out=dz[pos, :3])
+        np.multiply(dh, via_h[pos], out=dz[pos, 3])
+        dc_carry[:n] = dc * f[pos]
+        dh_carry[:n] = dz[pos].reshape(n, -1) @ u
+    flat = dz.reshape(count, -1)
+    grads["lstm_w" + suffix] += flat.T @ (x[layout.reverse] if reverse else x)
+    grads["lstm_u" + suffix] += flat.T @ h_prev
+    grads["lstm_b" + suffix] += flat.sum(axis=0)
 
 
 def batch_loss_grads(
@@ -516,104 +515,54 @@ def batch_loss_grads(
     dropout_masks: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Summed token negative log-likelihood of a batch of sentences, run
-    together right-padded to the longest; gradients of ``scale * nll_sum``
-    are accumulated into ``grads``.
-
-    The loss gradient is zero at padded positions, which therefore add
-    nothing to any gradient.
-    """
-    x, lengths = _pad_batch(xs, cfg.embedding_dim)
-    steps, batch, dim = x.shape
-    mask = None if dropout_masks is None else _pad(dropout_masks, steps)
-    logits, cache = _encode(params, x, lengths, cfg, mask)
-    valid = np.arange(steps)[:, None] < lengths
-    t_idx, b_idx = np.nonzero(valid)
-    gold = _pad(targets, steps, dtype=int)[t_idx, b_idx]
-    log_probs = _log_softmax(logits)
-    nll = -float(log_probs[t_idx, b_idx, gold].sum())
+    together over packed rows; gradients of ``scale * nll_sum`` are
+    accumulated into ``grads``. Each sentence's targets and dropout mask go
+    into the rows of its vectors."""
+    logits, cache = _forward(params, cfg, xs, dropout_masks)
+    layout, x, mask, dec_in = cache["layout"], cache["x"], cache["mask"], cache["dec_in"]
+    rows = np.arange(len(x))
+    gold = layout.pack(targets)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    nll = -float(log_probs[rows, gold].sum())
 
     dlogits = np.exp(log_probs)
-    dlogits[t_idx, b_idx, gold] -= 1.0
-    dlogits[~valid] = 0.0
+    dlogits[rows, gold] -= 1.0
     dlogits *= scale
-
-    width = cfg.encoder_width
-    dlogits = dlogits.reshape(-1, logits.shape[2])
-    grads["dec_w"] += dlogits.T @ cache["dec_in"].reshape(-1, width)
+    grads["dec_w"] += dlogits.T @ dec_in
     grads["dec_b"] += dlogits.sum(axis=0)
     ddec_in = dlogits @ params["dec_w"]
-    grads["proj_w"] += ddec_in.T @ x.reshape(-1, dim)
+    grads["proj_w"] += ddec_in.T @ x
 
-    dhs = ddec_in.reshape(steps, batch, width)
-    if mask is not None:
-        dhs = dhs * mask
+    dhs = ddec_in if mask is None else ddec_in * mask
     hidden = cfg.hidden_size
-    directions = [("", cache["fwd"], dhs[..., :hidden])]
-    if cfg.bidirectional:
-        rev = cache["rev"]
-        directions.append(("_rev", cache["bwd"], dhs[..., hidden:][rev, np.arange(batch)]))
-    for suffix, lstm_cache, dhs_dir in directions:
-        dw, du, db = _lstm_backward(params["lstm_u" + suffix], lstm_cache, dhs_dir)
-        grads["lstm_w" + suffix] += dw
-        grads["lstm_u" + suffix] += du
-        grads["lstm_b" + suffix] += db
+    for d, tape in enumerate(cache["tapes"]):
+        _recurrence_grads(params, d, tape, layout, x, dhs[:, d * hidden : (d + 1) * hidden], grads)
     return nll
-
-
-def _packed_logits(params, cfg, xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token logits of a group of non-empty sentences ``xs``, longest
-    first, and the step offsets of their time-major packed rows.
-
-    Step t has one row per sentence still running, and those are a prefix of
-    the group: sentence k's token t is row ``offsets[t] + k``. The forward
-    direction reads step t's rows as a slice, the reverse one gathers each
-    running sentence's token ``L_k - 1 - t`` by a row index, so no padded
-    slot is computed. The input projection is made per step, and each
-    direction adds its share ``h dec_w[:, dir]^T`` of the linear decoder to
-    the logits at once, so only the input and the logits are held per token;
-    the residual ``x (dec_w proj_w)^T + dec_b`` is added once.
-    """
-    lengths = np.array([len(x) for x in xs])
-    running = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
-    offsets = np.concatenate([[0], np.cumsum(running)])
-    x = np.empty((offsets[-1], cfg.embedding_dim))
-    for k, xk in enumerate(xs):
-        x[offsets[: len(xk)] + k] = xk
-    dec_w, hidden = params["dec_w"], cfg.hidden_size
-    logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
-    scale, shift = _gate_affine(hidden)
-    rows_of = np.arange(len(xs))
-    for d, suffix in enumerate(["", "_rev"] if cfg.bidirectional else [""]):
-        wt, ut = params["lstm_w" + suffix].T, params["lstm_u" + suffix].T
-        b = params["lstm_b" + suffix]
-        dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
-        h = c = np.zeros((len(xs), hidden))
-        for t, n in enumerate(running):
-            rows = (offsets[lengths[:n] - 1 - t] + rows_of[:n] if suffix
-                    else slice(offsets[t], offsets[t + 1]))
-            z = x[rows] @ wt
-            z += b
-            z += h[:n] @ ut
-            _, c, _, h = _cell(z, c[:n], scale, shift)
-            logits[rows] += h @ dec_t
-    return logits, offsets
 
 
 def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray]):
     """Yield ``(i, logits)`` with the (L, K) per-token logits of each
-    non-empty sentence ``i``, dropout disabled.
-
-    The sentences run sorted by length in groups of ``INFERENCE_GROUP_SIZE``
-    through ``_packed_logits``, so memory stays flat however large the
-    corpus is.
-    """
+    non-empty sentence ``i``, dropout disabled. The sentences run sorted by
+    length in groups of ``INFERENCE_GROUP_SIZE`` over packed rows, and each
+    direction adds its share ``h dec_w[:, dir]^T`` of the linear decoder to
+    the logits at every step, so only the input and the logits are held per
+    token and memory stays flat however large the corpus is; the residual
+    ``x (dec_w proj_w)^T + dec_b`` is added once per group."""
     arrays = _checked_vectors(sentences, cfg.embedding_dim)
     order = sorted((i for i, x in enumerate(arrays) if len(x)), key=lambda i: len(arrays[i]))
+    dec_w, hidden = params["dec_w"], cfg.hidden_size
     for lo in range(0, len(order), INFERENCE_GROUP_SIZE):
-        group = order[lo : lo + INFERENCE_GROUP_SIZE][::-1]
-        logits, offsets = _packed_logits(params, cfg, [arrays[i] for i in group])
-        for k, i in enumerate(group):
-            yield i, logits[offsets[: len(arrays[i])] + k]
+        group = order[lo : lo + INFERENCE_GROUP_SIZE]
+        layout = _Layout([len(arrays[i]) for i in group])
+        x = layout.pack([arrays[i] for i in group])
+        logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
+        for d in range(1 + cfg.bidirectional):
+            dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
+            for _, rows, *_, h in _recurrence(params, d, x, layout):
+                logits[rows] += h @ dec_t
+        for k, j in enumerate(layout.order):
+            yield group[j], logits[layout.rows[k]]
 
 
 @dataclass
@@ -666,6 +615,9 @@ class TaggerModel:
         shapes = {key: value.shape for key, value in params.items()}
         if shapes != param_shapes(model.config, len(model.tags)):
             raise ModelError(f"{path}: parameters do not match the model's config and tags")
+        for key, value in params.items():
+            if value.dtype.kind not in "biuf" or not np.isfinite(value).all():
+                raise ModelError(f"{path}: member {key!r} is not an array of finite numbers")
         return model
 
 
@@ -695,9 +647,18 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
     targets = [np.array([tag_index[t] for t in ex.gold_tags]) for ex in examples]
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, len(tag_set), rng)
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    init = init_params(cfg, len(tag_set), rng)
+    # The parameters, their gradients and Adam's two moments are one flat
+    # array each, updated whole; ``params`` and ``grads`` hold reshaped views.
+    weights = np.concatenate([value.ravel() for value in init.values()])
+    grad, adam_m, adam_v = (np.zeros_like(weights) for _ in range(3))
+    ends = np.cumsum([value.size for value in init.values()])
+
+    def views(flat):
+        return {key: flat[end - value.size : end].reshape(value.shape)
+                for (key, value), end in zip(init.items(), ends)}
+
+    params, grads = views(weights), views(grad)
     step = 0
     width = cfg.encoder_width
 
@@ -715,7 +676,7 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
                     (rng.random((len(examples[i]), width)) >= cfg.dropout) / (1.0 - cfg.dropout)
                     for i in batch
                 ]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
+            grad.fill(0.0)
             batch_nll = batch_loss_grads(
                 params, [examples[i].vectors for i in batch], [targets[i] for i in batch],
                 cfg, grads, scale=1.0 / total_tokens, dropout_masks=masks,
@@ -729,13 +690,11 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step
-            for key in params:
-                g = grads[key]
-                adam_m[key] = cfg.beta1 * adam_m[key] + (1.0 - cfg.beta1) * g
-                adam_v[key] = cfg.beta2 * adam_v[key] + (1.0 - cfg.beta2) * g**2
-                params[key] = params[key] - cfg.learning_rate * (
-                    (adam_m[key] / bias1) / (np.sqrt(adam_v[key] / bias2) + cfg.eps)
-                )
+            adam_m *= cfg.beta1
+            adam_m += (1.0 - cfg.beta1) * grad
+            adam_v *= cfg.beta2
+            adam_v += (1.0 - cfg.beta2) * grad**2
+            weights -= cfg.learning_rate * ((adam_m / bias1) / (np.sqrt(adam_v / bias2) + cfg.eps))
             epoch_nll += batch_nll
             epoch_tokens += total_tokens
         loss_curve.append(epoch_nll / epoch_tokens if epoch_tokens else 0.0)

@@ -639,6 +639,51 @@ def test_non_utf8_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_pa
     assert not (tmp_path / "out").exists()
 
 
+def with_bad_vector_row(src, dst, value):
+    """Copy the vector file ``src`` to ``dst`` with a row whose first value is
+    ``value`` appended; returns that row's line number."""
+    lines = src.read_text().splitlines()
+    width = len(lines[-1].split()) - 1
+    dst.write_text("\n".join(lines + ["nonfinite " + " ".join([value] + ["0.5"] * (width - 1))])
+                   + "\n")
+    return len(lines) + 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("reader", ["embeddings", "token_vectors", "sidecar", "model"])
+def test_non_finite_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, capsys,
+                                                          reader, value):
+    text = demo_cfg_with_absolute_paths(demo_config_path)
+    bad = tmp_path / f"bad-{reader}"
+    argv = ["pipeline", "--output-dir", str(tmp_path / "out")]
+    if reader in ("embeddings", "token_vectors"):
+        source = DEMO_DIR / ("wiki_vectors.vec" if reader == "embeddings" else "token_vectors.vec")
+        place = f"{bad}: line {with_bad_vector_row(source, bad, value)}: "
+        text = set_key(text, reader, bad)
+    elif reader == "sidecar":
+        good_row = " ".join(["0.5"] * 16)
+        bad.write_text(f"16\n{good_row}\n\n{good_row}\n" + " ".join(["0.5"] * 15 + [value]) + "\n")
+        place = f"{bad}: line 5: "  # the second row of the second sentence
+        text = set_key(set_key(text, "token_vectors", bad), "vector_source", "precomputed")
+    else:
+        save_random_model(bad, embedding_dim=16)
+        with np.load(bad) as data:
+            members = {key: data[key] for key in data.files}
+        members["dec_b"][1] = float(value)
+        with open(bad, "wb") as fh:
+            np.savez(fh, **members)
+        place = f"{bad}: member 'dec_b' "
+        argv += ["--model", str(bad)]
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text)
+    code = main(argv + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {place}" in err and "finite" in err
+    assert "stage failed: load inputs" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_line_is_counted_as_text_reading_counts_lines(tmp_path):
     bad = tmp_path / "mixed-endings"
     bad.write_bytes(b"a\r\nb\rc\n\nok \xc3\xa9\n\xe9\n")

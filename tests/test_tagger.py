@@ -15,9 +15,8 @@ from finetype.tagger import (
     TaggerModel,
     TrainingError,
     _cell,
-    _encode,
+    _forward,
     _gate_affine,
-    _pad_batch,
     attach_vectors,
     batch_loss_grads,
     extract_spans,
@@ -44,11 +43,11 @@ def lstm_cell_step(x, state, w, u, b):
 
 def sentence_logits(params, x, cfg, dropout_mask=None):
     """Per-token logits (L, K) and decoder input (L, width) of one sentence,
-    run as a batch of one."""
-    xb, lengths = _pad_batch([x], cfg.embedding_dim)
-    mask = None if dropout_mask is None else np.asarray(dropout_mask)[:, None]
-    logits, cache = _encode(params, xb, lengths, cfg, mask)
-    return logits[:, 0], cache["dec_in"][:, 0]
+    run through the packed forward as a batch of one, whose rows are the
+    sentence's tokens in order."""
+    masks = None if dropout_mask is None else [np.asarray(dropout_mask)]
+    logits, cache = _forward(params, cfg, [x], masks)
+    return logits, cache["dec_in"]
 
 
 def logits_of(model: TaggerModel, x) -> np.ndarray:

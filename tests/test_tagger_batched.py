@@ -1,8 +1,10 @@
 """The batched tagger against the per-sentence, per-timestep implementation it
 replaced, kept here as the oracle: the same recurrence, loss and gradients,
-and the same training trajectory, one sentence and one step at a time. The
-streamed tagging path is checked against the padded path training runs."""
+and the same training trajectory, one sentence and one step at a time.
+Training and the streamed tagging path run the same recurrence over packed
+rows, and both are checked against it."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,6 @@ from finetype.tagger import (
     SequenceExample,
     TaggerConfig,
     TaggerModel,
-    _encode,
-    _pad_batch,
     _streamed_logits,
     batch_loss_grads,
     init_params,
@@ -175,21 +175,33 @@ def relative_error(got, want):
 # Loss and gradients on ragged batches
 
 
-RAGGED_LENGTHS = (1, 6, 3, 1, 9, 4)
+# Sentence lengths of each batch: ragged with length-1 sentences, all equal
+# (every step keeps the whole batch), a single sentence, and a long tail whose
+# ties must keep each sentence's own mask and targets.
+LENGTH_SETS = {"ragged": (1, 6, 3, 1, 9, 4), "all-equal": (5, 5, 5), "single": (7,),
+               "long-tail": (1, 30, 2, 30)}
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-@pytest.mark.parametrize("dropout", [False, True])
-def test_batched_loss_and_gradients_match_oracle(bidirectional, dropout):
+def loss_grad_cases():
+    # the ragged cases keep the ids they had before the other length sets
+    for name, lengths in LENGTH_SETS.items():
+        for bidirectional, dropout in itertools.product([False, True], repeat=2):
+            ids = [str(dropout), str(bidirectional)]
+            yield pytest.param(lengths, bidirectional, dropout,
+                               id="-".join(ids if name == "ragged" else [name] + ids))
+
+
+@pytest.mark.parametrize("lengths, bidirectional, dropout", loss_grad_cases())
+def test_batched_loss_and_gradients_match_oracle(lengths, bidirectional, dropout):
     cfg = TaggerConfig(hidden_size=5, embedding_dim=4, bidirectional=bidirectional)
     rng = np.random.default_rng(31)
     params = init_params(cfg, 4, rng)
-    xs = [rng.standard_normal((n, cfg.embedding_dim)) for n in RAGGED_LENGTHS]
-    targets = [rng.integers(0, 4, size=n) for n in RAGGED_LENGTHS]
+    xs = [rng.standard_normal((n, cfg.embedding_dim)) for n in lengths]
+    targets = [rng.integers(0, 4, size=n) for n in lengths]
     masks = None
     if dropout:
-        masks = [(rng.random((n, cfg.encoder_width)) >= 0.3) / 0.7 for n in RAGGED_LENGTHS]
-    scale = 1.0 / sum(RAGGED_LENGTHS)
+        masks = [(rng.random((n, cfg.encoder_width)) >= 0.3) / 0.7 for n in lengths]
+    scale = 1.0 / sum(lengths)
 
     want = {k: np.zeros_like(v) for k, v in params.items()}
     want_nll = sum(
@@ -263,14 +275,6 @@ def test_predict_batch_checks_vector_shape():
         model.predict_batch([np.zeros((2, 3)), np.zeros((2, 7))])
 
 
-def padded_logits(params, cfg, sentences):
-    """Each sentence's (L, K) logits from the padded path, the whole corpus as
-    one right-padded batch: the oracle of the streamed path."""
-    x, lengths = _pad_batch(sentences, cfg.embedding_dim)
-    logits, _ = _encode(params, x, lengths, cfg)
-    return [logits[:n, k] for k, n in enumerate(lengths)]
-
-
 def cycled_lengths(count):
     """``count`` ragged non-empty lengths from 1 to 12."""
     return [1 + (7 * k) % 12 for k in range(count)]
@@ -299,6 +303,8 @@ STREAM_CASES = {
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_streamed_logits_match_the_padded_path(bidirectional, case):
+    """The streamed logits equal the per-sentence oracle's, which the padded
+    path that gave this test its name also matched."""
     lengths, groups = STREAM_CASES[case]
     assert -(-sum(n > 0 for n in lengths) // G) == groups
     cfg = TaggerConfig(hidden_size=6, embedding_dim=3, bidirectional=bidirectional)
@@ -306,7 +312,7 @@ def test_streamed_logits_match_the_padded_path(bidirectional, case):
     model = TaggerModel(config=cfg, tags=[f"t{i}" for i in range(5)],
                         params=init_params(cfg, 5, rng))
     sentences = [rng.standard_normal((n, cfg.embedding_dim)) for n in lengths]
-    want = padded_logits(model.params, cfg, sentences)
+    want = [oracle_forward(model.params, x, cfg)[0] for x in sentences]
     got = dict(_streamed_logits(model.params, cfg, sentences))
     assert sorted(got) == [i for i, n in enumerate(lengths) if n]
     for i, logits in got.items():
