@@ -107,9 +107,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         value = value.strip()
         if not eq or not key:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
         if key in values:
-            raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
     return values
 
@@ -428,14 +428,14 @@ def read_linked(path: Path) -> list[dict]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                raise EvalError(f"{path} line {lineno}: invalid JSON: {exc}") from None
+                raise EvalError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise EvalError(f"{path} line {lineno}: record is not a JSON object")
+                raise EvalError(f"line {lineno}: record is not a JSON object")
             for field, kind in _LINKED_FIELDS.items():
                 if field not in obj:
-                    raise EvalError(f"{path} line {lineno}: missing field {field!r}")
+                    raise EvalError(f"line {lineno}: missing field {field!r}")
                 if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
-                    raise EvalError(f"{path} line {lineno}: field {field!r} must be"
+                    raise EvalError(f"line {lineno}: field {field!r} must be"
                                     f" {'an integer' if kind is int else 'a string'}")
             records.append(obj)
     return records

@@ -55,12 +55,19 @@ class EmbeddingTable:
         return list(self._vectors)
 
 
+def bounded_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Whether each row's sum of squares is finite: false for nan, ±inf or overflow."""
+    block = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.isfinite(np.einsum("ij,ij->i", block, block))
+
+
 def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
     """Parse one ``token v1 .. vd`` entry per line.
 
     An optional first line ``COUNT DIM`` (two integers) declares the shape up
     front. The dimension is otherwise fixed by the first entry; any later
-    mismatch, or a value that is not finite, is an error citing the line.
+    mismatch, or a row that ``bounded_rows`` rejects, is an error citing the line.
     Duplicate tokens keep the last occurrence and emit a warning.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -99,12 +106,12 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
         rows.append((lineno, token, values))
     if dim is None or not vectors:
         raise EmbeddingError("embedding file contains no entries")
-    # one finiteness check per block of rows, not per row; a block's copy stays small
+    # one check per block of rows, not per row; a block's copy stays small
     for lo in range(0, len(rows), 4096):
-        finite = np.isfinite([values for _, _, values in rows[lo : lo + 4096]]).all(axis=1)
-        if not finite.all():
-            lineno, token, _ = rows[lo + int(finite.argmin())]
-            raise EmbeddingError(f"line {lineno}: a value for {token!r} is not finite")
+        ok = bounded_rows([values for _, _, values in rows[lo : lo + 4096]])
+        if not ok.all():
+            lineno, token, _ = rows[lo + int(ok.argmin())]
+            raise EmbeddingError(f"line {lineno}: values for {token!r} are not finite or too large")
     if declared_count is not None and declared_count != len(vectors):
         log.warning("header declared %d entries, file contains %d", declared_count, len(vectors))
     return EmbeddingTable(dim, vectors)
@@ -112,10 +119,7 @@ def parse_embeddings(lines: Iterable[str]) -> EmbeddingTable:
 
 def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
     with open_utf8(path, EmbeddingError) as fh:
-        try:
-            return parse_embeddings(fh)
-        except EmbeddingError as exc:
-            raise EmbeddingError(f"{path}: {exc}") from None
+        return parse_embeddings(fh)
 
 
 def phrase_direction(

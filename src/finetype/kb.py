@@ -166,7 +166,7 @@ class _Records(Mapping):
 class KnowledgeBase:
     """Indexed, immutable view over an ingested snapshot."""
 
-    def __init__(self, records: Iterable[EntityRecord] = (), case_sensitive: bool = False):
+    def __init__(self, case_sensitive: bool = False):
         self.case_sensitive = case_sensitive
         self._fields: dict[int, _Fields] = {}
         self.records: Mapping[int, EntityRecord] = _Records(self._fields)
@@ -174,11 +174,6 @@ class KnowledgeBase:
         self._alias_index: dict[str, set[int]] = {}
         self._subclass_children: dict[int, set[int]] = {}
         self._closures: dict[frozenset[int], frozenset[int]] = {}
-        for rec in records:
-            if rec.id in self._fields:
-                raise SnapshotError(f"duplicate entity id {rec.qid}")
-            self._add((rec.id, rec.label, rec.aliases, rec.description, rec.instance_of,
-                       rec.subclass_of, rec.occupation))
 
     def _add(self, fields: _Fields) -> None:
         """Store one entity's fields and index its label, aliases and subclass links."""

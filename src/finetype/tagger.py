@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, bounded_rows
 from .textfile import open_utf8
 
 
@@ -184,7 +184,8 @@ def write_conll(path: str | os.PathLike[str], examples: Iterable[SequenceExample
 
 def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
     """Read precomputed per-token vectors: a dimension header line, then one
-    float row per token with blank lines between sentences, all finite."""
+    float row per token with blank lines between sentences, each row passing
+    ``bounded_rows``."""
     dim: int | None = None
     sentences: list[np.ndarray] = []
     current: list[np.ndarray] = []
@@ -192,9 +193,10 @@ def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
     def flush(end: int) -> None:
         if current:  # its rows are the lines just before line ``end``
             sentence = np.array(current, dtype=float)
-            if not np.isfinite(sentence).all():
-                bad = end - len(current) + int(np.isfinite(sentence).all(axis=1).argmin())
-                raise CorpusError(f"line {bad}: value is not finite")
+            ok = bounded_rows(sentence)
+            if not ok.all():
+                bad = end - len(current) + int(ok.argmin())
+                raise CorpusError(f"line {bad}: values are not finite or too large")
             sentences.append(sentence)
             current.clear()
 
@@ -257,10 +259,7 @@ class PrecomputedVectors:
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "PrecomputedVectors":
         with open_utf8(path, CorpusError) as fh:
-            try:
-                return cls(parse_sidecar(fh))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: {exc}") from None
+            return cls(parse_sidecar(fh))
 
     def vectors_for(self, index: int, tokens: Sequence[str]) -> np.ndarray:
         if index >= len(self.sentences):

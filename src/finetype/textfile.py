@@ -10,24 +10,25 @@ from typing import Iterator, TextIO
 
 @contextmanager
 def open_utf8(path: str | os.PathLike[str], error: type[Exception]) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text. Bytes that are not UTF-8 raise ``error``
-    naming the file and the first line that holds them; that line is found
-    only then, by scanning the file's bytes again."""
+    """``path`` opened as UTF-8 text; an ``error`` raised while it is read is
+    raised again as ``<path>: <message>``. Bytes that are not UTF-8 raise
+    ``error`` citing the first line holding them, found only then by a rescan."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
-        raise error(f"{_non_utf8_place(path)}: not UTF-8 text") from None
+        raise error(f"{path}: line {_non_utf8_line(path)}: not UTF-8 text") from None
+    except error as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _non_utf8_place(path: str | os.PathLike[str]) -> str:
-    """``path`` and the 1-based number of the line holding its first byte that
-    is not UTF-8, lines ending at LF, CR or CRLF as in text reading."""
+def _non_utf8_line(path: str | os.PathLike[str]) -> int:
+    """The 1-based number of the line holding the first byte of ``path`` that
+    is not UTF-8, lines ending at LF, CR or CRLF as in text reading; one past
+    the last line if the file changed since it was read and is UTF-8 now."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        lineno = head.count("\n") + 1
-        return f"{path} line {lineno}"
-    return str(path)  # the file changed since it was read
+        data = data[: exc.start]
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1

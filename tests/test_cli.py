@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,7 +427,7 @@ def test_evaluate_malformed_linked_record_exits_1_and_cites_line(tmp_path, capsy
                  "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"{pred} line 2: " in err
+    assert f"{pred}: line 2: " in err
     if isinstance(LINKED_RECORD_CASES[case], dict):
         assert repr(next(iter(LINKED_RECORD_CASES[case]))) in err
     assert not (tmp_path / "out" / "report.json").exists()
@@ -587,37 +588,37 @@ def test_output_dir_naming_a_file_fails_before_work(tmp_path, demo_config_path, 
     assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
-def with_latin1_line(src, dst):
-    """Copy ``src`` to ``dst`` with a Latin-1 line appended; returns that line's number."""
+def with_line(src, dst, line):
+    """Copy ``src`` to ``dst`` with the bytes ``line`` appended as a line; returns its number."""
     data = src.read_bytes()
     if not data.endswith(b"\n"):
         data += b"\n"
-    dst.write_bytes(data + "caf\xe9\n".encode("latin-1"))
+    dst.write_bytes(data + line + b"\n")
     return data.count(b"\n") + 1
 
 
-def non_utf8_run(case, tmp_path, demo_config_path, pipeline_out):
-    """(argv, file that is not UTF-8, number of its first such line) for one input."""
+def bad_input_run(case, tmp_path, demo_config_path, pipeline_out, line):
+    """(argv, bad file, number of its bad line) for a run reading one input
+    whose usual content has the bytes ``line`` appended as a line."""
     text = demo_cfg_with_absolute_paths(demo_config_path)
     good, bad = tmp_path / "good", tmp_path / f"bad-{case}"
     if case == "config":
         good.write_text(text)
     elif case == "sidecar":
         good.write_text("16\n" + " ".join(["0.5"] * 16) + "\n")
+    corpus = DEMO_DIR / "corpus.conll"
     sources = {"hierarchy": DATA_DIR / "wikigold.types", "kb": DEMO_DIR / "snapshot.jsonl",
                "embeddings": DEMO_DIR / "wiki_vectors.vec",
-               "token_vectors": DEMO_DIR / "token_vectors.vec",
-               "corpus": DEMO_DIR / "corpus.conll", "gold": DEMO_DIR / "corpus.conll",
-               "tagged": pipeline_out / "tagged.conll"}
-    if case == "pred":
-        bad.write_bytes(b"\xff\xfe")
-        lineno = 1
-    else:
-        lineno = with_latin1_line(sources.get(case, good), bad)
-    if case in ("hierarchy", "kb", "embeddings", "token_vectors", "corpus"):
+               "token_vectors": DEMO_DIR / "token_vectors.vec", "corpus": corpus,
+               "train_corpus": corpus, "gold": corpus, "tagged": pipeline_out / "tagged.conll",
+               "pred": pipeline_out / "linked.jsonl"}
+    lineno = with_line(sources.get(case, good), bad, line)
+    if case in ("hierarchy", "kb", "embeddings", "token_vectors", "corpus", "train_corpus"):
         text = set_key(text, case, bad)
     elif case == "sidecar":
         text = set_key(set_key(text, "token_vectors", bad), "vector_source", "precomputed")
+    if case == "corpus":  # pipeline then reads two corpora, the bad one first
+        text = set_key(text, "train_corpus", corpus)
     cfg = bad if case == "config" else tmp_path / "edited.cfg"
     if case != "config":
         cfg.write_text(text)
@@ -627,15 +628,39 @@ def non_utf8_run(case, tmp_path, demo_config_path, pipeline_out):
     return argv + ["--config", str(cfg), "--output-dir", str(tmp_path / "out")], bad, lineno
 
 
-@pytest.mark.parametrize("case", ["config", "hierarchy", "kb", "embeddings", "token_vectors",
-                                  "sidecar", "corpus", "tagged", "gold", "pred"])
+INPUT_CASES = ["config", "hierarchy", "kb", "embeddings", "token_vectors", "sidecar", "corpus",
+               "train_corpus", "tagged", "gold", "pred"]
+
+
+@pytest.mark.parametrize("case", INPUT_CASES)
 def test_non_utf8_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, pipeline_out,
                                                         capsys, case):
-    argv, bad, lineno = non_utf8_run(case, tmp_path, demo_config_path, pipeline_out)
+    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
+                                      "caf\xe9".encode("latin-1"))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1, err
-    assert f"error: {bad} line {lineno}: not UTF-8 text" in err
+    assert f"error: {bad}: line {lineno}: not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
+
+
+MALFORMED_LINES = {  # one line that the case's reader rejects
+    "config": b"no equals sign", "hierarchy": b"person", "kb": b"{}", "embeddings": b"tok 0.5 x",
+    "token_vectors": b"tok 0.5 x", "sidecar": b"0.5", "corpus": b"a\tb\tc",
+    "train_corpus": b"a\tb\tc", "tagged": b"a\tb\tc", "gold": b"a\tb\tc", "pred": b"[1]",
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CASES)
+def test_malformed_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path,
+                                                         pipeline_out, capsys, case):
+    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
+                                      MALFORMED_LINES[case])
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {bad}: line {lineno}: " in err
+    assert str(DEMO_DIR / "corpus.conll") not in err  # nor the good corpus read with a bad one
     assert not (tmp_path / "out").exists()
 
 
@@ -649,8 +674,17 @@ def with_bad_vector_row(src, dst, value):
     return len(lines) + 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("reader", ["embeddings", "token_vectors", "sidecar", "model"])
+# every reader refuses nan and ±inf; the vector readers also refuse a row whose
+# sum of squares overflows, which would make norms and training overflow
+NON_FINITE_CASES = (
+    [(reader, value) for reader in ("embeddings", "token_vectors", "sidecar", "model")
+     for value in ("nan", "inf", "-inf")]
+    + [(reader, value) for reader in ("embeddings", "token_vectors", "sidecar")
+       for value in ("1e200", "1e308")]
+)
+
+
+@pytest.mark.parametrize(("reader", "value"), NON_FINITE_CASES)
 def test_non_finite_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, capsys,
                                                           reader, value):
     text = demo_cfg_with_absolute_paths(demo_config_path)
@@ -676,9 +710,12 @@ def test_non_finite_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_
         argv += ["--model", str(bad)]
     cfg = tmp_path / "edited.cfg"
     cfg.write_text(text)
-    code = main(argv + ["--config", str(cfg)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == 1, err
+    assert caught == []
     assert f"error: {place}" in err and "finite" in err
     assert "stage failed: load inputs" in err
     assert not (tmp_path / "out").exists()
@@ -687,7 +724,7 @@ def test_non_finite_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_
 def test_non_utf8_line_is_counted_as_text_reading_counts_lines(tmp_path):
     bad = tmp_path / "mixed-endings"
     bad.write_bytes(b"a\r\nb\rc\n\nok \xc3\xa9\n\xe9\n")
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(bad))} line 6: not UTF-8 text$"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(bad))}: line 6: not UTF-8 text$"):
         with open_utf8(bad, ConfigError) as fh:
             fh.read()
 

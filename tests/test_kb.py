@@ -364,12 +364,6 @@ def test_entity_record_defaults():
     assert rec.aliases == () and rec.occupation == ()
 
 
-def test_knowledge_base_rejects_duplicate_records_directly():
-    rec = EntityRecord(id=1, label="x")
-    with pytest.raises(SnapshotError):
-        KnowledgeBase([rec, rec])
-
-
 def test_narrowing_computes_each_closure_once(fixture_kb, monkeypatch):
     calls = []
     closure = KnowledgeBase.subclass_closure
