@@ -17,7 +17,7 @@ from .evaluation import (
     precision_recall_f1,
 )
 from .kb import EntityRecord, KnowledgeBase, ingest_snapshot, load_snapshot
-from .linker import FineTypedMention, LinkerConfig, cluster_to_subtype, link_mention
+from .linker import FineTypedMention, Linker, LinkerConfig, cluster_to_subtype, link_mention
 from .tagger import (
     MentionSpan,
     SequenceExample,
@@ -38,6 +38,7 @@ __all__ = [
     "EvalReport",
     "FineTypedMention",
     "KnowledgeBase",
+    "Linker",
     "LinkerConfig",
     "MatchCounts",
     "MentionSpan",

@@ -18,9 +18,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .embeddings import EmbeddingError, EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingError, load_embeddings
 from .evaluation import EvalError, MatchCounts, build_report, format_report, match_exact
 from .kb import (
+    NARROWED_CATEGORIES,
     KnowledgeBase,
     MissingClassRootsError,
     SnapshotError,
@@ -28,7 +29,7 @@ from .kb import (
     load_snapshot,
     parse_qid,
 )
-from .linker import FineTypedMention, LinkerConfig, link_mention, require_class_roots
+from .linker import FineTypedMention, Linker, LinkerConfig, link_mention
 from .tagger import (
     CorpusError,
     ModelError,
@@ -157,8 +158,9 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
                 linker_kwargs["similarity_mode"] = value
             elif key.startswith("class_roots."):
                 coarse = key.split(".", 1)[1]
-                ids = {parse_qid(v) for v in value.replace(",", " ").split()}
-                class_roots[coarse] = ids
+                if coarse not in NARROWED_CATEGORIES:
+                    raise ValueError(f"{coarse!r} is not one of {sorted(NARROWED_CATEGORIES)}")
+                class_roots[coarse] = {parse_qid(v) for v in value.replace(",", " ").split()}
             else:
                 raise ConfigError(f"unknown configuration key: {key!r}")
         except (ValueError, SnapshotError) as exc:
@@ -241,7 +243,7 @@ class Inputs:
     cfg: PipelineConfig
     hierarchy: TypeHierarchy | None = None
     kb: KnowledgeBase | None = None
-    table: EmbeddingTable | None = None
+    linker: Linker | None = None
     corpus: list[SequenceExample] | None = None
     training: list[SequenceExample] | None = None
     model: TaggerModel | None = None
@@ -252,7 +254,8 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     """Load the configuration and the inputs named by ``keys``.
 
     ``hierarchy``, ``kb``, ``embeddings`` (the linker's table) and ``corpus``
-    are the configured files; ``tagged`` reads ``--tagged`` (default
+    are the configured files, and given all of the first three the linker is
+    built from them; ``tagged`` reads ``--tagged`` (default
     ``<output_dir>/tagged.conll``) as the corpus; ``pred`` is ``--pred``
     (default ``<output_dir>/linked.jsonl``), checked here and read by
     ``evaluate_linked``. ``output_dir`` checks that the output directory is
@@ -264,7 +267,7 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     sidecar, ``token_vectors`` as a table, or the linker's ``embeddings``.
 
     Every path is checked before the "load inputs" stage opens; every
-    condition spanning inputs (class roots when linking, the vector
+    condition spanning inputs (class roots for the linker, the vector
     dimension, the sidecar's sentence count, gold tags to train on) is
     checked inside it, before any command does work.
     """
@@ -302,17 +305,16 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     with _stage("load inputs"):
         if "hierarchy" in keys:
             inputs.hierarchy = load_hierarchy(cfg.hierarchy)
-            if "kb" in keys:
-                require_class_roots(inputs.hierarchy, cfg.linker)
         if "kb" in keys:
             inputs.kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
-        if "embeddings" in paths:
-            inputs.table = load_embeddings(cfg.embeddings)
+        table = load_embeddings(cfg.embeddings) if "embeddings" in paths else None
+        if {"hierarchy", "kb", "embeddings"} <= keys:
+            inputs.linker = Linker(inputs.kb, inputs.hierarchy, table, cfg.linker)
         if vectors:
             if vectors == "sidecar":
                 provider = PrecomputedVectors.load(cfg.token_vectors)
             else:
-                provider = StaticVectors(inputs.table if vectors == "embeddings"
+                provider = StaticVectors(table if vectors == "embeddings"
                                          else load_embeddings(cfg.token_vectors))
             if use_model:
                 inputs.model = TaggerModel.load(cfg.model)
@@ -383,11 +385,8 @@ def tag_corpus(inputs: Inputs) -> list[SequenceExample]:
 def link_mentions(inputs: Inputs, tagged: list[SequenceExample]) -> Path:
     """Link every mention tagged in ``tagged``; write ``linked.jsonl`` and return its path."""
     with _stage("link mentions"):
-        linked: list[tuple[int, FineTypedMention]] = []
-        for doc, ex in enumerate(tagged):
-            for span in extract_spans(ex.gold_tags or []):
-                linked.append((doc, link_mention(span, ex.tokens, inputs.kb, inputs.hierarchy,
-                                                 inputs.table, inputs.cfg.linker)))
+        linked = [(doc, link_mention(inputs.linker, span, ex.tokens))
+                  for doc, ex in enumerate(tagged) for span in extract_spans(ex.gold_tags or [])]
         out = _output_dir(inputs.cfg) / "linked.jsonl"
         write_linked(out, tagged, linked)
         resolved = sum(1 for _, m in linked if m.entity is not None)
@@ -426,7 +425,10 @@ def read_linked(path: Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.rstrip("\r\n"))
+            except json.JSONDecodeError as exc:
+                raise EvalError(f"line {lineno}: invalid JSON at column {exc.pos + 1}:"
+                                f" {exc.msg}") from None
             except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
                 raise EvalError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):

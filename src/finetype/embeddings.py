@@ -129,16 +129,20 @@ def phrase_direction(
 
     The default mode averages the unit vectors of the tokens; the alternative
     normalizes their mean vector to unit length. Out-of-vocabulary tokens and
-    zero vectors, which carry no direction, are skipped; the result is None
-    when no token has a usable vector.
+    vectors whose norm is zero, which carry no direction, are skipped (a
+    nonzero row of subnormal values has a norm that underflows to zero); the
+    result is None when no token has a usable vector.
     """
     if mode not in SIMILARITY_MODES:
         raise EmbeddingError(f"unknown similarity mode: {mode!r}")
-    rows = np.array([v for v in map(table.get, tokens) if v is not None and v.any()])
+    rows = np.array([v for v in map(table.get, tokens) if v is not None]).reshape(-1, table.dim)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    usable = norms[:, 0] > 0.0
+    rows, norms = rows[usable], norms[usable]
     if not len(rows):
         return None
     if mode == PAIRWISE_MEAN:
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows / norms
     mean = rows.mean(axis=0)
     if mode == MEAN_VECTOR:
         norm = np.linalg.norm(mean)

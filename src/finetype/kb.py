@@ -95,8 +95,8 @@ def _text(value: object) -> str:
 
 
 def _decode(line: str) -> object:
-    """The JSON value of one line. A line that is not one value followed only
-    by JSON whitespace goes through ``json.loads``, whose error is reported."""
+    """The JSON value of one line. A line that is not one value followed only by
+    JSON whitespace is decoded again without its terminator, to report its error."""
     try:
         value, end = _raw_decode(line)
         if end == len(line) or not line[end:].strip(" \t\n\r"):
@@ -104,7 +104,9 @@ def _decode(line: str) -> object:
     except (ValueError, RecursionError, TypeError):
         pass
     try:
-        return json.loads(line)
+        return json.loads(line.rstrip("\r\n"))
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SnapshotError(f"invalid JSON: {exc}") from None
 
@@ -173,7 +175,6 @@ class KnowledgeBase:
         self._label_index: dict[str, set[int]] = {}
         self._alias_index: dict[str, set[int]] = {}
         self._subclass_children: dict[int, set[int]] = {}
-        self._closures: dict[frozenset[int], frozenset[int]] = {}
 
     def _add(self, fields: _Fields) -> None:
         """Store one entity's fields and index its label, aliases and subclass links."""
@@ -249,21 +250,17 @@ class KnowledgeBase:
 
         person/location/organization are narrowed to the subclass closure of
         the configured class roots, to be passed to ``lookup`` as
-        ``classes``; every other category is not narrowed and gets None. The
-        KB is immutable, so each root set's closure is computed once.
+        ``classes``; every other category is not narrowed and gets None. Each
+        call computes the closure afresh: a ``Linker`` calls this once per
+        hierarchy root and keeps the result for the run.
         """
-        coarse = str(coarse)
         if coarse not in NARROWED_CATEGORIES:
             return None
-        roots = frozenset(class_roots.get(coarse, ()))
+        roots = class_roots.get(coarse)
         if not roots:
-            raise MissingClassRootsError(
-                f"no class roots configured for narrowable category {coarse!r}"
-            )
-        closure = self._closures.get(roots)
-        if closure is None:
-            closure = self._closures[roots] = frozenset(self.subclass_closure(roots))
-        return closure
+            raise MissingClassRootsError("no class roots configured for narrowable"
+                                         f" category {coarse!r}")
+        return frozenset(self.subclass_closure(roots))
 
 
 def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> KnowledgeBase:

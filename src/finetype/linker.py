@@ -1,18 +1,21 @@
 """Mention linking: resolve a coarse-typed span against the knowledge base
 and cluster the entity onto a fine subtype.
 
-The surface is resolved by label-then-alias lookup; for a
+A ``Linker`` is built once per run: it holds, for each hierarchy root, the
+classes a lookup hit must be an instance of and the directions of the root's
+subtype names. The surface is resolved by label-then-alias lookup; for a
 person/location/organization mention a hit counts only when it is an instance
 of the category's class closure. The entity description is reduced once to a
-direction and scored by average cosine similarity against each candidate
-subtype name's direction. The best subtype
-strictly above the similarity threshold wins; every failure mode falls back to
-the coarse label so linking is total.
+direction and scored by average cosine similarity against each subtype name's
+direction. The best subtype strictly above the similarity threshold wins;
+every failure mode falls back to the coarse label so linking is total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .embeddings import (
     PAIRWISE_MEAN,
@@ -49,17 +52,32 @@ class LinkerConfig:
         self.class_roots = {k: frozenset(v) for k, v in self.class_roots.items()}
 
 
-def require_class_roots(hierarchy: TypeHierarchy, cfg: LinkerConfig) -> None:
-    """Fail unless every narrowable category among the hierarchy roots has
-    class roots configured; linking a mention of it would fail otherwise."""
-    missing = [
-        f"class_roots.{root}" for root in map(str, hierarchy.roots)
-        if root in NARROWED_CATEGORIES and not cfg.class_roots.get(root)
-    ]
-    if missing:
-        raise MissingClassRootsError(
-            f"no class roots configured for narrowable categories: set {', '.join(missing)}"
-        )
+class Linker:
+    """What linking needs that does not change during a run, built once.
+
+    For each hierarchy root it holds the lookup classes from one
+    ``kb.narrow_candidates`` call (None for a category that is not narrowed)
+    and, in document order, the root's subtypes whose name has a usable
+    vector, each with that name's ``phrase_direction``. Construction fails
+    unless every narrowable category among the roots has class roots
+    configured, naming each missing ``class_roots.<root>``.
+    """
+
+    def __init__(self, kb: KnowledgeBase, hierarchy: TypeHierarchy, table: EmbeddingTable,
+                 cfg: LinkerConfig):
+        roots = list(map(str, hierarchy.roots))
+        missing = [f"class_roots.{root}" for root in roots
+                   if root in NARROWED_CATEGORIES and not cfg.class_roots.get(root)]
+        if missing:
+            raise MissingClassRootsError("no class roots configured for narrowable categories:"
+                                         f" set {', '.join(missing)}")
+        self.kb, self.table, self.cfg = kb, table, cfg
+        self.classes = {root: kb.narrow_candidates(root, cfg.class_roots) for root in roots}
+        self.leaves: dict[str, list[tuple[TypeLabel, np.ndarray]]] = {}
+        for root in roots:
+            directions = [(s, phrase_direction(tokenize(s.leaf), table, cfg.similarity_mode))
+                          for s in hierarchy.subtypes_of(root)]
+            self.leaves[root] = [(s, leaf) for s, leaf in directions if leaf is not None]
 
 
 @dataclass(frozen=True)
@@ -82,70 +100,51 @@ def candidate_fields(entity: EntityRecord, coarse: str) -> list[int]:
 
 
 def cluster_to_subtype(
-    entity: EntityRecord,
-    coarse: str,
-    hierarchy: TypeHierarchy,
-    table: EmbeddingTable,
-    cfg: LinkerConfig,
-    kb: KnowledgeBase | None = None,
+    linker: Linker, entity: EntityRecord, coarse: str
 ) -> tuple[TypeLabel, float] | None:
-    """Best subtype of ``coarse`` for the entity, with its similarity score.
+    """Best subtype of the root ``coarse`` for the entity, with its similarity score.
 
     The entity description is tokenized and reduced once by
-    ``phrase_direction``; each subtype name's direction, in hierarchy
-    document order, is scored against it by ``direction_similarity``. When
-    the description is empty and ``kb`` is given, the labels of the
-    candidate-field entities stand in for it. Subtypes whose name has no
-    usable vector (or no word token) are skipped. Only scores strictly above
+    ``phrase_direction``; each of the linker's subtype directions for
+    ``coarse``, in hierarchy document order, is scored against it by
+    ``direction_similarity``. When the description is empty, the labels of
+    the candidate-field entities stand in for it. Only scores strictly above
     the threshold qualify; ties keep the earliest subtype. Returns None when
-    nothing qualifies or every score is undefined.
+    nothing qualifies, no side has a usable vector, or ``coarse`` is no root.
     """
-    subtypes = hierarchy.subtypes_of(coarse)
-    if not subtypes:
+    leaves = linker.leaves.get(str(coarse), ())
+    if not leaves:
         return None
     tokens = tokenize(entity.description)
-    if not tokens and kb is not None:
+    if not tokens:
         for linked_id in candidate_fields(entity, coarse):
-            linked = kb.records.get(linked_id)
+            linked = linker.kb.records.get(linked_id)
             if linked is not None:
                 tokens.extend(tokenize(linked.label))
-    evidence = phrase_direction(tokens, table, cfg.similarity_mode)
+    evidence = phrase_direction(tokens, linker.table, linker.cfg.similarity_mode)
     if evidence is None:
         return None
     best: tuple[TypeLabel, float] | None = None
-    for subtype in subtypes:
-        leaf = phrase_direction(tokenize(subtype.leaf), table, cfg.similarity_mode)
-        if leaf is None:
-            continue
+    for subtype, leaf in leaves:
         score = direction_similarity(evidence, leaf)
-        if score > cfg.threshold and (best is None or score > best[1]):
+        if score > linker.cfg.threshold and (best is None or score > best[1]):
             best = (subtype, score)
     return best
 
 
-def link_mention(
-    span: MentionSpan,
-    tokens: list[str],
-    kb: KnowledgeBase,
-    hierarchy: TypeHierarchy,
-    table: EmbeddingTable,
-    cfg: LinkerConfig,
-) -> FineTypedMention:
-    """Narrow, look up, and cluster one mention; never fails.
+def link_mention(linker: Linker, span: MentionSpan, tokens: list[str]) -> FineTypedMention:
+    """Look up and cluster one mention; never fails.
 
     Coarse tags outside the hierarchy roots (date, cardinal, ...) bypass
     linking entirely. Lookup misses and below-threshold clusterings fall
     back to the coarse label, keeping whatever entity was resolved.
     """
     coarse = str(span.coarse)
-    if not hierarchy.is_root(coarse):
+    if coarse not in linker.classes:
         return FineTypedMention(span, entity=None, fine_type=coarse, score=None)
     surface = " ".join(tokens[span.start : span.end])
-    record = kb.lookup(surface, classes=kb.narrow_candidates(coarse, cfg.class_roots))
-    if record is None:
-        return FineTypedMention(span, entity=None, fine_type=coarse, score=None)
-    clustered = cluster_to_subtype(record, coarse, hierarchy, table, cfg, kb=kb)
-    if clustered is None:
-        return FineTypedMention(span, entity=record.id, fine_type=coarse, score=None)
-    subtype, score = clustered
-    return FineTypedMention(span, entity=record.id, fine_type=subtype, score=score)
+    record = linker.kb.lookup(surface, classes=linker.classes[coarse])
+    clustered = None if record is None else cluster_to_subtype(linker, record, coarse)
+    fine_type, score = clustered or (coarse, None)
+    entity = None if record is None else record.id
+    return FineTypedMention(span, entity=entity, fine_type=fine_type, score=score)

@@ -94,10 +94,6 @@ class TypeHierarchy:
     def __len__(self) -> int:
         return self.total_count
 
-    def is_root(self, label: str) -> bool:
-        lab = self._by_name.get(str(label))
-        return lab is not None and lab.depth == 1
-
     def coarse_of(self, label: str) -> TypeLabel:
         """The unique root ancestor of ``label``; roots map to themselves."""
         lab = self._by_name.get(str(label))

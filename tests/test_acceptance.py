@@ -25,7 +25,7 @@ from finetype.evaluation import (
     precision_recall_f1,
 )
 from finetype.kb import ingest_snapshot
-from finetype.linker import LinkerConfig, cluster_to_subtype, link_mention
+from finetype.linker import Linker, LinkerConfig, cluster_to_subtype, link_mention
 from finetype.tagger import MentionSpan, extract_spans, tags_of_spans
 from test_cli import DEMO_DIR
 from test_tagger import desk_cfg, run_gradient_check, synthetic_corpus, token_accuracy
@@ -137,20 +137,22 @@ def test_clustering_fixture_worked_sentence(hierarchy, demo_kb, demo_table):
                 " on amazon uk Apple 's iPad .")
     tokens = sentence.split()
     span = MentionSpan(tokens.index("iPad"), tokens.index("iPad") + 1, "product")
-    cfg = LinkerConfig(threshold=0.1)
-    got = link_mention(span, tokens, demo_kb, hierarchy, demo_table, cfg)
+    class_roots = {"person": {5}, "location": {2221906}, "organization": {43229}}
+    cfg = LinkerConfig(threshold=0.1, class_roots=class_roots)
+    got = link_mention(Linker(demo_kb, hierarchy, demo_table, cfg), span, tokens)
     assert got.entity == 2796
     assert got.fine_type == "product.computer"
     assert got.score is not None and got.score > 0.1
 
     # the winning label is the argmax over every product subtype
     entity = demo_kb.records[2796]
-    scored = cluster_to_subtype(entity, "product", hierarchy, demo_table, cfg)
+    scored = cluster_to_subtype(Linker(ingest_snapshot([]), hierarchy, demo_table, cfg), entity,
+                                "product")
     assert scored is not None and scored[0] == "product.computer"
 
     # raising the threshold above the winning score forces the coarse fallback
-    strict = LinkerConfig(threshold=min(1.0, got.score + 0.01))
-    fallback = link_mention(span, tokens, demo_kb, hierarchy, demo_table, strict)
+    strict = LinkerConfig(threshold=min(1.0, got.score + 0.01), class_roots=class_roots)
+    fallback = link_mention(Linker(demo_kb, hierarchy, demo_table, strict), span, tokens)
     assert fallback.fine_type == "product"
     assert fallback.entity == 2796 and fallback.score is None
     ok(f"clustering fixture (iPad -> Q2796 product.computer, score {got.score:.4f})")

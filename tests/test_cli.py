@@ -17,7 +17,7 @@ from finetype.cli import (
     project_tags_to_coarse,
 )
 from finetype.kb import load_snapshot
-from finetype.tagger import TaggerConfig, TaggerModel, init_params
+from finetype.tagger import StaticVectors, TaggerConfig, TaggerModel, init_params, read_conll
 from finetype.taxonomy import parse_hierarchy
 from finetype.textfile import open_utf8
 
@@ -79,6 +79,11 @@ def test_build_config_bad_value_cites_key():
         build_config({"seed": "lots"}, Path("."))
     with pytest.raises(ConfigError, match="granularity"):
         build_config({"granularity": "medium"}, Path("."))
+    # class roots only for a category that is narrowed
+    for key in ("class_roots.persn", "class_roots.product", "class_roots."):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"key {key!r}: {key[12:]!r} is not one of ['location', 'organization', 'person']")):
+            build_config({key: "Q1"}, Path("."))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -433,6 +438,17 @@ def test_evaluate_malformed_linked_record_exits_1_and_cites_line(tmp_path, capsy
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_evaluate_invalid_json_line_cites_one_line_and_a_column(tmp_path, capsys):
+    pred, gold = write_eval_fixture(tmp_path, tp=2, fp=0, fn=0)
+    pred.write_text(pred.read_text().splitlines()[0] + "\n{\n")
+    code = main(["evaluate", "--config", str(eval_cfg(tmp_path)), "--pred", str(pred),
+                 "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {pred}: line 2: invalid JSON at column 2:"
+        " Expecting property name enclosed in double quotes\n")
+
+
 def test_evaluate_span_outside_sentence(tmp_path, capsys):
     pred, gold = write_eval_fixture(tmp_path, tp=1, fp=0, fn=0)
     records = [json.loads(l) for l in pred.read_text().splitlines()]
@@ -719,6 +735,71 @@ def test_non_finite_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_
     assert f"error: {place}" in err and "finite" in err
     assert "stage failed: load inputs" in err
     assert not (tmp_path / "out").exists()
+
+
+# Values a vector row may hold: refused at load (exit 1), or used with no warning
+# (exit 0). "1.3e154 once" sets one component; every other value sets them all.
+ROW_VALUES = ["nan", "inf", "-inf", "1e150", "1e153", "-3e153", "1.3e154 once", "1e200", "1e308",
+              "5e-324", "-0.0"]
+
+
+def with_row(values, value):
+    """``values`` with every component set to ``value``, or the first to its number
+    when it ends in " once"."""
+    number, _, once = value.partition(" ")
+    return [number, *values[1:]] if once else [number] * len(values)
+
+
+def sidecar_rows():
+    """Per demo corpus sentence, its tokens and their token-table rows as text."""
+    provider = StaticVectors(cli.load_embeddings(DEMO_DIR / "token_vectors.vec"))
+    return [(ex.tokens, [[repr(float(v)) for v in row]
+                         for row in provider.vectors_for(i, ex.tokens)])
+            for i, ex in enumerate(read_conll(DEMO_DIR / "corpus.conll"))]
+
+
+@pytest.mark.parametrize("source", ["embeddings", "embeddings-only", "token_vectors", "sidecar"])
+def test_extreme_vector_rows_never_fail_after_work_starts_or_warn(tmp_path, demo_config_path,
+                                                                  pipeline_out, capsys, source):
+    # "ocean" is the only corpus token the linker's table holds, and a description
+    # token; "." is the corpus's most frequent token. With "embeddings" the demo
+    # model tags, so "Atlantic Ocean" is linked; "embeddings-only" sets no
+    # token_vectors, so the table also feeds the tagger.
+    token = "ocean" if source.startswith("embeddings") else "."
+    base = demo_cfg_with_absolute_paths(demo_config_path)
+    argv = ["pipeline", "--epochs", "2"]
+    if source == "embeddings":
+        argv += ["--model", str(pipeline_out / "model.npz")]
+    elif source == "embeddings-only":
+        base = re.sub(r"^token_vectors =.*\n", "", base, flags=re.M)
+    if source == "sidecar":
+        sentences = sidecar_rows()
+        base = set_key(base, "vector_source", "precomputed")
+    key = "embeddings" if source.startswith("embeddings") else "token_vectors"
+    table = DEMO_DIR / ("token_vectors.vec" if key == "token_vectors" else "wiki_vectors.vec")
+    failures = []
+    for run, value in enumerate(ROW_VALUES):
+        bad = tmp_path / f"run{run}" / "vectors"
+        bad.parent.mkdir()
+        if source == "sidecar":
+            bad.write_text("16\n" + "\n".join(
+                "".join(" ".join(with_row(row, value) if tok == token else row) + "\n"
+                        for tok, row in zip(tokens, rows)) for tokens, rows in sentences))
+        else:
+            lines = [line.split() for line in table.read_text().splitlines()]
+            bad.write_text("".join(" ".join([token, *with_row(parts[1:], value)]
+                                            if parts[0] == token else parts) + "\n"
+                                   for parts in lines))
+        cfg = bad.parent / "edited.cfg"
+        cfg.write_text(set_key(base, key, bad))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(cfg), "--output-dir", str(bad.parent / "out")])
+        err = capsys.readouterr().err
+        if code not in (0, 1) or caught:
+            failures.append(f"{value}: exit {code}: {[str(w.message) for w in caught]}"
+                            f" {err.strip()}")
+    assert failures == []
 
 
 def test_non_utf8_line_is_counted_as_text_reading_counts_lines(tmp_path):

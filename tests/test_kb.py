@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEMO_DIR
+from finetype.cli import project_tags_to_coarse
 from finetype.kb import (
     EntityRecord,
     KnowledgeBase,
@@ -17,6 +18,8 @@ from finetype.kb import (
     normalize_surface,
     parse_qid,
 )
+from finetype.linker import Linker, LinkerConfig, link_mention
+from finetype.tagger import extract_spans, read_conll
 
 
 def record_line(qid, label, aliases=(), description="", instance_of=(), subclass_of=(), occupation=()):
@@ -364,18 +367,25 @@ def test_entity_record_defaults():
     assert rec.aliases == () and rec.occupation == ()
 
 
-def test_narrowing_computes_each_closure_once(fixture_kb, monkeypatch):
+def test_linker_computes_each_closure_once(hierarchy, demo_kb, demo_table, monkeypatch):
     calls = []
-    closure = KnowledgeBase.subclass_closure
-    monkeypatch.setattr(KnowledgeBase, "subclass_closure",
-                        lambda self, roots: calls.append(roots) or closure(self, roots))
-    first = fixture_kb.narrow_candidates("location", {"location": {2221906}})
-    again = fixture_kb.narrow_candidates("location", {"location": [2221906]})
-    assert again is first and first == {2221906, 515}
-    assert isinstance(first, frozenset)
-    assert len(calls) == 1
-    assert fixture_kb.narrow_candidates("person", {"person": {5}}) == {5}
-    assert len(calls) == 2
+    for name in ("narrow_candidates", "subclass_closure"):
+        def counted(self, *args, _name=name, _fn=getattr(KnowledgeBase, name)):
+            calls.append(_name)
+            return _fn(self, *args)
+        monkeypatch.setattr(KnowledgeBase, name, counted)
+    linker = Linker(demo_kb, hierarchy, demo_table, LinkerConfig(class_roots=NARROWED_ROOTS))
+    assert calls.count("narrow_candidates") == len(hierarchy.roots)
+    assert calls.count("subclass_closure") == len(NARROWED_ROOTS)
+    assert linker.classes["location"] == demo_kb.subclass_closure({2221906})
+    assert isinstance(linker.classes["location"], frozenset)
+    assert linker.classes["product"] is None
+    calls.clear()
+    mentions = [(ex, span) for ex in read_conll(DEMO_DIR / "corpus.conll")
+                for span in extract_spans(project_tags_to_coarse(ex.gold_tags, hierarchy))]
+    linked = [link_mention(linker, span, ex.tokens) for ex, span in mentions]
+    assert len(linked) == 21 and sum(m.entity is not None for m in linked) == 19
+    assert calls == []
 
 
 # --- records built on first access ---------------------------------------------
@@ -434,12 +444,28 @@ def test_ingest_restores_caller_gc_state(caller_gc, lines, error):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("line, error", [
+    ("{\n", "invalid JSON at column 2: Expecting property name enclosed in double quotes"),
+    ("[1,\r\n", "invalid JSON at column 4: Expecting value"),
+    ('{"qid": "Q2"} x\n', "invalid JSON at column 15: Extra data"),
+    ('"abc\n', "invalid JSON at column 1: Unterminated string starting at"),
+    ("[" * 100_000 + "\n", "invalid JSON: maximum recursion depth exceeded"),
+], ids=["open-brace", "crlf", "extra-data", "unterminated", "deep"])
+def test_invalid_json_cites_one_line_and_a_column_on_it(line, error):
+    with pytest.raises(SnapshotError) as exc:
+        ingest_snapshot([record_line("Q1", "a") + "\n", line])
+    assert str(exc.value).startswith(f"line 2: {error}")
+    assert "line 1" not in str(exc.value) and "char" not in str(exc.value)
+
+
 # --- one-pass ingest against the record-by-record oracle ------------------------
 
 def oracle_parse_record(line):
     """The snapshot line parser as it was before ingest became one pass."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.rstrip("\r\n"))
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
         raise SnapshotError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
