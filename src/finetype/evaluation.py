@@ -58,12 +58,18 @@ class MatchCounts:
     per_class: dict[str, Counts] = field(default_factory=dict)
 
     def __add__(self, other: "MatchCounts") -> "MatchCounts":
+        if not isinstance(other, MatchCounts):
+            return NotImplemented
         merged = dict(self.per_class)
         for label, counts in other.per_class.items():
             merged[label] = merged.get(label, Counts()) + counts
         return MatchCounts(merged)
 
-    __radd__ = __add__  # lets sum() start from 0
+    def __radd__(self, other) -> "MatchCounts":
+        """``0 + counts``, which lets sum() start from its default 0."""
+        if type(other) is int and other == 0:
+            return MatchCounts(dict(self.per_class))
+        return NotImplemented
 
     def totals(self) -> Counts:
         total = Counts()

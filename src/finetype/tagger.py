@@ -337,9 +337,11 @@ class TaggerConfig:
 
 
 # Sentences per tagging group. Tagging holds one group's input vectors and
-# logits (its tokens x (D + K) floats) and one step's gates (B x 4H), so this
-# count, not the corpus size, bounds its memory; on ragged corpora a group of
-# 48 keeps about 30 to 48 rows in each step's products.
+# logits (its tokens x (D + K) floats), one direction's folded weights and
+# step buffers as wide as the group (B x 4H gates, B x H for tanh(c) and two
+# each for h and c), so this count, not the corpus size, bounds its memory;
+# on ragged corpora a group of 48 keeps about 30 to 48 rows in each step's
+# products.
 INFERENCE_GROUP_SIZE = 48
 
 
@@ -352,16 +354,32 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, 1.0 - scale
 
 
-def _cell(z, c_prev, scale, shift):
-    """Gated update from pre-activations ``z`` (..., 4H), gate blocks ordered
-    input, forget, candidate, output. Returns (gates, c, tanh(c), h)."""
-    hidden = c_prev.shape[-1]
-    a = np.tanh(z * scale)
-    a *= scale
-    a += shift
-    c = a[..., hidden : 2 * hidden] * c_prev + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
-    tc = np.tanh(c)
-    return a, c, tc, a[..., 3 * hidden :] * tc
+def _folded(params, reverse: bool):
+    """One direction's ``(W^T, U^T, b, scale, shift)`` with ``_gate_affine``'s
+    inner scale folded into W, U and b, so a step's pre-activation is already
+    ``s * z``. The scales are 0.5 and 1, powers of two, so the fold is exact:
+    each product and sum is the unfolded one times s, rounded the same way."""
+    suffix = "_rev" if reverse else ""
+    scale, shift = _gate_affine(params["lstm_u" + suffix].shape[1])
+    return ((params["lstm_w" + suffix] * scale[:, None]).T,
+            (params["lstm_u" + suffix] * scale[:, None]).T,
+            params["lstm_b" + suffix] * scale, scale, shift)
+
+
+def _cell(z, c_prev, c, tc, h, scale, shift) -> None:
+    """The gated update of n rows, in place. ``z`` (n, 4H) holds the folded
+    pre-activations, gate blocks ordered input, forget, candidate, output, and
+    becomes the gate activations; c, tanh(c) and h are written into ``c``,
+    ``tc`` and ``h``. ``c_prev`` is None at a sentence's first token."""
+    hidden = c.shape[1]
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    np.multiply(z[:, :hidden], z[:, 2 * hidden : 3 * hidden], out=c)
+    if c_prev is not None:
+        c += z[:, hidden : 2 * hidden] * c_prev
+    np.tanh(c, out=tc)
+    np.multiply(z[:, 3 * hidden :], tc, out=h)
 
 
 def param_shapes(cfg: TaggerConfig, tag_count: int) -> dict[str, tuple[int, ...]]:
@@ -401,9 +419,11 @@ def _checked_vectors(xs: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
 class _Layout:
     """Time-major packed rows of a batch of sentences with ``lengths``, sorted
     stably, longest first: step t has a row for each sentence still running,
-    a prefix of the order, so the k-th sentence's token t is row
-    ``offsets[t] + k`` and no padded slot exists. At that position the
-    reverse direction reads token ``L_k - 1 - t``, row ``reverse[offsets[t] + k]``."""
+    a prefix of the order, so ``steps[t]`` is a slice, the k-th sentence's
+    token t is row ``offsets[t] + k`` and no padded slot exists. At that
+    position the reverse direction reads token ``L_k - 1 - t``, row
+    ``reverse[offsets[t] + k]``. ``previous`` holds, for each position after
+    step 0, the position its sentence held one step earlier."""
 
     def __init__(self, lengths: Sequence[int]):
         lengths = np.asarray(lengths, dtype=int)
@@ -411,10 +431,14 @@ class _Layout:
         lengths = lengths[self.order]
         running = (lengths[:, None] > np.arange(lengths.max(initial=0))).sum(axis=0)
         self.offsets = np.concatenate([[0], np.cumsum(running)])  # then the row count
+        bounds = self.offsets.tolist()
+        self.steps = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         self.rows = [self.offsets[:n] + k for k, n in enumerate(lengths)]
         step = np.repeat(np.arange(len(running)), running)
         k = np.arange(self.offsets[-1]) - self.offsets[step]
         self.reverse = self.offsets[lengths[k] - 1 - step] + k
+        later = step > 0
+        self.previous = self.offsets[step[later] - 1] + k[later]
 
     def pack(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Per-sentence (L, ...) arrays, in batch order, laid out as packed rows."""
@@ -423,83 +447,114 @@ class _Layout:
             out[rows] = arrays[i]
         return out
 
-    def steps(self, reverse: bool):
-        """Each step's packed positions and the rows its direction reads there."""
-        for t in range(len(self.offsets) - 1):
-            pos = slice(self.offsets[t], self.offsets[t + 1])
-            yield pos, self.reverse[pos] if reverse else pos
+
+class _Tape:
+    """What training's forward pass keeps of one direction for backpropagation,
+    a row per packed position: the input row the direction read there, the
+    gate activations, c, tanh(c) and h."""
+
+    def __init__(self, x: np.ndarray, hidden: int):
+        self.x = x
+        self.gates = np.empty((len(x), 4 * hidden))
+        self.c, self.tc, self.h = np.empty((3, len(x), hidden))
 
 
-def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout):
-    """Run one direction of the LSTM over the packed rows ``x`` of ``layout``:
-    each step projects its own input and updates the carries of the n
-    sentences still running, the first n. Yields per step its positions, the
-    rows of ``x`` it read, the gates, tanh(c), h_prev, c_prev and h."""
-    suffix = "_rev" if reverse else ""
-    wt, ut, b = params["lstm_w" + suffix].T, params["lstm_u" + suffix].T, params["lstm_b" + suffix]
-    hidden = ut.shape[0]
-    scale, shift = _gate_affine(hidden)
-    h = c = np.zeros((len(layout.order), hidden))
-    for pos, rows in layout.steps(reverse):
+def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Tape | None = None):
+    """Run one direction of the LSTM over the packed rows ``x`` of ``layout``,
+    yielding each step's rows of ``x`` and its h. Step t updates the n
+    sentences still running, whose carries are the first n rows of step
+    t - 1's h and c.
+
+    With a ``tape`` (training), the input term ``x W^T + b`` of every row is
+    one product before the loop, and each step adds ``h_prev U^T`` to its rows
+    of the tape and writes its c, tanh(c) and h there. Without one (tagging),
+    each step projects its own rows of ``x`` into one step's scratch, and h and
+    c alternate between two buffers as wide as the batch."""
+    wt, ut, b, scale, shift = _folded(params, reverse)
+    if tape is None:
+        width, hidden = len(layout.order), ut.shape[0]
+        gates, tcs = np.empty((width, 4 * hidden)), np.empty((width, hidden))
+        hs, cs = np.empty((2, 2, width, hidden))
+    else:
+        gates, cs, tcs, hs = tape.gates, tape.c, tape.tc, tape.h
+        np.matmul(tape.x, wt, out=gates)
+        gates += b
+    h_prev = c_prev = None
+    for t, pos in enumerate(layout.steps):
         n = pos.stop - pos.start
-        h_prev, c_prev = h[:n], c[:n]
-        z = x[rows] @ wt
-        z += b
-        z += h_prev @ ut
-        gates, c, tc, h = _cell(z, c_prev, scale, shift)
-        yield pos, rows, gates, tc, h_prev, c_prev, h
+        rows = layout.reverse[pos] if reverse else pos
+        if tape is None:
+            z, tc, h, c = gates[:n], tcs[:n], hs[t % 2, :n], cs[t % 2, :n]
+            np.matmul(x[rows], wt, out=z)
+            z += b
+        else:
+            z, tc, h, c = gates[pos], tcs[pos], hs[pos], cs[pos]
+        if t:
+            z += h_prev[:n] @ ut
+        _cell(z, c_prev[:n] if t else None, c, tc, h, scale, shift)
+        yield rows, h
+        h_prev, c_prev = h, c
 
 
 def _forward(params, cfg, xs: Sequence[np.ndarray], masks: Sequence[np.ndarray] | None = None):
     """Per-token logits of a batch of sentences in the packed rows of their
-    ``_Layout``, and the cache backpropagation needs: per direction, a tape
-    of each row's gates, tanh(c), h_prev and c_prev. The residual path adds
-    the projected input to the encoder output times the dropout ``masks``."""
+    ``_Layout``, and the cache backpropagation needs, with a ``_Tape`` per
+    direction. The residual path adds the projected input to the encoder
+    output times the dropout ``masks``."""
     arrays = _checked_vectors(xs, cfg.embedding_dim)
     layout = _Layout([len(x) for x in arrays])
     x = layout.pack(arrays)
     hidden = cfg.hidden_size
     hs = np.empty((len(x), cfg.encoder_width))
-    tapes = [np.empty((len(x), 7 * hidden)) for _ in range(1 + cfg.bidirectional)]
-    for d, tape in enumerate(tapes):
-        for pos, rows, *record, h in _recurrence(params, d, x, layout):
-            np.concatenate(record, axis=1, out=tape[pos])
-            hs[rows, d * hidden : (d + 1) * hidden] = h
+    tapes = []
+    for d in range(1 + cfg.bidirectional):
+        tape = _Tape(x[layout.reverse] if d else x, hidden)
+        for _ in _recurrence(params, d, x, layout, tape):
+            pass  # the steps write the tape
+        hs[layout.reverse if d else slice(None), d * hidden : (d + 1) * hidden] = tape.h
+        tapes.append(tape)
     mask = None if masks is None else layout.pack(masks)
     dec_in = (hs if mask is None else hs * mask) + x @ params["proj_w"].T
     cache = {"layout": layout, "x": x, "mask": mask, "dec_in": dec_in, "tapes": tapes}
     return dec_in @ params["dec_w"].T + params["dec_b"], cache
 
 
-def _recurrence_grads(params, reverse: bool, tape, layout: _Layout, x, dhs, grads) -> None:
+def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, grads) -> None:
     """Add one direction's dW, dU and db into ``grads``, backpropagating
-    dL/dh ``dhs`` (a row per row of ``x``) through the steps in reverse. The
-    carries are as wide as the batch and step t updates the first n, so a
-    sentence that ends at step t starts with zero carry; dZ is kept per
-    packed position, so each gradient is one product over all rows."""
+    dL/dh ``dhs`` (a row per token row of the batch) through the steps in
+    reverse. The carries are as wide as the batch and step t updates the
+    first n in place, so a sentence that ends at step t starts with zero
+    carry; dZ is kept per packed position, so each gradient is one product
+    over all rows."""
     suffix = "_rev" if reverse else ""
     u = params["lstm_u" + suffix]
-    count, hidden = len(tape), u.shape[1]
-    i, f, g, o, tc, h_prev, c_prev = np.moveaxis(tape.reshape(count, 7, hidden), 1, 0)
+    count, hidden = tape.c.shape
+    i, f, g, o = np.moveaxis(tape.gates.reshape(count, 4, hidden), 1, 0)
+    h_prev, c_prev = np.zeros((2, count, hidden))  # zero at step 0
+    later = slice(count - len(layout.previous), count)  # the rows after step 0
+    h_prev[later] = tape.h[layout.previous]
+    c_prev[later] = tape.c[layout.previous]
+    if reverse:
+        dhs = dhs[layout.reverse]
     # Everything but the carried dh and dc is known before the loop: dZ is dc
     # times via_c on the input, forget and candidate blocks and dh times
     # via_h on the output block, and dc gains dh times dc_dh.
     via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
-    via_h = tc * o * (1.0 - o)
-    dc_dh = o * (1.0 - tc**2)
+    via_h = tape.tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tape.tc**2)
     dz = np.empty((count, 4, hidden))
-    dh_carry = np.zeros((len(layout.order), hidden))
-    dc_carry = np.zeros_like(dh_carry)
-    for pos, rows in reversed(list(layout.steps(reverse))):
+    flat = dz.reshape(count, -1)
+    dh_carry, dc_carry = np.zeros((2, len(layout.order), hidden))
+    for pos in reversed(layout.steps):
         n = pos.stop - pos.start
-        dh = dhs[rows] + dh_carry[:n]
-        dc = dc_carry[:n] + dh * dc_dh[pos]
+        dh, dc = dh_carry[:n], dc_carry[:n]
+        dh += dhs[pos]
+        dc += dh * dc_dh[pos]
         np.multiply(dc[:, None], via_c[pos], out=dz[pos, :3])
         np.multiply(dh, via_h[pos], out=dz[pos, 3])
-        dc_carry[:n] = dc * f[pos]
-        dh_carry[:n] = dz[pos].reshape(n, -1) @ u
-    flat = dz.reshape(count, -1)
-    grads["lstm_w" + suffix] += flat.T @ (x[layout.reverse] if reverse else x)
+        dc *= f[pos]
+        np.matmul(flat[pos], u, out=dh)
+    grads["lstm_w" + suffix] += flat.T @ tape.x
     grads["lstm_u" + suffix] += flat.T @ h_prev
     grads["lstm_b" + suffix] += flat.sum(axis=0)
 
@@ -536,7 +591,7 @@ def batch_loss_grads(
     dhs = ddec_in if mask is None else ddec_in * mask
     hidden = cfg.hidden_size
     for d, tape in enumerate(cache["tapes"]):
-        _recurrence_grads(params, d, tape, layout, x, dhs[:, d * hidden : (d + 1) * hidden], grads)
+        _recurrence_grads(params, d, tape, layout, dhs[:, d * hidden : (d + 1) * hidden], grads)
     return nll
 
 
@@ -558,7 +613,7 @@ def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray]):
         logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
         for d in range(1 + cfg.bidirectional):
             dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
-            for _, rows, *_, h in _recurrence(params, d, x, layout):
+            for rows, h in _recurrence(params, d, x, layout):
                 logits[rows] += h @ dec_t
         for k, j in enumerate(layout.order):
             yield group[j], logits[layout.rows[k]]
@@ -668,13 +723,14 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
         epoch_tokens = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
-            total_tokens = int(sum(len(examples[i]) for i in batch))
+            lengths = [len(examples[i]) for i in batch]
+            total_tokens = sum(lengths)
             masks = None
             if cfg.dropout > 0.0:
-                masks = [
-                    (rng.random((len(examples[i]), width)) >= cfg.dropout) / (1.0 - cfg.dropout)
-                    for i in batch
-                ]
+                # one draw per batch, split by sentence: the same stream as a
+                # draw per sentence in batch order
+                keep = rng.random((total_tokens, width)) >= cfg.dropout
+                masks = np.split(keep / (1.0 - cfg.dropout), np.cumsum(lengths[:-1]))
             grad.fill(0.0)
             batch_nll = batch_loss_grads(
                 params, [examples[i].vectors for i in batch], [targets[i] for i in batch],

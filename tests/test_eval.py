@@ -166,6 +166,14 @@ def test_match_counts_merge_is_associative_and_commutative():
     assert left.per_class == right.per_class
     assert (b + a).per_class == (a + b).per_class
     assert sum([a, b, c], MatchCounts()).per_class == left.per_class
+    assert sum([a, b, c]).per_class == left.per_class
+    found = sum([match_exact([(0, 1, "x")], [(0, 1, "x")]), match_exact([], [(0, 2, "y")])])
+    assert found.per_class == {"x": Counts(1, 0, 0), "y": Counts(0, 0, 1)}
+    for other in (1, 0.0, False, None, "x"):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            other + a
 
 
 def test_permutation_invariance():

@@ -37,8 +37,11 @@ def lstm_cell_step(x, state, w, u, b):
     ``u`` is (4H, H), ``b`` is (4H,), gate blocks input, forget, candidate,
     output. Returns (h, c)."""
     h_prev, c_prev = state
-    _, c, _, h = _cell(w @ x + u @ h_prev + b, c_prev, *_gate_affine(u.shape[1]))
-    return h, c
+    scale, shift = _gate_affine(u.shape[1])
+    z = ((w @ x + u @ h_prev + b) * scale)[None]  # folded, as ``_folded`` folds it
+    c, tc, h = np.empty((3, 1, u.shape[1]))
+    _cell(z, c_prev[None], c, tc, h, scale, shift)
+    return h[0], c[0]
 
 
 def sentence_logits(params, x, cfg, dropout_mask=None):

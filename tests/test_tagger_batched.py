@@ -176,10 +176,12 @@ def relative_error(got, want):
 
 
 # Sentence lengths of each batch: ragged with length-1 sentences, all equal
-# (every step keeps the whole batch), a single sentence, and a long tail whose
-# ties must keep each sentence's own mask and targets.
+# (every step keeps the whole batch), a single sentence, a long tail whose
+# ties must keep each sentence's own mask and targets, a single step with no
+# carry, and one long sentence whose carry shrinks from 5 rows to 1 after
+# step 0.
 LENGTH_SETS = {"ragged": (1, 6, 3, 1, 9, 4), "all-equal": (5, 5, 5), "single": (7,),
-               "long-tail": (1, 30, 2, 30)}
+               "long-tail": (1, 30, 2, 30), "all-one": (1, 1, 1, 1), "one-long": (1, 1, 12, 1, 1)}
 
 
 def loss_grad_cases():
