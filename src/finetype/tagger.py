@@ -357,8 +357,9 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
 def _folded(params, reverse: bool):
     """One direction's ``(W^T, U^T, b, scale, shift)`` with ``_gate_affine``'s
     inner scale folded into W, U and b, so a step's pre-activation is already
-    ``s * z``. The scales are 0.5 and 1, powers of two, so the fold is exact:
-    each product and sum is the unfolded one times s, rounded the same way."""
+    ``s * z``. The scales are 0.5 and 1, powers of two, so the fold is exact
+    short of subnormals: each product and sum is the unfolded one times s,
+    rounded the same way."""
     suffix = "_rev" if reverse else ""
     scale, shift = _gate_affine(params["lstm_u" + suffix].shape[1])
     return ((params["lstm_w" + suffix] * scale[:, None]).T,
