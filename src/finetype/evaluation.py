@@ -39,6 +39,8 @@ class Counts:
             raise EvalError("negative count")
 
     def __add__(self, other: "Counts") -> "Counts":
+        if not isinstance(other, Counts):
+            return NotImplemented
         return Counts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
     @property

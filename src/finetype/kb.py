@@ -76,17 +76,28 @@ class EntityRecord:
 
 # A record's validated fields, in EntityRecord order, as the KB keeps them.
 _Fields = tuple[int, str, tuple[str, ...], str, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-_INSTANCE_OF = 4
+_INSTANCE_OF, _SUBCLASS_OF = 4, 5
 
 _raw_decode = json.JSONDecoder().raw_decode
+# A Q-id in the exact form parse_qid accepts most often, with few enough
+# digits for int(); any other value goes through parse_qid.
+_plain_qid = re.compile(r"Q[1-9][0-9]{0,17}").fullmatch
 
 
-def _parse_id_list(value: object, field: str) -> tuple[int, ...]:
-    if value is None or value == []:
+def _id_list(value: object, field: str, links: dict[str, int]) -> tuple[int, ...]:
+    """A link field's ids. ``links`` maps each link text parse_qid has accepted
+    so far to its id; a list holding any other element is parsed element by
+    element, so the first bad one is reported."""
+    if value is None:
         return ()
     if not isinstance(value, list):
         raise SnapshotError(f"field {field!r} must be an array of Q-ids")
-    return tuple(parse_qid(v) for v in value)
+    try:
+        return tuple([links[v] for v in value])
+    except (KeyError, TypeError):  # a text not seen yet, or an unhashable element
+        ids = tuple([parse_qid(v) for v in value])
+    links.update(zip(value, ids))
+    return ids
 
 
 def _text(value: object) -> str:
@@ -95,50 +106,14 @@ def _text(value: object) -> str:
 
 
 def _decode(line: str) -> object:
-    """The JSON value of one line. A line that is not one value followed only by
-    JSON whitespace is decoded again without its terminator, to report its error."""
-    try:
-        value, end = _raw_decode(line)
-        if end == len(line) or not line[end:].strip(" \t\n\r"):
-            return value
-    except (ValueError, RecursionError, TypeError):
-        pass
+    """The JSON value of a line that is not one value followed by nothing or a
+    newline: one with leading or other trailing JSON whitespace, or an error."""
     try:
         return json.loads(line.rstrip("\r\n"))
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SnapshotError(f"invalid JSON: {exc}") from None
-
-
-def _parse_fields(line: str) -> _Fields:
-    """The fields of one JSON snapshot line, validated; unknown fields are ignored."""
-    obj = _decode(line)
-    if not isinstance(obj, dict):
-        raise SnapshotError("record is not a JSON object")
-    if "qid" not in obj:
-        raise SnapshotError("record has no 'qid' field")
-    entity_id = parse_qid(obj["qid"])
-    label = _text(obj.get("label"))
-    if not label:
-        raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
-    raw_aliases = obj.get("aliases", [])
-    if not isinstance(raw_aliases, list):
-        raise SnapshotError("field 'aliases' must be an array")
-    aliases: list[str] = []
-    for alias in raw_aliases:
-        alias = _text(alias)
-        if alias and alias != label and alias not in aliases:
-            aliases.append(alias)
-    return (
-        entity_id,
-        label,
-        tuple(aliases),
-        str(obj.get("description", "") or ""),
-        _parse_id_list(obj.get("instance_of"), "instance_of"),
-        _parse_id_list(obj.get("subclass_of"), "subclass_of"),
-        _parse_id_list(obj.get("occupation"), "occupation"),
-    )
 
 
 class _Records(Mapping):
@@ -175,16 +150,6 @@ class KnowledgeBase:
         self._label_index: dict[str, set[int]] = {}
         self._alias_index: dict[str, set[int]] = {}
         self._subclass_children: dict[int, set[int]] = {}
-
-    def _add(self, fields: _Fields) -> None:
-        """Store one entity's fields and index its label, aliases and subclass links."""
-        entity_id, label, aliases, _, _, subclass_of, _ = fields
-        self._fields[entity_id] = fields
-        self._label_index.setdefault(self._key(label), set()).add(entity_id)
-        for alias in aliases:
-            self._alias_index.setdefault(self._key(alias), set()).add(entity_id)
-        for parent in subclass_of:
-            self._subclass_children.setdefault(parent, set()).add(entity_id)
 
     def _key(self, surface: str) -> str:
         return normalize_surface(surface, self.case_sensitive)
@@ -266,11 +231,15 @@ class KnowledgeBase:
 def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.
 
-    One pass decodes, validates and indexes each line. Raises SnapshotError
-    with the offending line number on malformed input or duplicate ids.
+    One pass decodes, validates and indexes each line; unknown fields are
+    ignored. Raises SnapshotError with the offending line number on malformed
+    input or duplicate ids.
     """
     kb = KnowledgeBase(case_sensitive=case_sensitive)
+    key, fields, children = kb._key, kb._fields, kb._subclass_children
+    label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
+    links: dict[str, int] = {}  # class ids repeat across records: parse each text once
     # The loop makes no reference cycles: what the KB does not keep is freed
     # by reference counting, so cyclic collections would only rescan the
     # growing KB and free nothing.
@@ -278,20 +247,53 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
     gc.disable()
     try:
         for lineno, raw in enumerate(lines, start=1):
-            if not raw.strip():
-                continue
             try:
-                record = _parse_fields(raw)
+                try:
+                    obj, end = _raw_decode(raw)
+                except (ValueError, RecursionError, TypeError):
+                    if not raw.strip():
+                        continue
+                    obj = _decode(raw)
+                else:
+                    if end != len(raw) and raw[end:] != "\n":
+                        obj = _decode(raw)
+                if not isinstance(obj, dict):
+                    raise SnapshotError("record is not a JSON object")
+                if "qid" not in obj:
+                    raise SnapshotError("record has no 'qid' field")
+                qid = obj["qid"]
+                entity_id = (int(qid[1:]) if type(qid) is str and _plain_qid(qid)
+                             else parse_qid(qid))
+                label = _text(obj.get("label"))
+                if not label:
+                    raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
+                raw_aliases = obj.get("aliases", [])
+                if not isinstance(raw_aliases, list):
+                    raise SnapshotError("field 'aliases' must be an array")
+                aliases: list[str] = []
+                for alias in raw_aliases:
+                    alias = _text(alias)
+                    if alias and alias != label and alias not in aliases:
+                        aliases.append(alias)
+                # Most link lists are empty; those need no call.
+                inst, sub, occ = (obj.get("instance_of"), obj.get("subclass_of"),
+                                  obj.get("occupation"))
+                record = (entity_id, label, tuple(aliases), str(obj.get("description", "") or ""),
+                          () if inst == [] else _id_list(inst, "instance_of", links),
+                          () if sub == [] else _id_list(sub, "subclass_of", links),
+                          () if occ == [] else _id_list(occ, "occupation", links))
+                if entity_id in seen:
+                    raise SnapshotError(f"duplicate entity id {format_qid(entity_id)}"
+                                        f" (first seen on line {seen[entity_id]})")
             except SnapshotError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from None
-            entity_id = record[0]
-            if entity_id in seen:
-                raise SnapshotError(
-                    f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
-                    f" (first seen on line {seen[entity_id]})"
-                )
             seen[entity_id] = lineno
-            kb._add(record)
+            fields[entity_id] = record
+            label_index.setdefault(key(label), set()).add(entity_id)
+            for alias in aliases:
+                alias_index.setdefault(key(alias), set()).add(entity_id)
+            for parent in record[_SUBCLASS_OF]:
+                children.setdefault(parent, set()).add(entity_id)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -176,6 +176,13 @@ def test_match_counts_merge_is_associative_and_commutative():
             other + a
 
 
+def test_counts_add_sums_counts_and_rejects_other_operands():
+    assert Counts(1, 2, 3) + Counts(1, 1, 1) == Counts(2, 3, 4)
+    for other in (MatchCounts(), 1):
+        with pytest.raises(TypeError):
+            Counts() + other
+
+
 def test_permutation_invariance():
     rng = random.Random(5)
     gold = [(i, i + 1, rng.choice("abc")) for i in range(0, 30, 2)]

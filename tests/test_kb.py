@@ -612,6 +612,34 @@ def test_one_pass_ingest_error_text_matches_oracle(bad):
     assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
 
 
+MIXED_LINK_LINES = [
+    json.dumps({"qid": "Q1", "label": "x", field: links})
+    for field in ("instance_of", "subclass_of", "occupation")
+    for links in (["Q5", 5], ["Q5", ["Q5"]], ["Q5", "Q05"], ["Q5", "Q\u00b2"], ["Q5", None])
+]
+SPACED_LINK_LINE = json.dumps({"qid": "Q1", "label": "x", "instance_of": ["Q5", " Q5 "],
+                               "occupation": [" Q5 ", "Q5"]})
+# Entity ids on either side of the plain "Q<digits>" form, and of its length limit.
+ENTITY_QID_LINES = [json.dumps({"qid": qid, "label": "x"}) for qid in (
+    " Q4 ", "Q1\n", "q3", "Q\u00b2", "Q\u0663", "Q1\u0663", "Q" + "9" * 18, "Q" + "9" * 19)]
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES + MIXED_LINK_LINES + ENTITY_QID_LINES
+                         + [SPACED_LINK_LINE])
+def test_ingest_error_text_after_cached_links_matches_oracle(line):
+    # FIXTURE_LINES link to Q5, Q515 and Q2221906 first, so the ingest has
+    # seen those link texts before it reaches the line under test.
+    lines = FIXTURE_LINES + [line]
+    for case_sensitive in (False, True):
+        expected = outcome(oracle_ingest, lines, case_sensitive)
+        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+    if line is SPACED_LINK_LINE:
+        assert expected[0] == "ok"
+        assert expected[1][-1] == (1, EntityRecord(1, "x", instance_of=(5, 5), occupation=(5, 5)))
+    elif line in MIXED_LINK_LINES:
+        assert expected[0] == "error"
+
+
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
               st.sampled_from(["Q1", "Q2", "q3", " Q4 ", "Q0", "Q", "Q²", "Q1\n"])),
@@ -634,4 +662,23 @@ record_objects = st.dictionaries(
     st.text(max_size=12),
 ), max_size=6))
 def test_one_pass_ingest_matches_oracle_on_generated_lines(lines):
+    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
+
+
+# Every string in json_values' Q-id sample that parse_qid accepts, so that the
+# generated lines meet link texts the ingest has already parsed.
+WARM_UP_LINE = json.dumps({"qid": "Q9", "label": "warm-up",
+                           **{field: ["Q1", "Q2", "q3", " Q4 ", "Q1\n"]
+                              for field in ("instance_of", "subclass_of", "occupation")}})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), record_objects,
+              st.sampled_from(["", "\n", " \r\n", "\x0b", " x"]))
+    .map(lambda t: t[0] + json.dumps(t[1]) + t[2]),
+    st.text(max_size=12),
+), max_size=6))
+def test_one_pass_ingest_matches_oracle_on_generated_lines_after_cached_links(lines):
+    lines = [WARM_UP_LINE, *lines]
     assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
