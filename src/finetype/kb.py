@@ -74,10 +74,6 @@ class EntityRecord:
         return format_qid(self.id)
 
 
-# A record's validated fields, in EntityRecord order, as the KB keeps them.
-_Fields = tuple[int, str, tuple[str, ...], str, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-_INSTANCE_OF, _SUBCLASS_OF = 4, 5
-
 _raw_decode = json.JSONDecoder().raw_decode
 # A Q-id in the exact form parse_qid accepts most often, with few enough
 # digits for int(); any other value goes through parse_qid.
@@ -116,46 +112,96 @@ def _decode(line: str) -> object:
         raise SnapshotError(f"invalid JSON: {exc}") from None
 
 
-class _Records(Mapping):
-    """Read-only id -> EntityRecord view over the KB's fields; each record is
-    built on first access and the same object is returned after that."""
+def _parse(line: str, links: dict[str, int]) -> tuple | None:
+    """A snapshot line's validated fields in EntityRecord order, or None for a
+    blank line. Any other line that is not a record raises SnapshotError,
+    without a line number. ``links`` is passed on to _id_list."""
+    try:
+        obj, end = _raw_decode(line)
+    except (ValueError, RecursionError, TypeError):
+        if not line.strip():
+            return None
+        obj = _decode(line)
+    else:
+        if end != len(line) and line[end:] != "\n":
+            obj = _decode(line)
+    if not isinstance(obj, dict):
+        raise SnapshotError("record is not a JSON object")
+    if "qid" not in obj:
+        raise SnapshotError("record has no 'qid' field")
+    qid = obj["qid"]
+    entity_id = int(qid[1:]) if type(qid) is str and _plain_qid(qid) else parse_qid(qid)
+    label = _text(obj.get("label"))
+    if not label:
+        raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
+    raw_aliases = obj.get("aliases", [])
+    if not isinstance(raw_aliases, list):
+        raise SnapshotError("field 'aliases' must be an array")
+    aliases: list[str] = []
+    for alias in raw_aliases:
+        alias = _text(alias)
+        if alias and alias != label and alias not in aliases:
+            aliases.append(alias)
+    # Most link lists are empty; those need no call.
+    inst, sub, occ = obj.get("instance_of"), obj.get("subclass_of"), obj.get("occupation")
+    return (entity_id, label, tuple(aliases), str(obj.get("description", "") or ""),
+            () if inst == [] else _id_list(inst, "instance_of", links),
+            () if sub == [] else _id_list(sub, "subclass_of", links),
+            () if occ == [] else _id_list(occ, "occupation", links))
 
-    def __init__(self, fields: dict[int, _Fields]):
-        self._fields = fields
+
+def _ids(hit: int | tuple[int, ...] | None) -> tuple[int, ...]:
+    """An index value as a tuple of ids; None (no entry) gives ()."""
+    if hit is None:
+        return ()
+    return (hit,) if hit.__class__ is int else hit
+
+
+class _Records(Mapping):
+    """Read-only id -> EntityRecord view over the KB's validated source lines;
+    each record is decoded on first access and the same object is returned
+    after that."""
+
+    def __init__(self, lines: dict[int, str]):
+        self._lines = lines
         self._built: dict[int, EntityRecord] = {}
 
     def __getitem__(self, entity_id: int) -> EntityRecord:
         rec = self._built.get(entity_id)
         if rec is None:
-            rec = self._built[entity_id] = EntityRecord(*self._fields[entity_id])
+            rec = self._built[entity_id] = EntityRecord(*_parse(self._lines[entity_id], {}))
         return rec
 
     def __contains__(self, entity_id: object) -> bool:
-        return entity_id in self._fields
+        return entity_id in self._lines
 
     def __iter__(self):
-        return iter(self._fields)
+        return iter(self._lines)
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self._lines)
 
 
 class KnowledgeBase:
-    """Indexed, immutable view over an ingested snapshot."""
+    """Indexed, immutable view over an ingested snapshot.
+
+    The KB keeps each record's validated source line, decoded on first
+    access. An index maps a key to its one entity id as an int, or to a tuple
+    of distinct ids when several entities share the key. None of these is a
+    container the cyclic GC keeps tracking: strings and ints never are, and a
+    tuple of ints is untracked once a collection has seen it.
+    """
 
     def __init__(self, case_sensitive: bool = False):
         self.case_sensitive = case_sensitive
-        self._fields: dict[int, _Fields] = {}
-        self.records: Mapping[int, EntityRecord] = _Records(self._fields)
-        self._label_index: dict[str, set[int]] = {}
-        self._alias_index: dict[str, set[int]] = {}
-        self._subclass_children: dict[int, set[int]] = {}
-
-    def _key(self, surface: str) -> str:
-        return normalize_surface(surface, self.case_sensitive)
+        self._lines: dict[int, str] = {}
+        self.records: Mapping[int, EntityRecord] = _Records(self._lines)
+        self._label_index: dict[str, int | tuple[int, ...]] = {}
+        self._alias_index: dict[str, int | tuple[int, ...]] = {}
+        self._subclass_children: dict[int, int | tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self._lines)
 
     @property
     def label_index_size(self) -> int:
@@ -181,14 +227,14 @@ class KnowledgeBase:
         """
         if not surface or not surface.strip():
             raise ValueError("lookup surface must be nonempty")
-        key = self._key(surface)
+        key = normalize_surface(surface, self.case_sensitive)
         stages = [self._label_index]
         if use_aliases:
             stages.append(self._alias_index)
         for index in stages:
-            ids = index.get(key, ())
+            ids = _ids(index.get(key))
             if classes is not None:
-                ids = [i for i in ids if not classes.isdisjoint(self._fields[i][_INSTANCE_OF])]
+                ids = [i for i in ids if not classes.isdisjoint(self.records[i].instance_of)]
             if ids:
                 return self.records[min(ids)]
         return None
@@ -205,7 +251,7 @@ class KnowledgeBase:
             if node in closure:
                 continue
             closure.add(node)
-            frontier.extend(self._subclass_children.get(node, ()))
+            frontier.extend(_ids(self._subclass_children.get(node)))
         return closure
 
     def narrow_candidates(
@@ -236,10 +282,26 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
     input or duplicate ids.
     """
     kb = KnowledgeBase(case_sensitive=case_sensitive)
-    key, fields, children = kb._key, kb._fields, kb._subclass_children
+    stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
     links: dict[str, int] = {}  # class ids repeat across records: parse each text once
+    # A key's second id turns its value into a list, made a tuple after the
+    # loop, so that a key shared by n records costs O(n) and not O(n^2).
+    shared: list[tuple[dict, object]] = []
+    nfc, fold = unicodedata.normalize, not case_sensitive
+
+    def add(index: dict, key: object, entity_id: int) -> None:
+        hit = index.get(key)
+        if hit is None:
+            index[key] = entity_id
+        elif hit.__class__ is int:
+            if hit != entity_id:
+                index[key] = [hit, entity_id]
+                shared.append((index, key))
+        elif hit[-1] != entity_id:  # one record adds all its ids to a key together
+            hit.append(entity_id)
+
     # The loop makes no reference cycles: what the KB does not keep is freed
     # by reference counting, so cyclic collections would only rescan the
     # growing KB and free nothing.
@@ -248,52 +310,32 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
     try:
         for lineno, raw in enumerate(lines, start=1):
             try:
-                try:
-                    obj, end = _raw_decode(raw)
-                except (ValueError, RecursionError, TypeError):
-                    if not raw.strip():
-                        continue
-                    obj = _decode(raw)
-                else:
-                    if end != len(raw) and raw[end:] != "\n":
-                        obj = _decode(raw)
-                if not isinstance(obj, dict):
-                    raise SnapshotError("record is not a JSON object")
-                if "qid" not in obj:
-                    raise SnapshotError("record has no 'qid' field")
-                qid = obj["qid"]
-                entity_id = (int(qid[1:]) if type(qid) is str and _plain_qid(qid)
-                             else parse_qid(qid))
-                label = _text(obj.get("label"))
-                if not label:
-                    raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
-                raw_aliases = obj.get("aliases", [])
-                if not isinstance(raw_aliases, list):
-                    raise SnapshotError("field 'aliases' must be an array")
-                aliases: list[str] = []
-                for alias in raw_aliases:
-                    alias = _text(alias)
-                    if alias and alias != label and alias not in aliases:
-                        aliases.append(alias)
-                # Most link lists are empty; those need no call.
-                inst, sub, occ = (obj.get("instance_of"), obj.get("subclass_of"),
-                                  obj.get("occupation"))
-                record = (entity_id, label, tuple(aliases), str(obj.get("description", "") or ""),
-                          () if inst == [] else _id_list(inst, "instance_of", links),
-                          () if sub == [] else _id_list(sub, "subclass_of", links),
-                          () if occ == [] else _id_list(occ, "occupation", links))
+                fields = _parse(raw, links)
+                if fields is None:
+                    continue
+                entity_id, label, aliases, _, _, parents, _ = fields
                 if entity_id in seen:
                     raise SnapshotError(f"duplicate entity id {format_qid(entity_id)}"
                                         f" (first seen on line {seen[entity_id]})")
             except SnapshotError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from None
             seen[entity_id] = lineno
-            fields[entity_id] = record
-            label_index.setdefault(key(label), set()).add(entity_id)
+            stored[entity_id] = raw
+            # normalize_surface, inlined: one call fewer per key.
+            key = " ".join(nfc("NFC", label).split())
+            if fold:
+                key = key.casefold()
+            if key in label_index:
+                add(label_index, key, entity_id)
+            else:
+                label_index[key] = entity_id
             for alias in aliases:
-                alias_index.setdefault(key(alias), set()).add(entity_id)
-            for parent in record[_SUBCLASS_OF]:
-                children.setdefault(parent, set()).add(entity_id)
+                key = " ".join(nfc("NFC", alias).split())
+                add(alias_index, key.casefold() if fold else key, entity_id)
+            for parent in parents:
+                add(children, parent, entity_id)
+        for index, key in shared:
+            index[key] = tuple(index[key])
     finally:
         if gc_was_enabled:
             gc.enable()

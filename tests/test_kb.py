@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -314,12 +315,27 @@ def scan_narrow_oracle(kb, coarse, class_roots):
     return {rec.id for rec in kb.records.values() if allowed.intersection(rec.instance_of)}
 
 
+def id_set(hit):
+    """One KB index value as the set of ids the oracle keeps, after checking
+    its form: one id as an int, several as a tuple of distinct ids."""
+    if type(hit) is int:
+        return {hit}
+    assert type(hit) is tuple and len(hit) > 1 and len(set(hit)) == len(hit), hit
+    assert all(type(i) is int for i in hit), hit
+    return set(hit)
+
+
+def id_sets(index):
+    """A KB index in the form the oracle builds: each key's ids as a set."""
+    return {key: id_set(hit) for key, hit in index.items()}
+
+
 def intersect_lookup_oracle(kb, surface, candidates, use_aliases=True):
     """Lookup restricted to a candidate id set by intersecting each stage's hits."""
     key = normalize_surface(surface, kb.case_sensitive)
     stages = [kb._label_index] + ([kb._alias_index] if use_aliases else [])
     for index in stages:
-        ids = index.get(key, set()) & candidates
+        ids = (id_set(index[key]) if key in index else set()) & candidates
         if ids:
             return kb.records[min(ids)]
     return None
@@ -535,8 +551,8 @@ def outcome(ingest, lines, case_sensitive=False):
     except SnapshotError as exc:
         return ("error", str(exc))
     if isinstance(result, KnowledgeBase):
-        result = (dict(result.records), result._label_index, result._alias_index,
-                  result._subclass_children)
+        result = (dict(result.records), id_sets(result._label_index),
+                  id_sets(result._alias_index), id_sets(result._subclass_children))
     records, *indexes = result
     return ("ok", list(records.items()), *indexes)
 
@@ -682,3 +698,150 @@ WARM_UP_LINE = json.dumps({"qid": "Q9", "label": "warm-up",
 def test_one_pass_ingest_matches_oracle_on_generated_lines_after_cached_links(lines):
     lines = [WARM_UP_LINE, *lines]
     assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
+
+
+# --- the compact KB: source lines, and int or tuple index values -------------------
+
+def assert_matches_oracle(lines):
+    for case_sensitive in (False, True):
+        expected = outcome(oracle_ingest, lines, case_sensitive)
+        assert expected[0] == "ok"
+        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+
+
+def test_one_entity_keeps_one_id_under_a_key_its_aliases_share():
+    lines = [record_line("Q2", "y", aliases=["bar"]),
+             record_line("Q3", "x", aliases=["Foo", "foo", "FOO "]),
+             record_line("Q4", "z", aliases=["Bar", "BAR"]),
+             record_line("Q5", "w", subclass_of=["Q1", "Q1"])]
+    assert_matches_oracle(lines)
+    kb = ingest_snapshot(lines)
+    assert kb._alias_index == {"bar": (2, 4), "foo": 3}
+    assert kb._subclass_children == {1: 5}
+    strict = ingest_snapshot(lines, case_sensitive=True)
+    assert strict._alias_index == {"bar": 2, "Foo": 3, "foo": 3, "FOO": 3, "Bar": 4, "BAR": 4}
+
+
+def test_homonym_whose_lowest_id_lies_outside_the_closure():
+    lines = [record_line("Q5", "human"), record_line("Q8", "foreign"),
+             record_line("Q6", "person", subclass_of=["Q5"]),
+             record_line("Q7", "acme", instance_of=["Q8"]),
+             record_line("Q300", "acme", aliases=["ACME corp"], instance_of=["Q6"]),
+             record_line("Q42", "ACME", instance_of=["Q5", "Q8"]),
+             record_line("Q9", "other", aliases=["acme corp"], instance_of=["Q8"])]
+    assert_matches_oracle(lines)
+    kb = ingest_snapshot(lines)
+    assert kb._label_index["acme"] == (7, 300, 42)
+    people = kb.narrow_candidates("person", {"person": {5}})
+    assert people == {5, 6}
+    assert kb.lookup("Acme").id == 7
+    assert kb.lookup("Acme", classes=people).id == 42
+    assert kb.lookup("acme corp").id == 9
+    assert kb.lookup("acme corp", classes=people).id == 300
+    assert kb.lookup("acme", classes={8}).id == 7
+    assert kb.lookup("acme", classes={99}) is None
+    for surface in ("acme", "acme corp"):
+        for classes in (None, people, {8}, {99}):
+            candidates = set(kb.records) if classes is None else {
+                rec.id for rec in kb.records.values() if classes.intersection(rec.instance_of)}
+            assert kb.lookup(surface, classes=classes) == intersect_lookup_oracle(
+                kb, surface, candidates)
+
+
+def test_class_with_more_than_two_subclass_children():
+    lines = [record_line("Q1", "root"),
+             *(record_line(f"Q{c}", f"class {c}", subclass_of=["Q1"]) for c in (9, 3, 12, 4)),
+             record_line("Q20", "leaf", subclass_of=["Q3", "Q12"]),
+             record_line("Q21", "twig", subclass_of=["Q3"])]
+    assert_matches_oracle(lines)
+    kb = ingest_snapshot(lines)
+    assert kb._subclass_children == {1: (9, 3, 12, 4), 3: (20, 21), 12: 20}
+    assert kb.subclass_closure({1}) == {1, 3, 4, 9, 12, 20, 21}
+    assert kb.subclass_closure({12, 4}) == {4, 12, 20}
+
+
+LONG_QID = "Q" + "9" * 60
+SOURCE_LINE_SHAPES = {
+    "leading-whitespace": " \t" + record_line("Q11", "lead", aliases=["in front"]) + "\n",
+    "bom-in-values": record_line("Q12", "\ufeffbom", aliases=["\ufeff", "b\ufeffom"],
+                                 description="\ufeffa thing") + "\n",
+    "bom-in-values-unescaped": json.dumps(
+        {"qid": "Q13", "label": "\ufeffBOM", "aliases": ["x\ufeff"], "description": "\ufeff"},
+        ensure_ascii=False) + "\n",
+    "vertical-tab-in-values": record_line("Q14", "\x0bvt\x0b", aliases=["a\x0bb", "\x0b"],
+                                          description="\x0b") + "\n",
+    "crlf": record_line("Q15", "crlf", aliases=["CR LF"], instance_of=["Q5"]) + "\r\n",
+    "space-crlf": record_line("Q16", "crlf", instance_of=["Q515"]) + " \r\n",
+    "no-newline": record_line("Q17", "last", subclass_of=["Q5"]),
+    "60-digit-qids": record_line(LONG_QID, "long", instance_of=[LONG_QID],
+                                 subclass_of=["Q5", LONG_QID], occupation=[LONG_QID]) + "\n",
+}
+
+
+@pytest.mark.parametrize("line", SOURCE_LINE_SHAPES.values(), ids=SOURCE_LINE_SHAPES.keys())
+def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
+    lines = [fixture + "\n" for fixture in FIXTURE_LINES] + [line]
+    assert_matches_oracle(lines)
+    expected = oracle_ingest(lines)[0]
+    kb = ingest_snapshot(lines)
+    entity_id = list(expected)[-1]
+    assert kb._lines[entity_id] is line
+    for entity_id, record in expected.items():
+        assert kb.records[entity_id] == record
+
+
+def scaled_snapshot_lines(records):
+    """``records`` lines: a 40-class subclass tree, an alias on every fourth
+    record, and 20 homonym label groups of three records whatever the size.
+    Every key with several ids holds one tuple, which stays tracked until a
+    collection first sees it, so the number of such keys does not grow."""
+    rng = random.Random(records)
+    lines = [record_line("Q1", "entity")]
+    lines += [record_line(f"Q{c}", f"class {c}", subclass_of=[f"Q{rng.randrange(1, c)}"])
+              for c in range(2, 42)]
+    for i in range(records - len(lines)):
+        label = f"homonym {i % 20}" if i < 60 else f"entity {i}"
+        lines.append(record_line(f"Q{1000 + i}", label,
+                                 aliases=[f"also {i}"] if i % 4 == 0 else [],
+                                 description=f"thing number {i}",
+                                 instance_of=[f"Q{rng.randrange(2, 42)}"]))
+    return lines
+
+
+def test_ingest_leaves_the_collector_nothing_that_grows_with_the_kb():
+    small, large = scaled_snapshot_lines(2_000), scaled_snapshot_lines(20_000)
+    growth = []
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for lines in (small, large):
+            before = len(gc.get_objects())
+            kb = ingest_snapshot(lines)
+            growth.append(len(gc.get_objects()) - before)
+            assert len(kb) == len(lines)
+            del kb
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert abs(growth[1] - growth[0]) < 100, growth
+
+
+def retained_bytes(build):
+    """Bytes that ``build()``'s result holds, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del result
+    return size
+
+
+def test_compact_kb_retains_at_most_six_tenths_of_the_oracle_records():
+    # Measured on CPython 3.11: 1.80 MB against the oracle's 3.57 MB (0.51);
+    # a KB of field tuples and id sets held 3.61 MB (1.01).
+    compact = retained_bytes(lambda: ingest_snapshot(scaled_snapshot_lines(5_000)))
+    oracle = retained_bytes(lambda: oracle_ingest(scaled_snapshot_lines(5_000)))
+    assert compact <= 0.6 * oracle, (compact, oracle)
