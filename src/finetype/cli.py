@@ -154,8 +154,9 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
                 tagger_kwargs[key] = float(value)
             elif key == "threshold":
                 linker_kwargs["threshold"] = float(value)
-            elif key == "similarity_mode":
-                linker_kwargs["similarity_mode"] = value
+            elif key == "similarity_mode":  # one value, accepted so existing configurations load
+                if value != "pairwise-mean":
+                    raise ValueError(f"expected 'pairwise-mean', got {value!r}")
             elif key.startswith("class_roots."):
                 coarse = key.split(".", 1)[1]
                 if coarse not in NARROWED_CATEGORIES:

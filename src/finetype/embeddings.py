@@ -13,10 +13,6 @@ from .textfile import open_utf8
 
 log = logging.getLogger(__name__)
 
-PAIRWISE_MEAN = "pairwise-mean"
-MEAN_VECTOR = "mean-vector"
-SIMILARITY_MODES = (PAIRWISE_MEAN, MEAN_VECTOR)
-
 # Lowercase word tokens: unicode letters/digits, no underscores, no stemming.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -122,34 +118,21 @@ def load_embeddings(path: str | os.PathLike[str]) -> EmbeddingTable:
         return parse_embeddings(fh)
 
 
-def phrase_direction(
-    tokens: Sequence[str], table: EmbeddingTable, mode: str = PAIRWISE_MEAN
-) -> np.ndarray | None:
-    """One token list reduced to the vector that ``phrase_similarity`` dots.
+def phrase_direction(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray | None:
+    """One token list reduced to the vector that ``phrase_similarity`` dots:
+    the mean of the tokens' unit vectors.
 
-    The default mode averages the unit vectors of the tokens; the alternative
-    normalizes their mean vector to unit length. Out-of-vocabulary tokens and
-    vectors whose norm is zero, which carry no direction, are skipped (a
-    nonzero row of subnormal values has a norm that underflows to zero); the
-    result is None when no token has a usable vector.
+    Out-of-vocabulary tokens and vectors whose norm is zero, which carry no
+    direction, are skipped (a nonzero row of subnormal values has a norm that
+    underflows to zero); the result is None when no token has a usable vector.
     """
-    if mode not in SIMILARITY_MODES:
-        raise EmbeddingError(f"unknown similarity mode: {mode!r}")
     rows = np.array([v for v in map(table.get, tokens) if v is not None]).reshape(-1, table.dim)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     usable = norms[:, 0] > 0.0
     rows, norms = rows[usable], norms[usable]
     if not len(rows):
         return None
-    if mode == PAIRWISE_MEAN:
-        rows = rows / norms
-    mean = rows.mean(axis=0)
-    if mode == MEAN_VECTOR:
-        norm = np.linalg.norm(mean)
-        if norm == 0.0:
-            return None
-        mean = mean / norm
-    return mean
+    return (rows / norms).mean(axis=0)
 
 
 def direction_similarity(left: np.ndarray, right: np.ndarray) -> float:
@@ -161,23 +144,22 @@ def phrase_similarity(
     description_tokens: Sequence[str],
     subtype_tokens: Sequence[str],
     table: EmbeddingTable,
-    mode: str = PAIRWISE_MEAN,
 ) -> float | None:
     """Similarity between two token lists under the table's vocabulary.
 
-    Each side is reduced by ``phrase_direction`` and the two are scored by
-    ``direction_similarity``. In the default mode each side is the mean of
-    its unit vectors, so by bilinearity the score is the mean cosine over all
-    description x subtype token pairs. The result is None (undefined) when a
-    side has no usable vector, so out-of-vocabulary phrases never masquerade
-    as low-similarity ones.
+    Each side is reduced by ``phrase_direction`` to the mean of its unit
+    vectors and the two are scored by ``direction_similarity``, so by
+    bilinearity the score is the mean cosine over all description x subtype
+    token pairs. The result is None (undefined) when a side has no usable
+    vector, so out-of-vocabulary phrases never masquerade as low-similarity
+    ones.
     """
     if not description_tokens or not subtype_tokens:
         raise EmbeddingError("phrase similarity requires nonempty token lists")
-    description = phrase_direction(description_tokens, table, mode)
+    description = phrase_direction(description_tokens, table)
     if description is None:
         return None
-    subtype = phrase_direction(subtype_tokens, table, mode)
+    subtype = phrase_direction(subtype_tokens, table)
     if subtype is None:
         return None
     return direction_similarity(description, subtype)

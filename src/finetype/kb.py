@@ -9,7 +9,6 @@ class closure that lookup hits must be instances of.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import re
@@ -211,12 +210,7 @@ class KnowledgeBase:
     def alias_index_size(self) -> int:
         return len(self._alias_index)
 
-    def lookup(
-        self,
-        surface: str,
-        classes: AbstractSet[int] | None = None,
-        use_aliases: bool = True,
-    ) -> EntityRecord | None:
+    def lookup(self, surface: str, classes: AbstractSet[int] | None = None) -> EntityRecord | None:
         """Resolve a surface form, or return None when both stages miss.
 
         Stage 1 matches labels, stage 2 aliases; an exact label match always
@@ -228,10 +222,7 @@ class KnowledgeBase:
         if not surface or not surface.strip():
             raise ValueError("lookup surface must be nonempty")
         key = normalize_surface(surface, self.case_sensitive)
-        stages = [self._label_index]
-        if use_aliases:
-            stages.append(self._alias_index)
-        for index in stages:
+        for index in (self._label_index, self._alias_index):
             ids = _ids(index.get(key))
             if classes is not None:
                 ids = [i for i in ids if not classes.isdisjoint(self.records[i].instance_of)]
@@ -302,43 +293,34 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
         elif hit[-1] != entity_id:  # one record adds all its ids to a key together
             hit.append(entity_id)
 
-    # The loop makes no reference cycles: what the KB does not keep is freed
-    # by reference counting, so cyclic collections would only rescan the
-    # growing KB and free nothing.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                fields = _parse(raw, links)
-                if fields is None:
-                    continue
-                entity_id, label, aliases, _, _, parents, _ = fields
-                if entity_id in seen:
-                    raise SnapshotError(f"duplicate entity id {format_qid(entity_id)}"
-                                        f" (first seen on line {seen[entity_id]})")
-            except SnapshotError as exc:
-                raise SnapshotError(f"line {lineno}: {exc}") from None
-            seen[entity_id] = lineno
-            stored[entity_id] = raw
-            # normalize_surface, inlined: one call fewer per key.
-            key = " ".join(nfc("NFC", label).split())
-            if fold:
-                key = key.casefold()
-            if key in label_index:
-                add(label_index, key, entity_id)
-            else:
-                label_index[key] = entity_id
-            for alias in aliases:
-                key = " ".join(nfc("NFC", alias).split())
-                add(alias_index, key.casefold() if fold else key, entity_id)
-            for parent in parents:
-                add(children, parent, entity_id)
-        for index, key in shared:
-            index[key] = tuple(index[key])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            fields = _parse(raw, links)
+            if fields is None:
+                continue
+            entity_id, label, aliases, _, _, parents, _ = fields
+            if entity_id in seen:
+                raise SnapshotError(f"duplicate entity id {format_qid(entity_id)}"
+                                    f" (first seen on line {seen[entity_id]})")
+        except SnapshotError as exc:
+            raise SnapshotError(f"line {lineno}: {exc}") from None
+        seen[entity_id] = lineno
+        stored[entity_id] = raw
+        # normalize_surface, inlined: one call fewer per key.
+        key = " ".join(nfc("NFC", label).split())
+        if fold:
+            key = key.casefold()
+        if key in label_index:
+            add(label_index, key, entity_id)
+        else:
+            label_index[key] = entity_id
+        for alias in aliases:
+            key = " ".join(nfc("NFC", alias).split())
+            add(alias_index, key.casefold() if fold else key, entity_id)
+        for parent in parents:
+            add(children, parent, entity_id)
+    for index, key in shared:
+        index[key] = tuple(index[key])
     return kb
 
 

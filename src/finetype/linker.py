@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import (
-    PAIRWISE_MEAN,
-    SIMILARITY_MODES,
     EmbeddingTable,
     direction_similarity,
     phrase_direction,
@@ -42,13 +40,10 @@ class LinkerConfig:
 
     threshold: float = 0.1
     class_roots: dict[str, frozenset[int]] = field(default_factory=dict)
-    similarity_mode: str = PAIRWISE_MEAN
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if self.similarity_mode not in SIMILARITY_MODES:
-            raise ValueError(f"unknown similarity mode: {self.similarity_mode!r}")
         self.class_roots = {k: frozenset(v) for k, v in self.class_roots.items()}
 
 
@@ -75,7 +70,7 @@ class Linker:
         self.classes = {root: kb.narrow_candidates(root, cfg.class_roots) for root in roots}
         self.leaves: dict[str, list[tuple[TypeLabel, np.ndarray]]] = {}
         for root in roots:
-            directions = [(s, phrase_direction(tokenize(s.leaf), table, cfg.similarity_mode))
+            directions = [(s, phrase_direction(tokenize(s.leaf), table))
                           for s in hierarchy.subtypes_of(root)]
             self.leaves[root] = [(s, leaf) for s, leaf in directions if leaf is not None]
 
@@ -121,7 +116,7 @@ def cluster_to_subtype(
             linked = linker.kb.records.get(linked_id)
             if linked is not None:
                 tokens.extend(tokenize(linked.label))
-    evidence = phrase_direction(tokens, linker.table, linker.cfg.similarity_mode)
+    evidence = phrase_direction(tokens, linker.table)
     if evidence is None:
         return None
     best: tuple[TypeLabel, float] | None = None

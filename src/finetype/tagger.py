@@ -656,17 +656,22 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "TaggerModel":
-        """Read a file written by ``save``. Object-array members are refused, so
-        loading runs no code from the file. Reading through a handle closes the
-        file even when numpy fails to open the archive."""
+        """Read a file written by ``save``; its tags must be distinct strings, at least one.
+        Object-array members are refused, so loading runs no code from the
+        file. Reading through a handle closes the file even when numpy fails
+        to open the archive."""
         try:
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 meta = json.loads(data["meta"].item())
                 params = {key: data[key] for key in data.files if key != "meta"}
-            model = cls(TaggerConfig(**meta["config"]), list(meta["tags"]), params,
-                        list(meta["loss_curve"]))
+            tags = meta["tags"]
+            model = cls(TaggerConfig(**meta["config"]), tags, params, list(meta["loss_curve"]))
         except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
             raise ModelError(f"{path}: not a readable model file: {exc}") from None
+        if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
+            raise ModelError(f"{path}: 'tags' is not a nonempty list of strings")
+        if len(set(tags)) != len(tags):
+            raise ModelError(f"{path}: 'tags' lists a tag more than once")
         shapes = {key: value.shape for key, value in params.items()}
         if shapes != param_shapes(model.config, len(model.tags)):
             raise ModelError(f"{path}: parameters do not match the model's config and tags")

@@ -498,6 +498,21 @@ def test_oversized_tagger_fails_before_work(tmp_path, demo_config_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
 
 
+@pytest.mark.parametrize("value", ["pairwise-mean", "mean-vector", "median"])
+def test_similarity_mode_accepts_only_pairwise_mean(tmp_path, demo_config_path, capsys, value):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), "similarity_mode",
+                           value))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    if value == "pairwise-mean":
+        assert code == 0 and (out / "linked.jsonl").exists()
+    else:
+        assert code == 1
+        assert "key 'similarity_mode'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(out),
@@ -890,7 +905,15 @@ class PicklePayload:
         return record_unpickling, ()
 
 
-@pytest.mark.parametrize("kind", ["garbage", "truncated", "object-member", "wrong-shapes"])
+# Saved tag lists that are not a nonempty list of distinct strings; a string's
+# characters would pass for tags, and "O" is a valid tag.
+BAD_MODEL_TAGS = {"non-string-tag": ["O", 5, "B-person"],
+                  "duplicate-tags": ["O", "B-person", "B-person"], "tags-not-a-list": "O",
+                  "no-tags": []}
+
+
+@pytest.mark.parametrize("kind", ["garbage", "truncated", "object-member", "wrong-shapes",
+                                  *BAD_MODEL_TAGS])
 def test_malformed_model_file_exits_1_and_names_it(tmp_path, demo_config_path, capsys, kind):
     model = tmp_path / "model.npz"
     if kind == "garbage":
@@ -905,6 +928,9 @@ def test_malformed_model_file_exits_1_and_names_it(tmp_path, demo_config_path, c
         members["dec_b"] = np.array([PicklePayload()], dtype=object)
         with open(model, "wb") as fh:
             np.savez(fh, **members)
+    elif kind in BAD_MODEL_TAGS:
+        cfg, tags = TaggerConfig(hidden_size=4, embedding_dim=16), BAD_MODEL_TAGS[kind]
+        TaggerModel(cfg, tags, init_params(cfg, len(tags), np.random.default_rng(0))).save(model)
     else:
         cfg = TaggerConfig(hidden_size=4, embedding_dim=16)
         TaggerModel(cfg, ["O"], init_params(cfg, 3, np.random.default_rng(0))).save(model)

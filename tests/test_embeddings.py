@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finetype.embeddings import (
-    MEAN_VECTOR,
-    PAIRWISE_MEAN,
     EmbeddingError,
     EmbeddingTable,
     direction_similarity,
@@ -199,66 +197,36 @@ def test_phrase_similarity_symmetry(demo_table):
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_mean_vector_mode(small_table):
-    u = (np.array([1.0, 0.0]) + np.array([0.9, 0.1])) / 2
-    v = np.array([0.2, 0.8])
-    expected = mp_cosine(u, v)
-    got = phrase_similarity(["sun", "star"], ["wave"], small_table, mode=MEAN_VECTOR)
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_mean_vector_mode_fully_oov_side_is_undefined(small_table):
-    assert phrase_similarity(["sun"], ["quark"], small_table, mode=MEAN_VECTOR) is None
-
-
-def test_unknown_mode_rejected(small_table):
-    with pytest.raises(EmbeddingError, match="mode"):
-        phrase_similarity(["sun"], ["sun"], small_table, mode="max")
-    with pytest.raises(EmbeddingError, match="mode"):
-        phrase_direction(["sun"], small_table, mode="max")
-
-
-@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
-def test_phrase_direction_without_usable_vector_is_none(mode):
+def test_phrase_direction_without_usable_vector_is_none():
     table = EmbeddingTable(2, {"sun": np.array([1.0, 0.0]), "void": np.zeros(2)})
     for tokens in ([], ["quark"], ["void"], ["quark", "void"]):
-        assert phrase_direction(tokens, table, mode) is None
+        assert phrase_direction(tokens, table) is None
 
 
 def test_phrase_direction_reductions(small_table):
     sun, star = np.array([1.0, 0.0]), np.array([0.9, 0.1])
-    pairwise = phrase_direction(["sun", "star", "quark"], small_table, PAIRWISE_MEAN)
-    assert np.allclose(pairwise, (sun + star / np.linalg.norm(star)) / 2, rtol=0, atol=1e-15)
-    mean = phrase_direction(["sun", "star", "quark"], small_table, MEAN_VECTOR)
-    assert np.allclose(mean, (sun + star) / np.linalg.norm(sun + star), rtol=0, atol=1e-15)
+    got = phrase_direction(["sun", "star", "quark"], small_table)
+    assert np.allclose(got, (sun + star / np.linalg.norm(star)) / 2, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
-def test_phrase_similarity_is_clipped_dot_of_directions(small_table, mode):
-    left = phrase_direction(["sun", "star"], small_table, mode)
-    right = phrase_direction(["wave", "sea"], small_table, mode)
-    assert phrase_similarity(["sun", "star"], ["wave", "sea"], small_table, mode) == float(
+def test_phrase_similarity_is_clipped_dot_of_directions(small_table):
+    left = phrase_direction(["sun", "star"], small_table)
+    right = phrase_direction(["wave", "sea"], small_table)
+    assert phrase_similarity(["sun", "star"], ["wave", "sea"], small_table) == float(
         np.clip(left @ right, -1.0, 1.0)) == direction_similarity(left, right)
 
 
-def per_pair_similarity_oracle(description_tokens, subtype_tokens, table, mode):
-    """The per-pair formulation: mean of cosine over every in-vocabulary pair,
-    or cosine of the two mean vectors; zero vectors count as out of vocabulary."""
+def per_pair_similarity_oracle(description_tokens, subtype_tokens, table):
+    """The per-pair formulation: mean of cosine over every in-vocabulary pair;
+    zero vectors count as out of vocabulary."""
     desc = [v for v in (table.get(t) for t in description_tokens) if v is not None and v.any()]
     sub = [v for v in (table.get(t) for t in subtype_tokens) if v is not None and v.any()]
     if not desc or not sub:
         return None
-    if mode == MEAN_VECTOR:
-        u = np.mean(desc, axis=0)
-        v = np.mean(sub, axis=0)
-        if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
-            return None
-        return cosine(u, v)
     return float(np.mean([cosine(d, s) for d in desc for s in sub]))
 
 
-@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
-def test_one_formula_matches_per_pair_oracle(mode, demo_table):
+def test_one_formula_matches_per_pair_oracle(demo_table):
     rng = np.random.default_rng(11)
     vectors = {f"w{i}": rng.standard_normal(8) * rng.uniform(0.01, 100) for i in range(30)}
     vectors["zero"] = np.zeros(8)
@@ -270,8 +238,8 @@ def test_one_formula_matches_per_pair_oracle(mode, demo_table):
             cases.append((list(rng.choice(vocab, size=rng.integers(1, 12))),
                           list(rng.choice(vocab, size=rng.integers(1, 6)))))
         for desc, sub in cases:
-            want = per_pair_similarity_oracle(desc, sub, table, mode)
-            got = phrase_similarity(desc, sub, table, mode)
+            want = per_pair_similarity_oracle(desc, sub, table)
+            got = phrase_similarity(desc, sub, table)
             if want is None:
                 assert got is None, (desc, sub)
             else:

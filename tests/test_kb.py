@@ -187,11 +187,6 @@ def test_lookup_candidate_restriction(fixture_kb):
     assert fixture_kb.lookup("Michael Jeffrey Jordan", classes={515}) is None
 
 
-def test_lookup_alias_stage_can_be_disabled(fixture_kb):
-    assert fixture_kb.lookup("MJ", use_aliases=False) is None
-    assert fixture_kb.lookup("MJ").id == 41421
-
-
 def test_lookup_case_insensitive_by_default(fixture_kb):
     assert fixture_kb.lookup("michael jordan").id == 41421
 
@@ -330,11 +325,10 @@ def id_sets(index):
     return {key: id_set(hit) for key, hit in index.items()}
 
 
-def intersect_lookup_oracle(kb, surface, candidates, use_aliases=True):
+def intersect_lookup_oracle(kb, surface, candidates):
     """Lookup restricted to a candidate id set by intersecting each stage's hits."""
     key = normalize_surface(surface, kb.case_sensitive)
-    stages = [kb._label_index] + ([kb._alias_index] if use_aliases else [])
-    for index in stages:
+    for index in (kb._label_index, kb._alias_index):
         ids = (id_set(index[key]) if key in index else set()) & candidates
         if ids:
             return kb.records[min(ids)]
@@ -371,10 +365,8 @@ def test_narrowed_lookup_matches_scan_oracle(kb_name, demo_kb, fixture_kb):
         classes = kb.narrow_candidates(coarse, NARROWED_ROOTS)
         candidates = scan_narrow_oracle(kb, coarse, NARROWED_ROOTS)
         for surface in sorted(surfaces):
-            for use_aliases in (True, False):
-                assert (kb.lookup(surface, classes=classes, use_aliases=use_aliases)
-                        == intersect_lookup_oracle(kb, surface, candidates, use_aliases)), \
-                    (coarse, surface, use_aliases)
+            assert (kb.lookup(surface, classes=classes)
+                    == intersect_lookup_oracle(kb, surface, candidates)), (coarse, surface)
 
 
 def test_entity_record_defaults():
@@ -430,7 +422,7 @@ def test_entity_record_has_slots():
         rec.label = "other"
 
 
-# --- cyclic GC paused during ingest and restored --------------------------------
+# --- ingest leaves the cyclic GC alone ----------------------------------------------
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("lines, error", [
@@ -438,7 +430,7 @@ def test_entity_record_has_slots():
     ([record_line("Q1", "a"), "{not json"], "line 2: invalid JSON"),
     ([record_line("Q1", "a"), record_line("Q1", "b")], "line 2: duplicate entity id Q1"),
 ], ids=["ok", "malformed", "duplicate"])
-def test_ingest_restores_caller_gc_state(caller_gc, lines, error):
+def test_ingest_leaves_caller_gc_setting_untouched(caller_gc, lines, error):
     seen = []
 
     def observed():
@@ -455,7 +447,7 @@ def test_ingest_restores_caller_gc_state(caller_gc, lines, error):
             with pytest.raises(SnapshotError, match=error):
                 ingest_snapshot(observed())
         assert gc.isenabled() is caller_gc
-        assert seen == [False, False]
+        assert seen == [caller_gc, caller_gc]
     finally:
         (gc.enable if was else gc.disable)()
 
@@ -823,6 +815,27 @@ def test_ingest_leaves_the_collector_nothing_that_grows_with_the_kb():
     finally:
         (gc.enable if was else gc.disable)()
     assert abs(growth[1] - growth[0]) < 100, growth
+
+
+def test_ingest_with_the_collector_on_runs_no_full_collection():
+    lines = scaled_snapshot_lines(20_000)
+    full = []
+
+    def on_collection(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full.append(info)
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(on_collection)
+    try:
+        kb = ingest_snapshot(lines)
+    finally:
+        gc.callbacks.remove(on_collection)
+        (gc.enable if was else gc.disable)()
+    assert len(kb) == len(lines)
+    assert full == []
 
 
 def retained_bytes(build):

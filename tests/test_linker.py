@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from finetype.embeddings import (MEAN_VECTOR, PAIRWISE_MEAN, EmbeddingTable, phrase_similarity,
-                                  tokenize)
+from finetype.embeddings import EmbeddingTable, phrase_similarity, tokenize
 from finetype.kb import EntityRecord, MissingClassRootsError, ingest_snapshot
 from finetype.linker import (
     FineTypedMention,
@@ -68,11 +67,6 @@ def test_default_threshold_is_point_one():
 def test_threshold_range_validated(bad):
     with pytest.raises(ValueError):
         LinkerConfig(threshold=bad)
-
-
-def test_similarity_mode_validated():
-    with pytest.raises(ValueError):
-        LinkerConfig(similarity_mode="median")
 
 
 def test_linker_names_every_missing_class_root(hierarchy, demo_table):
@@ -200,7 +194,7 @@ def per_subtype_oracle(entity, coarse, hierarchy, table, cfg, kb=None):
         leaf = tokenize(subtype.leaf)
         if not leaf:  # the loop raised here; a leaf with no word token is now skipped
             continue
-        score = phrase_similarity(evidence, leaf, table, cfg.similarity_mode)
+        score = phrase_similarity(evidence, leaf, table)
         if score is None or score <= cfg.threshold:
             continue
         if best is None or score > best[1]:
@@ -216,11 +210,9 @@ def assert_same_clustering(got, want, context):
         assert (str(got[0]), got[1]) == (str(want[0]), want[1]), context
 
 
-@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
-def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, demo_table, demo_kb,
-                                                                   mode):
+def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, demo_table, demo_kb):
     for threshold in (0.0, 0.1, 0.5):
-        cfg = demo_cfg(threshold=threshold, similarity_mode=mode)
+        cfg = demo_cfg(threshold=threshold)
         for kb in (None, demo_kb):
             linker = Linker(kb or EMPTY_KB, hierarchy, demo_table, cfg)
             for entity in demo_kb.records.values():
@@ -230,8 +222,7 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, dem
                     assert_same_clustering(got, want, (entity.id, coarse, threshold))
 
 
-@pytest.mark.parametrize("mode", [PAIRWISE_MEAN, MEAN_VECTOR])
-def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables(mode):
+def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables():
     # Random tables and hierarchies with exact ties (repeated vectors), zero
     # vectors, OOV and no-word leaves, and thresholds set exactly at a score;
     # root "u" has no subtype with a usable vector and root "v" no subtype.
@@ -253,11 +244,11 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables(mode)
         entity = EntityRecord(id=1, label="e",
                               description=" ".join(rng.choice(vocab, size=rng.integers(0, 4))))
         evidence = tokenize(entity.description)
-        scores = [phrase_similarity(evidence, tokenize(leaf), table, mode)
+        scores = [phrase_similarity(evidence, tokenize(leaf), table)
                   for leaf in names if evidence and tokenize(leaf)]
         thresholds = [0.0, 0.1] + [s for s in scores if s is not None and 0.0 <= s <= 1.0]
         for threshold in thresholds:
-            cfg = LinkerConfig(threshold=threshold, similarity_mode=mode)
+            cfg = LinkerConfig(threshold=threshold)
             linker = Linker(EMPTY_KB, h, table, cfg)
             for coarse in ("t", "u", "v"):
                 got = cluster_to_subtype(linker, entity, coarse)
@@ -375,31 +366,6 @@ def test_fallback_totality_random_spans(hierarchy, linker):
         got = link_mention(linker, span, tokens)
         assert isinstance(got, FineTypedMention)
         assert (got.score is not None) == (got.fine_type != span.coarse)
-
-
-def test_mean_vector_mode_matches_oracle_argmax(hierarchy, demo_table, demo_kb):
-    entity = demo_kb.lookup("iPad")
-    linker = demo_linker(hierarchy, demo_table, similarity_mode="mean-vector", threshold=0.0)
-    got = cluster_to_subtype(linker, entity, "product")
-    assert got is not None
-
-    # oracle: cosine of the mean in-vocabulary vectors of each side
-    def mean_vec(tokens):
-        vecs = [demo_table.get(t) for t in tokens]
-        vecs = [v for v in vecs if v is not None]
-        return np.mean(vecs, axis=0) if vecs else None
-
-    desc = mean_vec(tokenize(entity.description))
-    best = None
-    for sub in hierarchy.subtypes_of("product"):
-        s = mean_vec(tokenize(sub.leaf))
-        if s is None:
-            continue
-        score = float(np.dot(desc, s) / (np.linalg.norm(desc) * np.linalg.norm(s)))
-        if best is None or score > best[1]:
-            best = (str(sub), score)
-    assert got[0] == best[0]
-    assert got[1] == pytest.approx(best[1], abs=1e-12)
 
 
 def test_linked_output_json_round_trip(linker):
