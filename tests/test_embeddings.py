@@ -209,6 +209,25 @@ def test_phrase_direction_reductions(small_table):
     assert np.allclose(got, (sun + star / np.linalg.norm(star)) / 2, rtol=0, atol=1e-15)
 
 
+def test_phrase_direction_ignores_each_token_vector_scale():
+    # each token counts by its direction alone: rescaling one token's vector
+    # moves nothing, where a mean of raw vectors would lean toward the longer one
+    rng = np.random.default_rng(5)
+    vectors = {f"w{i}": rng.standard_normal(6) for i in range(10)}
+    scaled = {t: v * rng.uniform(1e-3, 1e3) for t, v in vectors.items()}
+    table, rescaled = EmbeddingTable(6, vectors), EmbeddingTable(6, scaled)
+    for _ in range(30):
+        tokens = list(rng.choice(list(vectors), size=rng.integers(1, 8)))
+        assert np.allclose(phrase_direction(tokens, rescaled), phrase_direction(tokens, table),
+                           rtol=0, atol=1e-14), tokens
+
+
+def test_phrase_direction_weights_repeated_tokens_by_count(small_table):
+    sun, star = np.array([1.0, 0.0]), np.array([0.9, 0.1])
+    got = phrase_direction(["sun", "star", "sun"], small_table)
+    assert np.allclose(got, (2 * sun + star / np.linalg.norm(star)) / 3, rtol=0, atol=1e-15)
+
+
 def test_phrase_similarity_is_clipped_dot_of_directions(small_table):
     left = phrase_direction(["sun", "star"], small_table)
     right = phrase_direction(["wave", "sea"], small_table)

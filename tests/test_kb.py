@@ -187,6 +187,17 @@ def test_lookup_candidate_restriction(fixture_kb):
     assert fixture_kb.lookup("Michael Jeffrey Jordan", classes={515}) is None
 
 
+def test_lookup_falls_back_to_aliases_when_classes_drop_every_label_hit():
+    # the label stage hits only Q3, of the wrong class; the alias stage then finds Q8
+    kb = ingest_snapshot([
+        record_line("Q3", "Jordan", instance_of=["Q6256"]),
+        record_line("Q8", "Michael Jordan", aliases=["Jordan"], instance_of=["Q5"]),
+    ])
+    assert kb.lookup("Jordan").id == 3
+    assert kb.lookup("Jordan", classes={5}).id == 8
+    assert kb.lookup("Jordan", classes={515}) is None
+
+
 def test_lookup_case_insensitive_by_default(fixture_kb):
     assert fixture_kb.lookup("michael jordan").id == 41421
 

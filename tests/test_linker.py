@@ -257,6 +257,24 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables():
                 assert coarse == "t" or got is None
 
 
+def test_clustering_ignores_each_word_vector_scale(hierarchy, demo_table, demo_kb):
+    # only word directions enter a score: scaling every vector by its own power
+    # of two, which normalizing undoes exactly, leaves each result bit-identical
+    rng = np.random.default_rng(3)
+    scaled = EmbeddingTable(demo_table.dim, {
+        t: demo_table.get(t) * 2.0 ** int(rng.integers(-20, 21)) for t in demo_table.tokens()})
+    plain = demo_linker(hierarchy, demo_table, demo_kb, threshold=0.0)
+    rescaled = demo_linker(hierarchy, scaled, demo_kb, threshold=0.0)
+    results = 0
+    for entity in demo_kb.records.values():
+        for coarse in map(str, hierarchy.roots):
+            want = cluster_to_subtype(plain, entity, coarse)
+            assert_same_clustering(cluster_to_subtype(rescaled, entity, coarse), want,
+                                   (entity.id, coarse))
+            results += want is not None
+    assert results > 0
+
+
 def test_leaf_without_word_token_is_skipped(demo_table):
     h = parse_hierarchy(["product", "product.+", "product.computer"])
     entity = EntityRecord(id=1, label="x", description="line of tablet computers")
