@@ -71,10 +71,6 @@ _PATH_KEYS = {
     "hierarchy", "kb", "embeddings", "token_vectors", "corpus",
     "train_corpus", "model", "output_dir",
 }
-_TAGGER_KEYS = {
-    "hidden_size", "embedding_dim", "dropout", "batch_size", "epochs",
-    "learning_rate", "beta1", "beta2", "eps", "bidirectional",
-}
 _CHOICES = {"granularity": ("fine", "coarse"), "vector_source": ("static", "precomputed")}
 
 
@@ -91,10 +87,8 @@ class PipelineConfig:
     seed: int = 13
     granularity: str = "fine"
     vector_source: str = "static"
-    case_sensitive: bool = False
     tagger: TaggerConfig = dataclasses.field(default_factory=TaggerConfig)
     linker: LinkerConfig = dataclasses.field(default_factory=LinkerConfig)
-    embedding_dim_fixed: bool = False
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -144,13 +138,11 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
                     raise ConfigError(f"key {key!r}: expected one of"
                                       f" {', '.join(map(repr, _CHOICES[key]))}, got {value!r}")
                 setattr(cfg, key, value)
-            elif key == "case_sensitive":
-                cfg.case_sensitive = _parse_bool(key, value)
             elif key == "bidirectional":
                 tagger_kwargs[key] = _parse_bool(key, value)
-            elif key in ("hidden_size", "embedding_dim", "batch_size", "epochs"):
+            elif key in ("hidden_size", "batch_size", "epochs"):
                 tagger_kwargs[key] = int(value)
-            elif key in _TAGGER_KEYS:
+            elif key in ("dropout", "learning_rate"):
                 tagger_kwargs[key] = float(value)
             elif key == "threshold":
                 linker_kwargs["threshold"] = float(value)
@@ -168,7 +160,6 @@ def build_config(values: dict[str, str], base_dir: Path) -> PipelineConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"key {key!r}: {exc}") from None
-    cfg.embedding_dim_fixed = "embedding_dim" in tagger_kwargs
     tagger_kwargs.setdefault("seed", cfg.seed)
     try:
         cfg.tagger = TaggerConfig(**tagger_kwargs)
@@ -232,7 +223,7 @@ def _output_dir(cfg: PipelineConfig) -> Path:
 
 
 # Configuration keys that every command's flags of the same name override;
-# ingest-kb's SNAPSHOT and --case-sensitive override kb and case_sensitive.
+# ingest-kb's SNAPSHOT overrides kb.
 _FLAG_KEYS = ["output_dir", "seed", "corpus", "model", "granularity", "threshold", "epochs"]
 
 
@@ -263,16 +254,17 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     one or can be made. ``model`` loads the configured model and ``train``
     builds a coarse-tagged training set from ``train_corpus`` (default: the
     corpus, read once for both); given both, a configured model is used and
-    nothing is trained. With either, token vectors are attached to the
-    sentences read, from the source chosen here once: the ``precomputed``
-    sidecar, ``token_vectors`` as a table, or the linker's ``embeddings``.
+    nothing is trained. With either, vectors from ``token_vectors`` are
+    attached to the sentences read: a table, or under ``vector_source =
+    precomputed`` a sidecar.
 
     Every path is checked before the "load inputs" stage opens; every
     condition spanning inputs (class roots for the linker, the vector
-    dimension, the sidecar's sentence count, gold tags to train on) is
-    checked inside it, before any command does work.
+    dimension, the parameter cap at that dimension, the sidecar's sentence
+    count, a nonempty training set with gold tags) is checked inside it,
+    before any command does work.
     """
-    overrides = {key: getattr(args, key) for key in (*_FLAG_KEYS, "kb", "case_sensitive")
+    overrides = {key: getattr(args, key) for key in (*_FLAG_KEYS, "kb")
                  if getattr(args, key, None) is not None}
     cfg = load_config(getattr(args, "config", None), overrides)
     use_model = "model" in keys and (cfg.model is not None or "train" not in keys)
@@ -287,12 +279,9 @@ def load_inputs(args, keys: set[str]) -> Inputs:
         paths["model"] = cfg.model
     if training:
         paths["train_corpus" if cfg.train_corpus else "corpus"] = cfg.train_corpus or cfg.corpus
-    vectors = None  # the tagger's vector source: "sidecar", "table" or "embeddings"
-    if use_model or training:
-        vectors = ("sidecar" if cfg.vector_source == "precomputed"
-                   else "table" if cfg.token_vectors is not None else "embeddings")
-        key = "embeddings" if vectors == "embeddings" else "token_vectors"
-        paths[key] = getattr(cfg, key)
+    vectors = use_model or training
+    if vectors:
+        paths["token_vectors"] = cfg.token_vectors
     problems = [f"{key} is not configured" if path is None else f"{key} does not exist: {path}"
                 for key, path in paths.items() if path is None or not Path(path).is_file()]
     if "output_dir" in keys:  # steps create it when they first write; a file there would fail
@@ -307,16 +296,15 @@ def load_inputs(args, keys: set[str]) -> Inputs:
         if "hierarchy" in keys:
             inputs.hierarchy = load_hierarchy(cfg.hierarchy)
         if "kb" in keys:
-            inputs.kb = load_snapshot(cfg.kb, case_sensitive=cfg.case_sensitive)
-        table = load_embeddings(cfg.embeddings) if "embeddings" in paths else None
+            inputs.kb = load_snapshot(cfg.kb)
         if {"hierarchy", "kb", "embeddings"} <= keys:
-            inputs.linker = Linker(inputs.kb, inputs.hierarchy, table, cfg.linker)
+            inputs.linker = Linker(inputs.kb, inputs.hierarchy, load_embeddings(cfg.embeddings),
+                                   cfg.linker)
         if vectors:
-            if vectors == "sidecar":
+            if cfg.vector_source == "precomputed":
                 provider = PrecomputedVectors.load(cfg.token_vectors)
             else:
-                provider = StaticVectors(table if vectors == "embeddings"
-                                         else load_embeddings(cfg.token_vectors))
+                provider = StaticVectors(load_embeddings(cfg.token_vectors))
             if use_model:
                 inputs.model = TaggerModel.load(cfg.model)
                 try:  # each tag: O, or B-/I- over a hierarchy root or a label outside it
@@ -327,12 +315,16 @@ def load_inputs(args, keys: set[str]) -> Inputs:
                             raise ValueError(f"tag {tag!r} is not over a hierarchy root")
                 except ValueError as exc:
                     raise ModelError(f"{cfg.model}: {exc}") from None
-            dim = inputs.model.config.embedding_dim if use_model else cfg.tagger.embedding_dim
-            if (use_model or cfg.embedding_dim_fixed) and dim != provider.dim:
-                owner = f"model {cfg.model}" if use_model else "embedding_dim"
-                raise ConfigError(f"{owner} expects {dim}-dimensional vectors but the vector"
-                                  f" source provides dimension {provider.dim}")
-            cfg.tagger = dataclasses.replace(cfg.tagger, embedding_dim=provider.dim)
+                dim = inputs.model.config.embedding_dim
+                if dim != provider.dim:
+                    raise ConfigError(f"model {cfg.model} expects {dim}-dimensional vectors but"
+                                      f" the vector source provides dimension {provider.dim}")
+            else:
+                try:  # the parameter cap, checked at the vectors' width
+                    cfg.tagger = dataclasses.replace(cfg.tagger, embedding_dim=provider.dim)
+                except ValueError as exc:
+                    raise ConfigError(f"key 'hidden_size': with the {provider.dim}-dimensional"
+                                      f" vectors in {cfg.token_vectors}, {exc}") from None
         if "corpus" in keys or "tagged" in keys:
             inputs.corpus = read_conll(paths.get("tagged", cfg.corpus))
             if vectors:
@@ -343,6 +335,8 @@ def load_inputs(args, keys: set[str]) -> Inputs:
                 examples = inputs.corpus
             else:
                 examples = attach_vectors(read_conll(source), provider)
+            if not examples:
+                raise ConfigError(f"training corpus {source} has no sentences")
             if any(ex.gold_tags is None for ex in examples):
                 raise ConfigError(f"training corpus {source} has untagged sentences:"
                                   " supply a trained model via 'model ='")
@@ -563,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest-kb", help="validate and summarize a KB snapshot")
     p.add_argument("kb", metavar="SNAPSHOT", help="newline-delimited JSON snapshot")
-    p.add_argument("--case-sensitive", action="store_true")
     p.set_defaults(func=cmd_ingest_kb)
 
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:

@@ -45,11 +45,9 @@ def format_qid(numeric: int) -> str:
     return f"Q{numeric}"
 
 
-def normalize_surface(surface: str, case_sensitive: bool = False) -> str:
-    """NFC-normalize and collapse whitespace; casefold unless strict mode."""
-    s = unicodedata.normalize("NFC", surface)
-    s = " ".join(s.split())
-    return s if case_sensitive else s.casefold()
+def normalize_surface(surface: str) -> str:
+    """NFC-normalize, collapse whitespace and casefold."""
+    return " ".join(unicodedata.normalize("NFC", surface).split()).casefold()
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,8 +189,7 @@ class KnowledgeBase:
     tuple of ints is untracked once a collection has seen it.
     """
 
-    def __init__(self, case_sensitive: bool = False):
-        self.case_sensitive = case_sensitive
+    def __init__(self):
         self._lines: dict[int, str] = {}
         self.records: Mapping[int, EntityRecord] = _Records(self._lines)
         self._label_index: dict[str, int | tuple[int, ...]] = {}
@@ -221,7 +218,7 @@ class KnowledgeBase:
         """
         if not surface or not surface.strip():
             raise ValueError("lookup surface must be nonempty")
-        key = normalize_surface(surface, self.case_sensitive)
+        key = normalize_surface(surface)
         for index in (self._label_index, self._alias_index):
             ids = _ids(index.get(key))
             if classes is not None:
@@ -265,14 +262,14 @@ class KnowledgeBase:
         return frozenset(self.subclass_closure(roots))
 
 
-def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> KnowledgeBase:
+def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.
 
     One pass decodes, validates and indexes each line; unknown fields are
     ignored. Raises SnapshotError with the offending line number on malformed
     input or duplicate ids.
     """
-    kb = KnowledgeBase(case_sensitive=case_sensitive)
+    kb = KnowledgeBase()
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
@@ -280,7 +277,7 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
-    nfc, fold = unicodedata.normalize, not case_sensitive
+    nfc = unicodedata.normalize
 
     def add(index: dict, key: object, entity_id: int) -> None:
         hit = index.get(key)
@@ -307,16 +304,13 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
         seen[entity_id] = lineno
         stored[entity_id] = raw
         # normalize_surface, inlined: one call fewer per key.
-        key = " ".join(nfc("NFC", label).split())
-        if fold:
-            key = key.casefold()
+        key = " ".join(nfc("NFC", label).split()).casefold()
         if key in label_index:
             add(label_index, key, entity_id)
         else:
             label_index[key] = entity_id
         for alias in aliases:
-            key = " ".join(nfc("NFC", alias).split())
-            add(alias_index, key.casefold() if fold else key, entity_id)
+            add(alias_index, " ".join(nfc("NFC", alias).split()).casefold(), entity_id)
         for parent in parents:
             add(children, parent, entity_id)
     for index, key in shared:
@@ -324,6 +318,6 @@ def ingest_snapshot(lines: Iterable[str], case_sensitive: bool = False) -> Knowl
     return kb
 
 
-def load_snapshot(path: str | os.PathLike[str], case_sensitive: bool = False) -> KnowledgeBase:
+def load_snapshot(path: str | os.PathLike[str]) -> KnowledgeBase:
     with open_utf8(path, SnapshotError) as fh:
-        return ingest_snapshot(fh, case_sensitive=case_sensitive)
+        return ingest_snapshot(fh)

@@ -125,11 +125,12 @@ def parse_conll(lines: Iterable[str]) -> list[SequenceExample]:
 
     Lines are split on tabs only, so tags may contain spaces
     (``B-organization.sports team``). A sentence must be uniformly tagged or
-    uniformly untagged.
+    uniformly untagged, and every tag one that ``extract_spans`` accepts.
     """
     examples: list[SequenceExample] = []
     tokens: list[str] = []
     tags: list[str | None] = []
+    bio_tags: set[str] = set()  # each distinct tag is checked once
 
     def flush(lineno: int) -> None:
         if not tokens:
@@ -160,6 +161,12 @@ def parse_conll(lines: Iterable[str]) -> list[SequenceExample]:
             tag = cols[1].strip()
             if not tag:
                 raise CorpusError(f"line {lineno}: empty tag")
+            if tag not in bio_tags:
+                try:
+                    extract_spans([tag])
+                except ValueError as exc:
+                    raise CorpusError(f"line {lineno}: {exc}") from None
+                bio_tags.add(tag)
             tokens.append(token)
             tags.append(tag)
         else:
@@ -295,6 +302,11 @@ def attach_vectors(corpus: Sequence[SequenceExample], provider) -> list[Sequence
 # H=512 model over 1024-d vectors has about 7.3M.
 MAX_PARAMETERS = 2**27
 
+# Adam at its published defaults (Kingma & Ba 2015, section 2).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TaggerConfig:
@@ -308,9 +320,6 @@ class TaggerConfig:
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     bidirectional: bool = False
 
@@ -321,10 +330,8 @@ class TaggerConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
             raise ValueError("batch_size must be positive, and epochs and seed non-negative")
-        if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.eps < np.inf):
-            raise ValueError("learning_rate and eps must be finite and non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and non-negative")
         size = sum(math.prod(shape) for shape in param_shapes(self, 1).values())
         if size > MAX_PARAMETERS:
             raise ValueError(f"hidden_size {self.hidden_size} and embedding_dim"
@@ -749,13 +756,13 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
                     "lower the learning rate or check the input vectors"
                 )
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
-            adam_m *= cfg.beta1
-            adam_m += (1.0 - cfg.beta1) * grad
-            adam_v *= cfg.beta2
-            adam_v += (1.0 - cfg.beta2) * grad**2
-            weights -= cfg.learning_rate * ((adam_m / bias1) / (np.sqrt(adam_v / bias2) + cfg.eps))
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
+            adam_m *= ADAM_BETA1
+            adam_m += (1.0 - ADAM_BETA1) * grad
+            adam_v *= ADAM_BETA2
+            adam_v += (1.0 - ADAM_BETA2) * grad**2
+            weights -= cfg.learning_rate * ((adam_m / bias1) / (np.sqrt(adam_v / bias2) + ADAM_EPS))
             epoch_nll += batch_nll
             epoch_tokens += total_tokens
         loss_curve.append(epoch_nll / epoch_tokens if epoch_tokens else 0.0)

@@ -87,9 +87,7 @@ def test_build_config_bad_value_cites_key():
 
 @pytest.mark.parametrize("key, value", [
     ("seed", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-inf"),
-    ("learning_rate", "-0.5"), ("beta1", "1"), ("beta1", "nan"), ("beta2", "1"), ("beta2", "nan"),
-    ("eps", "nan"), ("eps", "inf"), ("eps", "-1e-8"), ("hidden_size", "99999999999999999999"),
-    ("embedding_dim", "99999999999999999999"), ("hidden_size", "6000"),
+    ("learning_rate", "-0.5"), ("hidden_size", "99999999999999999999"), ("hidden_size", "6000"),
 ])
 def test_build_config_tagger_value_out_of_range_cites_key(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -97,9 +95,9 @@ def test_build_config_tagger_value_out_of_range_cites_key(key, value):
 
 
 def test_build_config_accepts_the_papers_tagger_size():
-    cfg = build_config({"hidden_size": "512", "embedding_dim": "1024", "bidirectional": "true"},
-                       Path("."))
-    assert cfg.tagger.encoder_width == 1024
+    # the vector width comes from the vectors, so the paper's 1024-d input is set here
+    cfg = TaggerConfig(hidden_size=512, embedding_dim=1024, bidirectional=True)
+    assert cfg.encoder_width == 1024
 
 
 def test_load_config_missing_file(tmp_path):
@@ -498,6 +496,55 @@ def test_oversized_tagger_fails_before_work(tmp_path, demo_config_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
 
 
+def test_parameter_cap_is_checked_at_the_vectors_width(tmp_path, demo_config_path, capsys,
+                                                        monkeypatch):
+    # 5700 units pass the cap at the 16-d width build_config assumes, and would
+    # allocate about 1 GiB there; over these 200-d vectors they exceed it
+    monkeypatch.chdir(tmp_path)
+    wide = tmp_path / "wide.vec"
+    wide.write_text("".join(f"{token} {' '.join(['0.5'] * 200)}\n" for token in ("ocean", ".")))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(set_key(set_key(demo_cfg_with_absolute_paths(demo_config_path), "hidden_size",
+                                   "5700"), "token_vectors", wide))
+    code = main(["pipeline", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: key 'hidden_size': with the 200-dimensional vectors in {wide}, " in err
+    assert "MAX_PARAMETERS" in err and "stage failed: load inputs" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg", "wide.vec"]
+
+
+@pytest.mark.parametrize("key, value", [("beta1", "0.9"), ("beta2", "0.999"), ("eps", "1e-8"),
+                                        ("embedding_dim", "16"), ("case_sensitive", "false")])
+def test_deleted_key_is_unknown(tmp_path, demo_config_path, capsys, key, value):
+    # Adam's constants are fixed, the vector width is the vectors', and KB keys
+    # are always casefolded
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), key, value))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: unknown configuration key: {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("train", "corpus"), ("pipeline", "corpus"),
+                                          ("pipeline", "train_corpus")])
+def test_empty_training_corpus_fails_before_training(tmp_path, demo_config_path, capsys,
+                                                    command, key):
+    empty = tmp_path / "empty.conll"
+    empty.write_text("\n\n")
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(set_key(demo_cfg_with_absolute_paths(demo_config_path), key, empty))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: training corpus {empty} has no sentences" in err
+    assert "stage failed: load inputs" in err and "train tagger" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["pairwise-mean", "mean-vector", "median"])
 def test_similarity_mode_accepts_only_pairwise_mean(tmp_path, demo_config_path, capsys, value):
     cfg = tmp_path / "mode.cfg"
@@ -523,8 +570,7 @@ def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
 
 
 # Keys the demo config leaves unset; they are edited too, after every key it sets.
-UNSET_KEYS = ["beta1", "beta2", "eps", "embedding_dim", "bidirectional", "vector_source",
-               "case_sensitive", "train_corpus", "model"]
+UNSET_KEYS = ["bidirectional", "vector_source", "train_corpus", "model"]
 HUGE = "99999999999999999999"
 EDITS = ["", "garb@ge", "-1", "0", "1", "nan", "inf", HUGE]
 
@@ -691,6 +737,19 @@ def test_malformed_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["corpus", "train_corpus", "tagged", "gold"])
+def test_tag_that_is_not_bio_exits_1_and_cites_file_and_line(tmp_path, demo_config_path,
+                                                             pipeline_out, capsys, case):
+    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
+                                      b"Paris\tX-date")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {bad}: line {lineno}: not a BIO tag: 'X-date'" in err
+    assert "stage failed: load inputs" in err
+    assert not (tmp_path / "out").exists()
+
+
 def with_bad_vector_row(src, dst, value):
     """Copy the vector file ``src`` to ``dst`` with a row whose first value is
     ``value`` appended; returns that row's line number."""
@@ -769,24 +828,21 @@ def sidecar_rows():
             for i, ex in enumerate(read_conll(DEMO_DIR / "corpus.conll"))]
 
 
-@pytest.mark.parametrize("source", ["embeddings", "embeddings-only", "token_vectors", "sidecar"])
+@pytest.mark.parametrize("source", ["embeddings", "token_vectors", "sidecar"])
 def test_extreme_vector_rows_never_fail_after_work_starts_or_warn(tmp_path, demo_config_path,
                                                                   pipeline_out, capsys, source):
     # "ocean" is the only corpus token the linker's table holds, and a description
     # token; "." is the corpus's most frequent token. With "embeddings" the demo
-    # model tags, so "Atlantic Ocean" is linked; "embeddings-only" sets no
-    # token_vectors, so the table also feeds the tagger.
-    token = "ocean" if source.startswith("embeddings") else "."
+    # model tags, so "Atlantic Ocean" is linked.
+    token = "ocean" if source == "embeddings" else "."
     base = demo_cfg_with_absolute_paths(demo_config_path)
     argv = ["pipeline", "--epochs", "2"]
     if source == "embeddings":
         argv += ["--model", str(pipeline_out / "model.npz")]
-    elif source == "embeddings-only":
-        base = re.sub(r"^token_vectors =.*\n", "", base, flags=re.M)
     if source == "sidecar":
         sentences = sidecar_rows()
         base = set_key(base, "vector_source", "precomputed")
-    key = "embeddings" if source.startswith("embeddings") else "token_vectors"
+    key = "embeddings" if source == "embeddings" else "token_vectors"
     table = DEMO_DIR / ("token_vectors.vec" if key == "token_vectors" else "wiki_vectors.vec")
     failures = []
     for run, value in enumerate(ROW_VALUES):
@@ -811,6 +867,30 @@ def test_extreme_vector_rows_never_fail_after_work_starts_or_warn(tmp_path, demo
             failures.append(f"{value}: exit {code}: {[str(w.message) for w in caught]}"
                             f" {err.strip()}")
     assert failures == []
+
+
+@pytest.mark.parametrize("command", ["train", "tag", "pipeline", "link", "evaluate"])
+def test_only_the_tagger_needs_token_vectors(tmp_path, demo_config_path, pipeline_out, capsys,
+                                             command):
+    # the tagger never falls back to the linker's table
+    cfg = tmp_path / "no-token-vectors.cfg"
+    cfg.write_text(re.sub(r"^token_vectors =.*\n", "",
+                          demo_cfg_with_absolute_paths(demo_config_path), flags=re.M))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--output-dir", str(out)]
+    argv += {"tag": ["--model", str(pipeline_out / "model.npz")],
+             "link": ["--tagged", str(pipeline_out / "tagged.conll")],
+             "evaluate": ["--pred", str(pipeline_out / "linked.jsonl")]}.get(command, [])
+    code = main(argv)
+    err = capsys.readouterr().err
+    if command in ("link", "evaluate"):
+        assert code == 0, err
+        name = "linked.jsonl" if command == "link" else "report.json"
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes()
+    else:
+        assert code == 1
+        assert err == "error: token_vectors is not configured\n"
+        assert not out.exists()
 
 
 def test_non_utf8_line_is_counted_as_text_reading_counts_lines(tmp_path):

@@ -68,7 +68,7 @@ def test_parse_qid_rejects(bad):
 
 def test_normalize_surface_collapses_case_and_whitespace():
     assert normalize_surface("  Michael\t Jordan ") == "michael jordan"
-    assert normalize_surface("Michael Jordan", case_sensitive=True) == "Michael Jordan"
+    assert normalize_surface("E\u0301TE\u0301  Stra\u00dfe") == "\u00e9t\u00e9 strasse"
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -202,12 +202,6 @@ def test_lookup_case_insensitive_by_default(fixture_kb):
     assert fixture_kb.lookup("michael jordan").id == 41421
 
 
-def test_lookup_strict_case_mode():
-    kb = ingest_snapshot([record_line("Q4", "Paris")], case_sensitive=True)
-    assert kb.lookup("paris") is None
-    assert kb.lookup("Paris").id == 4
-
-
 def test_lookup_independent_of_insertion_order():
     lines = [
         record_line("Q300", "acme"),
@@ -338,7 +332,7 @@ def id_sets(index):
 
 def intersect_lookup_oracle(kb, surface, candidates):
     """Lookup restricted to a candidate id set by intersecting each stage's hits."""
-    key = normalize_surface(surface, kb.case_sensitive)
+    key = normalize_surface(surface)
     for index in (kb._label_index, kb._alias_index):
         ids = (id_set(index[key]) if key in index else set()) & candidates
         if ids:
@@ -520,7 +514,7 @@ def oracle_parse_record(line):
     )
 
 
-def oracle_ingest(lines, case_sensitive=False):
+def oracle_ingest(lines):
     """Parse every line into a record, then index the record list: the records
     by id and the label, alias and subclass-children indexes."""
     records, seen = {}, {}
@@ -538,19 +532,19 @@ def oracle_ingest(lines, case_sensitive=False):
         records[rec.id] = rec
     labels, aliases, children = {}, {}, {}
     for rec in records.values():
-        labels.setdefault(normalize_surface(rec.label, case_sensitive), set()).add(rec.id)
+        labels.setdefault(normalize_surface(rec.label), set()).add(rec.id)
         for alias in rec.aliases:
-            aliases.setdefault(normalize_surface(alias, case_sensitive), set()).add(rec.id)
+            aliases.setdefault(normalize_surface(alias), set()).add(rec.id)
         for parent in rec.subclass_of:
             children.setdefault(parent, set()).add(rec.id)
     return records, labels, aliases, children
 
 
-def outcome(ingest, lines, case_sensitive=False):
+def outcome(ingest, lines):
     """Everything an ingest yields, as comparable values: the error text, or the
     records in order and the three indexes."""
     try:
-        result = ingest(lines, case_sensitive=case_sensitive)
+        result = ingest(lines)
     except SnapshotError as exc:
         return ("error", str(exc))
     if isinstance(result, KnowledgeBase):
@@ -616,10 +610,9 @@ MALFORMED_LINES = [
 def test_one_pass_ingest_matches_oracle(name):
     lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
              "fixture": FIXTURE_LINES, "random": random_snapshot_lines(5)}[name]
-    for case_sensitive in (False, True):
-        expected = outcome(oracle_ingest, lines, case_sensitive)
-        assert expected[0] == "ok"
-        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+    expected = outcome(oracle_ingest, lines)
+    assert expected[0] == "ok"
+    assert outcome(ingest_snapshot, lines) == expected
     kb = ingest_snapshot(lines)
     for rec in kb.records.values():
         assert kb.lookup(rec.label) is kb.records[kb.lookup(rec.label).id]
@@ -649,9 +642,8 @@ def test_ingest_error_text_after_cached_links_matches_oracle(line):
     # FIXTURE_LINES link to Q5, Q515 and Q2221906 first, so the ingest has
     # seen those link texts before it reaches the line under test.
     lines = FIXTURE_LINES + [line]
-    for case_sensitive in (False, True):
-        expected = outcome(oracle_ingest, lines, case_sensitive)
-        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+    expected = outcome(oracle_ingest, lines)
+    assert outcome(ingest_snapshot, lines) == expected
     if line is SPACED_LINK_LINE:
         assert expected[0] == "ok"
         assert expected[1][-1] == (1, EntityRecord(1, "x", instance_of=(5, 5), occupation=(5, 5)))
@@ -706,10 +698,9 @@ def test_one_pass_ingest_matches_oracle_on_generated_lines_after_cached_links(li
 # --- the compact KB: source lines, and int or tuple index values -------------------
 
 def assert_matches_oracle(lines):
-    for case_sensitive in (False, True):
-        expected = outcome(oracle_ingest, lines, case_sensitive)
-        assert expected[0] == "ok"
-        assert outcome(ingest_snapshot, lines, case_sensitive) == expected
+    expected = outcome(oracle_ingest, lines)
+    assert expected[0] == "ok"
+    assert outcome(ingest_snapshot, lines) == expected
 
 
 def test_one_entity_keeps_one_id_under_a_key_its_aliases_share():
@@ -721,8 +712,6 @@ def test_one_entity_keeps_one_id_under_a_key_its_aliases_share():
     kb = ingest_snapshot(lines)
     assert kb._alias_index == {"bar": (2, 4), "foo": 3}
     assert kb._subclass_children == {1: 5}
-    strict = ingest_snapshot(lines, case_sensitive=True)
-    assert strict._alias_index == {"bar": 2, "Foo": 3, "foo": 3, "FOO": 3, "Bar": 4, "BAR": 4}
 
 
 def test_homonym_whose_lowest_id_lies_outside_the_closure():

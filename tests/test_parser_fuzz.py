@@ -127,8 +127,8 @@ def test_parse_hierarchy_fuzz(lines):
 config_keys = st.one_of(
     st.sampled_from([
         "hierarchy", "kb", "output_dir", "seed", "granularity", "vector_source",
-        "case_sensitive", "bidirectional", "hidden_size", "embedding_dim", "dropout",
-        "batch_size", "epochs", "learning_rate", "threshold", "similarity_mode",
+        "bidirectional", "hidden_size", "dropout", "batch_size", "epochs", "learning_rate",
+        "threshold", "similarity_mode",
         "class_roots.person", "class_roots.",
     ]),
     st.text(max_size=8),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import mpmath
 import numpy as np
@@ -514,6 +515,13 @@ def test_parse_conll_mixed_sentence_rejected():
 def test_parse_conll_too_many_columns():
     with pytest.raises(CorpusError, match="line 1"):
         parse_conll(["a\tb\tc"])
+
+
+@pytest.mark.parametrize("tag", ["X-date", "B-", "I", "Bperson", "O-person", "b-person"])
+def test_parse_conll_rejects_a_tag_extract_spans_rejects(tag):
+    # the first line holding the tag is cited, as extract_spans words it
+    with pytest.raises(CorpusError, match=rf"^line 3: not a BIO tag: {re.escape(repr(tag))}$"):
+        parse_conll(["John\tB-per", "", f"runs\t{tag}", f"runs\t{tag}"])
 
 
 def test_parse_sidecar_and_alignment():

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from finetype.tagger import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     INFERENCE_GROUP_SIZE,
     SequenceExample,
     TaggerConfig,
@@ -154,11 +157,11 @@ def oracle_train(corpus, cfg):
                                                grads, 1.0 / total, mask)
             step += 1
             for key in params:
-                adam_m[key] = cfg.beta1 * adam_m[key] + (1.0 - cfg.beta1) * grads[key]
-                adam_v[key] = cfg.beta2 * adam_v[key] + (1.0 - cfg.beta2) * grads[key] ** 2
+                adam_m[key] = ADAM_BETA1 * adam_m[key] + (1.0 - ADAM_BETA1) * grads[key]
+                adam_v[key] = ADAM_BETA2 * adam_v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
                 params[key] = params[key] - cfg.learning_rate * (
-                    (adam_m[key] / (1.0 - cfg.beta1**step))
-                    / (np.sqrt(adam_v[key] / (1.0 - cfg.beta2**step)) + cfg.eps)
+                    (adam_m[key] / (1.0 - ADAM_BETA1**step))
+                    / (np.sqrt(adam_v[key] / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
                 )
             epoch_nll += batch_nll
             epoch_tokens += total
