@@ -16,6 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .embeddings import EmbeddingError, load_embeddings
@@ -307,14 +308,7 @@ def load_inputs(args, keys: set[str]) -> Inputs:
                 provider = StaticVectors(load_embeddings(cfg.token_vectors))
             if use_model:
                 inputs.model = TaggerModel.load(cfg.model)
-                try:  # each tag: O, or B-/I- over a hierarchy root or a label outside it
-                    for tag in inputs.model.tags:
-                        extract_spans([tag])
-                        if inputs.hierarchy and (project_tags_to_coarse([tag], inputs.hierarchy)
-                                                 != [tag]):
-                            raise ValueError(f"tag {tag!r} is not over a hierarchy root")
-                except ValueError as exc:
-                    raise ModelError(f"{cfg.model}: {exc}") from None
+                _check_coarse_tags(cfg.model, inputs.model.tags, inputs.hierarchy, ModelError)
                 dim = inputs.model.config.embedding_dim
                 if dim != provider.dim:
                     raise ConfigError(f"model {cfg.model} expects {dim}-dimensional vectors but"
@@ -326,15 +320,19 @@ def load_inputs(args, keys: set[str]) -> Inputs:
                     raise ConfigError(f"key 'hidden_size': with the {provider.dim}-dimensional"
                                       f" vectors in {cfg.token_vectors}, {exc}") from None
         if "corpus" in keys or "tagged" in keys:
-            inputs.corpus = read_conll(paths.get("tagged", cfg.corpus))
+            source = paths.get("tagged", cfg.corpus)
+            inputs.corpus = read_conll(source)
+            if "tagged" in keys:  # linked as a model's output, so with a model's labels
+                tags = dict.fromkeys(tag for ex in inputs.corpus for tag in ex.gold_tags or ())
+                _check_coarse_tags(source, tags, inputs.hierarchy, CorpusError)
             if vectors:
-                inputs.corpus = attach_vectors(inputs.corpus, provider)
+                inputs.corpus = _with_vectors(inputs.corpus, source, provider, cfg.token_vectors)
         if training:
             source = cfg.train_corpus or cfg.corpus
             if cfg.train_corpus is None and "corpus" in keys:
                 examples = inputs.corpus
             else:
-                examples = attach_vectors(read_conll(source), provider)
+                examples = _with_vectors(read_conll(source), source, provider, cfg.token_vectors)
             if not examples:
                 raise ConfigError(f"training corpus {source} has no sentences")
             if any(ex.gold_tags is None for ex in examples):
@@ -346,6 +344,29 @@ def load_inputs(args, keys: set[str]) -> Inputs:
                 for ex in examples
             ]
     return inputs
+
+
+def _check_coarse_tags(path: Path, tags: Iterable[str], hierarchy: TypeHierarchy | None,
+                       error: type[Exception]) -> None:
+    """Raise ``error`` naming ``path`` and the first of ``tags`` that is not O,
+    or B-/I- over a hierarchy root or over a label outside the hierarchy."""
+    try:
+        for tag in tags:
+            extract_spans([tag])
+            if hierarchy and project_tags_to_coarse([tag], hierarchy) != [tag]:
+                raise ValueError(f"tag {tag!r} is not over a hierarchy root")
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def _with_vectors(examples: list[SequenceExample], path: Path, provider,
+                  vectors_path: Path) -> list[SequenceExample]:
+    """``attach_vectors`` for the corpus read from ``path``; an error names the
+    vector file ``vectors_path``, and a sentence count mismatch the corpus too."""
+    try:
+        return attach_vectors(examples, provider, f"the corpus {path}")
+    except CorpusError as exc:
+        raise CorpusError(f"{vectors_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ packed, longest-first, time-major rows (``_Layout``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -189,10 +190,76 @@ def write_conll(path: str | os.PathLike[str], examples: Iterable[SequenceExample
             fh.write("\n")
 
 
-def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
+def parse_sidecar(lines: Sequence[str] | TextIO) -> list[np.ndarray]:
     """Read precomputed per-token vectors: a dimension header line, then one
-    float row per token with blank lines between sentences, each row passing
-    ``bounded_rows``."""
+    row per token of ``dim`` values that Python ``float`` accepts, with blank
+    lines between sentences, each row passing ``bounded_rows``.
+
+    ``lines`` is a list of lines or a text file open at its start. The rows
+    are parsed in one ``np.loadtxt`` block, as they are read, and cut into
+    sentences. That block accepts a subset of what ``float`` accepts, with
+    equal values; where it is refused (``1_0``, non-ASCII digits, a bad row)
+    ``_parse_sidecar_lines`` reads ``lines`` again from the start, and words
+    the first error."""
+    sentences = _sidecar_block(lines)
+    if sentences is None:
+        if not isinstance(lines, Sequence):
+            lines.seek(0)
+        sentences = _parse_sidecar_lines(lines)
+    return sentences
+
+
+def _sidecar_block(lines: Iterable[str]) -> list[np.ndarray] | None:
+    """The sentences of a sidecar whose rows ``np.loadtxt`` parses as one
+    block of ``dim`` columns of bounded values; None for any other."""
+    lines = iter(lines)
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.strip():
+            dim = _sidecar_dim(raw.strip(), lineno)
+            break
+    else:
+        return None
+    lengths = [0]  # rows after each blank line; a sentence where not 0
+
+    def rows() -> Iterator[str]:
+        for raw in lines:
+            if raw.strip():
+                lengths[-1] += 1
+                yield raw
+            else:
+                lengths.append(0)
+
+    rest = rows()
+    first = next(rest, None)
+    if first is None:  # loadtxt warns on no rows
+        return []
+    try:  # '#' is not a comment: float rejects it
+        block = np.loadtxt(itertools.chain([first], rest), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (sum(lengths), dim) or not bounded_rows(block).all():
+        return None
+    ends = itertools.accumulate(lengths)
+    return [block[end - n : end] for n, end in zip(lengths, ends) if n]
+
+
+def _sidecar_dim(line: str, lineno: int) -> int:
+    """The dimension a sidecar's header ``line``, stripped, declares."""
+    # ASCII digits only: str.isdigit also accepts digits int() rejects, like '²'
+    if not (line.isascii() and line.isdigit()):
+        raise CorpusError(f"line {lineno}: expected a dimension header")
+    try:
+        dim = int(line)
+    except ValueError:
+        raise CorpusError(f"line {lineno}: dimension header is too long") from None
+    if dim < 1:
+        raise CorpusError(f"line {lineno}: dimension must be positive")
+    return dim
+
+
+def _parse_sidecar_lines(lines: Iterable[str]) -> list[np.ndarray]:
+    """``parse_sidecar`` one line at a time: each value through ``float``,
+    and the first bad line named."""
     dim: int | None = None
     sentences: list[np.ndarray] = []
     current: list[np.ndarray] = []
@@ -210,17 +277,8 @@ def parse_sidecar(lines: Iterable[str]) -> list[np.ndarray]:
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if dim is None:
-            if not line:
-                continue
-            # ASCII digits only: str.isdigit also accepts digits int() rejects, like '²'
-            if not (line.isascii() and line.isdigit()):
-                raise CorpusError(f"line {lineno}: expected a dimension header")
-            try:
-                dim = int(line)
-            except ValueError:
-                raise CorpusError(f"line {lineno}: dimension header is too long") from None
-            if dim < 1:
-                raise CorpusError(f"line {lineno}: dimension must be positive")
+            if line:
+                dim = _sidecar_dim(line, lineno)
             continue
         if not line:
             flush(lineno)
@@ -279,12 +337,14 @@ class PrecomputedVectors:
         return vecs
 
 
-def attach_vectors(corpus: Sequence[SequenceExample], provider) -> list[SequenceExample]:
+def attach_vectors(corpus: Sequence[SequenceExample], provider,
+                   corpus_name: str = "the corpus") -> list[SequenceExample]:
     """Copies of the sentences carrying their vectors. A sidecar must hold
-    exactly one entry per corpus sentence."""
+    exactly one entry per corpus sentence; ``corpus_name`` names the corpus
+    when it does not."""
     if isinstance(provider, PrecomputedVectors) and len(provider.sentences) != len(corpus):
         raise CorpusError(
-            f"sidecar holds {len(provider.sentences)} sentences but the corpus has {len(corpus)}"
+            f"sidecar holds {len(provider.sentences)} sentences but {corpus_name} has {len(corpus)}"
         )
     return [
         replace(ex, vectors=provider.vectors_for(i, ex.tokens))

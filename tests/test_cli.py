@@ -20,7 +20,7 @@ from finetype.tagger import StaticVectors, TaggerConfig, TaggerModel, init_param
 from finetype.taxonomy import parse_hierarchy
 from finetype.textfile import open_utf8
 
-from conftest import DATA_DIR, DEMO_DIR
+from conftest import DATA_DIR, DEMO_DIR, demo_sidecar_sentences, sidecar_text
 
 
 @pytest.fixture(scope="module")
@@ -595,22 +595,11 @@ def test_config_edits_never_fail_after_work_starts(tmp_path, demo_config_path, c
     assert failures == []
 
 
-def test_pipeline_with_precomputed_sidecar_matches_static_run(
-    tmp_path, demo_config_path, pipeline_out, capsys
-):
-    from finetype.embeddings import load_embeddings
-    from finetype.tagger import StaticVectors, read_conll
-
-    corpus = read_conll(DEMO_DIR / "corpus.conll")
-    provider = StaticVectors(load_embeddings(DEMO_DIR / "token_vectors.vec"))
+def sidecar_config(tmp_path, demo_config_path, text):
+    """The demo config with a precomputed sidecar holding ``text``; returns
+    the config's and the sidecar's paths."""
     sidecar = tmp_path / "context.vec"
-    with open(sidecar, "w") as fh:
-        fh.write(f"{provider.dim}\n")
-        for i, ex in enumerate(corpus):
-            for row in provider.vectors_for(i, ex.tokens):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            fh.write("\n")
-
+    sidecar.write_text(text)
     cfg = tmp_path / "sidecar.cfg"
     cfg.write_text(
         demo_cfg_with_absolute_paths(demo_config_path).replace(
@@ -618,6 +607,13 @@ def test_pipeline_with_precomputed_sidecar_matches_static_run(
             f"token_vectors = {sidecar}\nvector_source = precomputed",
         )
     )
+    return cfg, sidecar
+
+
+def test_pipeline_with_precomputed_sidecar_matches_static_run(
+    tmp_path, demo_config_path, pipeline_out, capsys
+):
+    cfg, _ = sidecar_config(tmp_path, demo_config_path, sidecar_text(demo_sidecar_sentences()))
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
     capsys.readouterr()
@@ -631,20 +627,49 @@ def test_pipeline_with_precomputed_sidecar_matches_static_run(
                          ids=["superscript-two", "5000-digits"])
 def test_pipeline_bad_sidecar_header_fails_before_work(tmp_path, demo_config_path, capsys,
                                                       header):
-    sidecar = tmp_path / "context.vec"
-    sidecar.write_text(f"{header}\n1 0\n")
-    cfg = tmp_path / "sidecar.cfg"
-    cfg.write_text(
-        demo_cfg_with_absolute_paths(demo_config_path).replace(
-            f"token_vectors = {DEMO_DIR / 'token_vectors.vec'}",
-            f"token_vectors = {sidecar}\nvector_source = precomputed",
-        )
-    )
+    cfg, _ = sidecar_config(tmp_path, demo_config_path, f"{header}\n1 0\n")
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
     assert code == 1
     assert "line 1: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-sentence", "short-sentence"])
+def test_pipeline_misaligned_sidecar_names_it_and_fails_before_work(tmp_path, demo_config_path,
+                                                                   capsys, case):
+    sentences = demo_sidecar_sentences()
+    if case == "missing-sentence":
+        sentences, message = sentences[1:], (
+            f"sidecar holds {len(sentences) - 1} sentences but the corpus"
+            f" {DEMO_DIR / 'corpus.conll'} has {len(sentences)}")
+    else:
+        sentences[1], message = sentences[1][:-1], (
+            f"sentence 1: sidecar holds {len(sentences[1]) - 1} vectors"
+            f" for {len(sentences[1])} tokens")
+    cfg, sidecar = sidecar_config(tmp_path, demo_config_path, sidecar_text(sentences))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: {sidecar}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label,code", [("person.artist", 1), ("person", 0), ("date", 0)])
+def test_link_tagged_takes_only_coarse_labels(tmp_path, demo_config_path, capsys, label, code):
+    # the rule for a supplied model's tags: O, or B-/I- over a hierarchy root
+    # or over a label outside the hierarchy
+    tagged = tmp_path / "tagged.conll"
+    tagged.write_text(f"Michael\tB-{label}\nJordan\tI-{label}\nplays\tO\n")
+    out = tmp_path / "out"
+    assert main(["link", "--config", str(demo_config_path), "--tagged", str(tagged),
+                 "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.endswith(f"error: {tagged}: tag 'B-{label}' is not over a hierarchy root\n")
+        assert not out.exists()
+    else:
+        assert (out / "linked.jsonl").exists()
 
 
 @pytest.mark.parametrize("output_dir", ["afile", "afile/sub"])

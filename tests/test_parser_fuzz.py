@@ -7,6 +7,7 @@ format, so generated input also reaches the checks past the first token.
 Runs are derandomized so the suite stays deterministic.
 """
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from finetype.cli import ConfigError, build_config, parse_config_text, read_link
 from finetype.embeddings import EmbeddingError, parse_embeddings
 from finetype.evaluation import EvalError
 from finetype.kb import SnapshotError, ingest_snapshot
-from finetype.tagger import CorpusError, parse_conll, parse_sidecar
+from finetype.tagger import CorpusError, _parse_sidecar_lines, parse_conll, parse_sidecar
 from finetype.taxonomy import HierarchyError, parse_hierarchy
 
 fuzz = settings(derandomize=True, deadline=None)
@@ -55,8 +56,81 @@ def test_parse_conll_fuzz(lines):
 @given(lines_of(numbers, st.lists(numbers, max_size=4).map(" ".join)))
 @example(["²"])
 @example(["²", "1 0"])
+@example(["3", "1 2 # x"])
+@example(["1", "\u0661"])  # ARABIC-INDIC DIGIT ONE
+@example(["1", "\uff11"])  # FULLWIDTH DIGIT ONE
+@example(["1", "1_0"])
+@example(["1", "1", "\xa0", "2", " \t", "3"])
 def test_parse_sidecar_fuzz(lines):
     returns_or_raises(CorpusError, parse_sidecar, lines)
+
+
+# Values float accepts, some that np.loadtxt does not (1_0, non-ASCII digits),
+# and some neither does; rows that overflow bounded_rows; separators, line
+# ends and blank lines that text files and plain lists of lines can hold.
+clean_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.floats(-1e6, 1e6).map("{:.6f}".format),
+                         st.integers(-10**20, 10**20).map(str))
+odd_values = st.one_of(numbers, st.sampled_from(
+    ["\u0661", "\uff11", "#", "1e200", "-1e160", "inf", "+.5", "1.", ".", "-", "1d3", "0x1p3",
+     "\x00", "1e5_0"]))
+clean_separators = st.sampled_from([" ", "\t", "\x0b", "\xa0", " \x0c ", "\u2003"])
+odd_separators = st.sampled_from(["\r", "\n", "\x1c", "\x85", ",", ""])
+clean_ends = st.sampled_from(["", "\n", "\r\n"])
+odd_ends = st.sampled_from([" # x\n", "#", "\r\r\n", "\n\n"])
+blank_lines = st.sampled_from(["", "\n", "\r\n", " \t", "\xa0\n", "\x0b", "\r"])
+
+
+@st.composite
+def sidecars(draw):
+    """Sidecar lines that either parse in one block or hold one kind of
+    defect, or every kind, in places."""
+    kind = draw(st.sampled_from(["none", "header", "values", "widths", "separators", "ends",
+                                 "all"]))
+
+    def part(clean, odd, of):
+        return st.one_of(clean, odd) if kind in (of, "all") else clean
+
+    dim = draw(st.integers(1, 4))
+    widths = part(st.just(dim), st.sampled_from([dim - 1, dim + 1]), "widths")
+    values = part(clean_values, odd_values, "values")
+    separators = part(clean_separators, odd_separators, "separators")
+    ends = part(clean_ends, odd_ends, "ends")
+    lines = draw(st.lists(blank_lines, max_size=2))
+    headers = st.sampled_from(["0", "²", "x", f"{dim} {dim}", f"{dim + 1}"])
+    lines.append(draw(part(st.sampled_from([f"{dim}\n", f" {dim}\r\n"]), headers, "header")))
+    for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(1, 4))):
+            row = [draw(values) for _ in range(draw(widths))]
+            lines.append(draw(separators).join(row) if draw(st.booleans())
+                         else "".join(v + draw(separators) for v in row))
+            lines[-1] += draw(ends)
+        lines.extend(draw(st.lists(blank_lines, min_size=1, max_size=3)))
+    return lines
+
+
+def outcome(parse, lines):
+    """Each sentence's shape, dtype and bytes, or the error's type and text."""
+    try:
+        return [(s.shape, s.dtype, s.tobytes()) for s in parse(lines)]
+    except Exception as exc:  # the two parsers must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+@fuzz
+@given(sidecars())
+@example(["2", "1 2", "", "3 1_0"])
+@example(["2", "1 2", "\uff11 2", "", "1e200 0"])
+@example(["1", "1e200", "", "x"])
+@example(["2", "1\r2"])
+@example(["2", "1 2 # x"])
+@example(["2", "1\n2", "3 4"])
+def test_parse_sidecar_matches_the_per_line_loop(lines):
+    assert outcome(parse_sidecar, lines) == outcome(_parse_sidecar_lines, lines)
+    # a text file, which the per-line loop reads again from its start
+    text = "\n".join(lines)
+    assert (outcome(parse_sidecar, io.StringIO(text, newline=None))
+            == outcome(_parse_sidecar_lines, io.StringIO(text, newline=None)))
 
 
 json_values = st.recursive(
