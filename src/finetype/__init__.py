@@ -8,8 +8,6 @@ hierarchy, plus an exact-match evaluation engine.
 from .embeddings import EmbeddingTable, load_embeddings, phrase_similarity, tokenize
 from .evaluation import (
     Counts,
-    EvalReport,
-    MatchCounts,
     build_report,
     macro_f1,
     match_exact,
@@ -35,12 +33,10 @@ __all__ = [
     "Counts",
     "EmbeddingTable",
     "EntityRecord",
-    "EvalReport",
     "FineTypedMention",
     "KnowledgeBase",
     "Linker",
     "LinkerConfig",
-    "MatchCounts",
     "MentionSpan",
     "SequenceExample",
     "TaggerConfig",

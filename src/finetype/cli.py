@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import __version__
 from .embeddings import EmbeddingError, load_embeddings
-from .evaluation import EvalError, MatchCounts, build_report, format_report, match_exact
+from .evaluation import Counts, EvalError, build_report, format_report, match_exact
 from .kb import (
     NARROWED_CATEGORIES,
     KnowledgeBase,
@@ -251,19 +251,21 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     built from them; ``tagged`` reads ``--tagged`` (default
     ``<output_dir>/tagged.conll``) as the corpus; ``pred`` is ``--pred``
     (default ``<output_dir>/linked.jsonl``), checked here and read by
-    ``evaluate_linked``. ``output_dir`` checks that the output directory is
-    one or can be made. ``model`` loads the configured model and ``train``
-    builds a coarse-tagged training set from ``train_corpus`` (default: the
-    corpus, read once for both); given both, a configured model is used and
-    nothing is trained. With either, vectors from ``token_vectors`` are
+    ``evaluate_linked``. ``gold`` requires gold tags on every corpus
+    sentence, as scoring does; without ``pred`` a corpus with none passes too
+    (``pipeline`` then skips scoring). ``output_dir`` checks that the output
+    directory is one or can be made. ``model`` loads the configured model and
+    ``train`` builds a coarse-tagged training set from ``train_corpus``
+    (default: the corpus, read once for both); given both, a configured model
+    is used and nothing is trained. With either, vectors from ``token_vectors`` are
     attached to the sentences read: a table, or under ``vector_source =
     precomputed`` a sidecar.
 
     Every path is checked before the "load inputs" stage opens; every
     condition spanning inputs (class roots for the linker, the vector
     dimension, the parameter cap at that dimension, the sidecar's sentence
-    count, a nonempty training set with gold tags) is checked inside it,
-    before any command does work.
+    count, a nonempty training set with gold tags, a gold corpus tagged
+    throughout) is checked inside it, before any command does work.
     """
     overrides = {key: getattr(args, key) for key in (*_FLAG_KEYS, "kb")
                  if getattr(args, key, None) is not None}
@@ -325,6 +327,11 @@ def load_inputs(args, keys: set[str]) -> Inputs:
             if "tagged" in keys:  # linked as a model's output, so with a model's labels
                 tags = dict.fromkeys(tag for ex in inputs.corpus for tag in ex.gold_tags or ())
                 _check_coarse_tags(source, tags, inputs.hierarchy, CorpusError)
+            if "gold" in keys:  # pipeline does not score a wholly untagged corpus
+                untagged = [doc for doc, ex in enumerate(inputs.corpus) if ex.gold_tags is None]
+                if untagged and ("pred" in keys or len(untagged) < len(inputs.corpus)):
+                    raise CorpusError(f"{source}: sentence {untagged[0]} has no gold tags;"
+                                      " evaluation needs them on every sentence")
             if vectors:
                 inputs.corpus = _with_vectors(inputs.corpus, source, provider, cfg.token_vectors)
         if training:
@@ -431,10 +438,10 @@ def write_linked(path: Path, corpus: list[SequenceExample],
 _LINKED_FIELDS = {"doc": int, "start": int, "end": int, "surface": str, "fine": str}
 
 
-def read_linked(path: Path) -> list[dict]:
-    """The records of a ``linked.jsonl`` file; each line must be a JSON object
-    whose ``doc``, ``start`` and ``end`` are integers and whose ``surface`` and
-    ``fine`` are strings."""
+def read_linked(path: Path) -> list[tuple[int, dict]]:
+    """The records of a ``linked.jsonl`` file with their line numbers; each
+    line must be a JSON object whose ``doc``, ``start`` and ``end`` are
+    integers and whose ``surface`` and ``fine`` are strings."""
     records = []
     with open_utf8(path, EvalError) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -455,53 +462,50 @@ def read_linked(path: Path) -> list[dict]:
                 if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
                     raise EvalError(f"line {lineno}: field {field!r} must be"
                                     f" {'an integer' if kind is int else 'a string'}")
-            records.append(obj)
+            records.append((lineno, obj))
     return records
 
 
 def evaluate_linked(inputs: Inputs, pred: Path) -> None:
     """Score the linked records in ``pred`` against the loaded gold corpus by
-    per-sentence exact matching; write and print the report.
+    exact matching of (sentence, start, end, label) spans; write and print
+    the report.
 
-    Verifies the prediction file indexes the same tokenization as the gold
-    corpus, reporting the first offending sentence.
+    Checks the records in file order against the gold corpus's tokenization;
+    an error names ``pred`` and the line of the first offending record.
     """
     with _stage("evaluate"):
-        records = read_linked(pred)
         gold_corpus, hierarchy = inputs.corpus, inputs.hierarchy
-        granularity = inputs.cfg.granularity
-        pred_by_doc: dict[int, list[tuple[int, int, str]]] = {}
-        for rec in sorted(records, key=lambda r: (r["doc"], r["start"], r["end"])):
+        coarse = inputs.cfg.granularity == "coarse"
+        pred_spans: dict[tuple[int, int, int, str], int] = {}  # span -> line
+        for lineno, rec in read_linked(pred):
             doc, start, end = rec["doc"], rec["start"], rec["end"]
+            where = f"{pred}: line {lineno}: tokenization mismatch in sentence {doc}"
             if doc < 0 or doc >= len(gold_corpus):
-                raise EvalError(f"tokenization mismatch in sentence {doc}: no such gold sentence")
+                raise EvalError(f"{where}: no such gold sentence")
             tokens = gold_corpus[doc].tokens
             if start < 0 or end > len(tokens) or start >= end:
-                raise EvalError(
-                    f"tokenization mismatch in sentence {doc}: span [{start}, {end})"
-                    f" outside {len(tokens)} tokens"
-                )
+                raise EvalError(f"{where}: span [{start}, {end}) outside {len(tokens)} tokens")
             surface = " ".join(tokens[start:end])
             if surface != rec["surface"]:
-                raise EvalError(
-                    f"tokenization mismatch in sentence {doc}: prediction surface"
-                    f" {rec['surface']!r} != corpus text {surface!r}"
-                )
+                raise EvalError(f"{where}: prediction surface {rec['surface']!r}"
+                                f" != corpus text {surface!r}")
             label = rec["fine"]
-            if granularity == "coarse" and label in hierarchy:
+            if coarse and label in hierarchy:
                 label = str(hierarchy.coarse_of(label))
-            pred_by_doc.setdefault(doc, []).append((start, end, label))
-
-        counts = MatchCounts()
-        for doc, ex in enumerate(gold_corpus):
-            if ex.gold_tags is None:
-                raise EvalError(f"gold corpus sentence {doc} has no annotations")
-            gold_tags = ex.gold_tags
-            if granularity == "coarse":
-                gold_tags = project_tags_to_coarse(gold_tags, hierarchy)
-            gold_spans = [(s.start, s.end, str(s.coarse)) for s in extract_spans(gold_tags)]
-            counts = counts + match_exact(pred_by_doc.get(doc, []), gold_spans)
-        print(_write_report(counts, hierarchy, granularity, _output_dir(inputs.cfg)))
+            span = (doc, start, end, label)
+            if span in pred_spans:
+                raise EvalError(f"{pred}: line {lineno}: duplicate predicted span: {span},"
+                                f" first on line {pred_spans[span]}")
+            pred_spans[span] = lineno
+        gold_spans = [
+            (doc, s.start, s.end, str(s.coarse))
+            for doc, ex in enumerate(gold_corpus)
+            for s in extract_spans(project_tags_to_coarse(ex.gold_tags, hierarchy)
+                                   if coarse else ex.gold_tags)
+        ]
+        counts = match_exact(pred_spans, gold_spans)
+        print(_write_report(counts, hierarchy, inputs.cfg.granularity, _output_dir(inputs.cfg)))
 
 
 def _report_order(hierarchy: TypeHierarchy, granularity: str) -> list[str]:
@@ -510,12 +514,12 @@ def _report_order(hierarchy: TypeHierarchy, granularity: str) -> list[str]:
     return [str(label) for label in hierarchy.labels()]
 
 
-def _write_report(counts: MatchCounts, hierarchy: TypeHierarchy, granularity: str,
+def _write_report(counts: dict[str, Counts], hierarchy: TypeHierarchy, granularity: str,
                   output_dir: Path) -> str:
     report = build_report(counts, order=_report_order(hierarchy, granularity))
     table = format_report(report)
     (output_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
-    payload = {"granularity": granularity, **report.to_dict()}
+    payload = {"granularity": granularity, **report}
     (output_dir / "report.json").write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -548,13 +552,13 @@ def cmd_link(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "corpus", "pred", "output_dir"})
+    inputs = load_inputs(args, {"hierarchy", "corpus", "gold", "pred", "output_dir"})
     evaluate_linked(inputs, inputs.pred)
 
 
 def cmd_pipeline(args) -> None:
-    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "model", "train",
-                                "output_dir"})
+    inputs = load_inputs(args, {"hierarchy", "kb", "embeddings", "corpus", "gold", "model",
+                                "train", "output_dir"})
     if inputs.model is None:
         inputs.model = train_tagger(inputs)
     linked = link_mentions(inputs, tag_corpus(inputs))

@@ -92,10 +92,10 @@ def test_metric_oracle_equivalence_1000_instances():
         pred, gold = random_span_sets(rng)
         counts = match_exact(pred, gold)
         expected_classes, expected_micro, expected_macro = brute_force_scores(pred, gold)
-        got = {lab: (c.tp, c.fp, c.fn) for lab, c in counts.per_class.items()}
+        got = {lab: (c.tp, c.fp, c.fn) for lab, c in counts.items()}
         assert got == expected_classes
         for lab, (tp, fp, fn) in expected_classes.items():
-            p, r, f = precision_recall_f1(counts.per_class[lab])
+            p, r, f = precision_recall_f1(counts[lab])
             ep = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
             er = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
             ef = 2 * ep * er / (ep + er) if ep + er else Fraction(0)

@@ -267,6 +267,38 @@ def test_pipeline_untagged_corpus_needs_model_then_links_without_report(
     assert not (out / "report.json").exists()
 
 
+def demo_corpus_without_tags(path, sentences=None):
+    """The demo corpus with the tags of ``sentences`` (default: all) removed."""
+    text = (DEMO_DIR / "corpus.conll").read_text().split("\n\n")
+    for i in range(len(text)) if sentences is None else sentences:
+        text[i] = "\n".join(row.split("\t")[0] for row in text[i].splitlines())
+    path.write_text("\n\n".join(text))
+    return path
+
+
+@pytest.mark.parametrize("command, flag, untagged", [
+    ("pipeline", None, [1]),
+    ("pipeline", "--model", [1]),
+    ("evaluate", "--pred", [1]),
+    ("evaluate", "--pred", None),
+])
+def test_gold_corpus_untagged_in_part_exits_1_before_any_step(
+    tmp_path, demo_config_path, pipeline_out, capsys, command, flag, untagged
+):
+    # scoring needs gold tags on every sentence; only pipeline skips a wholly untagged corpus
+    corpus = demo_corpus_without_tags(tmp_path / "partly.conll", untagged)
+    out = tmp_path / "out"
+    given = {"--model": ["--model", str(pipeline_out / "model.npz")],
+             "--pred": ["--pred", str(pipeline_out / "linked.jsonl")]}.get(flag, [])
+    code = main([command, "--config", str(demo_config_path), "--corpus", str(corpus),
+                 "--output-dir", str(out), *given])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(
+        f"stage failed: load inputs\nerror: {corpus}: sentence {1 if untagged else 0} has no"
+        " gold tags; evaluation needs them on every sentence\n")
+    assert not out.exists()  # no model.npz, tagged.conll, linked.jsonl or report
+
+
 def test_pipeline_stage_failure_identifies_stage(tmp_path, demo_config_path, capsys):
     # corpus parse failure surfaces the failing stage on stderr
     bad_corpus = tmp_path / "bad.conll"
@@ -452,6 +484,56 @@ def test_evaluate_span_outside_sentence(tmp_path, capsys):
                  "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert "sentence 0" in capsys.readouterr().err
+
+
+def set_fields(lines, lineno, **fields):
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
+
+
+def surface_on_line_3(lines):
+    set_fields(lines, 3, surface="Apple Inc")
+    return ("line 3: tokenization mismatch in sentence 0: prediction surface 'Apple Inc'"
+            " != corpus text 'Apple'")
+
+
+def no_such_sentence(lines):
+    set_fields(lines, 5, doc=8)
+    return "line 5: tokenization mismatch in sentence 8: no such gold sentence"
+
+
+def span_outside_sentence(lines):
+    set_fields(lines, 2, end=99)
+    return "line 2: tokenization mismatch in sentence 0: span [12, 99) outside 18 tokens"
+
+
+def duplicate_record(lines):
+    lines.insert(3, lines[0])
+    return "line 4: duplicate predicted span: (0, 8, 11, 'date'), first on line 1"
+
+
+def first_error_in_file_order(lines):
+    lines.reverse()  # sentence 7's record comes first, sentence 0's last
+    set_fields(lines, 1, surface="Lyon")
+    set_fields(lines, 21, surface="2012")
+    return ("line 1: tokenization mismatch in sentence 7: prediction surface 'Lyon'"
+            " != corpus text 'Paris'")
+
+
+@pytest.mark.parametrize("edit", [surface_on_line_3, no_such_sentence, span_outside_sentence,
+                                  duplicate_record, first_error_in_file_order])
+def test_evaluate_record_error_names_prediction_file_and_line(
+    tmp_path, demo_config_path, pipeline_out, capsys, edit
+):
+    lines = (pipeline_out / "linked.jsonl").read_text().splitlines()
+    expected = edit(lines)
+    pred = tmp_path / "linked.jsonl"
+    pred.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["evaluate", "--config", str(demo_config_path), "--pred", str(pred),
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: {pred}: {expected}\n")
+    assert not out.exists()
 
 
 # --- alternative vector sources and exit codes ----------------------------------------------

@@ -177,7 +177,7 @@ def test_read_linked_fuzz(lines):
             records = read_linked(path)
         except EvalError:
             return
-    for record in records:  # what evaluate_linked indexes and compares
+    for _, record in records:  # what evaluate_linked indexes and compares
         assert all(type(record[key]) is int for key in ("doc", "start", "end"))
         assert all(type(record[key]) is str for key in ("surface", "fine"))
 
