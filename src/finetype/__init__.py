@@ -22,7 +22,6 @@ from .tagger import (
     TaggerConfig,
     TaggerModel,
     extract_spans,
-    tags_of_spans,
     train,
 )
 from .taxonomy import TypeHierarchy, TypeLabel, default_hierarchy_path, load_hierarchy
@@ -57,7 +56,6 @@ __all__ = [
     "micro_f1",
     "phrase_similarity",
     "precision_recall_f1",
-    "tags_of_spans",
     "tokenize",
     "train",
 ]

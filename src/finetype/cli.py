@@ -46,7 +46,7 @@ from .tagger import (
     write_conll,
 )
 from .taxonomy import HierarchyError, TypeHierarchy, load_hierarchy
-from .textfile import open_utf8
+from .textfile import decode_json_line, open_utf8
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -448,20 +448,17 @@ def read_linked(path: Path) -> list[tuple[int, dict]]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line.rstrip("\r\n"))
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"line {lineno}: invalid JSON at column {exc.pos + 1}:"
-                                f" {exc.msg}") from None
-            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                raise EvalError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise EvalError(f"line {lineno}: record is not a JSON object")
-            for field, kind in _LINKED_FIELDS.items():
-                if field not in obj:
-                    raise EvalError(f"line {lineno}: missing field {field!r}")
-                if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
-                    raise EvalError(f"line {lineno}: field {field!r} must be"
-                                    f" {'an integer' if kind is int else 'a string'}")
+                obj = decode_json_line(line, EvalError)
+                if not isinstance(obj, dict):
+                    raise EvalError("record is not a JSON object")
+                for field, kind in _LINKED_FIELDS.items():
+                    if field not in obj:
+                        raise EvalError(f"missing field {field!r}")
+                    if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+                        raise EvalError(f"field {field!r} must be"
+                                        f" {'an integer' if kind is int else 'a string'}")
+            except EvalError as exc:
+                raise EvalError(f"line {lineno}: {exc}") from None
             records.append((lineno, obj))
     return records
 

@@ -16,7 +16,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
-from .textfile import open_utf8
+from .textfile import decode_json_line, open_utf8
 
 NARROWED_CATEGORIES = frozenset({"person", "location", "organization"})
 
@@ -98,30 +98,21 @@ def _text(value: object) -> str:
     return "" if value is None else str(value).strip()
 
 
-def _decode(line: str) -> object:
-    """The JSON value of a line that is not one value followed by nothing or a
-    newline: one with leading or other trailing JSON whitespace, or an error."""
-    try:
-        return json.loads(line.rstrip("\r\n"))
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise SnapshotError(f"invalid JSON: {exc}") from None
-
-
 def _parse(line: str, links: dict[str, int]) -> tuple | None:
     """A snapshot line's validated fields in EntityRecord order, or None for a
     blank line. Any other line that is not a record raises SnapshotError,
     without a line number. ``links`` is passed on to _id_list."""
+    # A line that is not one value followed by nothing or a newline (one with
+    # leading or other trailing JSON whitespace, or an error) is decoded again.
     try:
         obj, end = _raw_decode(line)
     except (ValueError, RecursionError, TypeError):
         if not line.strip():
             return None
-        obj = _decode(line)
+        obj = decode_json_line(line, SnapshotError)
     else:
         if end != len(line) and line[end:] != "\n":
-            obj = _decode(line)
+            obj = decode_json_line(line, SnapshotError)
     if not isinstance(obj, dict):
         raise SnapshotError("record is not a JSON object")
     if "qid" not in obj:

@@ -1,32 +1,31 @@
 """Coarse BIO sequence tagger built from scratch on numpy.
 
-Per-token vectors come from a pluggable provider (a static word-vector table
-or a precomputed contextual-vector sidecar), feed a gated LSTM encoder with a
-residual connection from the projected input, and a softmax layer decodes
-per-token tags. Training is plain Adam over mini-batches with inverted
-dropout on the encoder output; everything is deterministic under a seed.
-Training and tagging run one recurrence (``_recurrence``) over the same
-packed, longest-first, time-major rows (``_Layout``).
+Per-token vectors come from a pluggable provider (a word-vector table or a
+contextual-vector sidecar, both read by ``embeddings``), feed a gated LSTM
+encoder with a residual connection from the projected input, and a softmax
+layer decodes per-token tags. Training is plain Adam over mini-batches with
+inverted dropout on the encoder output; everything is deterministic under a
+seed. Training and tagging run one recurrence (``_recurrence``) over the
+same packed, longest-first, time-major rows (``_Layout``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, bounded_rows
+from .embeddings import EmbeddingTable, load_sidecar
 from .textfile import open_utf8
 
 
 class CorpusError(ValueError):
-    """Malformed corpus or sidecar file, or provider/corpus misalignment."""
+    """Malformed corpus file, or sidecar/corpus misalignment."""
 
 
 class TrainingError(RuntimeError):
@@ -85,22 +84,8 @@ def extract_spans(tags: Sequence[str]) -> list[MentionSpan]:
     return spans
 
 
-def tags_of_spans(spans: Iterable[MentionSpan], length: int) -> list[str]:
-    """Encode non-overlapping spans as a BIO tag sequence of ``length``."""
-    tags = ["O"] * length
-    for span in sorted(spans):
-        if span.end > length:
-            raise ValueError(f"span {span} exceeds sequence length {length}")
-        if any(t != "O" for t in tags[span.start : span.end]):
-            raise ValueError(f"span {span} overlaps a previous span")
-        tags[span.start] = f"B-{span.coarse}"
-        for i in range(span.start + 1, span.end):
-            tags[i] = f"I-{span.coarse}"
-    return tags
-
-
 # ---------------------------------------------------------------------------
-# Corpus and sidecar files
+# Corpus files and vector providers
 
 
 @dataclass
@@ -190,112 +175,6 @@ def write_conll(path: str | os.PathLike[str], examples: Iterable[SequenceExample
             fh.write("\n")
 
 
-def parse_sidecar(lines: Sequence[str] | TextIO) -> list[np.ndarray]:
-    """Read precomputed per-token vectors: a dimension header line, then one
-    row per token of ``dim`` values that Python ``float`` accepts, with blank
-    lines between sentences, each row passing ``bounded_rows``.
-
-    ``lines`` is a list of lines or a text file open at its start. The rows
-    are parsed in one ``np.loadtxt`` block, as they are read, and cut into
-    sentences. That block accepts a subset of what ``float`` accepts, with
-    equal values; where it is refused (``1_0``, non-ASCII digits, a bad row)
-    ``_parse_sidecar_lines`` reads ``lines`` again from the start, and words
-    the first error."""
-    sentences = _sidecar_block(lines)
-    if sentences is None:
-        if not isinstance(lines, Sequence):
-            lines.seek(0)
-        sentences = _parse_sidecar_lines(lines)
-    return sentences
-
-
-def _sidecar_block(lines: Iterable[str]) -> list[np.ndarray] | None:
-    """The sentences of a sidecar whose rows ``np.loadtxt`` parses as one
-    block of ``dim`` columns of bounded values; None for any other."""
-    lines = iter(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            dim = _sidecar_dim(raw.strip(), lineno)
-            break
-    else:
-        return None
-    lengths = [0]  # rows after each blank line; a sentence where not 0
-
-    def rows() -> Iterator[str]:
-        for raw in lines:
-            if raw.strip():
-                lengths[-1] += 1
-                yield raw
-            else:
-                lengths.append(0)
-
-    rest = rows()
-    first = next(rest, None)
-    if first is None:  # loadtxt warns on no rows
-        return []
-    try:  # '#' is not a comment: float rejects it
-        block = np.loadtxt(itertools.chain([first], rest), dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if block.shape != (sum(lengths), dim) or not bounded_rows(block).all():
-        return None
-    ends = itertools.accumulate(lengths)
-    return [block[end - n : end] for n, end in zip(lengths, ends) if n]
-
-
-def _sidecar_dim(line: str, lineno: int) -> int:
-    """The dimension a sidecar's header ``line``, stripped, declares."""
-    # ASCII digits only: str.isdigit also accepts digits int() rejects, like '²'
-    if not (line.isascii() and line.isdigit()):
-        raise CorpusError(f"line {lineno}: expected a dimension header")
-    try:
-        dim = int(line)
-    except ValueError:
-        raise CorpusError(f"line {lineno}: dimension header is too long") from None
-    if dim < 1:
-        raise CorpusError(f"line {lineno}: dimension must be positive")
-    return dim
-
-
-def _parse_sidecar_lines(lines: Iterable[str]) -> list[np.ndarray]:
-    """``parse_sidecar`` one line at a time: each value through ``float``,
-    and the first bad line named."""
-    dim: int | None = None
-    sentences: list[np.ndarray] = []
-    current: list[np.ndarray] = []
-
-    def flush(end: int) -> None:
-        if current:  # its rows are the lines just before line ``end``
-            sentence = np.array(current, dtype=float)
-            ok = bounded_rows(sentence)
-            if not ok.all():
-                bad = end - len(current) + int(ok.argmin())
-                raise CorpusError(f"line {bad}: values are not finite or too large")
-            sentences.append(sentence)
-            current.clear()
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if dim is None:
-            if line:
-                dim = _sidecar_dim(line, lineno)
-            continue
-        if not line:
-            flush(lineno)
-            continue
-        try:
-            row = np.array([float(v) for v in line.split()], dtype=float)
-        except ValueError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
-        if len(row) != dim:
-            raise CorpusError(f"line {lineno}: expected {dim} values, found {len(row)}")
-        current.append(row)
-    if dim is None:
-        raise CorpusError("sidecar file has no dimension header")
-    flush(lineno + 1)  # a header was read, so there was a line
-    return sentences
-
-
 class StaticVectors:
     """Token vectors from a word-embedding table; unknown tokens map to zero."""
 
@@ -316,15 +195,12 @@ class PrecomputedVectors:
     """Contextual vectors read from a sidecar, aligned with corpus order."""
 
     def __init__(self, sentences: list[np.ndarray]):
-        if not sentences:
-            raise CorpusError("sidecar contains no sentences")
         self.sentences = sentences
-        self.dim = int(sentences[0].shape[1]) if sentences[0].ndim == 2 else len(sentences[0])
+        self.dim = int(sentences[0].shape[1])
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "PrecomputedVectors":
-        with open_utf8(path, CorpusError) as fh:
-            return cls(parse_sidecar(fh))
+        return cls(load_sidecar(path))
 
     def vectors_for(self, index: int, tokens: Sequence[str]) -> np.ndarray:
         if index >= len(self.sentences):

@@ -1,7 +1,8 @@
-"""Opening the UTF-8 text files every reader parses."""
+"""Opening the UTF-8 text files every reader parses, and decoding a JSON line."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,6 +21,18 @@ def open_utf8(path: str | os.PathLike[str], error: type[Exception]) -> Iterator[
         raise error(f"{path}: line {_non_utf8_line(path)}: not UTF-8 text") from None
     except error as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def decode_json_line(line: str, error: type[Exception]) -> object:
+    """The JSON value of ``line`` without its line terminator. A line that is
+    not JSON raises ``error`` as ``invalid JSON at column C: <reason>``, C
+    counted on the line, or as ``invalid JSON: <reason>``."""
+    try:
+        return json.loads(line.rstrip("\r\n"))
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise error(f"invalid JSON: {exc}") from None
 
 
 def _non_utf8_line(path: str | os.PathLike[str]) -> int:

@@ -26,7 +26,8 @@ from finetype.evaluation import (
 )
 from finetype.kb import ingest_snapshot
 from finetype.linker import Linker, LinkerConfig, cluster_to_subtype, link_mention
-from finetype.tagger import MentionSpan, extract_spans, tags_of_spans
+from finetype.tagger import MentionSpan, extract_spans
+from conftest import tags_of_spans
 from test_cli import DEMO_DIR
 from test_tagger import desk_cfg, run_gradient_check, synthetic_corpus, token_accuracy
 

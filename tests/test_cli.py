@@ -1,11 +1,14 @@
 import json
 import re
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finetype import cli
 from finetype.cli import (
@@ -737,6 +740,17 @@ def test_pipeline_misaligned_sidecar_names_it_and_fails_before_work(tmp_path, de
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["16\n", "16\n\n\n"], ids=["header", "header-blank-lines"])
+def test_pipeline_sidecar_without_rows_fails_before_work(tmp_path, demo_config_path, capsys,
+                                                         text):
+    cfg, sidecar = sidecar_config(tmp_path, demo_config_path, text)
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: {sidecar}: sidecar contains no sentences\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label,code", [("person.artist", 1), ("person", 0), ("date", 0)])
 def test_link_tagged_takes_only_coarse_labels(tmp_path, demo_config_path, capsys, label, code):
     # the rule for a supplied model's tags: O, or B-/I- over a hierarchy root
@@ -974,6 +988,57 @@ def test_extreme_vector_rows_never_fail_after_work_starts_or_warn(tmp_path, demo
             failures.append(f"{value}: exit {code}: {[str(w.message) for w in caught]}"
                             f" {err.strip()}")
     assert failures == []
+
+
+DEMO_INPUTS = [*(DEMO_DIR / name for name in ("pipeline.cfg", "corpus.conll", "snapshot.jsonl",
+                                               "token_vectors.vec", "wiki_vectors.vec")),
+               DATA_DIR / "wikigold.types"]
+DEMO_INPUT_LINES = [path.read_text(encoding="utf-8").splitlines() for path in DEMO_INPUTS]
+
+
+@st.composite
+def demo_input_mutations(draw):
+    """One line-level edit of one demo input: its index in ``DEMO_INPUTS`` and
+    its edited lines. A line is deleted, duplicated, swapped with another,
+    truncated, or replaced by a line of any demo input."""
+    target = draw(st.integers(0, len(DEMO_INPUTS) - 1))
+    lines = list(DEMO_INPUT_LINES[target])
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "replace"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    else:
+        lines[i] = draw(st.sampled_from(draw(st.sampled_from(DEMO_INPUT_LINES))))
+    return target, lines
+
+
+@settings(derandomize=True, deadline=None, max_examples=350)
+@given(demo_input_mutations())
+def test_line_mutation_of_a_demo_input_exits_0_or_1_and_writes_nothing_on_1(mutation):
+    target, lines = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, path in enumerate(DEMO_INPUTS):
+            copy = Path(tmp) / path.relative_to(DATA_DIR)
+            copy.parent.mkdir(exist_ok=True)
+            if index == target:
+                copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            else:
+                copy.write_bytes(path.read_bytes())
+        out = Path(tmp) / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pipeline", "--config", str(Path(tmp) / "demo" / "pipeline.cfg"),
+                         "--output-dir", str(out), "--epochs", "2"])
+        assert code in (0, 1)
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 or not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "tag", "pipeline", "link", "evaluate"])

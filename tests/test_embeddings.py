@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -6,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finetype import embeddings
 from finetype.embeddings import (
     EmbeddingError,
     EmbeddingTable,
     direction_similarity,
     load_embeddings,
     parse_embeddings,
+    parse_sidecar,
     phrase_direction,
     phrase_similarity,
     tokenize,
 )
+
+from conftest import DEMO_DIR, demo_sidecar_sentences, parse_sidecar_lines, sidecar_text
 
 
 def cosine(u, v):
@@ -61,8 +66,14 @@ def test_parse_with_count_dim_header():
 
 
 def test_dimension_mismatch_cites_line():
-    with pytest.raises(EmbeddingError, match="line 3"):
+    with pytest.raises(EmbeddingError, match="^line 3: expected 8 values, found 7$"):
         parse_embeddings(["a 1 0 0 0 0 0 0 0", "b 1 0 0 0 0 0 0 0", "c 1 0 0 0 0 0 0"])
+
+
+def test_table_names_an_unbounded_row_before_an_unparsable_one():
+    # the first bad row in file order, whatever its fault
+    with pytest.raises(EmbeddingError, match="^line 3: values are not finite or too large$"):
+        parse_embeddings(["2 2", "a 1 0", "b 1e200 0", "c x 0", "d 1 0 0"])
 
 
 def test_duplicate_token_last_wins_with_warning(caplog):
@@ -86,6 +97,96 @@ def test_tokens_lowercased_on_load_and_query():
     table = parse_embeddings(["Apple 1 0"])
     assert "APPLE" in table
     assert table.get("apple") is not None
+
+
+def loadtxt_blocks(monkeypatch):
+    """The arrays ``np.loadtxt`` returns from now on, in call order."""
+    blocks, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        blocks.append(loadtxt(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["wiki_vectors.vec", "token_vectors.vec"])
+def test_demo_tables_parse_in_one_block(monkeypatch, name):
+    blocks = loadtxt_blocks(monkeypatch)
+    table = load_embeddings(DEMO_DIR / name)
+    assert len(blocks) == 1 and len(table) > 1
+    # every vector is a row of that block, not of the per-row fallback's array
+    assert all(table.get(token).base is blocks[0] for token in table.tokens())
+
+
+def test_a_long_table_is_parsed_in_blocks_of_1024_rows(monkeypatch):
+    assert embeddings._BLOCK_ROWS == 1024
+    blocks = loadtxt_blocks(monkeypatch)
+    table = parse_embeddings([f"w{i} {i} 1" for i in range(2500)])
+    assert [len(block) for block in blocks] == [1024, 1024, 452]
+    assert table.get("w1024").tolist() == [1024, 1] and table.get("w1024").base is blocks[1]
+
+
+# --- sidecar ---------------------------------------------------------------------
+
+def test_parse_sidecar_needs_header():
+    with pytest.raises(EmbeddingError, match="header"):
+        parse_sidecar(["x 1 2"])
+
+
+def test_parse_sidecar_row_width_checked():
+    with pytest.raises(EmbeddingError, match="^line 3: expected 2 values, found 3$"):
+        parse_sidecar(["2", "1 0", "1 0 0"])
+
+
+@pytest.mark.parametrize("lines", [["2"], ["", "2", "", " \t", ""]])
+def test_parse_sidecar_without_rows_has_no_sentences(lines):
+    with pytest.raises(EmbeddingError, match="^sidecar contains no sentences$"):
+        parse_sidecar(lines)
+
+
+def ragged_sidecar_lines(seed=0):
+    """A well-formed sidecar as raw lines: blank-line runs (some of them only
+    whitespace) before the header and between sentences, CRLF endings, and
+    values apart by tabs, ``\\x0b`` and ``\\xa0`` as well as spaces."""
+    rng, pick = np.random.default_rng(seed), random.Random(seed).choice
+    dim = 5
+    lines = ["\n", "\xa0\r\n", f" {dim}\r\n"]
+    for length in rng.integers(1, 9, size=12):
+        for row in rng.standard_normal((length, dim)) * 10.0 ** rng.integers(-5, 5):
+            sep = pick([" ", "\t", "\x0b", "\xa0", " \xa0 "])
+            lines.append(sep.join(f"{v:.{rng.integers(1, 18)}g}" for v in row)
+                         + pick(["\n", "\r\n", ""]))
+        lines.extend(pick(["\n", "\r\n", " \t\n", "\xa0\n", "\x0b"])
+                     for _ in range(rng.integers(1, 4)))
+    return lines
+
+
+@pytest.mark.parametrize("source", ["demo", "ragged"])
+def test_parse_sidecar_parses_a_well_formed_sidecar_in_one_block(monkeypatch, source):
+    lines = (sidecar_text(demo_sidecar_sentences()).splitlines(keepends=True)
+             if source == "demo" else ragged_sidecar_lines())
+    want = parse_sidecar_lines(lines)
+    blocks = loadtxt_blocks(monkeypatch)
+    got = parse_sidecar(lines)
+    assert len(want) > 1 and len(blocks) == 1
+    # every sentence is a view of that block, not of the per-row fallback's array
+    assert all(s.base is blocks[0] for s in got)
+    assert [(s.shape, s.dtype, s.tobytes()) for s in got] == [
+        (s.shape, s.dtype, s.tobytes()) for s in want]
+
+
+def test_a_long_sidecar_is_parsed_in_blocks_of_whole_sentences(monkeypatch):
+    # 1,000 three-row sentences: a block ends at the first sentence end at or
+    # past 1,024 rows, which is row 1,026
+    assert embeddings._BLOCK_ROWS == 1024
+    lines = "\n".join(["2"] + ["1 0\n0 1\n2 2\n"] * 1000).splitlines()
+    blocks = loadtxt_blocks(monkeypatch)
+    got = parse_sidecar(lines)
+    assert [len(block) for block in blocks] == [1026, 1026, 948]
+    assert len(got) == 1000 and all(s.tolist() == [[1, 0], [0, 1], [2, 2]] for s in got)
+    assert got[341].base is blocks[0] and got[342].base is blocks[1]
 
 
 # --- cosine ----------------------------------------------------------------------

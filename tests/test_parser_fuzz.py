@@ -11,16 +11,22 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finetype import embeddings
 from finetype.cli import ConfigError, build_config, parse_config_text, read_linked
-from finetype.embeddings import EmbeddingError, parse_embeddings
+from finetype.embeddings import (EmbeddingError, EmbeddingTable, bounded_rows, parse_embeddings,
+                                 parse_sidecar)
 from finetype.evaluation import EvalError
 from finetype.kb import SnapshotError, ingest_snapshot
-from finetype.tagger import CorpusError, _parse_sidecar_lines, parse_conll, parse_sidecar
+from finetype.tagger import CorpusError, parse_conll
 from finetype.taxonomy import HierarchyError, parse_hierarchy
+
+from conftest import parse_sidecar_lines
 
 fuzz = settings(derandomize=True, deadline=None)
 
@@ -62,7 +68,7 @@ def test_parse_conll_fuzz(lines):
 @example(["1", "1_0"])
 @example(["1", "1", "\xa0", "2", " \t", "3"])
 def test_parse_sidecar_fuzz(lines):
-    returns_or_raises(CorpusError, parse_sidecar, lines)
+    returns_or_raises(EmbeddingError, parse_sidecar, lines)
 
 
 # Values float accepts, some that np.loadtxt does not (1_0, non-ASCII digits),
@@ -110,11 +116,28 @@ def sidecars(draw):
 
 
 def outcome(parse, lines):
-    """Each sentence's shape, dtype and bytes, or the error's type and text."""
+    """Each sentence's shape, dtype and bytes, or a table's width and each
+    token with its vector's dtype and bytes; or the error's type and text."""
     try:
-        return [(s.shape, s.dtype, s.tobytes()) for s in parse(lines)]
+        result = parse(lines)
     except Exception as exc:  # the two parsers must fail alike, whatever the error
         return type(exc), str(exc)
+    if isinstance(result, EmbeddingTable):
+        return result.dim, [(t, result.get(t).dtype, result.get(t).tobytes())
+                            for t in result.tokens()]
+    return [(s.shape, s.dtype, s.tobytes()) for s in result]
+
+
+def assert_matches_per_line_loop(parse, per_line, lines):
+    """``parse`` and ``per_line`` agree on ``lines``, and on them as a text file,
+    split by text reading, whether ``parse`` reads the rows in one block or in
+    blocks of one or two rows (a sidecar's blocks end where a sentence ends)."""
+    text = "\n".join(lines)
+    want = outcome(per_line, lines), outcome(per_line, io.StringIO(text, newline=None))
+    for block_rows in (embeddings._BLOCK_ROWS, 1, 2):
+        with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
+            assert (outcome(parse, lines),
+                    outcome(parse, io.StringIO(text, newline=None))) == want, block_rows
 
 
 @fuzz
@@ -125,12 +148,74 @@ def outcome(parse, lines):
 @example(["2", "1\r2"])
 @example(["2", "1 2 # x"])
 @example(["2", "1\n2", "3 4"])
+@example(["3\n", "0.0 0.0 1.3407807929942597e+154", "0.0 0.0 \u00b2", ""])
 def test_parse_sidecar_matches_the_per_line_loop(lines):
-    assert outcome(parse_sidecar, lines) == outcome(_parse_sidecar_lines, lines)
-    # a text file, which the per-line loop reads again from its start
-    text = "\n".join(lines)
-    assert (outcome(parse_sidecar, io.StringIO(text, newline=None))
-            == outcome(_parse_sidecar_lines, io.StringIO(text, newline=None)))
+    assert_matches_per_line_loop(parse_sidecar, parse_sidecar_lines, lines)
+
+
+def parse_embeddings_lines(lines):
+    """``parse_embeddings`` one line at a time, the oracle of its block parse:
+    each value through ``float``, each row's bound checked as it is read, and
+    the first bad line named."""
+    vectors = {}
+    dim = None
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if dim is None and len(parts) == 2:
+            try:
+                int(parts[0])
+                dim = int(parts[1])
+            except ValueError:
+                pass
+            else:
+                if dim < 1:
+                    raise EmbeddingError(f"line {lineno}: declared dimension must be positive")
+                continue
+        try:
+            row = np.array([float(v) for v in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise EmbeddingError(f"line {lineno}: {exc}") from None
+        if dim is None:
+            dim = len(row)
+            if dim == 0:
+                raise EmbeddingError(f"line {lineno}: entry has no vector values")
+        if len(row) != dim:
+            raise EmbeddingError(f"line {lineno}: expected {dim} values, found {len(row)}")
+        if not bounded_rows([row])[0]:
+            raise EmbeddingError(f"line {lineno}: values are not finite or too large")
+        vectors[parts[0].lower()] = row
+    if not vectors:
+        raise EmbeddingError("embedding file contains no entries")
+    return EmbeddingTable(dim, vectors)
+
+
+@st.composite
+def tables(draw):
+    """Table lines made from a generated sidecar: a token before each row, and
+    the header dropped, kept, or turned into a ``COUNT DIM`` header."""
+    lines, header = [], None
+    for line in draw(sidecars()):
+        if not line.strip():
+            lines.append(line)
+        elif header is None:
+            header = draw(st.sampled_from(["drop", "keep", "count"]))
+            if header != "drop":
+                lines.append(line if header == "keep" else f"{draw(st.integers(-1, 9))} {line}")
+        else:
+            token = draw(st.one_of(st.sampled_from(["a", "A", "é", "2", "nan"]), st.text()))
+            lines.append(token + draw(clean_separators) + line)
+    return lines
+
+
+@fuzz
+@given(tables())
+@example(["a 1 0", "b 1e200 0", "c x 0"])
+@example(["2 2", "a 1 0", "A 1_0 0", "b 0 1"])
+@example(["0 1", "a"])  # no row np.loadtxt takes: it would warn
+def test_parse_embeddings_matches_the_per_line_loop(lines):
+    assert_matches_per_line_loop(parse_embeddings, parse_embeddings_lines, lines)
 
 
 json_values = st.recursive(

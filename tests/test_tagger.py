@@ -1,13 +1,11 @@
 import itertools
-import random
 import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from finetype import tagger
-from finetype.embeddings import EmbeddingTable
+from finetype.embeddings import EmbeddingError, EmbeddingTable, parse_sidecar
 from finetype.tagger import (
     CorpusError,
     MentionSpan,
@@ -25,12 +23,10 @@ from finetype.tagger import (
     extract_spans,
     init_params,
     parse_conll,
-    parse_sidecar,
-    tags_of_spans,
     train,
 )
 
-from conftest import demo_sidecar_sentences, sidecar_text
+from conftest import tags_of_spans
 
 
 # ---------------------------------------------------------------------------
@@ -551,66 +547,24 @@ def test_attach_vectors_rejects_sidecar_sentence_count_mismatch():
     assert len(attach_vectors(corpus + [SequenceExample(["d"])], provider)) == 3
 
 
-def test_parse_sidecar_needs_header():
-    with pytest.raises(CorpusError, match="header"):
-        parse_sidecar(["x 1 2"])
-
-
-def test_parse_sidecar_row_width_checked():
-    with pytest.raises(CorpusError, match="line 3"):
-        parse_sidecar(["2", "1 0", "1 0 0"])
-
-
-def ragged_sidecar_lines(seed=0):
-    """A well-formed sidecar as raw lines: blank-line runs (some of them only
-    whitespace) before the header and between sentences, CRLF endings, and
-    values apart by tabs, ``\\x0b`` and ``\\xa0`` as well as spaces."""
-    rng, pick = np.random.default_rng(seed), random.Random(seed).choice
-    dim = 5
-    lines = ["\n", "\xa0\r\n", f" {dim}\r\n"]
-    for length in rng.integers(1, 9, size=12):
-        for row in rng.standard_normal((length, dim)) * 10.0 ** rng.integers(-5, 5):
-            sep = pick([" ", "\t", "\x0b", "\xa0", " \xa0 "])
-            lines.append(sep.join(f"{v:.{rng.integers(1, 18)}g}" for v in row)
-                         + pick(["\n", "\r\n", ""]))
-        lines.extend(pick(["\n", "\r\n", " \t\n", "\xa0\n", "\x0b"])
-                     for _ in range(rng.integers(1, 4)))
-    return lines
-
-
-def test_sidecar_file_the_block_refuses_is_read_again_from_its_start(tmp_path):
+def test_sidecar_file_the_block_refuses_is_read_through_float(tmp_path):
     path = tmp_path / "context.vec"
     path.write_text("2\n1 0\n\n1_0 2\n")  # float takes 1_0, np.loadtxt does not
     assert [s.tolist() for s in PrecomputedVectors.load(path).sentences] == [
         [[1.0, 0.0]], [[10.0, 2.0]]]
     path.write_text("2\n1 0\n\n1 0 0\n")
-    with pytest.raises(CorpusError,
+    with pytest.raises(EmbeddingError,
                        match=rf"^{re.escape(str(path))}: line 4: expected 2 values, found 3$"):
         PrecomputedVectors.load(path)
 
 
 def test_sidecar_not_utf8_past_the_first_read_names_its_line(tmp_path):
-    # the bad byte is decoded while np.loadtxt pulls the rows
+    # the bad byte is decoded after 5,000 rows have been read
     path = tmp_path / "context.vec"
     path.write_bytes(b"2\n" + b"1.000000 0.000000\n" * 5000 + b"\xff 1\n")
-    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 5002: not UTF-8 text$"):
+    with pytest.raises(EmbeddingError,
+                       match=rf"^{re.escape(str(path))}: line 5002: not UTF-8 text$"):
         PrecomputedVectors.load(path)
-
-
-@pytest.mark.parametrize("source", ["demo", "ragged"])
-def test_parse_sidecar_parses_a_well_formed_sidecar_in_one_block(monkeypatch, source):
-    lines = (sidecar_text(demo_sidecar_sentences()).splitlines(keepends=True)
-             if source == "demo" else ragged_sidecar_lines())
-    want = tagger._parse_sidecar_lines(lines)
-
-    def per_line(lines):
-        raise AssertionError("the per-line loop ran")
-
-    monkeypatch.setattr(tagger, "_parse_sidecar_lines", per_line)
-    got = parse_sidecar(lines)
-    assert len(want) > 1
-    assert [(s.shape, s.dtype, s.tobytes()) for s in got] == [
-        (s.shape, s.dtype, s.tobytes()) for s in want]
 
 
 def test_static_vectors_oov_is_zero():
