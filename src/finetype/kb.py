@@ -46,8 +46,11 @@ def format_qid(numeric: int) -> str:
 
 
 def normalize_surface(surface: str) -> str:
-    """NFC-normalize, collapse whitespace and casefold."""
-    return " ".join(unicodedata.normalize("NFC", surface).split()).casefold()
+    """NFC-normalize, collapse whitespace and casefold. ASCII text skips NFC,
+    which leaves it as it is."""
+    if not surface.isascii():
+        surface = unicodedata.normalize("NFC", surface)
+    return " ".join(surface.split()).casefold()
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,26 +74,21 @@ class EntityRecord:
         return format_qid(self.id)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 # A Q-id in the exact form parse_qid accepts most often, with few enough
 # digits for int(); any other value goes through parse_qid.
 _plain_qid = re.compile(r"Q[1-9][0-9]{0,17}").fullmatch
+_LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
 
 
-def _id_list(value: object, field: str, links: dict[str, int]) -> tuple[int, ...]:
-    """A link field's ids. ``links`` maps each link text parse_qid has accepted
-    so far to its id; a list holding any other element is parsed element by
-    element, so the first bad one is reported."""
+def _id_list(value: object, field: str) -> tuple[int, ...]:
+    """A link field's ids, parsed element by element, so the first bad one is
+    reported."""
     if value is None:
         return ()
     if not isinstance(value, list):
         raise SnapshotError(f"field {field!r} must be an array of Q-ids")
-    try:
-        return tuple([links[v] for v in value])
-    except (KeyError, TypeError):  # a text not seen yet, or an unhashable element
-        ids = tuple([parse_qid(v) for v in value])
-    links.update(zip(value, ids))
-    return ids
+    return tuple([parse_qid(v) for v in value])
 
 
 def _text(value: object) -> str:
@@ -98,15 +96,15 @@ def _text(value: object) -> str:
     return "" if value is None else str(value).strip()
 
 
-def _parse(line: str, links: dict[str, int]) -> tuple | None:
+def _parse(line: str) -> tuple | None:
     """A snapshot line's validated fields in EntityRecord order, or None for a
     blank line. Any other line that is not a record raises SnapshotError,
-    without a line number. ``links`` is passed on to _id_list."""
+    without a line number."""
     # A line that is not one value followed by nothing or a newline (one with
     # leading or other trailing JSON whitespace, or an error) is decoded again.
     try:
-        obj, end = _raw_decode(line)
-    except (ValueError, RecursionError, TypeError):
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError, TypeError):
         if not line.strip():
             return None
         obj = decode_json_line(line, SnapshotError)
@@ -130,12 +128,8 @@ def _parse(line: str, links: dict[str, int]) -> tuple | None:
         alias = _text(alias)
         if alias and alias != label and alias not in aliases:
             aliases.append(alias)
-    # Most link lists are empty; those need no call.
-    inst, sub, occ = obj.get("instance_of"), obj.get("subclass_of"), obj.get("occupation")
     return (entity_id, label, tuple(aliases), str(obj.get("description", "") or ""),
-            () if inst == [] else _id_list(inst, "instance_of", links),
-            () if sub == [] else _id_list(sub, "subclass_of", links),
-            () if occ == [] else _id_list(occ, "occupation", links))
+            *[_id_list(obj.get(field), field) for field in _LINK_FIELDS])
 
 
 def _ids(hit: int | tuple[int, ...] | None) -> tuple[int, ...]:
@@ -157,7 +151,7 @@ class _Records(Mapping):
     def __getitem__(self, entity_id: int) -> EntityRecord:
         rec = self._built.get(entity_id)
         if rec is None:
-            rec = self._built[entity_id] = EntityRecord(*_parse(self._lines[entity_id], {}))
+            rec = self._built[entity_id] = EntityRecord(*_parse(self._lines[entity_id]))
         return rec
 
     def __contains__(self, entity_id: object) -> bool:
@@ -264,7 +258,9 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
-    links: dict[str, int] = {}  # class ids repeat across records: parse each text once
+    # Each link text _parse has accepted, mapped to its id. Class ids repeat
+    # across records, so nearly every line's links are all in here.
+    links: dict[str, int] = {}
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
@@ -282,26 +278,57 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
             hit.append(entity_id)
 
     for lineno, raw in enumerate(lines, start=1):
+        # The common record shape is checked here: one JSON object that ends
+        # the line, with a plain Q-id, a str label that is not blank, a list
+        # of str aliases and three link lists whose texts are all in
+        # ``links``. Every other line goes to _parse, which words the errors.
+        obj = None
         try:
-            fields = _parse(raw, links)
+            obj, end = _scan_once(raw, 0)
+        except (StopIteration, ValueError, RecursionError, TypeError):
+            pass
+        common = False
+        if obj.__class__ is dict and (end == len(raw) or raw[end:] == "\n"):
+            qid, label, names = obj.get("qid"), obj.get("label"), obj.get("aliases")
+            inst, sub, occ = obj.get("instance_of"), obj.get("subclass_of"), obj.get("occupation")
+            if (qid.__class__ is str and _plain_qid(qid) and label.__class__ is str
+                    and names.__class__ is list and inst.__class__ is list
+                    and sub.__class__ is list and occ.__class__ is list):
+                label = label.strip()
+                try:
+                    common = label != "" and links.keys() >= {*inst, *sub, *occ}
+                    aliases = [alias.strip() for alias in names] if common and names else ()
+                except (TypeError, AttributeError):  # an unhashable link, an alias not a str
+                    common = False
+        if common:
+            entity_id = int(qid[1:])
+            parents = [links[v] for v in sub] if sub else ()
+        else:
+            try:
+                fields = _parse(raw)
+            except SnapshotError as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from None
             if fields is None:
                 continue
-            entity_id, label, aliases, _, _, parents, _ = fields
-            if entity_id in seen:
-                raise SnapshotError(f"duplicate entity id {format_qid(entity_id)}"
-                                    f" (first seen on line {seen[entity_id]})")
-        except SnapshotError as exc:
-            raise SnapshotError(f"line {lineno}: {exc}") from None
-        seen[entity_id] = lineno
+            entity_id, label, aliases, _, *ids = fields
+            parents = ids[1]
+            if obj.__class__ is dict:  # _parse accepted this same object: learn its link texts
+                for field, field_ids in zip(_LINK_FIELDS, ids):
+                    if field_ids:
+                        links.update(zip(obj[field], field_ids))
+        if seen.setdefault(entity_id, lineno) != lineno:
+            raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
+                                f" (first seen on line {seen[entity_id]})")
         stored[entity_id] = raw
         # normalize_surface, inlined: one call fewer per key.
-        key = " ".join(nfc("NFC", label).split()).casefold()
-        if key in label_index:
+        key = " ".join((label if label.isascii() else nfc("NFC", label)).split()).casefold()
+        if label_index.setdefault(key, entity_id) != entity_id:
             add(label_index, key, entity_id)
-        else:
-            label_index[key] = entity_id
         for alias in aliases:
-            add(alias_index, " ".join(nfc("NFC", alias).split()).casefold(), entity_id)
+            if alias and alias != label:
+                add(alias_index,
+                    " ".join((alias if alias.isascii() else nfc("NFC", alias)).split()).casefold(),
+                    entity_id)
         for parent in parents:
             add(children, parent, entity_id)
     for index, key in shared:

@@ -1,13 +1,17 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
+import unicodedata
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEMO_DIR
+from finetype import kb as kb_module
 from finetype.cli import project_tags_to_coarse
 from finetype.kb import (
     EntityRecord,
@@ -780,6 +784,103 @@ def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
     assert kb._lines[entity_id] is line
     for entity_id, record in expected.items():
         assert kb.records[entity_id] == record
+
+
+# --- the common record shape, checked inline --------------------------------------
+
+LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
+
+
+def off_common_shape(line):
+    """Whether ``line`` lies off the record shape that ingest checks inline,
+    link texts aside: one JSON object that ends the line or is followed by one
+    newline, with a plain Q-id, a str label that is not blank, a list of str
+    aliases and three lists."""
+    try:
+        obj, end = json.JSONDecoder().raw_decode(line)
+    except ValueError:
+        return True
+    return not (line[end:] in ("", "\n") and isinstance(obj, dict)
+                and isinstance(obj.get("qid"), str)
+                and re.fullmatch(r"Q[1-9][0-9]{0,17}", obj["qid"])
+                and isinstance(obj.get("label"), str) and obj["label"].strip()
+                and isinstance(obj.get("aliases"), list)
+                and all(isinstance(alias, str) for alias in obj["aliases"])
+                and all(isinstance(obj.get(field), list) for field in LINK_FIELDS))
+
+
+OFF_SHAPE_LINES = [
+    record_line("Q1", "crlf", instance_of=["Q5"]) + "\r\n",
+    " " + record_line("Q2", "leading space") + "\n",
+    record_line("Q3", "trailing space") + " \n",
+    json.dumps({"qid": "Q4", "label": "no lists"}) + "\n",
+    json.dumps({"qid": "Q6", "label": "null alias", "aliases": [None, "x"], "instance_of": [],
+                "subclass_of": [], "occupation": []}) + "\n",
+    json.dumps({"qid": "Q7", "label": 7, "aliases": [], "instance_of": ["Q5"],
+                "subclass_of": None, "occupation": []}) + "\n",
+    record_line("q8", "lower-case qid") + "\n",
+    record_line(LONG_QID, "long qid", subclass_of=[LONG_QID]) + "\n",
+    "\n",
+    " \n",
+]
+
+
+def seeded_common_shape_lines(seed):
+    """2,000 common-shape records linking to 30 classes, with every line of
+    OFF_SHAPE_LINES put in at a random place."""
+    rng = random.Random(seed)
+    classes = [f"Q{c}" for c in rng.sample(range(10, 10**6), 30)]
+    lines = [record_line(f"Q{10**7 + i}", f"entity {rng.randrange(500)}",
+                         aliases=rng.sample(["x", " y ", "Z", "entity"], rng.randrange(3)),
+                         instance_of=rng.sample(classes, rng.randrange(3)),
+                         subclass_of=rng.sample(classes, rng.randrange(2)),
+                         occupation=rng.sample(classes, rng.randrange(2))) + "\n"
+             for i in range(2_000)]
+    for line in OFF_SHAPE_LINES:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["demo", "seeded"])
+def test_ingest_parses_only_off_shape_lines_and_lines_with_new_link_texts(name, monkeypatch):
+    lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
+             "seeded": seeded_common_shape_lines(3)}[name]
+    parsed = []
+    parse = kb_module._parse
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(kb_module, "_parse", counting_parse)
+    kb = ingest_snapshot(lines)
+    off = [line for line in lines if off_common_shape(line)]
+    texts = {text for line in lines if not off_common_shape(line)
+             for field in LINK_FIELDS for text in json.loads(line)[field]}
+    assert len(kb) == sum(1 for line in lines if line.strip())
+    assert len(parsed) <= len(texts) + len(off), (len(parsed), len(texts), len(off))
+    assert all(line in parsed for line in off)
+    if name == "seeded":
+        assert off and len(parsed) < len(lines) / 20
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet=st.one_of(
+    st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", " ", "\t", "\u0301", "\u0308",
+                     "E", "e", "\u00c9", "\u00e9", "t", "\u00df", "\u212b"]),
+    st.characters()), max_size=8).filter(str.strip))
+@example("\u00c9t\u00e9")
+@example("E\u0301te\u0301")
+@example("A\x1cB\x1f\xa0c")
+def test_ingest_keys_follow_normalize_surface(surface):
+    # both lines have the common shape, so their keys are made inline
+    with mock.patch.object(kb_module, "_parse", side_effect=AssertionError("_parse called")):
+        kb = ingest_snapshot([record_line("Q1", surface) + "\n",
+                              record_line("Q2", "\x00", aliases=[surface]) + "\n"])
+    key = normalize_surface(surface)
+    assert key == " ".join(unicodedata.normalize("NFC", surface).split()).casefold()
+    assert 1 in id_set(kb._label_index[key])
+    assert kb._alias_index == ({} if surface.strip() == "\x00" else {key: 2})
 
 
 def scaled_snapshot_lines(records):

@@ -27,6 +27,8 @@ from finetype.tagger import CorpusError, parse_conll
 from finetype.taxonomy import HierarchyError, parse_hierarchy
 
 from conftest import parse_sidecar_lines
+from test_kb import oracle_ingest
+from test_kb import outcome as ingest_outcome
 
 fuzz = settings(derandomize=True, deadline=None)
 
@@ -238,6 +240,105 @@ records = st.dictionaries(
 @example(['{"qid": "Q1", "label": null, "aliases": [null]}'])
 def test_ingest_snapshot_fuzz(lines):
     returns_or_raises(SnapshotError, ingest_snapshot, lines)
+
+
+# Common-shape snapshot lines, each perturbed in at most one field or at its
+# ends: what ingest checks inline must agree with the oracle wherever a line
+# leaves that shape.
+LONG_QID = "Q" + "9" * 60
+SNAPSHOT_FIELDS = ("qid", "label", "aliases", "description", "instance_of", "subclass_of",
+                   "occupation")
+SNAPSHOT_NAMES = ["Ada", " Ada ", "ada", "Ada\t", "Bob  Lee", "\u00c9t\u00e9", "E\u0301te\u0301",
+                  "\x0bAda", "", " "]
+LINK_TEXTS = ["Q5", "Q515", "Q7", " Q5 ", "Q05", "q5", LONG_QID]
+FIELD_VALUES = [None, 0, -1, 1.5, True, "", "Q5", "Q05", " Q5 ", "Ada", [], {}, {"Q5": 1},
+                [None], [5], ["Q5", 5], ["Q5", ["Q5"]], ["Ada", None]]
+LINE_ENDS = {"lf": "\n", "none": "", "crlf": "\r\n", "space": " \n", "vt": "\x0b",
+             "trailing": " x\n", "second-record": ' {"qid": "Q8", "label": "x"}\n'}
+
+
+def snapshot_line(obj, start="", end="\n", ensure_ascii=True):
+    return start + json.dumps(obj, ensure_ascii=ensure_ascii) + end
+
+
+@st.composite
+def common_shape_snapshots(draw):
+    """A few common-shape records, each with its Q-id, label, aliases and link
+    texts drawn from small pools (so ids repeat and link texts are met both
+    new and seen), and at most one perturbation: a field set to a value of
+    another type or dropped, or the line given a BOM, leading whitespace or
+    another ending; blank lines fall between them."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        label = draw(st.one_of(st.sampled_from(SNAPSHOT_NAMES), st.text(max_size=4)))
+        names = st.one_of(st.sampled_from([*SNAPSHOT_NAMES, label, f" {label} "]),
+                          st.text(max_size=3))
+        obj = {"qid": draw(st.sampled_from(["Q1", "Q2", "Q3", LONG_QID])), "label": label,
+               "aliases": draw(st.lists(names, max_size=3)),
+               "description": draw(st.sampled_from(["", "a thing"])),
+               **{field: draw(st.lists(st.sampled_from(LINK_TEXTS), max_size=2))
+                  for field in SNAPSHOT_FIELDS[4:]}}
+        start, end = "", "\n"
+        kind = draw(st.sampled_from(["none", "field", "drop", "start", "end"]))
+        if kind == "field":
+            obj[draw(st.sampled_from(SNAPSHOT_FIELDS))] = draw(st.sampled_from(FIELD_VALUES))
+        elif kind == "drop":
+            del obj[draw(st.sampled_from(SNAPSHOT_FIELDS))]
+        elif kind == "start":
+            start = draw(st.sampled_from(["\ufeff", " ", "\t", "\x0b"]))
+        elif kind == "end":
+            end = LINE_ENDS[draw(st.sampled_from(sorted(LINE_ENDS)))]
+        lines.append(snapshot_line(obj, start, end, draw(st.booleans())))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", " \n", "\r\n", ""])))
+    return lines
+
+
+def common_line(qid="Q1", label="Ada", start="", end="\n", **fields):
+    """A common-shape record line, with empty lists for the fields not given."""
+    return snapshot_line({"qid": qid, "label": label, "aliases": [], "description": "",
+                          "instance_of": [], "subclass_of": [], "occupation": [], **fields},
+                         start, end)
+
+
+@fuzz
+@given(common_shape_snapshots())
+# a field of another type, null included
+@example([common_line(qid=5), common_line(qid=None)])
+@example([common_line(label=None), common_line(label=5)])
+@example([common_line(label=["Ada"])])
+@example([common_line(aliases=None), common_line(aliases=[None, "x"])])
+@example([common_line(aliases=[5]), common_line(aliases="Ada")])
+@example([common_line(aliases=[["Ada"]])])
+@example([common_line(description=None), common_line(description=[5])])
+@example([common_line(instance_of=None), common_line(subclass_of="Q5")])
+@example([common_line(occupation={"Q5": 1}), common_line(occupation=[None])])
+@example([common_line(instance_of=["Q5"]), common_line("Q2", occupation=["Q5", 5])])
+@example([common_line(subclass_of=["Q5"]), common_line("Q2", subclass_of=[["Q5"]])])
+@example([snapshot_line({"qid": "Q1", "label": "Ada"})])
+# labels and aliases padded, duplicated or equal to the label once stripped
+@example([common_line(label=" Ada\t", aliases=["Ada", " Ada ", "x", "x ", "x"])])
+@example([common_line(label="\x0b\u00c9t\u00e9", aliases=["E\u0301te\u0301", " "])])
+@example([common_line(label=" "), common_line("Q2", label="")])
+# link texts seen and not yet seen, spaced, zero-padded and 60 digits long
+@example([common_line(instance_of=["Q5"]),
+          common_line("Q2", instance_of=["Q5", " Q5 "], occupation=["q5"])])
+@example([common_line(instance_of=["Q5"]), common_line("Q2", subclass_of=["Q05"])])
+@example([common_line(LONG_QID, subclass_of=[LONG_QID]),
+          common_line("Q2", occupation=[LONG_QID, "Q5"], subclass_of=[LONG_QID])])
+# line ends and starts: CRLF, a BOM, a vertical tab, trailing text, blank lines
+@example([common_line(instance_of=["Q5"], end="\r\n"), common_line("Q2", instance_of=["Q5"])])
+@example([common_line(start="\ufeff")])
+@example([common_line(end="\x0b")])
+@example([common_line(end="\x0b\n"), common_line(start="\x0b")])
+@example([common_line(end=" x\n")])
+@example([common_line(end=LINE_ENDS["second-record"])])
+@example(["\n", common_line(), " \n", "", common_line("Q2", end="")])
+# duplicate ids, on either path
+@example([common_line(), common_line(label="Bob")])
+@example([common_line(end="\r\n"), common_line()])
+def test_snapshot_common_shape_ingest_matches_the_oracle(lines):
+    assert ingest_outcome(ingest_snapshot, lines) == ingest_outcome(oracle_ingest, lines)
 
 
 linked_fields = {"doc": st.integers(), "start": st.integers(), "end": st.integers(),
