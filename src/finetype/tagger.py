@@ -6,7 +6,10 @@ encoder with a residual connection from the projected input, and a softmax
 layer decodes per-token tags. Training is plain Adam over mini-batches with
 inverted dropout on the encoder output; everything is deterministic under a
 seed. Training and tagging run one recurrence (``_recurrence``) over the
-same packed, longest-first, time-major rows (``_Layout``).
+same packed, longest-first, time-major rows (``_Layout``). Training runs in
+float64; tagging runs in float32 and goes back to float64 for a group whose
+values are out of float32's safe range or whose tags come near a tie
+(``_streamed_logits``), so that its tags are those of float64.
 """
 
 from __future__ import annotations
@@ -280,12 +283,36 @@ class TaggerConfig:
 
 
 # Sentences per tagging group. Tagging holds one group's input vectors and
-# logits (its tokens x (D + K) floats), one direction's folded weights and
-# step buffers as wide as the group (B x 4H gates, B x H for tanh(c) and two
-# each for h and c), so this count, not the corpus size, bounds its memory;
-# on ragged corpora a group of 48 keeps about 30 to 48 rows in each step's
-# products.
+# logits (its tokens x (D + K) float32 values), one direction's folded weights
+# and step buffers as wide as the group (B x 4H gates, B x H for tanh(c) and
+# two each for h and c), so this count, not the corpus size, bounds its
+# memory; on ragged corpora a group of 48 keeps about 30 to 48 rows in each
+# step's products.
 INFERENCE_GROUP_SIZE = 48
+
+# Largest magnitude of an input value or a parameter that tagging computes in
+# float32, 2**29 (about 5.4e8). With every |x| and |theta| at most B, each
+# value tagging computes is bounded by a sum of absolute values (h, tanh(c)
+# and the gates lie in [-1, 1], and |c| grows by at most 1 a step):
+# - a pre-activation by D B^2 + (H + 1) B;
+# - ``dec_w proj_w`` by W B^2, with W = H or 2H the encoder width;
+# - a logit by D W B^3 + B + W B.
+# K enters no sum. The parameter cap bounds each dimension through one
+# matrix: D W <= 2**27 (``proj_w``), 4 H D <= 2**27 (``lstm_w``) and
+# 4 H^2 <= 2**27 (``lstm_u``), so H < 2**13. A logit is therefore at most
+# 2**27 B^3 + 2**14 B < 2**115. Its sums round at most 2**27 + 2**15 times,
+# each raising the bound by a factor of at most 1 + 2**-24, which in all is
+# below e^8.01 < 2**12: 2**127, under float32's largest value,
+# 2**128 (1 - 2**-24). A cast, a product or a pre-activation stays far lower.
+SINGLE_PRECISION_BOUND = 2.0**29
+
+# The float32 top-2 logit gap below which a group is tagged again in float64,
+# relative to the largest |logit| of the group (``_near_tie``). Calibrated
+# against the float32 error that ``tests/test_tagger_batched.py`` measures
+# over models, inputs scaled 1e-3 to 1e3 and ragged groups: at most
+# NEAR_TIE / 10 relative to the same magnitude (7.6e-7 at worst over 2,000
+# examples), so a larger gap keeps the float64 argmax.
+NEAR_TIE = 1e-4
 
 
 def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,13 +327,13 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
 def _folded(params, reverse: bool):
     """One direction's ``(W^T, U^T, b, scale, shift)`` with ``_gate_affine``'s
     inner scale folded into W, U and b, so a step's pre-activation is already
-    ``s * z``. The scales are 0.5 and 1, powers of two, so the fold is exact
-    short of subnormals: each product and sum is the unfolded one times s,
-    rounded the same way."""
+    ``s * z``, all in the parameters' dtype. The scales are 0.5 and 1, powers
+    of two, so the fold is exact short of subnormals: each product and sum is
+    the unfolded one times s, rounded the same way."""
     suffix = "_rev" if reverse else ""
-    scale, shift = _gate_affine(params["lstm_u" + suffix].shape[1])
-    return ((params["lstm_w" + suffix] * scale[:, None]).T,
-            (params["lstm_u" + suffix] * scale[:, None]).T,
+    u = params["lstm_u" + suffix]
+    scale, shift = (a.astype(u.dtype) for a in _gate_affine(u.shape[1]))
+    return ((params["lstm_w" + suffix] * scale[:, None]).T, (u * scale[:, None]).T,
             params["lstm_b" + suffix] * scale, scale, shift)
 
 
@@ -384,9 +411,11 @@ class _Layout:
         later = step > 0
         self.previous = self.offsets[step[later] - 1] + k[later]
 
-    def pack(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-sentence (L, ...) arrays, in batch order, laid out as packed rows."""
-        out = np.empty((self.offsets[-1],) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    def pack(self, arrays: Sequence[np.ndarray], dtype=None) -> np.ndarray:
+        """Per-sentence (L, ...) arrays, in batch order, laid out as packed
+        rows of ``dtype`` (by default the arrays')."""
+        out = np.empty((self.offsets[-1],) + arrays[0].shape[1:],
+                       dtype=arrays[0].dtype if dtype is None else dtype)
         for rows, i in zip(self.rows, self.order):
             out[rows] = arrays[i]
         return out
@@ -413,12 +442,13 @@ def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Ta
     one product before the loop, and each step adds ``h_prev U^T`` to its rows
     of the tape and writes its c, tanh(c) and h there. Without one (tagging),
     each step projects its own rows of ``x`` into one step's scratch, and h and
-    c alternate between two buffers as wide as the batch."""
+    c alternate between two buffers as wide as the batch, in the dtype of
+    ``x``."""
     wt, ut, b, scale, shift = _folded(params, reverse)
     if tape is None:
         width, hidden = len(layout.order), ut.shape[0]
-        gates, tcs = np.empty((width, 4 * hidden)), np.empty((width, hidden))
-        hs, cs = np.empty((2, 2, width, hidden))
+        gates, tcs = np.empty((width, 4 * hidden), x.dtype), np.empty((width, hidden), x.dtype)
+        hs, cs = np.empty((2, 2, width, hidden), x.dtype)
     else:
         gates, cs, tcs, hs = tape.gates, tape.c, tape.tc, tape.h
         np.matmul(tape.x, wt, out=gates)
@@ -539,28 +569,90 @@ def batch_loss_grads(
     return nll
 
 
-def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray]):
+def _group_logits(params, cfg, layout: _Layout, x: np.ndarray) -> np.ndarray:
+    """The logits of a group's packed rows ``x``, in the dtype of ``x``. Each
+    direction adds its share ``h dec_w[:, dir]^T`` of the linear decoder to the
+    logits at every step; the residual ``x (dec_w proj_w)^T + dec_b`` is added
+    once."""
+    dec_w, hidden = params["dec_w"], cfg.hidden_size
+    logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
+    for d in range(1 + cfg.bidirectional):
+        dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
+        for rows, h in _recurrence(params, d, x, layout):
+            logits[rows] += h @ dec_t
+    return logits
+
+
+def _single_precision(params):
+    """A float32 copy of the parameters, or None when one exceeds
+    ``SINGLE_PRECISION_BOUND``."""
+    if all(-SINGLE_PRECISION_BOUND <= p.min() and p.max() <= SINGLE_PRECISION_BOUND
+           for p in params.values()):
+        return {key: p.astype(np.float32) for key, p in params.items()}
+    return None
+
+
+def _near_tie(logits: np.ndarray) -> bool:
+    """Whether some row's top two logits lie within ``NEAR_TIE`` times the
+    largest |logit| of ``logits``, or times 2**-60 when that is smaller. An
+    exact tie always does, and so do logits small enough for float32's
+    subnormal range (below 2**-126, where a rounding errs by up to 2**-150)
+    to decide them."""
+    if logits.shape[1] < 2:
+        return False
+    top = np.partition(logits, -2, axis=1)[:, -2:]
+    gap = top[:, 1] - top[:, 0]
+    return bool((gap <= NEAR_TIE * max(logits.max(), -logits.min(), 2.0**-60)).any())
+
+
+def _sentence_logits(group: list[int], layout: _Layout, logits: np.ndarray):
+    """``(i, logits)`` of each sentence ``i`` of ``group`` from its packed logits."""
+    return ((group[j], logits[layout.rows[k]]) for k, j in enumerate(layout.order))
+
+
+def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray], single=None):
     """Yield ``(i, logits)`` with the (L, K) per-token logits of each
-    non-empty sentence ``i``, dropout disabled. The sentences run sorted by
-    length in groups of ``INFERENCE_GROUP_SIZE`` over packed rows, and each
-    direction adds its share ``h dec_w[:, dir]^T`` of the linear decoder to
-    the logits at every step, so only the input and the logits are held per
-    token and memory stays flat however large the corpus is; the residual
-    ``x (dec_w proj_w)^T + dec_b`` is added once per group."""
+    non-empty sentence ``i``, dropout disabled, in the dtype of ``params``.
+    The sentences run sorted by length in groups of ``INFERENCE_GROUP_SIZE``
+    over packed rows, and only a group's input and logits are held per token,
+    so memory stays flat however large the corpus is.
+
+    With ``single``, a float32 copy of ``params`` from ``_single_precision``,
+    the groups first run in float32 (``_single_precision_groups``) and yield
+    float32 logits; those it hands back run with ``params`` once the float32
+    copy is dropped, so the two precisions' weights are never held at once."""
     arrays = _checked_vectors(sentences, cfg.embedding_dim)
     order = sorted((i for i, x in enumerate(arrays) if len(x)), key=lambda i: len(arrays[i]))
-    dec_w, hidden = params["dec_w"], cfg.hidden_size
-    for lo in range(0, len(order), INFERENCE_GROUP_SIZE):
-        group = order[lo : lo + INFERENCE_GROUP_SIZE]
+    groups = [order[lo : lo + INFERENCE_GROUP_SIZE]
+              for lo in range(0, len(order), INFERENCE_GROUP_SIZE)]
+    if single is not None:
+        groups = yield from _single_precision_groups(single, cfg, arrays, groups)
+        single = None
+    for group in groups:
         layout = _Layout([len(arrays[i]) for i in group])
-        x = layout.pack([arrays[i] for i in group])
-        logits = x @ (dec_w @ params["proj_w"]).T + params["dec_b"]
-        for d in range(1 + cfg.bidirectional):
-            dec_t = dec_w[:, d * hidden : (d + 1) * hidden].T
-            for rows, h in _recurrence(params, d, x, layout):
-                logits[rows] += h @ dec_t
-        for k, j in enumerate(layout.order):
-            yield group[j], logits[layout.rows[k]]
+        x = layout.pack([arrays[i] for i in group], params["dec_w"].dtype)
+        yield from _sentence_logits(group, layout, _group_logits(params, cfg, layout, x))
+
+
+def _single_precision_groups(single, cfg, arrays: list[np.ndarray], groups: list[list[int]]):
+    """Yield ``(i, logits)`` for the sentences of each group that runs in
+    float32 with the parameters ``single``, and return the groups that must
+    run in float64: those with an input value above ``SINGLE_PRECISION_BOUND``
+    (checked before any float32 work), and those whose float32 logits come
+    near a tie (``_near_tie``), where float32 may not have float64's argmax."""
+    rerun = []
+    for group in groups:
+        layout = _Layout([len(arrays[i]) for i in group])
+        with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+            x = layout.pack([arrays[i] for i in group], np.float32)
+        logits = None
+        if -SINGLE_PRECISION_BOUND <= x.min() and x.max() <= SINGLE_PRECISION_BOUND:
+            logits = _group_logits(single, cfg, layout, x)
+        if logits is None or _near_tie(logits):
+            rerun.append(group)
+        else:
+            yield from _sentence_logits(group, layout, logits)
+    return rerun
 
 
 @dataclass
@@ -581,9 +673,14 @@ class TaggerModel:
         return self.predict_batch([vectors])[0]
 
     def predict_batch(self, sentences: Sequence[np.ndarray]) -> list[list[str]]:
-        """Tags for each sentence's vectors, in input order, dropout disabled."""
+        """Tags for each sentence's vectors, in input order, dropout disabled:
+        the argmax of the float64 logits, computed in float32 where that gives
+        the same (``_streamed_logits``)."""
         tags: list[list[str]] = [[] for _ in sentences]
-        for i, logits in _streamed_logits(self.params, self.config, sentences):
+        # a model file may hold any real dtype; the reference precision is float64
+        params = {key: np.asarray(p, dtype=np.float64) for key, p in self.params.items()}
+        for i, logits in _streamed_logits(params, self.config, sentences,
+                                          _single_precision(params)):
             tags[i] = [self.tags[j] for j in logits.argmax(axis=1)]
         return tags
 

@@ -14,8 +14,8 @@ DATA_DIR = Path(default_hierarchy_path()).parent
 DEMO_DIR = DATA_DIR / "demo"
 
 # A longer run of the derandomized properties, for a CI step that runs the
-# vector-file parsers' and the snapshot ingest's properties alone:
-# --hypothesis-profile=fuzz-2000
+# vector-file parsers', the snapshot ingest's and float32 tagging's properties
+# alone: --hypothesis-profile=fuzz-2000
 settings.register_profile("fuzz-2000", max_examples=2000, derandomize=True, deadline=None)
 
 

@@ -19,7 +19,8 @@ from finetype.cli import (
     parse_config_text,
     project_tags_to_coarse,
 )
-from finetype.tagger import StaticVectors, TaggerConfig, TaggerModel, init_params, read_conll
+from finetype.tagger import (StaticVectors, TaggerConfig, TaggerModel, _streamed_logits, init_params,
+                             read_conll)
 from finetype.taxonomy import parse_hierarchy
 from finetype.textfile import open_utf8
 
@@ -988,6 +989,26 @@ def test_extreme_vector_rows_never_fail_after_work_starts_or_warn(tmp_path, demo
             failures.append(f"{value}: exit {code}: {[str(w.message) for w in caught]}"
                             f" {err.strip()}")
     assert failures == []
+
+
+def test_a_model_beyond_float32_range_tags_in_float64_with_no_warning(tmp_path, demo_config_path,
+                                                                     pipeline_out, capsys):
+    # as a model trained at learning_rate = 1e100 would be: its weights do not fit float32
+    model = TaggerModel.load(pipeline_out / "model.npz")
+    model.params = {key: value * 1e100 for key, value in model.params.items()}
+    model.save(tmp_path / "scaled.npz")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["tag", "--config", str(demo_config_path), "--model", str(tmp_path / "scaled.npz"),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert caught == []
+    provider = StaticVectors(cli.load_embeddings(DEMO_DIR / "token_vectors.vec"))
+    corpus = read_conll(DEMO_DIR / "corpus.conll")
+    want = dict(_streamed_logits(model.params, model.config,
+                                 [provider.vectors_for(i, ex.tokens) for i, ex in enumerate(corpus)]))
+    assert [ex.gold_tags for ex in read_conll(tmp_path / "out" / "tagged.conll")] == [
+        [model.tags[j] for j in want[i].argmax(axis=1)] for i in range(len(corpus))]
 
 
 DEMO_INPUTS = [*(DEMO_DIR / name for name in ("pipeline.cfg", "corpus.conll", "snapshot.jsonl",

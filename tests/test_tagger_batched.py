@@ -2,22 +2,30 @@
 replaced, kept here as the oracle: the same recurrence, loss and gradients,
 and the same training trajectory, one sentence and one step at a time.
 Training and the streamed tagging path run the same recurrence over packed
-rows, and both are checked against it."""
+rows, and both are checked against it. Tagging in float32 is checked
+against the float64 streamed logits."""
 
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 
+from finetype import tagger as tagger_module
+from finetype.cli import main
 from finetype.tagger import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     INFERENCE_GROUP_SIZE,
+    NEAR_TIE,
+    SINGLE_PRECISION_BOUND,
     SequenceExample,
     TaggerConfig,
     TaggerModel,
+    _single_precision,
     _streamed_logits,
     batch_loss_grads,
     init_params,
@@ -355,3 +363,102 @@ def test_streamed_tagging_peak_memory_stays_within_the_padded_paths():
     finally:
         tracemalloc.stop()
     assert peak <= PADDED_PATH_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Tagging in float32, against the float64 streamed logits
+
+
+def group_members(sentences):
+    """The sentence indices of each group that ``_streamed_logits`` runs."""
+    order = sorted((i for i, x in enumerate(sentences) if len(x)), key=lambda i: len(sentences[i]))
+    return [order[lo : lo + G] for lo in range(0, len(order), G)]
+
+
+def argmax_tags(model, logits, count):
+    """Per sentence of ``count``, the tags of the argmax of its ``logits``
+    (``_streamed_logits``'s as a dict), as ``predict_batch`` must tag."""
+    return [[model.tags[j] for j in logits[i].argmax(axis=1)] if i in logits else []
+            for i in range(count)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(hidden=st.integers(1, 32), dim=st.integers(1, 16), tag_count=st.integers(1, 9),
+       bidirectional=st.booleans(),
+       pattern=st.lists(st.integers(0, 40), min_size=1, max_size=12), copies=st.integers(1, 10),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), seed=st.integers(0, 2**16),
+       tie=st.booleans())
+# rule 2: every tag's logit ties in float32, and float64 prefers the last
+@example(hidden=8, dim=4, tag_count=3, bidirectional=True, pattern=[5, 0, 30, 1], copies=13,
+         scale=1.0, seed=1, tie=True)
+# rule 1: input values above SINGLE_PRECISION_BOUND
+@example(hidden=8, dim=4, tag_count=3, bidirectional=True, pattern=[5, 0, 30, 1], copies=13,
+         scale=1e150, seed=1, tie=False)
+# float32 subnormal inputs: the logits' gaps fall below rule 2's floor; without it
+# float32 tags this input otherwise
+@example(hidden=8, dim=4, tag_count=5, bidirectional=True, pattern=[3, 7, 1, 12], copies=5,
+         scale=1e-43, seed=19, tie=False)
+def test_float32_tagging_keeps_the_float64_argmax(hidden, dim, tag_count, bidirectional,
+                                                  pattern, copies, scale, seed, tie):
+    cfg = TaggerConfig(hidden_size=hidden, embedding_dim=dim, bidirectional=bidirectional)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, tag_count, rng)
+    tie = tie and tag_count > 1
+    if tie:
+        # one decoder row for every tag, and a bias step that float32 cannot hold at 0.5
+        params["dec_w"][:] = params["dec_w"][0]
+        params["dec_b"][:] = 0.5
+        params["dec_b"][-1] += 1e-9
+    model = TaggerModel(cfg, [f"t{i}" for i in range(tag_count)], params)
+    sentences = [scale * rng.standard_normal((n, dim)) for n in pattern * copies]
+    want = dict(_streamed_logits(params, cfg, sentences))
+    assert model.predict_batch(sentences) == argmax_tags(model, want, len(sentences))
+
+    single = _single_precision(params)
+    drawn_scale = 1e-3 <= scale <= 1e3
+    if drawn_scale:
+        got = dict(_streamed_logits(single, cfg, sentences))
+        error = max((max(np.abs(got[i] - want[i]).max() for i in group)
+                     / max(np.abs(want[i]).max() for i in group)
+                     for group in group_members(sentences)), default=0.0)
+        target(error, label="float32 logit error relative to the group's largest |logit|")
+        assert error <= NEAR_TIE / 10
+        if tie and want:  # float32 alone would tag otherwise
+            assert any((got[i].argmax(axis=1) != want[i].argmax(axis=1)).any() for i in want)
+    if tie or not drawn_scale:
+        # every group runs in float64: the logits are float64's, bit for bit
+        mixed = dict(_streamed_logits(params, cfg, sentences, single))
+        assert sorted(mixed) == sorted(want)
+        assert all(np.array_equal(mixed[i], want[i]) for i in want)
+
+
+def recorded_group_dtypes(monkeypatch):
+    """The dtype of every group run by ``_group_logits``, in run order."""
+    dtypes = []
+    group_logits = tagger_module._group_logits
+
+    def recording(params, cfg, layout, x):
+        dtypes.append(x.dtype.name)
+        return group_logits(params, cfg, layout, x)
+
+    monkeypatch.setattr(tagger_module, "_group_logits", recording)
+    return dtypes
+
+
+def test_float32_tagging_runs_on_the_demo(tmp_path, monkeypatch, demo_config_path):
+    dtypes = recorded_group_dtypes(monkeypatch)
+    assert main(["pipeline", "--config", str(demo_config_path), "--output-dir", str(tmp_path)]) == 0
+    assert dtypes and set(dtypes) == {"float32"}  # no group went back to float64
+
+
+def test_float32_tagging_runs_on_the_contextual_corpus(monkeypatch):
+    model, sentences = contextual_corpus()
+    dtypes = recorded_group_dtypes(monkeypatch)
+    tags = model.predict_batch(sentences)
+    groups = len(group_members(sentences))
+    # every group runs in float32 first; an untrained model's logits come near
+    # a tie in a few, which then run again in float64
+    assert dtypes[:groups] == ["float32"] * groups
+    assert set(dtypes[groups:]) <= {"float64"} and len(dtypes) - groups <= groups // 2
+    want = dict(_streamed_logits(model.params, model.config, sentences))
+    assert tags == argmax_tags(model, want, len(sentences))
