@@ -75,10 +75,23 @@ class EntityRecord:
 
 
 _scan_once = json.JSONDecoder().scan_once
-# A Q-id in the exact form parse_qid accepts most often, with few enough
-# digits for int(); any other value goes through parse_qid.
-_plain_qid = re.compile(r"Q[1-9][0-9]{0,17}").fullmatch
+# A Q-id's digits in the exact form parse_qid accepts most often, with few
+# enough of them for int(); any other value goes through parse_qid.
+_QID_DIGITS = r"[1-9][0-9]{0,17}"
+_plain_qid = re.compile(f"Q{_QID_DIGITS}").fullmatch
 _LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
+# A record line exactly as json.dumps writes the seven documented fields by
+# default, followed by at most one newline. Every Q-id is a _plain_qid, and no
+# string holds an escape or a control character, so JSON would decode each
+# one to the matched text. Groups: the id's digits, the label, and the text
+# between the aliases' and the subclass_of links' brackets.
+_TEXT = r'[^"\\\x00-\x1f]*'
+_TEXTS = f'(?:"{_TEXT}"(?:, "{_TEXT}")*)?'
+_QIDS = f'(?:"Q{_QID_DIGITS}"(?:, "Q{_QID_DIGITS}")*)?'
+_documented_layout = re.compile(
+    rf'\{{"qid": "Q({_QID_DIGITS})", "label": "({_TEXT})", "aliases": \[({_TEXTS})\], '
+    rf'"description": "{_TEXT}", "instance_of": \[{_QIDS}\], '
+    rf'"subclass_of": \[({_QIDS})\], "occupation": \[{_QIDS}\]\}}\n?').fullmatch
 
 
 def _id_list(value: object, field: str) -> tuple[int, ...]:
@@ -250,21 +263,25 @@ class KnowledgeBase:
 def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.
 
-    One pass decodes, validates and indexes each line; unknown fields are
-    ignored. Raises SnapshotError with the offending line number on malformed
-    input or duplicate ids.
+    One pass reads, validates and indexes each line; unknown fields are
+    ignored. A line in the layout that json.dumps writes by default for the
+    seven documented fields is read with one compiled pattern and no JSON
+    decode; a line in any other layout is decoded by the general parser,
+    which gives the same result more slowly. Raises SnapshotError
+    with the offending line number on malformed input or duplicate ids.
     """
     kb = KnowledgeBase()
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
-    # Each link text _parse has accepted, mapped to its id. Class ids repeat
-    # across records, so nearly every line's links are all in here.
-    links: dict[str, int] = {}
+    # Each subclass_of list text the documented layout has matched, mapped
+    # to its ids.
+    parent_ids: dict[str, tuple[int, ...]] = {"": ()}
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
     nfc = unicodedata.normalize
+    documented_layout = _documented_layout
 
     def add(index: dict, key: object, entity_id: int) -> None:
         hit = index.get(key)
@@ -278,31 +295,19 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
             hit.append(entity_id)
 
     for lineno, raw in enumerate(lines, start=1):
-        # The common record shape is checked here: one JSON object that ends
-        # the line, with a plain Q-id, a str label that is not blank, a list
-        # of str aliases and three link lists whose texts are all in
-        # ``links``. Every other line goes to _parse, which words the errors.
-        obj = None
-        try:
-            obj, end = _scan_once(raw, 0)
-        except (StopIteration, ValueError, RecursionError, TypeError):
-            pass
-        common = False
-        if obj.__class__ is dict and (end == len(raw) or raw[end:] == "\n"):
-            qid, label, names = obj.get("qid"), obj.get("label"), obj.get("aliases")
-            inst, sub, occ = obj.get("instance_of"), obj.get("subclass_of"), obj.get("occupation")
-            if (qid.__class__ is str and _plain_qid(qid) and label.__class__ is str
-                    and names.__class__ is list and inst.__class__ is list
-                    and sub.__class__ is list and occ.__class__ is list):
-                label = label.strip()
-                try:
-                    common = label != "" and links.keys() >= {*inst, *sub, *occ}
-                    aliases = [alias.strip() for alias in names] if common and names else ()
-                except (TypeError, AttributeError):  # an unhashable link, an alias not a str
-                    common = False
-        if common:
-            entity_id = int(qid[1:])
-            parents = [links[v] for v in sub] if sub else ()
+        # A line in the documented layout with a label that is not blank is
+        # read from the match, with no decode. Every other line, whatever its
+        # layout, goes to _parse, which words the errors.
+        documented = documented_layout(raw)
+        label = documented and documented[2].strip()
+        if label:
+            digits, _, names, sub = documented.groups()
+            entity_id = int(digits)
+            # No matched string holds a '"', so '", "' only separates aliases.
+            aliases = [alias.strip() for alias in names[1:-1].split('", "')] if names else ()
+            parents = parent_ids.get(sub)
+            if parents is None:
+                parents = parent_ids[sub] = tuple([int(v.strip('"Q')) for v in sub.split(", ")])
         else:
             try:
                 fields = _parse(raw)
@@ -310,12 +315,7 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
                 raise SnapshotError(f"line {lineno}: {exc}") from None
             if fields is None:
                 continue
-            entity_id, label, aliases, _, *ids = fields
-            parents = ids[1]
-            if obj.__class__ is dict:  # _parse accepted this same object: learn its link texts
-                for field, field_ids in zip(_LINK_FIELDS, ids):
-                    if field_ids:
-                        links.update(zip(obj[field], field_ids))
+            entity_id, label, aliases, _, _, parents, _ = fields
         if seen.setdefault(entity_id, lineno) != lineno:
             raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
                                 f" (first seen on line {seen[entity_id]})")

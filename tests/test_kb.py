@@ -1,9 +1,12 @@
 import gc
+import importlib.util
 import json
 import random
 import re
+import sys
 import tracemalloc
 import unicodedata
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,12 +30,13 @@ from finetype.linker import Linker, LinkerConfig, link_mention
 from finetype.tagger import extract_spans, read_conll
 
 
-def record_line(qid, label, aliases=(), description="", instance_of=(), subclass_of=(), occupation=()):
+def record_line(qid, label, aliases=(), description="", instance_of=(), subclass_of=(), occupation=(),
+                ensure_ascii=True):
     return json.dumps({
         "qid": qid, "label": label, "aliases": list(aliases),
         "description": description, "instance_of": list(instance_of),
         "subclass_of": list(subclass_of), "occupation": list(occupation),
-    })
+    }, ensure_ascii=ensure_ascii)
 
 
 FIXTURE_LINES = [
@@ -786,16 +790,15 @@ def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
         assert kb.records[entity_id] == record
 
 
-# --- the common record shape, checked inline --------------------------------------
+# --- the common record shape, and the lines ingest reads without _parse ---------
 
 LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
 
 
 def off_common_shape(line):
-    """Whether ``line`` lies off the record shape that ingest checks inline,
-    link texts aside: one JSON object that ends the line or is followed by one
-    newline, with a plain Q-id, a str label that is not blank, a list of str
-    aliases and three lists."""
+    """Whether ``line`` lies off the common record shape: one JSON object
+    that ends the line or is followed by one newline, with a plain Q-id, a str
+    label that is not blank, a list of str aliases and three lists."""
     try:
         obj, end = json.JSONDecoder().raw_decode(line)
     except ValueError:
@@ -864,6 +867,73 @@ def test_ingest_parses_only_off_shape_lines_and_lines_with_new_link_texts(name, 
         assert off and len(parsed) < len(lines) / 20
 
 
+DOCUMENTED_FIELDS = ("qid", "label", "aliases", "description", *LINK_FIELDS)
+GENERATE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+
+
+def in_documented_layout(line):
+    """Whether ``line`` is a record as json.dumps writes the documented fields
+    by default, in their order, with or without ``ensure_ascii``, followed by
+    at most one newline, with no escape, a plain Q-id in every place that
+    holds one, and a label that is not blank."""
+    body = line[:-1] if line.endswith("\n") else line
+    try:
+        obj = json.loads(body)
+    except ValueError:
+        return False
+    if not (isinstance(obj, dict) and tuple(obj) == DOCUMENTED_FIELDS and "\\" not in body
+            and body in (json.dumps(obj), json.dumps(obj, ensure_ascii=False))):
+        return False
+    qids = [obj["qid"], *(qid for field in LINK_FIELDS for qid in obj[field])]
+    return (all(isinstance(qid, str) and re.fullmatch(r"Q[1-9][0-9]{0,17}", qid)
+                for qid in qids)
+            and isinstance(obj["label"], str) and obj["label"].strip() != ""
+            and isinstance(obj["description"], str)
+            and all(isinstance(alias, str) for alias in obj["aliases"]))
+
+
+def benchmark_kb_lines(tmp_path, monkeypatch):
+    """The KB lines perfbench/generate.py writes for its smallest workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE_PATH)
+    generate = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, generate)  # its dataclasses look it up
+    spec.loader.exec_module(generate)
+    generate.generate(generate.WORKLOADS["train-tag"], 1, tmp_path)
+    return (tmp_path / "kb.jsonl").read_text(encoding="utf-8").splitlines(True)
+
+
+# The same records with raw and with escaped non-ASCII text: only the first
+# is in the layout the pattern takes.
+NON_ASCII_LINES = [
+    json.dumps({"qid": qid, "label": "Zoë Ørsted", "aliases": ["東京", " Zoë "],
+                "description": "née", "instance_of": ["Q5"], "subclass_of": [],
+                "occupation": []}, ensure_ascii=ensure_ascii) + "\n"
+    for qid, ensure_ascii in (("Q91", False), ("Q92", True))
+]
+
+
+@pytest.mark.parametrize("name", ["demo", "seeded", "benchmark"])
+def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
+    lines = {"demo": lambda: (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8")
+             .splitlines(True),
+             "seeded": lambda: seeded_common_shape_lines(3) + NON_ASCII_LINES,
+             "benchmark": lambda: benchmark_kb_lines(tmp_path, monkeypatch)}[name]()
+    parsed = []
+    parse = kb_module._parse
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(kb_module, "_parse", counting_parse)
+    kb = ingest_snapshot(lines)
+    assert len(kb) == sum(1 for line in lines if line.strip())
+    assert any(in_documented_layout(line) for line in lines)
+    assert [line for line in lines if not in_documented_layout(line)] == parsed
+    if name == "seeded":
+        assert [in_documented_layout(line) for line in NON_ASCII_LINES] == [True, False]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet=st.one_of(
     st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", " ", "\t", "\u0301", "\u0308",
@@ -873,13 +943,19 @@ def test_ingest_parses_only_off_shape_lines_and_lines_with_new_link_texts(name, 
 @example("E\u0301te\u0301")
 @example("A\x1cB\x1f\xa0c")
 def test_ingest_keys_follow_normalize_surface(surface):
-    # both lines have the common shape, so their keys are made inline
-    with mock.patch.object(kb_module, "_parse", side_effect=AssertionError("_parse called")):
-        kb = ingest_snapshot([record_line("Q1", surface) + "\n",
-                              record_line("Q2", "\x00", aliases=[surface]) + "\n"])
+    # The loop makes every key inline; Q3 holds its text unescaped, so unless
+    # the surface needs an escape the layout pattern reads it and _parse
+    # never sees it.
+    lines = [record_line("Q1", surface) + "\n",
+             record_line("Q2", "\x00", aliases=[surface]) + "\n",
+             record_line("Q3", surface, ensure_ascii=False) + "\n"]
+    with mock.patch.object(kb_module, "_parse", wraps=kb_module._parse) as parse:
+        kb = ingest_snapshot(lines)
+    assert [call.args[0] for call in parse.call_args_list] == [
+        line for line in lines if not in_documented_layout(line)]
     key = normalize_surface(surface)
     assert key == " ".join(unicodedata.normalize("NFC", surface).split()).casefold()
-    assert 1 in id_set(kb._label_index[key])
+    assert {1, 3} <= id_set(kb._label_index[key])
     assert kb._alias_index == ({} if surface.strip() == "\x00" else {key: 2})
 
 

@@ -9,6 +9,7 @@ Runs are derandomized so the suite stays deterministic.
 
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -338,6 +339,142 @@ def common_line(qid="Q1", label="Ada", start="", end="\n", **fields):
 @example([common_line(), common_line(label="Bob")])
 @example([common_line(end="\r\n"), common_line()])
 def test_snapshot_common_shape_ingest_matches_the_oracle(lines):
+    assert ingest_outcome(ingest_snapshot, lines) == ingest_outcome(oracle_ingest, lines)
+
+
+# Snapshot lines in the documented layout (json.dumps's default for the seven
+# fields, in order), each given at most one text-level perturbation: the lines
+# ingest reads from its pattern, and the lines just outside that layout, must
+# agree with the oracle.
+EDGE_SPACES = ["\xa0", "\u2003", "\x85", "\u3000"]
+LAYOUT_NAMES = ["Ada", "Bob  Lee", "x/y", "\u00c9t\u00e9"]
+LAYOUT_QIDS = ["q5", "Q05", "Q0", "Q" + "1" * 18, "Q" + "1" * 19, LONG_QID, "Q" + "1" * 5000]
+ESCAPES = ["\\u00e9", '\\"', "\\\\", "\\/"]
+CONTROLS = ["\x00", "\t", "\n", "\r", "\x1f"]
+SEPARATORS = {", ": [",", ",  ", " , ", ",\t"], ": ": [":", ":  ", " : "]}
+MARK = "\ue000"  # a character no drawn value holds, put where the text is edited
+
+
+def layout_line(qid="Q1", label="Ada", aliases=(), description="", instance_of=(),
+                subclass_of=(), occupation=(), end="\n", ensure_ascii=True, order=None):
+    """A record line in the documented layout, or with its keys in ``order``."""
+    obj = {"qid": qid, "label": label, "aliases": list(aliases), "description": description,
+           "instance_of": list(instance_of), "subclass_of": list(subclass_of),
+           "occupation": list(occupation)}
+    if order is not None:
+        obj = {key: obj[key] for key in order}
+    return json.dumps(obj, ensure_ascii=ensure_ascii) + end
+
+
+def with_text(line, text):
+    """``line`` with the marked place in one of its strings replaced by ``text``."""
+    return line.replace(MARK, text).replace(json.dumps(MARK)[1:-1], text)
+
+
+@st.composite
+def documented_layout_snapshots(draw):
+    """A few documented-layout records, with Q-ids, names and link texts drawn
+    from small pools, each given one perturbation or none: a separator spaced
+    or compacted, two keys swapped, an escape or a raw control character in a
+    string, a space at a label's edge or a blank label, a Q-id off the plain
+    form, an alias that is blank or the label, or another line end."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        label = draw(st.sampled_from(LAYOUT_NAMES))
+        fields = {"qid": draw(st.sampled_from([f"Q{i}" for i in range(1, 10)] + ["Q" + "1" * 18])),
+                  "label": label,
+                  "aliases": draw(st.lists(st.sampled_from(LAYOUT_NAMES), max_size=2)),
+                  "description": draw(st.sampled_from(["", "a thing"])),
+                  **{field: draw(st.lists(st.sampled_from(["Q5", "Q515", "Q7"]), max_size=2))
+                     for field in SNAPSHOT_FIELDS[4:]}}
+        kind = draw(st.sampled_from(["none", "separator", "swap", "escape", "control", "edge",
+                                     "qid", "alias", "end"]))
+        if kind == "edge":
+            space = draw(st.sampled_from(EDGE_SPACES))
+            fields["label"] = draw(st.sampled_from([space + label, label + space, space]))
+        elif kind == "qid":
+            field = draw(st.sampled_from(["qid", *SNAPSHOT_FIELDS[4:]]))
+            qid = draw(st.sampled_from(LAYOUT_QIDS))
+            fields[field] = qid if field == "qid" else [*fields[field], qid]
+        elif kind == "alias":
+            fields["aliases"].append(draw(st.sampled_from(["", " ", label, f" {label}"])))
+        elif kind in ("escape", "control"):
+            field = draw(st.sampled_from(["label", "aliases", "description"]))
+            value = fields["description"] if field == "description" else label
+            at = draw(st.integers(0, len(value)))
+            marked = value[:at] + MARK + value[at:]
+            if field == "aliases":
+                fields["aliases"].append(marked)
+            else:
+                fields[field] = marked
+        order = None
+        if kind == "swap":
+            order = list(SNAPSHOT_FIELDS)
+            i, j = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+            order[i], order[j] = order[j], order[i]
+        end = draw(st.sampled_from([" x\n", "\r\n", "", " \n"])) if kind == "end" else "\n"
+        line = layout_line(**fields, end=end, ensure_ascii=draw(st.booleans()), order=order)
+        if kind in ("escape", "control"):
+            line = with_text(line, draw(st.sampled_from(ESCAPES if kind == "escape"
+                                                        else CONTROLS)))
+        elif kind == "separator":
+            places = [(m.start(), m.group()) for m in re.finditer(", |: ", line)]
+            at, separator = draw(st.sampled_from(places))
+            line = (line[:at] + draw(st.sampled_from(SEPARATORS[separator]))
+                    + line[at + len(separator):])
+        lines.append(line)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", " \n", ""])))
+    return lines
+
+
+@fuzz
+@given(documented_layout_snapshots())
+# a separator spaced or compacted, and every separator compacted
+@example([layout_line(aliases=["x", "y"]).replace('"x", "y"', '"x","y"')])
+@example([layout_line().replace('"label": ', '"label":  ')])
+@example([layout_line(instance_of=["Q5"]), layout_line("Q2", subclass_of=["Q5", "Q7"])
+          .replace('"Q5", "Q7"', '"Q5" , "Q7"')])
+@example([json.dumps(json.loads(layout_line(subclass_of=["Q5"])), separators=(",", ":"))])
+# two keys swapped
+@example([layout_line(order=["label", "qid", *SNAPSHOT_FIELDS[2:]])])
+@example([layout_line(subclass_of=["Q5"], order=[*SNAPSHOT_FIELDS[:4], "subclass_of",
+                                                 "instance_of", "occupation"])])
+# escapes in the label, an alias and the description
+@example([layout_line(label="Ad\u00e9"), layout_line("Q2", label='A"da')])
+@example([layout_line(aliases=["a\\b", "\u00e9"])])
+@example([with_text(layout_line(description=f"x{MARK}y"), "\\/")])
+@example([with_text(layout_line(label=f"A{MARK}da"), "\\/")])
+# raw control characters
+@example([with_text(layout_line(label=f"A{MARK}da"), "\x00")])
+@example([with_text(layout_line(aliases=[MARK]), "\t")])
+@example([with_text(layout_line(description=MARK), "\x1f")])
+# spaces at a label's edge, and labels blank once stripped
+@example([layout_line(label="\xa0Ada", ensure_ascii=False),
+          layout_line("Q2", label="Ada\u2003", ensure_ascii=False)])
+@example([layout_line(label="\x85Ada\u3000", ensure_ascii=False)])
+@example([layout_line(label="\u3000", ensure_ascii=False)])
+@example([layout_line(label=" ")])
+@example([layout_line(label="")])
+# Q-ids off the plain form, and of 18, 19, 60 and 5,000 digits
+@example([layout_line("q5"), layout_line("Q05"), layout_line("Q0")])
+@example([layout_line("Q" + "1" * 18), layout_line("Q" + "1" * 19), layout_line(LONG_QID)])
+@example([layout_line("Q" + "1" * 5000)])
+@example([layout_line(instance_of=["q5"]), layout_line("Q2", subclass_of=["Q05"]),
+          layout_line("Q3", occupation=["Q0"])])
+@example([layout_line(subclass_of=["Q" + "1" * 18, "Q" + "1" * 19, LONG_QID])])
+@example([layout_line(instance_of=["Q" + "1" * 5000])])
+@example([layout_line(subclass_of=["Q" + "1" * 5000])])
+# aliases blank, or the label itself
+@example([layout_line(aliases=["", " ", "Ada", " Ada", "x", "x "])])
+# what follows the closing brace: text, CRLF, nothing
+@example([layout_line(end=" x\n")])
+@example([layout_line(end="\r\n"), layout_line("Q2")])
+@example([layout_line("Q1", end=""), "\n", layout_line("Q2", end="")])
+# duplicate ids, in the layout and out of it
+@example([layout_line(), layout_line(label="Bob")])
+@example([layout_line(end="\r\n"), layout_line()])
+def test_snapshot_documented_layout_ingest_matches_the_oracle(lines):
     assert ingest_outcome(ingest_snapshot, lines) == ingest_outcome(oracle_ingest, lines)
 
 
