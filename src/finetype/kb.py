@@ -267,8 +267,11 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     ignored. A line in the layout that json.dumps writes by default for the
     seven documented fields is read with one compiled pattern and no JSON
     decode; a line in any other layout is decoded by the general parser,
-    which gives the same result more slowly. Raises SnapshotError
-    with the offending line number on malformed input or duplicate ids.
+    which gives the same result more slowly. A matched label or alias that is
+    ASCII with no double space is keyed by one casefold, the key
+    normalize_surface gives it; all other text is keyed by normalize_surface.
+    Raises SnapshotError with the offending line number on malformed input or
+    duplicate ids.
     """
     kb = KnowledgeBase()
     stored, children = kb._lines, kb._subclass_children
@@ -276,11 +279,10 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     seen: dict[int, int] = {}
     # Each subclass_of list text the documented layout has matched, mapped
     # to its ids.
-    parent_ids: dict[str, tuple[int, ...]] = {"": ()}
+    parent_ids: dict[str, tuple[int, ...]] = {}
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
-    nfc = unicodedata.normalize
     documented_layout = _documented_layout
 
     def add(index: dict, key: object, entity_id: int) -> None:
@@ -299,15 +301,36 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
         # read from the match, with no decode. Every other line, whatever its
         # layout, goes to _parse, which words the errors.
         documented = documented_layout(raw)
-        label = documented and documented[2].strip()
-        if label:
-            digits, _, names, sub = documented.groups()
+        if documented:
+            digits, label, names, sub = documented.groups()
+            label = label.strip()
+        if documented and label:
             entity_id = int(digits)
-            # No matched string holds a '"', so '", "' only separates aliases.
-            aliases = [alias.strip() for alias in names[1:-1].split('", "')] if names else ()
-            parents = parent_ids.get(sub)
-            if parents is None:
-                parents = parent_ids[sub] = tuple([int(v.strip('"Q')) for v in sub.split(", ")])
+            # A matched string holds no control character, so its only ASCII
+            # whitespace is " ". Stripped and free of double spaces, ASCII
+            # text is then its own split-and-join and skips NFC, so
+            # normalize_surface would only casefold it.
+            key = (label.casefold() if label.isascii() and "  " not in label
+                   else normalize_surface(label))
+            if names:
+                # No matched string holds a '"', so '", "' only separates
+                # aliases.
+                alias_keys = []
+                for alias in names[1:-1].split('", "'):
+                    alias = alias.strip()
+                    if alias and alias != label:
+                        alias_keys.append(
+                            alias.casefold() if alias.isascii() and "  " not in alias
+                            else normalize_surface(alias))
+            else:
+                alias_keys = ()
+            if sub:
+                parents = parent_ids.get(sub)
+                if parents is None:
+                    parents = parent_ids[sub] = tuple([int(v.strip('"Q'))
+                                                       for v in sub.split(", ")])
+            else:
+                parents = ()
         else:
             try:
                 fields = _parse(raw)
@@ -316,19 +339,16 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
             if fields is None:
                 continue
             entity_id, label, aliases, _, _, parents, _ = fields
+            key = normalize_surface(label)
+            alias_keys = [normalize_surface(alias) for alias in aliases]
         if seen.setdefault(entity_id, lineno) != lineno:
             raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
                                 f" (first seen on line {seen[entity_id]})")
         stored[entity_id] = raw
-        # normalize_surface, inlined: one call fewer per key.
-        key = " ".join((label if label.isascii() else nfc("NFC", label)).split()).casefold()
         if label_index.setdefault(key, entity_id) != entity_id:
             add(label_index, key, entity_id)
-        for alias in aliases:
-            if alias and alias != label:
-                add(alias_index,
-                    " ".join((alias if alias.isascii() else nfc("NFC", alias)).split()).casefold(),
-                    entity_id)
+        for alias_key in alias_keys:
+            add(alias_index, alias_key, entity_id)
         for parent in parents:
             add(children, parent, entity_id)
     for index, key in shared:

@@ -934,6 +934,23 @@ def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
         assert [in_documented_layout(line) for line in NON_ASCII_LINES] == [True, False]
 
 
+def test_only_non_ascii_keys_are_nfc_normalized(monkeypatch, tmp_path):
+    # Every label and alias of the benchmark KB is ASCII without a double
+    # space, so each key takes the one-casefold shortcut; a non-ASCII key is
+    # NFC-normalized whether its line is read from the pattern or by _parse.
+    lines = benchmark_kb_lines(tmp_path, monkeypatch)
+    nfc = mock.Mock(wraps=unicodedata.normalize)
+    monkeypatch.setattr(unicodedata, "normalize", nfc)
+    surface = mock.Mock(wraps=normalize_surface)
+    monkeypatch.setattr(kb_module, "normalize_surface", surface)
+    assert len(ingest_snapshot(lines)) == len(lines)
+    assert nfc.call_count == surface.call_count == 0
+    for line in NON_ASCII_LINES:
+        ingest_snapshot([line])
+        assert nfc.call_count > 0
+        nfc.reset_mock()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet=st.one_of(
     st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", " ", "\t", "\u0301", "\u0308",
@@ -943,9 +960,9 @@ def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
 @example("E\u0301te\u0301")
 @example("A\x1cB\x1f\xa0c")
 def test_ingest_keys_follow_normalize_surface(surface):
-    # The loop makes every key inline; Q3 holds its text unescaped, so unless
-    # the surface needs an escape the layout pattern reads it and _parse
-    # never sees it.
+    # The loop keys text read from the layout pattern itself, with its ASCII
+    # shortcut; Q3 holds its text unescaped, so unless the surface needs an
+    # escape the pattern reads it and _parse never sees it.
     lines = [record_line("Q1", surface) + "\n",
              record_line("Q2", "\x00", aliases=[surface]) + "\n",
              record_line("Q3", surface, ensure_ascii=False) + "\n"]

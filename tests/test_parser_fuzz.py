@@ -19,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finetype import embeddings
+from finetype import kb as kb_module
 from finetype.cli import ConfigError, build_config, parse_config_text, read_linked
 from finetype.embeddings import (EmbeddingError, EmbeddingTable, bounded_rows, parse_embeddings,
                                  parse_sidecar)
 from finetype.evaluation import EvalError
-from finetype.kb import SnapshotError, ingest_snapshot
+from finetype.kb import SnapshotError, ingest_snapshot, normalize_surface
 from finetype.tagger import CorpusError, parse_conll
 from finetype.taxonomy import HierarchyError, parse_hierarchy
 
@@ -474,8 +475,46 @@ def documented_layout_snapshots(draw):
 # duplicate ids, in the layout and out of it
 @example([layout_line(), layout_line(label="Bob")])
 @example([layout_line(end="\r\n"), layout_line()])
+# texts the ASCII key shortcut refuses (a double space, non-ASCII spaces and
+# letters) and one it takes (mixed case), and subclass_of links met new and again
+@example([layout_line(label="Acme  Corp"), layout_line("Q2", label="acme corp")])
+@example([layout_line(aliases=["Acme  Corp", " x  y "]), layout_line("Q2", aliases=["acme corp"])])
+@example([layout_line(label="AcMe CoRP", aliases=["ACME corp", "Stra\xdfe"], ensure_ascii=False),
+          layout_line("Q2", label="acme corp", aliases=["STRASSE"])])
+@example([layout_line(label="Acme\u3000Corp", ensure_ascii=False),
+          layout_line("Q2", label="Acme\xa0Corp", aliases=["x\xa0 y"], ensure_ascii=False),
+          layout_line("Q3", label="acme corp", aliases=["X Y"])])
+@example([layout_line(subclass_of=["Q5", "Q7"]), layout_line("Q2", subclass_of=["Q5", "Q7"]),
+          layout_line("Q3", subclass_of=["Q5"])])
 def test_snapshot_documented_layout_ingest_matches_the_oracle(lines):
     assert ingest_outcome(ingest_snapshot, lines) == ingest_outcome(oracle_ingest, lines)
+
+
+# Label and alias text as the documented layout holds it unescaped: no '"',
+# backslash or control character, with the spaces, cases and characters whose
+# keys differ from their plain casefold.
+LAYOUT_TEXT = st.text(st.one_of(
+    st.sampled_from([" ", "\xa0", "\u3000", "\x85", "a", "B", "E", "\xc9", "\u0301", "\xdf",
+                     "\u212a", "\u212b", "\u0130", "\ufb01"]),
+    st.characters(min_codepoint=0x20).filter(lambda c: c not in '"\\')), max_size=8)
+
+
+@fuzz
+@given(st.lists(st.tuples(LAYOUT_TEXT.filter(str.strip), st.lists(LAYOUT_TEXT, max_size=3)),
+                min_size=1, max_size=4))
+@example([("Acme  Corp", ["Acme  Corp ", "AcMe"]), ("\xc9t\xe9", ["E\u0301te\u0301"])])
+def test_snapshot_documented_layout_keys_follow_normalize_surface(records):
+    # Every line is read from the pattern, so each key comes from the loop's
+    # own key rule, shortcut or not; it must be normalize_surface's key.
+    lines = [layout_line(f"Q{i}", label, aliases, ensure_ascii=False)
+             for i, (label, aliases) in enumerate(records, start=1)]
+    assert all(kb_module._documented_layout(line) for line in lines)
+    kb = ingest_snapshot(lines)
+    labels = {label.strip() for label, _ in records}
+    aliases = {alias.strip() for label, names in records for alias in names
+               if alias.strip() not in ("", label.strip())}
+    assert set(kb._label_index) == {normalize_surface(label) for label in labels}
+    assert set(kb._alias_index) == {normalize_surface(alias) for alias in aliases}
 
 
 linked_fields = {"doc": st.integers(), "start": st.integers(), "end": st.integers(),
