@@ -43,21 +43,6 @@ def test_parse_config_text_basics():
     assert values == {"a": "1", "b": "two words"}
 
 
-def test_parse_config_rejects_bad_line():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("a = 1\nnot a pair\n")
-
-
-def test_parse_config_rejects_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("a = 1\na = 2\n")
-
-
-def test_build_config_unknown_key():
-    with pytest.raises(ConfigError, match="unknown configuration key"):
-        build_config({"frobnicate": "yes"}, Path("."))
-
-
 def test_build_config_types_and_relative_paths(tmp_path):
     values = {
         "hierarchy": "types.txt",
@@ -77,36 +62,39 @@ def test_build_config_types_and_relative_paths(tmp_path):
     assert cfg.granularity == "coarse"
 
 
-def test_build_config_bad_value_cites_key():
-    with pytest.raises(ConfigError, match="'seed'"):
-        build_config({"seed": "lots"}, Path("."))
-    with pytest.raises(ConfigError, match="granularity"):
-        build_config({"granularity": "medium"}, Path("."))
+# Config faults, and the text each is reported with: no file, a line that is
+# not a pair, a key twice, an unknown key, or a value its key refuses.
+CONFIG_ERRORS = [
+    (None, "not found"),
+    ("a = 1\nnot a pair\n", "line 2"),
+    ("a = 1\na = 2\n", "duplicate"),
+    ("frobnicate = yes", "unknown configuration key"),
+    ("seed = lots", "'seed'"),
+    ("granularity = medium", "granularity"),
     # class roots only for a category that is narrowed
-    for key in ("class_roots.persn", "class_roots.product", "class_roots."):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"key {key!r}: {key[12:]!r} is not one of ['location', 'organization', 'person']")):
-            build_config({key: "Q1"}, Path("."))
+    *((f"{key} = Q1", re.escape(
+        f"key {key!r}: {key[12:]!r} is not one of ['location', 'organization', 'person']"))
+      for key in ("class_roots.persn", "class_roots.product", "class_roots.")),
+    *((f"{key} = {value}", key) for key, value in [
+        ("seed", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"),
+        ("learning_rate", "-inf"), ("learning_rate", "-0.5"),
+        ("hidden_size", "99999999999999999999"), ("hidden_size", "6000")]),
+]
 
 
-@pytest.mark.parametrize("key, value", [
-    ("seed", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-inf"),
-    ("learning_rate", "-0.5"), ("hidden_size", "99999999999999999999"), ("hidden_size", "6000"),
-])
-def test_build_config_tagger_value_out_of_range_cites_key(key, value):
-    with pytest.raises(ConfigError, match=key):
-        build_config({key: value}, Path("."))
+@pytest.mark.parametrize("text, message", CONFIG_ERRORS)
+def test_config_error_text(tmp_path, text, message):
+    path = tmp_path / "edited.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_build_config_accepts_the_papers_tagger_size():
     # the vector width comes from the vectors, so the paper's 1024-d input is set here
     cfg = TaggerConfig(hidden_size=512, embedding_dim=1024, bidirectional=True)
     assert cfg.encoder_width == 1024
-
-
-def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "nope.cfg")
 
 
 def test_flag_overrides_config(demo_config_path):
@@ -199,11 +187,6 @@ def test_pipeline_links_ipad_to_computer(pipeline_out):
         assert rec["fine"] == "product.computer"
         assert rec["entity"] == "Q2796"
         assert rec["score"] > 0.1
-
-
-def test_pipeline_writes_all_artifacts(pipeline_out):
-    for name in ("model.npz", "tagged.conll", "linked.jsonl", "report.txt", "report.json"):
-        assert (pipeline_out / name).exists(), name
 
 
 def test_pipeline_demo_report_is_perfect(pipeline_out):
@@ -442,6 +425,8 @@ def test_evaluate_tokenization_mismatch_cites_sentence(tmp_path, capsys):
     assert "tokenization mismatch in sentence 1" in capsys.readouterr().err
 
 
+# A second linked.jsonl line that is not an object, or has a field of the
+# wrong type, which the error names; the test adds a line that is not JSON.
 LINKED_RECORD_CASES = {
     "int-line": 5, "array-line": [1], "string-line": "x",
     "doc-string": {"doc": "x"}, "doc-null": {"doc": None}, "doc-bool": {"doc": True},
@@ -450,33 +435,25 @@ LINKED_RECORD_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", LINKED_RECORD_CASES)
-def test_evaluate_malformed_linked_record_exits_1_and_cites_line(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", [*LINKED_RECORD_CASES, "invalid-json"])
+def test_malformed_linked_line_exits_1_and_cites_it(tmp_path, capsys, case):
     pred, gold = write_eval_fixture(tmp_path, tp=2, fp=0, fn=0)
     first, second = pred.read_text().splitlines()
-    bad = LINKED_RECORD_CASES[case]
-    if isinstance(bad, dict):
-        bad = {**json.loads(second), **bad}
-    pred.write_text(f"{first}\n{json.dumps(bad)}\n")
+    bad = LINKED_RECORD_CASES.get(case)
+    line = "{" if case == "invalid-json" else json.dumps(
+        {**json.loads(second), **bad} if isinstance(bad, dict) else bad)
+    pred.write_text(f"{first}\n{line}\n")
     code = main(["evaluate", "--config", str(eval_cfg(tmp_path)), "--pred", str(pred),
                  "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert f"{pred}: line 2: " in err
-    if isinstance(LINKED_RECORD_CASES[case], dict):
-        assert repr(next(iter(LINKED_RECORD_CASES[case]))) in err
+    if isinstance(bad, dict):
+        assert repr(next(iter(bad))) in err
+    if case == "invalid-json":  # one line cited, and a column on it
+        assert err.endswith(f"error: {pred}: line 2: invalid JSON at column 2:"
+                            " Expecting property name enclosed in double quotes\n")
     assert not (tmp_path / "out" / "report.json").exists()
-
-
-def test_evaluate_invalid_json_line_cites_one_line_and_a_column(tmp_path, capsys):
-    pred, gold = write_eval_fixture(tmp_path, tp=2, fp=0, fn=0)
-    pred.write_text(pred.read_text().splitlines()[0] + "\n{\n")
-    code = main(["evaluate", "--config", str(eval_cfg(tmp_path)), "--pred", str(pred),
-                 "--gold", str(gold), "--output-dir", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err.endswith(
-        f"error: {pred}: line 2: invalid JSON at column 2:"
-        " Expecting property name enclosed in double quotes\n")
 
 
 def test_evaluate_span_outside_sentence(tmp_path, capsys):
@@ -709,46 +686,29 @@ def test_pipeline_with_precomputed_sidecar_matches_static_run(
     assert (out / "report.json").read_bytes() == (pipeline_out / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("header", ["\u00b2", "1" * 5000],
-                         ids=["superscript-two", "5000-digits"])
-def test_pipeline_bad_sidecar_header_fails_before_work(tmp_path, demo_config_path, capsys,
-                                                      header):
-    cfg, _ = sidecar_config(tmp_path, demo_config_path, f"{header}\n1 0\n")
-    out = tmp_path / "out"
-    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
-    assert code == 1
-    assert "line 1: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("case", ["missing-sentence", "short-sentence"])
-def test_pipeline_misaligned_sidecar_names_it_and_fails_before_work(tmp_path, demo_config_path,
-                                                                   capsys, case):
-    sentences = demo_sidecar_sentences()
-    if case == "missing-sentence":
-        sentences, message = sentences[1:], (
+@pytest.mark.parametrize("case", ["superscript-two", "5000-digits", "missing-sentence",
+                                  "short-sentence", "header", "header-blank-lines"])
+def test_pipeline_sidecar_fault_names_it_and_fails_before_work(tmp_path, demo_config_path,
+                                                               capsys, case):
+    sentences, short = demo_sidecar_sentences(), demo_sidecar_sentences()
+    short[1] = short[1][:-1]
+    text, message = {
+        "superscript-two": ("\u00b2\n1 0\n", "line 1: expected a dimension header"),
+        "5000-digits": ("1" * 5000 + "\n1 0\n", "line 1: dimension header is too long"),
+        "missing-sentence": (sidecar_text(sentences[1:]), (
             f"sidecar holds {len(sentences) - 1} sentences but the corpus"
-            f" {DEMO_DIR / 'corpus.conll'} has {len(sentences)}")
-    else:
-        sentences[1], message = sentences[1][:-1], (
+            f" {DEMO_DIR / 'corpus.conll'} has {len(sentences)}")),
+        "short-sentence": (sidecar_text(short), (
             f"sentence 1: sidecar holds {len(sentences[1]) - 1} vectors"
-            f" for {len(sentences[1])} tokens")
-    cfg, sidecar = sidecar_config(tmp_path, demo_config_path, sidecar_text(sentences))
-    out = tmp_path / "out"
-    code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err.endswith(f"error: {sidecar}: {message}\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("text", ["16\n", "16\n\n\n"], ids=["header", "header-blank-lines"])
-def test_pipeline_sidecar_without_rows_fails_before_work(tmp_path, demo_config_path, capsys,
-                                                         text):
+            f" for {len(sentences[1])} tokens")),
+        "header": ("16\n", "sidecar contains no sentences"),
+        "header-blank-lines": ("16\n\n\n", "sidecar contains no sentences"),
+    }[case]
     cfg, sidecar = sidecar_config(tmp_path, demo_config_path, text)
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(cfg), "--output-dir", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.endswith(f"error: {sidecar}: sidecar contains no sentences\n")
+    assert capsys.readouterr().err.endswith(f"error: {sidecar}: {message}\n")
     assert not out.exists()
 
 
@@ -827,48 +787,32 @@ INPUT_CASES = ["config", "hierarchy", "kb", "embeddings", "token_vectors", "side
                "train_corpus", "tagged", "gold", "pred"]
 
 
-@pytest.mark.parametrize("case", INPUT_CASES)
-def test_non_utf8_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, pipeline_out,
-                                                        capsys, case):
-    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
-                                      "caf\xe9".encode("latin-1"))
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert f"error: {bad}: line {lineno}: not UTF-8 text" in err
-    assert not (tmp_path / "out").exists()
-
-
 MALFORMED_LINES = {  # one line that the case's reader rejects
     "config": b"no equals sign", "hierarchy": b"person", "kb": b"{}", "embeddings": b"tok 0.5 x",
     "token_vectors": b"tok 0.5 x", "sidecar": b"0.5", "corpus": b"a\tb\tc",
     "train_corpus": b"a\tb\tc", "tagged": b"a\tb\tc", "gold": b"a\tb\tc", "pred": b"[1]",
 }
+# Each input with one bad line appended, and the error text after its line
+# number: bytes that are not UTF-8, a line its reader rejects, a tag not BIO.
+BAD_INPUT_LINES = [
+    *((case, "caf\xe9".encode("latin-1"), "not UTF-8 text") for case in INPUT_CASES),
+    *((case, MALFORMED_LINES[case], "") for case in INPUT_CASES),
+    *((case, b"Paris\tX-date", "not a BIO tag: 'X-date'")
+      for case in ["corpus", "train_corpus", "tagged", "gold"]),
+]
 
 
-@pytest.mark.parametrize("case", INPUT_CASES)
-def test_malformed_input_exits_1_and_cites_file_and_line(tmp_path, demo_config_path,
-                                                         pipeline_out, capsys, case):
-    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
-                                      MALFORMED_LINES[case])
+@pytest.mark.parametrize("case, line, text", BAD_INPUT_LINES)
+def test_bad_input_line_exits_1_and_cites_file_and_line(tmp_path, demo_config_path, pipeline_out,
+                                                        capsys, case, line, text):
+    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out, line)
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1, err
-    assert f"error: {bad}: line {lineno}: " in err
+    assert f"error: {bad}: line {lineno}: {text}" in err
     assert str(DEMO_DIR / "corpus.conll") not in err  # nor the good corpus read with a bad one
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("case", ["corpus", "train_corpus", "tagged", "gold"])
-def test_tag_that_is_not_bio_exits_1_and_cites_file_and_line(tmp_path, demo_config_path,
-                                                             pipeline_out, capsys, case):
-    argv, bad, lineno = bad_input_run(case, tmp_path, demo_config_path, pipeline_out,
-                                      b"Paris\tX-date")
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert f"error: {bad}: line {lineno}: not a BIO tag: 'X-date'" in err
-    assert "stage failed: load inputs" in err
+    if case not in ("config", "pred"):  # read before any stage, and at the evaluate stage
+        assert "stage failed: load inputs" in err
     assert not (tmp_path / "out").exists()
 
 

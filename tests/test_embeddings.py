@@ -4,8 +4,6 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finetype import embeddings
 from finetype.embeddings import (
@@ -28,12 +26,8 @@ def cosine(u, v):
     per-pair formula that the one-direction similarity is checked against."""
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
-    if a.shape != b.shape:
-        raise EmbeddingError(f"length mismatch: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise EmbeddingError("cosine is undefined for a zero vector")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
@@ -65,32 +59,11 @@ def test_parse_with_count_dim_header():
     assert table.dim == 3 and len(table) == 2
 
 
-def test_dimension_mismatch_cites_line():
-    with pytest.raises(EmbeddingError, match="^line 3: expected 8 values, found 7$"):
-        parse_embeddings(["a 1 0 0 0 0 0 0 0", "b 1 0 0 0 0 0 0 0", "c 1 0 0 0 0 0 0"])
-
-
-def test_table_names_an_unbounded_row_before_an_unparsable_one():
-    # the first bad row in file order, whatever its fault
-    with pytest.raises(EmbeddingError, match="^line 3: values are not finite or too large$"):
-        parse_embeddings(["2 2", "a 1 0", "b 1e200 0", "c x 0", "d 1 0 0"])
-
-
 def test_duplicate_token_last_wins_with_warning(caplog):
     with caplog.at_level("WARNING"):
         table = parse_embeddings(["a 1 0", "a 0 1"])
     assert "duplicate token" in caplog.text
     assert np.allclose(table.get("a"), [0, 1])
-
-
-def test_empty_file_rejected():
-    with pytest.raises(EmbeddingError, match="no entries"):
-        parse_embeddings([])
-
-
-def test_bad_float_cites_line():
-    with pytest.raises(EmbeddingError, match="line 2"):
-        parse_embeddings(["a 1 0", "b x y"])
 
 
 def test_tokens_lowercased_on_load_and_query():
@@ -128,23 +101,31 @@ def test_a_long_table_is_parsed_in_blocks_of_1024_rows(monkeypatch):
     assert table.get("w1024").tolist() == [1024, 1] and table.get("w1024").base is blocks[1]
 
 
+# --- faults of either vector file ------------------------------------------------
+
+# Vector file faults, and the text each is reported with.
+VECTOR_ROW_ERRORS = [
+    (parse_embeddings, ["a 1 0 0 0 0 0 0 0", "b 1 0 0 0 0 0 0 0", "c 1 0 0 0 0 0 0"],
+     "^line 3: expected 8 values, found 7$"),
+    # the first bad row in file order, whatever its fault
+    (parse_embeddings, ["2 2", "a 1 0", "b 1e200 0", "c x 0", "d 1 0 0"],
+     "^line 3: values are not finite or too large$"),
+    (parse_embeddings, [], "no entries"),
+    (parse_embeddings, ["a 1 0", "b x y"], "line 2"),
+    (parse_sidecar, ["x 1 2"], "header"),
+    (parse_sidecar, ["2", "1 0", "1 0 0"], "^line 3: expected 2 values, found 3$"),
+    (parse_sidecar, ["2"], "^sidecar contains no sentences$"),
+    (parse_sidecar, ["", "2", "", " \t", ""], "^sidecar contains no sentences$"),
+]
+
+
+@pytest.mark.parametrize("parse, lines, message", VECTOR_ROW_ERRORS)
+def test_vector_row_error_text(parse, lines, message):
+    with pytest.raises(EmbeddingError, match=message):
+        parse(lines)
+
+
 # --- sidecar ---------------------------------------------------------------------
-
-def test_parse_sidecar_needs_header():
-    with pytest.raises(EmbeddingError, match="header"):
-        parse_sidecar(["x 1 2"])
-
-
-def test_parse_sidecar_row_width_checked():
-    with pytest.raises(EmbeddingError, match="^line 3: expected 2 values, found 3$"):
-        parse_sidecar(["2", "1 0", "1 0 0"])
-
-
-@pytest.mark.parametrize("lines", [["2"], ["", "2", "", " \t", ""]])
-def test_parse_sidecar_without_rows_has_no_sentences(lines):
-    with pytest.raises(EmbeddingError, match="^sidecar contains no sentences$"):
-        parse_sidecar(lines)
-
 
 def ragged_sidecar_lines(seed=0):
     """A well-formed sidecar as raw lines: blank-line runs (some of them only
@@ -191,51 +172,11 @@ def test_a_long_sidecar_is_parsed_in_blocks_of_whole_sentences(monkeypatch):
 
 # --- cosine ----------------------------------------------------------------------
 
-def test_cosine_identity():
-    v = [0.3, -1.2, 4.0]
-    assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    assert cosine([1, 0], [0, 1]) == 0.0
-
-
 def test_cosine_against_high_precision_oracle():
     u, v = [1, 2, 3], [4, 5, 6]
     expected = mp_cosine(u, v)
     assert expected == pytest.approx(0.97463, abs=5e-6)
     assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(EmbeddingError, match="zero vector"):
-        cosine([0, 0], [1, 0])
-
-
-def test_cosine_length_mismatch():
-    with pytest.raises(EmbeddingError, match="mismatch"):
-        cosine([1, 0], [1, 0, 0])
-
-
-finite_vec = st.lists(
-    st.floats(min_value=-100, max_value=100, allow_nan=False),
-    min_size=3, max_size=3,
-).filter(lambda v: any(abs(x) > 1e-6 for x in v))
-
-
-@settings(max_examples=200, deadline=None)
-@given(u=finite_vec, v=finite_vec)
-def test_cosine_symmetry_and_range(u, v):
-    a = cosine(u, v)
-    assert a == cosine(v, u)
-    assert -1.0 <= a <= 1.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(u=finite_vec, v=finite_vec, alpha=st.floats(min_value=1e-3, max_value=1e3))
-def test_cosine_scale_invariance(u, v, alpha):
-    scaled = [alpha * x for x in u]
-    assert cosine(scaled, v) == pytest.approx(cosine(u, v), abs=1e-12)
 
 
 # --- phrase similarity --------------------------------------------------------------
@@ -264,29 +205,20 @@ def test_empty_token_lists_rejected(small_table):
         phrase_similarity([], ["sun"], small_table)
 
 
-def test_pairwise_mean_matches_brute_force_oracle(demo_table):
-    desc, sub = ["tablet", "computers"], ["mobile", "phone"]
-    pairs = [
-        mp_cosine(demo_table.get(d), demo_table.get(s))
-        for d in desc for s in sub
-    ]
-    expected = sum(pairs) / len(pairs)
-    got = phrase_similarity(desc, sub, demo_table)
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
 def test_pairwise_mean_skips_oov_pairs(small_table):
     # 'plasma' is unknown: only the sun/star pair contributes
     got = phrase_similarity(["sun", "plasma"], ["star"], small_table)
     assert got == pytest.approx(cosine([1, 0], [0.9, 0.1]))
 
 
-def test_oracle_identity_on_random_small_phrases(demo_table):
+def test_pairwise_mean_matches_brute_force_oracle(demo_table):
     rng = np.random.default_rng(7)
     vocab = demo_table.tokens()
+    cases = [(["tablet", "computers"], ["mobile", "phone"])]
     for _ in range(25):
-        desc = list(rng.choice(vocab, size=rng.integers(1, 10)))
-        sub = list(rng.choice(vocab, size=rng.integers(1, 10)))
+        cases.append((list(rng.choice(vocab, size=rng.integers(1, 10))),
+                      list(rng.choice(vocab, size=rng.integers(1, 10)))))
+    for desc, sub in cases:
         pairs = [mp_cosine(demo_table.get(d), demo_table.get(s)) for d in desc for s in sub]
         expected = sum(pairs) / len(pairs)
         assert phrase_similarity(desc, sub, demo_table) == pytest.approx(expected, abs=1e-12)

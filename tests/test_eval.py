@@ -215,19 +215,6 @@ def test_converting_fp_to_tp_never_decreases_scores(tp, fp, fn, other):
     assert micro_f1(after) >= micro_f1(before)
 
 
-def test_micro_identity_pooled_vs_summed_confusion():
-    rng = random.Random(11)
-    for _ in range(100):
-        per_class = {
-            c: Counts(rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 8))
-            for c in "abcde"
-        }
-        total = Counts()
-        for c in per_class.values():
-            total = total + c
-        assert micro_f1(per_class) == precision_recall_f1(total)[2]
-
-
 # --- report -------------------------------------------------------------------------
 
 def test_report_shares_are_gold_fractions():

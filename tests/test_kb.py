@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_DIR
+from conftest import (DEMO_DIR, SNAPSHOT_FIELDS, json_values, numbers, oracle_ingest,
+                      record_line)
 from finetype import kb as kb_module
 from finetype.cli import project_tags_to_coarse
 from finetype.kb import (
@@ -29,14 +30,10 @@ from finetype.kb import (
 from finetype.linker import Linker, LinkerConfig, link_mention
 from finetype.tagger import extract_spans, read_conll
 
-
-def record_line(qid, label, aliases=(), description="", instance_of=(), subclass_of=(), occupation=(),
-                ensure_ascii=True):
-    return json.dumps({
-        "qid": qid, "label": label, "aliases": list(aliases),
-        "description": description, "instance_of": list(instance_of),
-        "subclass_of": list(subclass_of), "occupation": list(occupation),
-    }, ensure_ascii=ensure_ascii)
+# Made when the module is collected, once --hypothesis-profile has taken
+# effect, so that the profile sets the example count; settings made in
+# conftest.py would keep the default one.
+fuzz = settings(derandomize=True, deadline=None)
 
 
 FIXTURE_LINES = [
@@ -96,46 +93,11 @@ def test_ingest_empty_stream():
     assert kb.lookup("anything") is None
 
 
-def test_duplicate_id_rejected():
-    lines = [record_line("Q41421", "A"), record_line("Q41421", "B")]
-    with pytest.raises(SnapshotError, match="line 2.*duplicate.*Q41421"):
-        ingest_snapshot(lines)
-
-
-def test_malformed_line_cites_line_number():
-    lines = [record_line("Q1", "A"), "{not json"]
-    with pytest.raises(SnapshotError, match="line 2"):
-        ingest_snapshot(lines)
-
-
-def test_empty_label_rejected():
-    with pytest.raises(SnapshotError, match="empty label"):
-        ingest_snapshot([record_line("Q1", "  ")])
-
-
-def test_null_label_is_empty():
-    line = json.dumps({"qid": "Q1", "label": None})
-    with pytest.raises(SnapshotError, match="line 1: record Q1 has an empty label"):
-        ingest_snapshot([line])
-
-
 def test_null_aliases_are_dropped():
     line = json.dumps({"qid": "Q1", "label": "x", "aliases": [None, "y", None]})
     kb = ingest_snapshot([line])
     assert kb.records[1].aliases == ("y",)
     assert kb.lookup("None") is None
-
-
-@pytest.mark.parametrize("bad", [
-    "1" * 5000,
-    '{"qid": "Q1", "label": "x", "description": %s}' % ("7" * 5000),
-    json.dumps({"qid": "Q" + "1" * 5000, "label": "x"}),
-    json.dumps({"qid": "Q1", "label": "x", "instance_of": ["Q" + "2" * 5000]}),
-    "[" * 100000,
-], ids=["bare-number", "number-field", "qid", "qid-link", "deep-nesting"])
-def test_oversized_values_cite_line(bad):
-    with pytest.raises(SnapshotError, match="line 2: "):
-        ingest_snapshot([record_line("Q9", "ok"), bad])
 
 
 def test_alias_equal_to_label_is_dropped():
@@ -208,21 +170,6 @@ def test_lookup_falls_back_to_aliases_when_classes_drop_every_label_hit():
 
 def test_lookup_case_insensitive_by_default(fixture_kb):
     assert fixture_kb.lookup("michael jordan").id == 41421
-
-
-def test_lookup_independent_of_insertion_order():
-    lines = [
-        record_line("Q300", "acme"),
-        record_line("Q7", "acme"),
-        record_line("Q42", "acme"),
-    ]
-    results = set()
-    rng = random.Random(1)
-    for _ in range(20):
-        shuffled = lines[:]
-        rng.shuffle(shuffled)
-        results.add(ingest_snapshot(shuffled).lookup("acme").id)
-    assert results == {7}
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,88 +412,7 @@ def test_ingest_leaves_caller_gc_setting_untouched(caller_gc, lines, error):
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("line, error", [
-    ("{\n", "invalid JSON at column 2: Expecting property name enclosed in double quotes"),
-    ("[1,\r\n", "invalid JSON at column 4: Expecting value"),
-    ('{"qid": "Q2"} x\n', "invalid JSON at column 15: Extra data"),
-    ('"abc\n', "invalid JSON at column 1: Unterminated string starting at"),
-    ("[" * 100_000 + "\n", "invalid JSON: maximum recursion depth exceeded"),
-], ids=["open-brace", "crlf", "extra-data", "unterminated", "deep"])
-def test_invalid_json_cites_one_line_and_a_column_on_it(line, error):
-    with pytest.raises(SnapshotError) as exc:
-        ingest_snapshot([record_line("Q1", "a") + "\n", line])
-    assert str(exc.value).startswith(f"line 2: {error}")
-    assert "line 1" not in str(exc.value) and "char" not in str(exc.value)
-
-
-# --- one-pass ingest against the record-by-record oracle ------------------------
-
-def oracle_parse_record(line):
-    """The snapshot line parser as it was before ingest became one pass."""
-    try:
-        obj = json.loads(line.rstrip("\r\n"))
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise SnapshotError("record is not a JSON object")
-    if "qid" not in obj:
-        raise SnapshotError("record has no 'qid' field")
-    entity_id = parse_qid(obj["qid"])
-    label = "" if obj.get("label") is None else str(obj.get("label")).strip()
-    if not label:
-        raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
-    raw_aliases = obj.get("aliases", [])
-    if not isinstance(raw_aliases, list):
-        raise SnapshotError("field 'aliases' must be an array")
-    aliases = []
-    for alias in raw_aliases:
-        alias = "" if alias is None else str(alias).strip()
-        if alias and alias != label and alias not in aliases:
-            aliases.append(alias)
-
-    def id_list(value, field):
-        if value is None:
-            return ()
-        if not isinstance(value, list):
-            raise SnapshotError(f"field {field!r} must be an array of Q-ids")
-        return tuple(parse_qid(v) for v in value)
-
-    return EntityRecord(
-        id=entity_id, label=label, aliases=tuple(aliases),
-        description=str(obj.get("description", "") or ""),
-        instance_of=id_list(obj.get("instance_of"), "instance_of"),
-        subclass_of=id_list(obj.get("subclass_of"), "subclass_of"),
-        occupation=id_list(obj.get("occupation"), "occupation"),
-    )
-
-
-def oracle_ingest(lines):
-    """Parse every line into a record, then index the record list: the records
-    by id and the label, alias and subclass-children indexes."""
-    records, seen = {}, {}
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            rec = oracle_parse_record(raw)
-        except SnapshotError as exc:
-            raise SnapshotError(f"line {lineno}: {exc}") from None
-        if rec.id in seen:
-            raise SnapshotError(f"line {lineno}: duplicate entity id {rec.qid}"
-                                f" (first seen on line {seen[rec.id]})")
-        seen[rec.id] = lineno
-        records[rec.id] = rec
-    labels, aliases, children = {}, {}, {}
-    for rec in records.values():
-        labels.setdefault(normalize_surface(rec.label), set()).add(rec.id)
-        for alias in rec.aliases:
-            aliases.setdefault(normalize_surface(alias), set()).add(rec.id)
-        for parent in rec.subclass_of:
-            children.setdefault(parent, set()).add(rec.id)
-    return records, labels, aliases, children
-
+# --- ingest against the record-by-record oracle --------------------------------
 
 def outcome(ingest, lines):
     """Everything an ingest yields, as comparable values: the error text, or the
@@ -614,22 +480,20 @@ MALFORMED_LINES = [
 ]
 
 
+def assert_matches_oracle(lines):
+    expected = outcome(oracle_ingest, lines)
+    assert expected[0] == "ok"
+    assert outcome(ingest_snapshot, lines) == expected
+
+
 @pytest.mark.parametrize("name", ["demo", "fixture", "random"])
 def test_one_pass_ingest_matches_oracle(name):
     lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
              "fixture": FIXTURE_LINES, "random": random_snapshot_lines(5)}[name]
-    expected = outcome(oracle_ingest, lines)
-    assert expected[0] == "ok"
-    assert outcome(ingest_snapshot, lines) == expected
+    assert_matches_oracle(lines)
     kb = ingest_snapshot(lines)
     for rec in kb.records.values():
         assert kb.lookup(rec.label) is kb.records[kb.lookup(rec.label).id]
-
-
-@pytest.mark.parametrize("bad", MALFORMED_LINES)
-def test_one_pass_ingest_error_text_matches_oracle(bad):
-    lines = FIXTURE_LINES[:5] + [bad, FIXTURE_LINES[5]]
-    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
 
 
 MIXED_LINK_LINES = [
@@ -642,74 +506,293 @@ SPACED_LINK_LINE = json.dumps({"qid": "Q1", "label": "x", "instance_of": ["Q5", 
 # Entity ids on either side of the plain "Q<digits>" form, and of its length limit.
 ENTITY_QID_LINES = [json.dumps({"qid": qid, "label": "x"}) for qid in (
     " Q4 ", "Q1\n", "q3", "Q\u00b2", "Q\u0663", "Q1\u0663", "Q" + "9" * 18, "Q" + "9" * 19)]
+# The text each of these lines' errors starts with, after its line number.
+PINNED_ERRORS = {
+    record_line("Q1", "  "): "record Q1 has an empty label",
+    json.dumps({"qid": "Q1", "label": None}): "record Q1 has an empty label",
+    json.dumps({"qid": "Q41421", "label": "duplicate"}):
+        "duplicate entity id Q41421 (first seen on line 4)",
+    "{\n": "invalid JSON at column 2: Expecting property name enclosed in double quotes",
+    "[1,\r\n": "invalid JSON at column 4: Expecting value",
+    '{"qid": "Q2"} x\n': "invalid JSON at column 15: Extra data",
+    '"abc\n': "invalid JSON at column 1: Unterminated string starting at",
+    "[" * 100_000 + "\n": "invalid JSON: maximum recursion depth exceeded",
+}
 
 
-@pytest.mark.parametrize("line", MALFORMED_LINES + MIXED_LINK_LINES + ENTITY_QID_LINES
-                         + [SPACED_LINK_LINE])
-def test_ingest_error_text_after_cached_links_matches_oracle(line):
-    # FIXTURE_LINES link to Q5, Q515 and Q2221906 first, so the ingest has
-    # seen those link texts before it reaches the line under test.
-    lines = FIXTURE_LINES + [line]
+@pytest.mark.parametrize("line", dict.fromkeys(
+    [*MALFORMED_LINES, *MIXED_LINK_LINES, *ENTITY_QID_LINES, SPACED_LINK_LINE, *PINNED_ERRORS]))
+@pytest.mark.parametrize("place", ["middle", "last"])
+def test_ingest_error_text_matches_the_oracle(line, place):
+    # In the middle the line under test is line 6, after records that link to
+    # Q5 and Q2221906; last, it follows every fixture record and ends the snapshot.
+    at = 5 if place == "middle" else len(FIXTURE_LINES)
+    lines = FIXTURE_LINES[:at] + [line] + FIXTURE_LINES[at:]
     expected = outcome(oracle_ingest, lines)
     assert outcome(ingest_snapshot, lines) == expected
+    if expected[0] == "error":
+        # one line cited, and no position of the JSON decoder's own wording
+        cite = f"line {at + 1}: "
+        assert expected[1].startswith(cite + PINNED_ERRORS.get(line, ""))
+        assert "line 1" not in expected[1][len(cite):] and "char" not in expected[1]
     if line is SPACED_LINK_LINE:
         assert expected[0] == "ok"
-        assert expected[1][-1] == (1, EntityRecord(1, "x", instance_of=(5, 5), occupation=(5, 5)))
+        assert (1, EntityRecord(1, "x", instance_of=(5, 5), occupation=(5, 5))) in expected[1]
     elif line in MIXED_LINK_LINES:
         assert expected[0] == "error"
 
 
-json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
-              st.sampled_from(["Q1", "Q2", "q3", " Q4 ", "Q0", "Q", "Q²", "Q1\n"])),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=2),
-    max_leaves=6,
-)
-record_objects = st.dictionaries(
-    st.sampled_from(["qid", "label", "aliases", "description", "instance_of", "subclass_of",
-                     "occupation"]),
-    json_values,
-)
+# --- generated snapshots against the oracle ------------------------------------------
 
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(
+LONG_QID = "Q" + "9" * 60
+record_objects = st.dictionaries(st.sampled_from(SNAPSHOT_FIELDS), json_values)
+# Arbitrary text, numbers, and records of any JSON values padded at either end.
+generated_lines = st.lists(st.one_of(
     st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), record_objects,
               st.sampled_from(["", "\n", " \r\n", "\x0b", " x"]))
     .map(lambda t: t[0] + json.dumps(t[1]) + t[2]),
-    st.text(max_size=12),
-), max_size=6))
-def test_one_pass_ingest_matches_oracle_on_generated_lines(lines):
-    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
+    st.text(), numbers,
+), max_size=8)
+
+SNAPSHOT_NAMES = ["Ada", " Ada ", "ada", "Ada\t", "Bob  Lee", "\u00c9t\u00e9", "E\u0301te\u0301",
+                  "\x0bAda", "", " "]
+LINK_TEXTS = ["Q5", "Q515", "Q7", " Q5 ", "Q05", "q5", LONG_QID]
+FIELD_VALUES = [None, 0, -1, 1.5, True, "", "Q5", "Q05", " Q5 ", "Ada", [], {}, {"Q5": 1},
+                [None], [5], ["Q5", 5], ["Q5", ["Q5"]], ["Ada", None]]
+LINE_ENDS = {"lf": "\n", "none": "", "crlf": "\r\n", "space": " \n", "vt": "\x0b",
+             "trailing": " x\n", "second-record": ' {"qid": "Q8", "label": "x"}\n'}
 
 
-# Every string in json_values' Q-id sample that parse_qid accepts, so that the
-# generated lines meet link texts the ingest has already parsed.
+@st.composite
+def record_snapshots(draw):
+    """A few records of the seven documented fields, each with its Q-id,
+    label, aliases and link texts drawn from small pools (so ids and link
+    texts repeat), and at most one perturbation: a field set to a value of
+    another type or dropped, or the line given a BOM, leading whitespace or
+    another ending; blank lines fall between them."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        label = draw(st.one_of(st.sampled_from(SNAPSHOT_NAMES), st.text(max_size=4)))
+        names = st.one_of(st.sampled_from([*SNAPSHOT_NAMES, label, f" {label} "]),
+                          st.text(max_size=3))
+        fields = {"qid": draw(st.sampled_from(["Q1", "Q2", "Q3", LONG_QID])), "label": label,
+                  "aliases": draw(st.lists(names, max_size=3)),
+                  "description": draw(st.sampled_from(["", "a thing"])),
+                  **{field: draw(st.lists(st.sampled_from(LINK_TEXTS), max_size=2))
+                     for field in SNAPSHOT_FIELDS[4:]}}
+        keys, start, end = list(SNAPSHOT_FIELDS), "", "\n"
+        kind = draw(st.sampled_from(["none", "field", "drop", "start", "end"]))
+        if kind == "field":
+            fields[draw(st.sampled_from(SNAPSHOT_FIELDS))] = draw(st.sampled_from(FIELD_VALUES))
+        elif kind == "drop":
+            keys.remove(draw(st.sampled_from(SNAPSHOT_FIELDS)))
+        elif kind == "start":
+            start = draw(st.sampled_from(["\ufeff", " ", "\t", "\x0b"]))
+        elif kind == "end":
+            end = LINE_ENDS[draw(st.sampled_from(sorted(LINE_ENDS)))]
+        lines.append(record_line(**fields, start=start, end=end, ensure_ascii=draw(st.booleans()),
+                                 keys=keys))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", " \n", "\r\n", ""])))
+    return lines
+
+
+# Lines in the documented layout (json.dumps's default for the seven fields, in
+# order), each given at most one text-level perturbation: the lines ingest reads
+# from its pattern, and the lines just outside that layout.
+EDGE_SPACES = ["\xa0", "\u2003", "\x85", "\u3000"]
+LAYOUT_NAMES = ["Ada", "Bob  Lee", "x/y", "\u00c9t\u00e9"]
+LAYOUT_QIDS = ["q5", "Q05", "Q0", "Q" + "1" * 18, "Q" + "1" * 19, LONG_QID, "Q" + "1" * 5000]
+ESCAPES = ["\\u00e9", '\\"', "\\\\", "\\/"]
+CONTROLS = ["\x00", "\t", "\n", "\r", "\x1f"]
+SEPARATORS = {", ": [",", ",  ", " , ", ",\t"], ": ": [":", ":  ", " : "]}
+MARK = "\ue000"  # a character no drawn value holds, put where the text is edited
+
+
+def with_text(line, text):
+    """``line`` with the marked place in one of its strings replaced by ``text``."""
+    return line.replace(MARK, text).replace(json.dumps(MARK)[1:-1], text)
+
+
+@st.composite
+def documented_layout_snapshots(draw):
+    """A few documented-layout records, with Q-ids, names and link texts drawn
+    from small pools, each given one perturbation or none: a separator spaced
+    or compacted, two keys swapped, an escape or a raw control character in a
+    string, a space at a label's edge or a blank label, a Q-id off the plain
+    form, an alias that is blank or the label, or another line end."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        label = draw(st.sampled_from(LAYOUT_NAMES))
+        fields = {"qid": draw(st.sampled_from([f"Q{i}" for i in range(1, 10)] + ["Q" + "1" * 18])),
+                  "label": label,
+                  "aliases": draw(st.lists(st.sampled_from(LAYOUT_NAMES), max_size=2)),
+                  "description": draw(st.sampled_from(["", "a thing"])),
+                  **{field: draw(st.lists(st.sampled_from(["Q5", "Q515", "Q7"]), max_size=2))
+                     for field in SNAPSHOT_FIELDS[4:]}}
+        kind = draw(st.sampled_from(["none", "separator", "swap", "escape", "control", "edge",
+                                     "qid", "alias", "end"]))
+        if kind == "edge":
+            space = draw(st.sampled_from(EDGE_SPACES))
+            fields["label"] = draw(st.sampled_from([space + label, label + space, space]))
+        elif kind == "qid":
+            field = draw(st.sampled_from(["qid", *SNAPSHOT_FIELDS[4:]]))
+            qid = draw(st.sampled_from(LAYOUT_QIDS))
+            fields[field] = qid if field == "qid" else [*fields[field], qid]
+        elif kind == "alias":
+            fields["aliases"].append(draw(st.sampled_from(["", " ", label, f" {label}"])))
+        elif kind in ("escape", "control"):
+            field = draw(st.sampled_from(["label", "aliases", "description"]))
+            value = fields["description"] if field == "description" else label
+            at = draw(st.integers(0, len(value)))
+            marked = value[:at] + MARK + value[at:]
+            if field == "aliases":
+                fields["aliases"].append(marked)
+            else:
+                fields[field] = marked
+        keys = list(SNAPSHOT_FIELDS)
+        if kind == "swap":
+            i, j = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+            keys[i], keys[j] = keys[j], keys[i]
+        end = draw(st.sampled_from([" x\n", "\r\n", "", " \n"])) if kind == "end" else "\n"
+        line = record_line(**fields, end=end, ensure_ascii=draw(st.booleans()), keys=keys)
+        if kind in ("escape", "control"):
+            line = with_text(line, draw(st.sampled_from(ESCAPES if kind == "escape"
+                                                        else CONTROLS)))
+        elif kind == "separator":
+            places = [(m.start(), m.group()) for m in re.finditer(", |: ", line)]
+            at, separator = draw(st.sampled_from(places))
+            line = (line[:at] + draw(st.sampled_from(SEPARATORS[separator]))
+                    + line[at + len(separator):])
+        lines.append(line)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", " \n", ""])))
+    return lines
+
+
+# Every string in json_values' Q-id sample that parse_qid accepts; drawn as a
+# first line, it puts link texts that generated lines repeat before them.
 WARM_UP_LINE = json.dumps({"qid": "Q9", "label": "warm-up",
                            **{field: ["Q1", "Q2", "q3", " Q4 ", "Q1\n"]
                               for field in ("instance_of", "subclass_of", "occupation")}})
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(
-    st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), record_objects,
-              st.sampled_from(["", "\n", " \r\n", "\x0b", " x"]))
-    .map(lambda t: t[0] + json.dumps(t[1]) + t[2]),
-    st.text(max_size=12),
-), max_size=6))
-def test_one_pass_ingest_matches_oracle_on_generated_lines_after_cached_links(lines):
-    lines = [WARM_UP_LINE, *lines]
+def with_warm_up(snapshots):
+    """``snapshots``, each drawn with or without WARM_UP_LINE first."""
+    return st.tuples(st.sampled_from([[], [WARM_UP_LINE]]), snapshots).map(lambda t: t[0] + t[1])
+
+
+def assert_ingest_matches_the_oracle(lines):
     assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines)
 
 
+# One property per generator, so each draws the full example count.
+@fuzz
+@given(with_warm_up(record_snapshots()))
+def test_snapshot_ingest_of_perturbed_records_matches_the_oracle(lines):
+    assert_ingest_matches_the_oracle(lines)
+
+
+@fuzz
+@given(with_warm_up(documented_layout_snapshots()))
+def test_snapshot_ingest_of_perturbed_layout_lines_matches_the_oracle(lines):
+    assert_ingest_matches_the_oracle(lines)
+
+
+@fuzz
+@given(with_warm_up(generated_lines))
+@example(["\u00b2"])
+@example(['{"qid": "Q1", "label": null, "aliases": [null]}'])
+# a field of another type, null included
+@example([record_line(qid=5), record_line(qid=None)])
+@example([record_line(label=None), record_line(label=5)])
+@example([record_line(label=["Ada"])])
+@example([record_line(aliases=None), record_line(aliases=[None, "x"])])
+@example([record_line(aliases=[5]), record_line(aliases="Ada")])
+@example([record_line(aliases=[["Ada"]])])
+@example([record_line(description=None), record_line(description=[5])])
+@example([record_line(instance_of=None), record_line(subclass_of="Q5")])
+@example([record_line(occupation={"Q5": 1}), record_line(occupation=[None])])
+@example([record_line(instance_of=["Q5"]), record_line("Q2", occupation=["Q5", 5])])
+@example([record_line(subclass_of=["Q5"]), record_line("Q2", subclass_of=[["Q5"]])])
+@example([record_line(keys=("qid", "label"))])
+# labels and aliases padded, duplicated or equal to the label once stripped
+@example([record_line(label=" Ada\t", aliases=["Ada", " Ada ", "x", "x ", "x"])])
+@example([record_line(label="\x0b\u00c9t\u00e9", aliases=["E\u0301te\u0301", " "])])
+@example([record_line(label=" "), record_line("Q2", label="")])
+# link texts met twice, spaced, zero-padded and 60 digits long
+@example([record_line(instance_of=["Q5"]),
+          record_line("Q2", instance_of=["Q5", " Q5 "], occupation=["q5"])])
+@example([record_line(instance_of=["Q5"]), record_line("Q2", subclass_of=["Q05"])])
+@example([record_line(LONG_QID, subclass_of=[LONG_QID]),
+          record_line("Q2", occupation=[LONG_QID, "Q5"], subclass_of=[LONG_QID])])
+# line ends and starts: CRLF, a BOM, a vertical tab, trailing text, blank lines
+@example([record_line(instance_of=["Q5"], end="\r\n"), record_line("Q2", instance_of=["Q5"])])
+@example([record_line(start="\ufeff")])
+@example([record_line(end="\x0b")])
+@example([record_line(end="\x0b\n"), record_line(start="\x0b")])
+@example([record_line(end=" x\n")])
+@example([record_line(end=LINE_ENDS["second-record"])])
+@example(["\n", record_line(), " \n", "", record_line("Q2", end="")])
+# duplicate ids, on either path
+@example([record_line(), record_line(label="Bob")])
+@example([record_line(end="\r\n"), record_line()])
+# a separator spaced or compacted, and every separator compacted
+@example([record_line(aliases=["x", "y"]).replace('"x", "y"', '"x","y"')])
+@example([record_line().replace('"label": ', '"label":  ')])
+@example([record_line(instance_of=["Q5"]), record_line("Q2", subclass_of=["Q5", "Q7"])
+          .replace('"Q5", "Q7"', '"Q5" , "Q7"')])
+@example([json.dumps(json.loads(record_line(subclass_of=["Q5"])), separators=(",", ":"))])
+# two keys swapped
+@example([record_line(keys=["label", "qid", *SNAPSHOT_FIELDS[2:]])])
+@example([record_line(subclass_of=["Q5"], keys=[*SNAPSHOT_FIELDS[:4], "subclass_of",
+                                                 "instance_of", "occupation"])])
+# escapes in the label, an alias and the description
+@example([record_line(label="Ad\u00e9"), record_line("Q2", label='A"da')])
+@example([record_line(aliases=["a\\b", "\u00e9"])])
+@example([with_text(record_line(description=f"x{MARK}y"), "\\/")])
+@example([with_text(record_line(label=f"A{MARK}da"), "\\/")])
+# raw control characters
+@example([with_text(record_line(label=f"A{MARK}da"), "\x00")])
+@example([with_text(record_line(aliases=[MARK]), "\t")])
+@example([with_text(record_line(description=MARK), "\x1f")])
+# spaces at a label's edge, and labels blank once stripped
+@example([record_line(label="\xa0Ada", ensure_ascii=False),
+          record_line("Q2", label="Ada\u2003", ensure_ascii=False)])
+@example([record_line(label="\x85Ada\u3000", ensure_ascii=False)])
+@example([record_line(label="\u3000", ensure_ascii=False)])
+@example([record_line(label=" ")])
+@example([record_line(label="")])
+# Q-ids off the plain form, and of 18, 19, 60 and 5,000 digits
+@example([record_line("q5"), record_line("Q05"), record_line("Q0")])
+@example([record_line("Q" + "1" * 18), record_line("Q" + "1" * 19), record_line(LONG_QID)])
+@example([record_line("Q" + "1" * 5000)])
+@example([record_line(instance_of=["q5"]), record_line("Q2", subclass_of=["Q05"]),
+          record_line("Q3", occupation=["Q0"])])
+@example([record_line(subclass_of=["Q" + "1" * 18, "Q" + "1" * 19, LONG_QID])])
+@example([record_line(instance_of=["Q" + "1" * 5000])])
+@example([record_line(subclass_of=["Q" + "1" * 5000])])
+# aliases blank, or the label itself
+@example([record_line(aliases=["", " ", "Ada", " Ada", "x", "x "])])
+# CRLF before a second record, and no line end at all
+@example([record_line(end="\r\n"), record_line("Q2")])
+@example([record_line("Q1", end=""), "\n", record_line("Q2", end="")])
+# texts the ASCII key shortcut refuses (a double space, non-ASCII spaces and
+# letters) and one it takes (mixed case), and subclass_of links met new and again
+@example([record_line(label="Acme  Corp"), record_line("Q2", label="acme corp")])
+@example([record_line(aliases=["Acme  Corp", " x  y "]), record_line("Q2", aliases=["acme corp"])])
+@example([record_line(label="AcMe CoRP", aliases=["ACME corp", "Stra\xdfe"], ensure_ascii=False),
+          record_line("Q2", label="acme corp", aliases=["STRASSE"])])
+@example([record_line(label="Acme\u3000Corp", ensure_ascii=False),
+          record_line("Q2", label="Acme\xa0Corp", aliases=["x\xa0 y"], ensure_ascii=False),
+          record_line("Q3", label="acme corp", aliases=["X Y"])])
+@example([record_line(subclass_of=["Q5", "Q7"]), record_line("Q2", subclass_of=["Q5", "Q7"]),
+          record_line("Q3", subclass_of=["Q5"])])
+def test_snapshot_ingest_matches_the_oracle(lines):
+    assert_ingest_matches_the_oracle(lines)
+
+
 # --- the compact KB: source lines, and int or tuple index values -------------------
-
-def assert_matches_oracle(lines):
-    expected = outcome(oracle_ingest, lines)
-    assert expected[0] == "ok"
-    assert outcome(ingest_snapshot, lines) == expected
-
 
 def test_one_entity_keeps_one_id_under_a_key_its_aliases_share():
     lines = [record_line("Q2", "y", aliases=["bar"]),
@@ -760,27 +843,26 @@ def test_class_with_more_than_two_subclass_children():
     assert kb.subclass_closure({12, 4}) == {4, 12, 20}
 
 
-LONG_QID = "Q" + "9" * 60
 SOURCE_LINE_SHAPES = {
-    "leading-whitespace": " \t" + record_line("Q11", "lead", aliases=["in front"]) + "\n",
+    "leading-whitespace": record_line("Q11", "lead", aliases=["in front"], start=" \t"),
     "bom-in-values": record_line("Q12", "\ufeffbom", aliases=["\ufeff", "b\ufeffom"],
-                                 description="\ufeffa thing") + "\n",
+                                 description="\ufeffa thing"),
     "bom-in-values-unescaped": json.dumps(
         {"qid": "Q13", "label": "\ufeffBOM", "aliases": ["x\ufeff"], "description": "\ufeff"},
         ensure_ascii=False) + "\n",
     "vertical-tab-in-values": record_line("Q14", "\x0bvt\x0b", aliases=["a\x0bb", "\x0b"],
-                                          description="\x0b") + "\n",
-    "crlf": record_line("Q15", "crlf", aliases=["CR LF"], instance_of=["Q5"]) + "\r\n",
-    "space-crlf": record_line("Q16", "crlf", instance_of=["Q515"]) + " \r\n",
-    "no-newline": record_line("Q17", "last", subclass_of=["Q5"]),
+                                          description="\x0b"),
+    "crlf": record_line("Q15", "crlf", aliases=["CR LF"], instance_of=["Q5"], end="\r\n"),
+    "space-crlf": record_line("Q16", "crlf", instance_of=["Q515"], end=" \r\n"),
+    "no-newline": record_line("Q17", "last", subclass_of=["Q5"], end=""),
     "60-digit-qids": record_line(LONG_QID, "long", instance_of=[LONG_QID],
-                                 subclass_of=["Q5", LONG_QID], occupation=[LONG_QID]) + "\n",
+                                 subclass_of=["Q5", LONG_QID], occupation=[LONG_QID]),
 }
 
 
 @pytest.mark.parametrize("line", SOURCE_LINE_SHAPES.values(), ids=SOURCE_LINE_SHAPES.keys())
 def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
-    lines = [fixture + "\n" for fixture in FIXTURE_LINES] + [line]
+    lines = FIXTURE_LINES + [line]
     assert_matches_oracle(lines)
     expected = oracle_ingest(lines)[0]
     kb = ingest_snapshot(lines)
@@ -790,84 +872,41 @@ def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
         assert kb.records[entity_id] == record
 
 
-# --- the common record shape, and the lines ingest reads without _parse ---------
+# --- the lines ingest reads without _parse ----------------------------------------
 
-LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
-
-
-def off_common_shape(line):
-    """Whether ``line`` lies off the common record shape: one JSON object
-    that ends the line or is followed by one newline, with a plain Q-id, a str
-    label that is not blank, a list of str aliases and three lists."""
-    try:
-        obj, end = json.JSONDecoder().raw_decode(line)
-    except ValueError:
-        return True
-    return not (line[end:] in ("", "\n") and isinstance(obj, dict)
-                and isinstance(obj.get("qid"), str)
-                and re.fullmatch(r"Q[1-9][0-9]{0,17}", obj["qid"])
-                and isinstance(obj.get("label"), str) and obj["label"].strip()
-                and isinstance(obj.get("aliases"), list)
-                and all(isinstance(alias, str) for alias in obj["aliases"])
-                and all(isinstance(obj.get(field), list) for field in LINK_FIELDS))
-
-
-OFF_SHAPE_LINES = [
-    record_line("Q1", "crlf", instance_of=["Q5"]) + "\r\n",
-    " " + record_line("Q2", "leading space") + "\n",
-    record_line("Q3", "trailing space") + " \n",
+# Lines outside the documented layout, each in its own way.
+OFF_LAYOUT_LINES = [
+    record_line("Q1", "crlf", instance_of=["Q5"], end="\r\n"),
+    record_line("Q2", "leading space", start=" "),
+    record_line("Q3", "trailing space", end=" \n"),
     json.dumps({"qid": "Q4", "label": "no lists"}) + "\n",
     json.dumps({"qid": "Q6", "label": "null alias", "aliases": [None, "x"], "instance_of": [],
                 "subclass_of": [], "occupation": []}) + "\n",
     json.dumps({"qid": "Q7", "label": 7, "aliases": [], "instance_of": ["Q5"],
                 "subclass_of": None, "occupation": []}) + "\n",
-    record_line("q8", "lower-case qid") + "\n",
-    record_line(LONG_QID, "long qid", subclass_of=[LONG_QID]) + "\n",
+    record_line("q8", "lower-case qid"),
+    record_line(LONG_QID, "long qid", subclass_of=[LONG_QID]),
     "\n",
     " \n",
 ]
 
 
-def seeded_common_shape_lines(seed):
-    """2,000 common-shape records linking to 30 classes, with every line of
-    OFF_SHAPE_LINES put in at a random place."""
+def seeded_snapshot_lines(seed):
+    """2,000 documented-layout records linking to 30 classes, with every line
+    of OFF_LAYOUT_LINES put in at a random place."""
     rng = random.Random(seed)
     classes = [f"Q{c}" for c in rng.sample(range(10, 10**6), 30)]
     lines = [record_line(f"Q{10**7 + i}", f"entity {rng.randrange(500)}",
                          aliases=rng.sample(["x", " y ", "Z", "entity"], rng.randrange(3)),
                          instance_of=rng.sample(classes, rng.randrange(3)),
                          subclass_of=rng.sample(classes, rng.randrange(2)),
-                         occupation=rng.sample(classes, rng.randrange(2))) + "\n"
+                         occupation=rng.sample(classes, rng.randrange(2)))
              for i in range(2_000)]
-    for line in OFF_SHAPE_LINES:
+    for line in OFF_LAYOUT_LINES:
         lines.insert(rng.randrange(len(lines) + 1), line)
     return lines
 
 
-@pytest.mark.parametrize("name", ["demo", "seeded"])
-def test_ingest_parses_only_off_shape_lines_and_lines_with_new_link_texts(name, monkeypatch):
-    lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
-             "seeded": seeded_common_shape_lines(3)}[name]
-    parsed = []
-    parse = kb_module._parse
-
-    def counting_parse(line):
-        parsed.append(line)
-        return parse(line)
-
-    monkeypatch.setattr(kb_module, "_parse", counting_parse)
-    kb = ingest_snapshot(lines)
-    off = [line for line in lines if off_common_shape(line)]
-    texts = {text for line in lines if not off_common_shape(line)
-             for field in LINK_FIELDS for text in json.loads(line)[field]}
-    assert len(kb) == sum(1 for line in lines if line.strip())
-    assert len(parsed) <= len(texts) + len(off), (len(parsed), len(texts), len(off))
-    assert all(line in parsed for line in off)
-    if name == "seeded":
-        assert off and len(parsed) < len(lines) / 20
-
-
-DOCUMENTED_FIELDS = ("qid", "label", "aliases", "description", *LINK_FIELDS)
 GENERATE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
 
 
@@ -881,10 +920,10 @@ def in_documented_layout(line):
         obj = json.loads(body)
     except ValueError:
         return False
-    if not (isinstance(obj, dict) and tuple(obj) == DOCUMENTED_FIELDS and "\\" not in body
+    if not (isinstance(obj, dict) and tuple(obj) == SNAPSHOT_FIELDS and "\\" not in body
             and body in (json.dumps(obj), json.dumps(obj, ensure_ascii=False))):
         return False
-    qids = [obj["qid"], *(qid for field in LINK_FIELDS for qid in obj[field])]
+    qids = [obj["qid"], *(qid for field in SNAPSHOT_FIELDS[4:] for qid in obj[field])]
     return (all(isinstance(qid, str) and re.fullmatch(r"Q[1-9][0-9]{0,17}", qid)
                 for qid in qids)
             and isinstance(obj["label"], str) and obj["label"].strip() != ""
@@ -904,19 +943,16 @@ def benchmark_kb_lines(tmp_path, monkeypatch):
 
 # The same records with raw and with escaped non-ASCII text: only the first
 # is in the layout the pattern takes.
-NON_ASCII_LINES = [
-    json.dumps({"qid": qid, "label": "Zoë Ørsted", "aliases": ["東京", " Zoë "],
-                "description": "née", "instance_of": ["Q5"], "subclass_of": [],
-                "occupation": []}, ensure_ascii=ensure_ascii) + "\n"
-    for qid, ensure_ascii in (("Q91", False), ("Q92", True))
-]
+NON_ASCII_LINES = [record_line(qid, "Zoë Ørsted", ["東京", " Zoë "], "née", ["Q5"],
+                               ensure_ascii=ensure_ascii)
+                   for qid, ensure_ascii in (("Q91", False), ("Q92", True))]
 
 
 @pytest.mark.parametrize("name", ["demo", "seeded", "benchmark"])
 def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
     lines = {"demo": lambda: (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8")
              .splitlines(True),
-             "seeded": lambda: seeded_common_shape_lines(3) + NON_ASCII_LINES,
+             "seeded": lambda: seeded_snapshot_lines(3) + NON_ASCII_LINES,
              "benchmark": lambda: benchmark_kb_lines(tmp_path, monkeypatch)}[name]()
     parsed = []
     parse = kb_module._parse
@@ -932,6 +968,8 @@ def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
     assert [line for line in lines if not in_documented_layout(line)] == parsed
     if name == "seeded":
         assert [in_documented_layout(line) for line in NON_ASCII_LINES] == [True, False]
+        assert all(line in parsed for line in OFF_LAYOUT_LINES)
+        assert len(parsed) < len(lines) / 20
 
 
 def test_only_non_ascii_keys_are_nfc_normalized(monkeypatch, tmp_path):
@@ -951,29 +989,48 @@ def test_only_non_ascii_keys_are_nfc_normalized(monkeypatch, tmp_path):
         nfc.reset_mock()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.text(alphabet=st.one_of(
-    st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", " ", "\t", "\u0301", "\u0308",
-                     "E", "e", "\u00c9", "\u00e9", "t", "\u00df", "\u212b"]),
-    st.characters()), max_size=8).filter(str.strip))
-@example("\u00c9t\u00e9")
-@example("E\u0301te\u0301")
-@example("A\x1cB\x1f\xa0c")
-def test_ingest_keys_follow_normalize_surface(surface):
-    # The loop keys text read from the layout pattern itself, with its ASCII
-    # shortcut; Q3 holds its text unescaped, so unless the surface needs an
-    # escape the pattern reads it and _parse never sees it.
-    lines = [record_line("Q1", surface) + "\n",
-             record_line("Q2", "\x00", aliases=[surface]) + "\n",
-             record_line("Q3", surface, ensure_ascii=False) + "\n"]
+# Label and alias text: spaces, cases and characters whose keys differ from
+# their plain casefold, characters the layout holds only escaped, and any other.
+KEY_TEXT = st.text(st.one_of(
+    st.sampled_from([" ", "\t", "\xa0", "\u3000", "\x85", "\x1c", "\x1d", "\x1e", "\x1f",
+                     "a", "B", "E", "e", "t", "\xc9", "\xe9", "\u0301", "\u0308", "\xdf",
+                     "\u212a", "\u212b", "\u0130", "\ufb01", '"', "\\"]),
+    st.characters()), max_size=8)
+
+
+@fuzz
+@given(st.lists(st.tuples(KEY_TEXT.filter(str.strip), st.lists(KEY_TEXT, max_size=3)),
+                min_size=1, max_size=4))
+@example([("\u00c9t\u00e9", []), ("\x00", ["\u00c9t\u00e9"])])
+@example([("E\u0301te\u0301", []), ("\x00", ["E\u0301te\u0301"])])
+@example([("A\x1cB\x1f\xa0c", []), ("\x00", ["A\x1cB\x1f\xa0c"])])
+@example([("\x00", ["\x00"])])
+@example([("Acme  Corp", ["Acme  Corp ", "AcMe"]), ("\xc9t\xe9", ["E\u0301te\u0301"])])
+def test_snapshot_keys_follow_normalize_surface(records):
+    # Each record is written raw and escaped. A raw line with no '"', backslash
+    # or control character is read from the layout pattern, with its ASCII key
+    # shortcut; every other line goes to _parse. Either way each label and
+    # alias key must be normalize_surface's key of the stripped text.
+    lines, labels, aliases = [], {}, {}
+    for i, (label, names) in enumerate(records):
+        raw = record_line(f"Q{2 * i + 1}", label, names, ensure_ascii=False)
+        lines += [raw, record_line(f"Q{2 * i + 2}", label, names)]
+        if all(" " <= c and c not in '"\\' for text in (label, *names) for c in text):
+            assert kb_module._documented_layout(raw)
+        ids = {2 * i + 1, 2 * i + 2}
+        labels.setdefault(normalize_surface(label), set()).update(ids)
+        for alias in names:
+            if alias.strip() not in ("", label.strip()):
+                aliases.setdefault(normalize_surface(alias), set()).update(ids)
+        for text in (label, *names):
+            assert normalize_surface(text) == " ".join(
+                unicodedata.normalize("NFC", text).split()).casefold()
     with mock.patch.object(kb_module, "_parse", wraps=kb_module._parse) as parse:
         kb = ingest_snapshot(lines)
     assert [call.args[0] for call in parse.call_args_list] == [
         line for line in lines if not in_documented_layout(line)]
-    key = normalize_surface(surface)
-    assert key == " ".join(unicodedata.normalize("NFC", surface).split()).casefold()
-    assert {1, 3} <= id_set(kb._label_index[key])
-    assert kb._alias_index == ({} if surface.strip() == "\x00" else {key: 2})
+    assert id_sets(kb._label_index) == labels
+    assert id_sets(kb._alias_index) == aliases
 
 
 def scaled_snapshot_lines(records):
@@ -982,15 +1039,15 @@ def scaled_snapshot_lines(records):
     Every key with several ids holds one tuple, which stays tracked until a
     collection first sees it, so the number of such keys does not grow."""
     rng = random.Random(records)
-    lines = [record_line("Q1", "entity")]
-    lines += [record_line(f"Q{c}", f"class {c}", subclass_of=[f"Q{rng.randrange(1, c)}"])
+    lines = [record_line("Q1", "entity", end="")]
+    lines += [record_line(f"Q{c}", f"class {c}", subclass_of=[f"Q{rng.randrange(1, c)}"], end="")
               for c in range(2, 42)]
     for i in range(records - len(lines)):
         label = f"homonym {i % 20}" if i < 60 else f"entity {i}"
         lines.append(record_line(f"Q{1000 + i}", label,
                                  aliases=[f"also {i}"] if i % 4 == 0 else [],
                                  description=f"thing number {i}",
-                                 instance_of=[f"Q{rng.randrange(2, 42)}"]))
+                                 instance_of=[f"Q{rng.randrange(2, 42)}"], end=""))
     return lines
 
 

@@ -21,7 +21,6 @@ from finetype.tagger import (
     ADAM_EPS,
     INFERENCE_GROUP_SIZE,
     NEAR_TIE,
-    SINGLE_PRECISION_BOUND,
     SequenceExample,
     TaggerConfig,
     TaggerModel,
@@ -315,9 +314,7 @@ STREAM_CASES = {
 
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_streamed_logits_match_the_padded_path(bidirectional, case):
-    """The streamed logits equal the per-sentence oracle's, which the padded
-    path that gave this test its name also matched."""
+def test_streamed_logits_match_the_per_sentence_oracle(bidirectional, case):
     lengths, groups = STREAM_CASES[case]
     assert -(-sum(n > 0 for n in lengths) // G) == groups
     cfg = TaggerConfig(hidden_size=6, embedding_dim=3, bidirectional=bidirectional)
@@ -353,7 +350,7 @@ def contextual_corpus():
     return model, [rng.standard_normal((n, 64)) for n in lengths]
 
 
-def test_streamed_tagging_peak_memory_stays_within_the_padded_paths():
+def test_streamed_tagging_peak_memory_stays_within_the_recorded_bound():
     model, sentences = contextual_corpus()
     assert max(map(len, sentences)) == 120
     tracemalloc.start()

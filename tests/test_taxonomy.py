@@ -26,19 +26,14 @@ def test_minimal_document_single_root():
     assert h.subtypes_of("widget") == []
 
 
-def test_duplicate_label_rejected():
-    with pytest.raises(HierarchyError, match="duplicate.*person.artist"):
-        parse_hierarchy(["person", "person.artist", "person.artist"])
-
-
-def test_orphan_fine_label_rejected():
-    with pytest.raises(HierarchyError, match="orphan"):
-        parse_hierarchy(["location", "person.artist"])
-
-
-def test_parse_error_cites_line_number():
-    with pytest.raises(HierarchyError, match="line 3"):
-        parse_hierarchy(["person", "# comment", "person..artist"])
+@pytest.mark.parametrize("lines, message", [
+    (["person", "person.artist", "person.artist"], "duplicate.*person.artist"),
+    (["location", "person.artist"], "orphan"),
+    (["person", "# comment", "person..artist"], "line 3"),
+])
+def test_parse_hierarchy_error_text(lines, message):
+    with pytest.raises(HierarchyError, match=message):
+        parse_hierarchy(lines)
 
 
 def test_comments_and_blank_lines_ignored():
