@@ -9,7 +9,6 @@ class closure that lookup hits must be instances of.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import unicodedata
@@ -74,14 +73,12 @@ class EntityRecord:
         return format_qid(self.id)
 
 
-_scan_once = json.JSONDecoder().scan_once
 # A Q-id's digits in the exact form parse_qid accepts most often, with few
-# enough of them for int(); any other value goes through parse_qid.
+# enough of them for int().
 _QID_DIGITS = r"[1-9][0-9]{0,17}"
-_plain_qid = re.compile(f"Q{_QID_DIGITS}").fullmatch
 _LINK_FIELDS = ("instance_of", "subclass_of", "occupation")
 # A record line exactly as json.dumps writes the seven documented fields by
-# default, followed by at most one newline. Every Q-id is a _plain_qid, and no
+# default, followed by at most one newline. Every Q-id has _QID_DIGITS, and no
 # string holds an escape or a control character, so JSON would decode each
 # one to the matched text. Groups: the id's digits, the label, and the text
 # between the aliases' and the subclass_of links' brackets.
@@ -113,23 +110,14 @@ def _parse(line: str) -> tuple | None:
     """A snapshot line's validated fields in EntityRecord order, or None for a
     blank line. Any other line that is not a record raises SnapshotError,
     without a line number."""
-    # A line that is not one value followed by nothing or a newline (one with
-    # leading or other trailing JSON whitespace, or an error) is decoded again.
-    try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError, TypeError):
-        if not line.strip():
-            return None
-        obj = decode_json_line(line, SnapshotError)
-    else:
-        if end != len(line) and line[end:] != "\n":
-            obj = decode_json_line(line, SnapshotError)
+    if not line.strip():
+        return None
+    obj = decode_json_line(line, SnapshotError)
     if not isinstance(obj, dict):
         raise SnapshotError("record is not a JSON object")
     if "qid" not in obj:
         raise SnapshotError("record has no 'qid' field")
-    qid = obj["qid"]
-    entity_id = int(qid[1:]) if type(qid) is str and _plain_qid(qid) else parse_qid(qid)
+    entity_id = parse_qid(obj["qid"])
     label = _text(obj.get("label"))
     if not label:
         raise SnapshotError(f"record {format_qid(entity_id)} has an empty label")
@@ -277,9 +265,6 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
     seen: dict[int, int] = {}
-    # Each subclass_of list text the documented layout has matched, mapped
-    # to its ids.
-    parent_ids: dict[str, tuple[int, ...]] = {}
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
@@ -324,13 +309,7 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
                             else normalize_surface(alias))
             else:
                 alias_keys = ()
-            if sub:
-                parents = parent_ids.get(sub)
-                if parents is None:
-                    parents = parent_ids[sub] = tuple([int(v.strip('"Q'))
-                                                       for v in sub.split(", ")])
-            else:
-                parents = ()
+            parents = [int(v.strip('"Q')) for v in sub.split(", ")] if sub else ()
         else:
             try:
                 fields = _parse(raw)

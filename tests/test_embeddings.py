@@ -1,7 +1,6 @@
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -18,28 +17,8 @@ from finetype.embeddings import (
     tokenize,
 )
 
-from conftest import DEMO_DIR, demo_sidecar_sentences, parse_sidecar_lines, sidecar_text
-
-
-def cosine(u, v):
-    """dot(u, v) / (|u| |v|), clipped to [-1, 1] against float round-off: the
-    per-pair formula that the one-direction similarity is checked against."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def mp_cosine(u, v):
-    """High-precision oracle for the cosine formula."""
-    with mpmath.workdps(50):
-        u = [mpmath.mpf(x) for x in u]
-        v = [mpmath.mpf(x) for x in v]
-        dot = mpmath.fsum(a * b for a, b in zip(u, v))
-        nu = mpmath.sqrt(mpmath.fsum(a * a for a in u))
-        nv = mpmath.sqrt(mpmath.fsum(b * b for b in v))
-        return float(dot / (nu * nv))
+from conftest import (DEMO_DIR, demo_sidecar_sentences, pairwise_mean_cosine,
+                      parse_sidecar_lines, sidecar_text)
 
 
 # --- loading -------------------------------------------------------------------
@@ -170,64 +149,76 @@ def test_a_long_sidecar_is_parsed_in_blocks_of_whole_sentences(monkeypatch):
     assert got[341].base is blocks[0] and got[342].base is blocks[1]
 
 
-# --- cosine ----------------------------------------------------------------------
-
-def test_cosine_against_high_precision_oracle():
-    u, v = [1, 2, 3], [4, 5, 6]
-    expected = mp_cosine(u, v)
-    assert expected == pytest.approx(0.97463, abs=5e-6)
-    assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
-
-
 # --- phrase similarity --------------------------------------------------------------
 
-@pytest.fixture()
-def small_table():
-    return EmbeddingTable(2, {
-        "sun": np.array([1.0, 0.0]),
-        "star": np.array([0.9, 0.1]),
-        "sea": np.array([0.0, 1.0]),
-        "wave": np.array([0.2, 0.8]),
-    })
+SMALL = EmbeddingTable(2, {
+    "sun": np.array([1.0, 0.0]),
+    "star": np.array([0.9, 0.1]),
+    "sea": np.array([0.0, 1.0]),
+    "wave": np.array([0.2, 0.8]),
+})
+DEMO = load_embeddings(DEMO_DIR / "wiki_vectors.vec")
 
 
-def test_identical_single_tokens(small_table):
-    assert phrase_similarity(["sun"], ["sun"], small_table) == pytest.approx(1.0)
+def random_phrases(vocab, rng, count, longest_left, longest_right):
+    """``count`` pairs of phrases drawn from ``vocab``, of 1 to ``longest_left``
+    and 1 to ``longest_right`` tokens."""
+    return [(list(rng.choice(vocab, size=rng.integers(1, longest_left + 1))),
+             list(rng.choice(vocab, size=rng.integers(1, longest_right + 1))))
+            for _ in range(count)]
 
 
-def test_all_tokens_oov_is_undefined(small_table):
-    assert phrase_similarity(["quark"], ["gluon"], small_table) is None
-    assert phrase_similarity(["sun"], ["gluon"], small_table) is None
+_rng = np.random.default_rng(11)
+# every vector at its own scale, a zero vector, and one that cancels w0 in a mean
+_vectors = {f"w{i}": _rng.standard_normal(8) * _rng.uniform(0.01, 100) for i in range(30)}
+SCALED = EmbeddingTable(8, {**_vectors, "zero": np.zeros(8), "neg": -_vectors["w0"]})
+CANCELLING = [(["w0", "neg"], ["w1"]), (["zero"], ["w1"]), (["oov", "zero"], ["oov"])]
+OOV = ["oov", "zero", "unseen"]
+
+# Named cases: a table, phrase pairs, and the score each pair must have when
+# the case pins one.
+SIMILARITY_CASES = {
+    "identical-single-tokens": (SMALL, [(["sun"], ["sun"])], 1.0),
+    "all-tokens-oov-is-undefined": (SMALL, [(["quark"], ["gluon"]), (["sun"], ["gluon"])], None),
+    # only the sun/star pair contributes
+    "oov-pairs-are-skipped": (SMALL, [(["sun", "plasma"], ["star"])],
+                              pytest.approx(0.9 / math.sqrt(0.82))),
+    "one-pair": (EmbeddingTable(3, {"u": np.array([1.0, 2.0, 3.0]), "v": np.array([4.0, 5.0, 6.0])}),
+                 [(["u"], ["v"])], pytest.approx(0.97463, abs=5e-6)),
+    "demo-phrases": (DEMO, [(["tablet", "computers"], ["mobile", "phone"])]
+                     + random_phrases(DEMO.tokens(), np.random.default_rng(7), 25, 9, 9)),
+    "scaled-zero-and-cancelling-vectors": (
+        SCALED, CANCELLING + random_phrases(SCALED.tokens() + OOV, _rng, 200, 11, 5)),
+    "demo-with-oov-and-zero-tokens": (
+        DEMO, CANCELLING + random_phrases(DEMO.tokens() + OOV, _rng, 200, 11, 5)),
+}
 
 
-def test_empty_token_lists_rejected(small_table):
+@pytest.mark.parametrize("case", SIMILARITY_CASES)
+def test_phrase_similarity_matches_the_50_digit_pairwise_mean(case):
+    table, pairs, *pinned = SIMILARITY_CASES[case]
+    for left, right in pairs:
+        want = pairwise_mean_cosine(left, right, table)
+        got = phrase_similarity(left, right, table)
+        assert got == (None if want is None else pytest.approx(want, abs=1e-12)), (left, right)
+        assert phrase_similarity(right, left, table) == (
+            None if got is None else pytest.approx(got, abs=1e-12))
+        if pinned:
+            assert got == pinned[0]
+
+
+def test_a_direction_scores_exactly_one_with_itself():
+    # normalized, the 8th 6-d draw of default_rng(0) has a self-dot of
+    # 1.0000000000000002, which the clip brings back to 1
+    table = EmbeddingTable(6, {"w": np.random.default_rng(0).standard_normal((8, 6))[7]})
+    direction = phrase_direction(["w"], table)
+    assert direction @ direction > 1.0
+    assert direction_similarity(direction, direction) == 1.0
+
+
+def test_empty_token_lists_rejected():
     with pytest.raises(EmbeddingError):
-        phrase_similarity([], ["sun"], small_table)
-
-
-def test_pairwise_mean_skips_oov_pairs(small_table):
-    # 'plasma' is unknown: only the sun/star pair contributes
-    got = phrase_similarity(["sun", "plasma"], ["star"], small_table)
-    assert got == pytest.approx(cosine([1, 0], [0.9, 0.1]))
-
-
-def test_pairwise_mean_matches_brute_force_oracle(demo_table):
-    rng = np.random.default_rng(7)
-    vocab = demo_table.tokens()
-    cases = [(["tablet", "computers"], ["mobile", "phone"])]
-    for _ in range(25):
-        cases.append((list(rng.choice(vocab, size=rng.integers(1, 10))),
-                      list(rng.choice(vocab, size=rng.integers(1, 10)))))
-    for desc, sub in cases:
-        pairs = [mp_cosine(demo_table.get(d), demo_table.get(s)) for d in desc for s in sub]
-        expected = sum(pairs) / len(pairs)
-        assert phrase_similarity(desc, sub, demo_table) == pytest.approx(expected, abs=1e-12)
-
-
-def test_phrase_similarity_symmetry(demo_table):
-    a = phrase_similarity(["tablet", "computers"], ["mobile", "phone"], demo_table)
-    b = phrase_similarity(["mobile", "phone"], ["tablet", "computers"], demo_table)
-    assert a == pytest.approx(b, abs=1e-12)
+        phrase_similarity([], ["sun"], SMALL)
 
 
 def test_phrase_direction_without_usable_vector_is_none():
@@ -236,66 +227,10 @@ def test_phrase_direction_without_usable_vector_is_none():
         assert phrase_direction(tokens, table) is None
 
 
-def test_phrase_direction_reductions(small_table):
+def test_phrase_direction_reductions():
     sun, star = np.array([1.0, 0.0]), np.array([0.9, 0.1])
-    got = phrase_direction(["sun", "star", "quark"], small_table)
+    got = phrase_direction(["sun", "star", "quark"], SMALL)
     assert np.allclose(got, (sun + star / np.linalg.norm(star)) / 2, rtol=0, atol=1e-15)
-
-
-def test_phrase_direction_ignores_each_token_vector_scale():
-    # each token counts by its direction alone: rescaling one token's vector
-    # moves nothing, where a mean of raw vectors would lean toward the longer one
-    rng = np.random.default_rng(5)
-    vectors = {f"w{i}": rng.standard_normal(6) for i in range(10)}
-    scaled = {t: v * rng.uniform(1e-3, 1e3) for t, v in vectors.items()}
-    table, rescaled = EmbeddingTable(6, vectors), EmbeddingTable(6, scaled)
-    for _ in range(30):
-        tokens = list(rng.choice(list(vectors), size=rng.integers(1, 8)))
-        assert np.allclose(phrase_direction(tokens, rescaled), phrase_direction(tokens, table),
-                           rtol=0, atol=1e-14), tokens
-
-
-def test_phrase_direction_weights_repeated_tokens_by_count(small_table):
-    sun, star = np.array([1.0, 0.0]), np.array([0.9, 0.1])
-    got = phrase_direction(["sun", "star", "sun"], small_table)
-    assert np.allclose(got, (2 * sun + star / np.linalg.norm(star)) / 3, rtol=0, atol=1e-15)
-
-
-def test_phrase_similarity_is_clipped_dot_of_directions(small_table):
-    left = phrase_direction(["sun", "star"], small_table)
-    right = phrase_direction(["wave", "sea"], small_table)
-    assert phrase_similarity(["sun", "star"], ["wave", "sea"], small_table) == float(
-        np.clip(left @ right, -1.0, 1.0)) == direction_similarity(left, right)
-
-
-def per_pair_similarity_oracle(description_tokens, subtype_tokens, table):
-    """The per-pair formulation: mean of cosine over every in-vocabulary pair;
-    zero vectors count as out of vocabulary."""
-    desc = [v for v in (table.get(t) for t in description_tokens) if v is not None and v.any()]
-    sub = [v for v in (table.get(t) for t in subtype_tokens) if v is not None and v.any()]
-    if not desc or not sub:
-        return None
-    return float(np.mean([cosine(d, s) for d in desc for s in sub]))
-
-
-def test_one_formula_matches_per_pair_oracle(demo_table):
-    rng = np.random.default_rng(11)
-    vectors = {f"w{i}": rng.standard_normal(8) * rng.uniform(0.01, 100) for i in range(30)}
-    vectors["zero"] = np.zeros(8)
-    vectors["neg"] = -vectors["w0"]  # cancels w0 in a mean
-    for table in (EmbeddingTable(8, vectors), demo_table):
-        vocab = table.tokens() + ["oov", "zero", "unseen"]
-        cases = [(["w0", "neg"], ["w1"]), (["zero"], ["w1"]), (["oov", "zero"], ["oov"])]
-        for _ in range(200):
-            cases.append((list(rng.choice(vocab, size=rng.integers(1, 12))),
-                          list(rng.choice(vocab, size=rng.integers(1, 6)))))
-        for desc, sub in cases:
-            want = per_pair_similarity_oracle(desc, sub, table)
-            got = phrase_similarity(desc, sub, table)
-            if want is None:
-                assert got is None, (desc, sub)
-            else:
-                assert got == pytest.approx(want, abs=1e-12), (desc, sub)
 
 
 # --- tokenize ------------------------------------------------------------------------
@@ -317,4 +252,4 @@ def test_load_from_file(tmp_path):
     path.write_text("a 1 2\nb 3 4\n")
     table = load_embeddings(path)
     assert len(table) == 2 and table.dim == 2
-    assert math.isclose(cosine(table.get("a"), table.get("b")), mp_cosine([1, 2], [3, 4]))
+    assert table.get("b").tolist() == [3.0, 4.0]

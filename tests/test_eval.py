@@ -17,165 +17,134 @@ from finetype.evaluation import (
     precision_recall_f1,
 )
 
-
-def exact_prf(tp, fp, fn):
-    """Rational-arithmetic oracle for the three scores."""
-    p = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
-    r = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
-    f = 2 * p * r / (p + r) if p + r else Fraction(0)
-    return float(p), float(r), float(f)
+from conftest import matched_counts, rational_scores
 
 
-# --- match_exact ---------------------------------------------------------------
-
-def test_identical_span_sets():
-    spans = [(0, 2, "per"), (3, 4, "loc"), (5, 8, "org")]
-    counts = match_exact(spans, spans)
-    assert sum(counts.values(), Counts()) == Counts(tp=3, fp=0, fn=0)
+def approx(value):
+    return pytest.approx(value, abs=1e-12)
 
 
-def test_boundary_off_by_one_is_double_fault():
-    counts = match_exact([(0, 3, "per")], [(0, 2, "per")])
-    assert sum(counts.values(), Counts()) == Counts(tp=0, fp=1, fn=1)
+def row(name, given, **pinned):
+    """A named case of the scorer: ``given`` is a ``(pred, gold)`` pair of span
+    lists or a mapping of per-class ``Counts``; ``pinned`` holds the numbers the
+    case fixes, each compared with ``==``: per-class ``counts`` or the
+    ``pooled`` counts as ``(tp, fp, fn)``, per-class ``prf`` and ``share``, and
+    ``micro`` and ``macro`` F-1 (a macro of None: no class is evaluable)."""
+    return pytest.param(given, pinned, id=name)
 
 
-def test_type_mismatch_is_double_fault():
-    counts = match_exact([(0, 2, "per")], [(0, 2, "loc")])
-    assert counts["per"] == Counts(tp=0, fp=1, fn=0)
-    assert counts["loc"] == Counts(tp=0, fp=0, fn=1)
+ONE_EACH = [(0, 2, "per"), (3, 4, "loc"), (5, 8, "org")]
+
+SCORER_CASES = [
+    row("identical-span-sets", (ONE_EACH, ONE_EACH), pooled=(3, 0, 0)),
+    row("boundary-off-by-one-is-a-double-fault", ([(0, 3, "per")], [(0, 2, "per")]),
+        pooled=(0, 1, 1)),
+    row("type-mismatch-is-a-double-fault", ([(0, 2, "per")], [(0, 2, "loc")]),
+        counts={"loc": (0, 0, 1), "per": (0, 1, 0)}),
+    row("partial-overlap", ([(0, 2, "a"), (3, 4, "a"), (5, 6, "b"), (12, 13, "c")],
+                            [(0, 2, "a"), (3, 4, "a"), (5, 6, "b"), (7, 9, "b"), (10, 11, "c")]),
+        pooled=(3, 1, 2)),
+    row("same-boundaries-different-types-are-distinct", ([(0, 2, "a"), (0, 2, "b")], [(0, 2, "a")]),
+        counts={"a": (1, 0, 0), "b": (0, 1, 0)}),
+    row("same-span-in-two-docs-is-two-spans", ([(0, 0, 2, "a"), (1, 0, 2, "a")], [(1, 0, 2, "a")]),
+        counts={"a": (1, 1, 0)}),
+    # one class: micro F-1 is its F-1, and the report holds its exact counts
+    row("derived-example", {"a": Counts(3, 1, 2)}, prf={"a": (0.75, 0.6, approx(2 / 3))},
+        micro=approx(2 / 3), share={"a": 1.0}),
+    row("empty-class", {"a": Counts()}, prf={"a": (0.0, 0.0, 0.0)}, macro=None),
+    row("no-class", {}, macro=None),
+    row("perfect-class", {"a": Counts(tp=7)}, prf={"a": (1.0, 1.0, 1.0)}),
+    row("zero-precision-denominator", {"a": Counts(0, 0, 4)}, prf={"a": (0.0, 0.0, 0.0)}),
+    # pooled: tp 10, fp 10, fn 10 -> P = R = 1/2 -> F1 = 1/2
+    row("micro-pools-counts-macro-averages-classes", {"a": Counts(9, 1, 1), "b": Counts(1, 9, 9)},
+        prf={"a": (0.9, 0.9, approx(0.9)), "b": (0.1, 0.1, approx(0.1))}, micro=approx(0.5),
+        macro=approx(0.5)),
+    row("micro-of-empty-classes", {"a": Counts(), "b": Counts()}, micro=0.0),
+    row("macro-equals-micro-for-identical-classes", {c: Counts(4, 2, 1) for c in "abcd"},
+        micro=approx(8 / 11), macro=approx(8 / 11)),
+    # active classes: a (F1 1.0) and b (F1 0.0)
+    row("macro-ignores-inactive-classes", {"a": Counts(5, 0, 0), "b": Counts(0, 1, 0), "c": Counts()},
+        macro=0.5),
+    row("shares-are-gold-fractions", {"a": Counts(6, 1, 2), "b": Counts(1, 0, 1)},
+        share={"a": 0.8, "b": 0.2}),
+    row("scores-in-the-unit-interval", {"a": Counts(3, 4, 5), "b": Counts(0, 2, 0)}),
+]
 
 
-def test_partial_overlap_fixture():
-    gold = [(0, 2, "a"), (3, 4, "a"), (5, 6, "b"), (7, 9, "b"), (10, 11, "c")]
-    pred = [(0, 2, "a"), (3, 4, "a"), (5, 6, "b"), (12, 13, "c")]
-    counts = match_exact(pred, gold)
-    assert sum(counts.values(), Counts()) == Counts(tp=3, fp=1, fn=2)
+@pytest.mark.parametrize("given, pinned", SCORER_CASES)
+def test_scores_match_the_rational_oracle(given, pinned):
+    if isinstance(given, dict):
+        counts = given
+    else:
+        counts = match_exact(*given)
+        assert {lab: (c.tp, c.fp, c.fn) for lab, c in counts.items()} == matched_counts(*given)
+    exact = {lab: (c.tp, c.fp, c.fn) for lab, c in counts.items()}
+    prf, micro, macro = rational_scores(exact)
+    gold = sum(c.support for c in counts.values())
+    report = build_report(counts)
+    for label, c in counts.items():
+        p, r, f = precision_recall_f1(c)
+        # a quotient of two ints is the correctly rounded exact one
+        assert (p, r) == (float(prf[label][0]), float(prf[label][1]))
+        assert f == approx(float(prf[label][2]))
+        share = float(Fraction(c.support, gold)) if gold else 0.0
+        assert report["per_class"][label] == {"share": share, "precision": p, "recall": r,
+                                              "f1": f, "tp": c.tp, "fp": c.fp, "fn": c.fn}
+    assert micro_f1(counts) == report["micro_f1"] == approx(float(micro))
+    if macro is None:
+        with pytest.raises(EvalError, match="no evaluable class"):
+            macro_f1(counts)
+        assert report["macro_f1"] == 0.0
+    else:
+        assert macro_f1(counts) == report["macro_f1"] == approx(float(macro))
+    for label, want in pinned.get("counts", {}).items():
+        assert exact[label] == want
+    if "pooled" in pinned:
+        assert tuple(map(sum, zip(*exact.values()))) == pinned["pooled"]
+    for label, want in pinned.get("prf", {}).items():
+        assert precision_recall_f1(counts[label]) == want
+    for label, want in pinned.get("share", {}).items():
+        assert report["per_class"][label]["share"] == want
+    if "micro" in pinned:
+        assert micro_f1(counts) == pinned["micro"]
+    if "macro" in pinned:
+        assert (None if macro is None else macro_f1(counts)) == pinned["macro"]
 
 
-def test_duplicate_spans_rejected():
-    with pytest.raises(EvalError, match="duplicate predicted"):
-        match_exact([(0, 2, "a"), (0, 2, "a")], [])
-    with pytest.raises(EvalError, match="duplicate gold"):
-        match_exact([], [(0, 2, "a"), (0, 2, "a")])
-
-
-def test_invalid_boundaries_rejected():
-    with pytest.raises(EvalError, match="boundaries"):
-        match_exact([(2, 2, "a")], [])
-
-
-def test_same_boundaries_different_types_are_distinct():
-    counts = match_exact([(0, 2, "a"), (0, 2, "b")], [(0, 2, "a")])
-    assert counts["a"].tp == 1
-    assert counts["b"].fp == 1
-
-
-def test_same_span_in_two_docs_is_two_spans():
-    counts = match_exact([(0, 0, 2, "a"), (1, 0, 2, "a")], [(1, 0, 2, "a")])
-    assert counts == {"a": Counts(tp=1, fp=1, fn=0)}
-    with pytest.raises(EvalError, match=re.escape("duplicate gold span: (1, 0, 2, 'a')")):
-        match_exact([], [(0, 0, 2, "a"), (1, 0, 2, "a"), (1, 0, 2, "a")])
-
-
-def per_doc_oracle(pred, gold):
-    """Each doc scored on its own by set arithmetic, the counts summed per label."""
-    totals = {}
-    for doc in {s[0] for s in pred} | {s[0] for s in gold}:
-        p = {s[1:] for s in pred if s[0] == doc}
-        g = {s[1:] for s in gold if s[0] == doc}
-        for label in {s[2] for s in p | g}:
-            tp = sum(1 for s in p & g if s[2] == label)
-            fp = sum(1 for s in p if s[2] == label) - tp
-            fn = sum(1 for s in g if s[2] == label) - tp
-            totals[label] = totals.get(label, Counts()) + Counts(tp, fp, fn)
-    return totals
-
-
-doc_spans = st.sets(
-    st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 3), st.sampled_from("abcdef"))
-    .map(lambda t: (t[0], t[1], t[1] + t[2], t[3])),
-    max_size=24,
-)
+DOC_SPAN = st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 3),
+                     st.sampled_from("abcdef")).map(lambda t: (t[0], t[1], t[1] + t[2], t[3]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(pred=doc_spans, gold=doc_spans)
+@given(pred=st.sets(DOC_SPAN, max_size=24), gold=st.sets(DOC_SPAN, max_size=24))
 def test_one_call_over_doc_keyed_spans_sums_the_per_doc_counts(pred, gold):
     counts = match_exact(list(pred), list(gold))
-    assert counts == per_doc_oracle(pred, gold)
+    assert {lab: (c.tp, c.fp, c.fn) for lab, c in counts.items()} == matched_counts(pred, gold)
     assert list(counts) == sorted(counts)
 
 
-# --- precision / recall / F-1 -----------------------------------------------------
-
-def test_prf_derived_example():
-    p, r, f = precision_recall_f1(Counts(tp=3, fp=1, fn=2))
-    ep, er, ef = exact_prf(3, 1, 2)
-    assert (p, r) == (ep, er) == (0.75, 0.6)
-    assert f == pytest.approx(ef, abs=1e-15)
-    assert f == pytest.approx(2 / 3, abs=1e-12)
-
-
-def test_prf_empty_class_convention():
-    assert precision_recall_f1(Counts()) == (0.0, 0.0, 0.0)
-
-
-def test_prf_perfect_class():
-    assert precision_recall_f1(Counts(tp=7)) == (1.0, 1.0, 1.0)
-
-
-def test_prf_zero_precision_denominator():
-    p, r, f = precision_recall_f1(Counts(tp=0, fp=0, fn=4))
-    assert (p, r, f) == (0.0, 0.0, 0.0)
+# Scorer faults, and the text each is reported with.
+SCORER_ERRORS = {
+    "duplicate-predicted-span": (lambda: match_exact([(0, 2, "a"), (0, 2, "a")], []),
+                                 "duplicate predicted"),
+    "duplicate-gold-span": (lambda: match_exact([], [(0, 2, "a"), (0, 2, "a")]), "duplicate gold"),
+    "duplicate-span-in-one-doc": (
+        lambda: match_exact([], [(0, 0, 2, "a"), (1, 0, 2, "a"), (1, 0, 2, "a")]),
+        re.escape("duplicate gold span: (1, 0, 2, 'a')")),
+    "empty-span": (lambda: match_exact([(2, 2, "a")], []), "boundaries"),
+    "negative-start": (lambda: match_exact([(-1, 2, "a")], []),
+                       re.escape("predicted span has invalid boundaries: (-1, 2, 'a')")),
+    "end-before-start-in-one-doc": (lambda: match_exact([], [(0, 3, 1, "a")]),
+                                    re.escape("gold span has invalid boundaries: (0, 3, 1, 'a')")),
+    "negative-count": (lambda: Counts(tp=-1), "negative count"),
+}
 
 
-def test_negative_counts_rejected():
-    with pytest.raises(EvalError):
-        Counts(tp=-1)
-
-
-# --- micro / macro -----------------------------------------------------------------
-
-def test_micro_single_class_equals_class_f1():
-    per_class = {"a": Counts(3, 1, 2)}
-    assert micro_f1(per_class) == precision_recall_f1(Counts(3, 1, 2))[2]
-
-
-def test_micro_pooled_counts_fixture():
-    per_class = {"a": Counts(9, 1, 1), "b": Counts(1, 9, 9)}
-    # pooled: tp 10, fp 10, fn 10 -> P = R = 1/2 -> F1 = 1/2
-    assert micro_f1(per_class) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_micro_all_empty_convention():
-    assert micro_f1({"a": Counts(), "b": Counts()}) == 0.0
-
-
-def test_macro_mean_of_class_f1():
-    per_class = {"a": Counts(9, 1, 1), "b": Counts(1, 9, 9)}
-    fa = exact_prf(9, 1, 1)[2]
-    fb = exact_prf(1, 9, 9)[2]
-    assert fa == pytest.approx(0.9, abs=1e-12) and fb == pytest.approx(0.1, abs=1e-12)
-    assert macro_f1(per_class) == pytest.approx((fa + fb) / 2, abs=1e-15)
-    assert macro_f1(per_class) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_macro_equals_micro_for_identical_classes():
-    per_class = {c: Counts(4, 2, 1) for c in "abcd"}
-    assert macro_f1(per_class) == pytest.approx(micro_f1(per_class), abs=1e-12)
-
-
-def test_macro_ignores_inactive_classes():
-    per_class = {"a": Counts(5, 0, 0), "b": Counts(0, 1, 0), "c": Counts()}
-    # active classes: a (F1 1.0) and b (F1 0.0)
-    assert macro_f1(per_class) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_macro_without_evaluable_class():
-    with pytest.raises(EvalError, match="no evaluable class"):
-        macro_f1({"a": Counts()})
-    with pytest.raises(EvalError):
-        macro_f1({})
+@pytest.mark.parametrize("case", SCORER_ERRORS)
+def test_scorer_error_text(case):
+    call, message = SCORER_ERRORS[case]
+    with pytest.raises(EvalError, match=message):
+        call()
 
 
 # --- merging and invariants --------------------------------------------------------
@@ -196,9 +165,7 @@ def test_permutation_invariance():
         p2, g2 = pred[:], gold[:]
         rng.shuffle(p2)
         rng.shuffle(g2)
-        shuffled = match_exact(p2, g2)
-        assert shuffled == base
-    assert micro_f1(base) == micro_f1(match_exact(pred, gold))
+        assert match_exact(p2, g2) == base
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,39 +184,10 @@ def test_converting_fp_to_tp_never_decreases_scores(tp, fp, fn, other):
 
 # --- report -------------------------------------------------------------------------
 
-def test_report_shares_are_gold_fractions():
-    counts = {
-        "a": Counts(6, 1, 2),   # 8 gold
-        "b": Counts(1, 0, 1),   # 2 gold
-    }
-    report = build_report(counts)
-    assert report["per_class"]["a"]["share"] == pytest.approx(0.8)
-    assert report["per_class"]["b"]["share"] == pytest.approx(0.2)
-    assert sum(s["share"] for s in report["per_class"].values()) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_report_respects_requested_order():
     counts = {"z": Counts(1, 0, 0), "m": Counts(1, 0, 0), "a": Counts(1, 0, 0)}
     report = build_report(counts, order=["m", "z"])
     assert list(report["per_class"]) == ["m", "z", "a"]
-
-
-def test_report_scores_in_unit_interval():
-    counts = {"a": Counts(3, 4, 5), "b": Counts(0, 2, 0)}
-    report = build_report(counts)
-    for s in report["per_class"].values():
-        for value in (s["share"], s["precision"], s["recall"], s["f1"]):
-            assert 0.0 <= value <= 1.0
-    assert 0.0 <= report["micro_f1"] <= 1.0
-    assert 0.0 <= report["macro_f1"] <= 1.0
-
-
-def test_report_to_dict_has_exact_counts():
-    counts = {"a": Counts(3, 1, 2)}
-    payload = build_report(counts)
-    assert payload["per_class"]["a"]["tp"] == 3
-    assert payload["per_class"]["a"]["precision"] == 0.75
-    assert payload["micro_f1"] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_format_report_contains_columns():

@@ -563,6 +563,25 @@ LINE_ENDS = {"lf": "\n", "none": "", "crlf": "\r\n", "space": " \n", "vt": "\x0b
              "trailing": " x\n", "second-record": ' {"qid": "Q8", "label": "x"}\n'}
 
 
+# The strategies record_snapshots draws from that do not depend on a draw,
+# built once: Hypothesis would otherwise set up each one again on every draw.
+record_counts = st.integers(1, 5)
+record_labels = st.one_of(st.sampled_from(SNAPSHOT_NAMES), st.text(max_size=4))
+record_qids = st.sampled_from(["Q1", "Q2", "Q3", LONG_QID])
+descriptions = st.sampled_from(["", "a thing"])
+record_links = st.lists(st.sampled_from(LINK_TEXTS), max_size=2)
+# an alias is a pool name, the label or the label padded, or other text
+LABEL, PADDED_LABEL = object(), object()
+record_aliases = st.lists(st.one_of(st.sampled_from([*SNAPSHOT_NAMES, LABEL, PADDED_LABEL]),
+                                    st.text(max_size=3)), max_size=3)
+record_perturbations = st.sampled_from(["none", "field", "drop", "start", "end"])
+snapshot_fields = st.sampled_from(SNAPSHOT_FIELDS)
+field_values = st.sampled_from(FIELD_VALUES)
+line_starts = st.sampled_from(["\ufeff", " ", "\t", "\x0b"])
+line_end_names = st.sampled_from(sorted(LINE_ENDS))
+blank_lines = st.sampled_from(["\n", " \n", "\r\n", ""])
+
+
 @st.composite
 def record_snapshots(draw):
     """A few records of the seven documented fields, each with its Q-id,
@@ -571,29 +590,27 @@ def record_snapshots(draw):
     another type or dropped, or the line given a BOM, leading whitespace or
     another ending; blank lines fall between them."""
     lines = []
-    for _ in range(draw(st.integers(1, 5))):
-        label = draw(st.one_of(st.sampled_from(SNAPSHOT_NAMES), st.text(max_size=4)))
-        names = st.one_of(st.sampled_from([*SNAPSHOT_NAMES, label, f" {label} "]),
-                          st.text(max_size=3))
-        fields = {"qid": draw(st.sampled_from(["Q1", "Q2", "Q3", LONG_QID])), "label": label,
-                  "aliases": draw(st.lists(names, max_size=3)),
-                  "description": draw(st.sampled_from(["", "a thing"])),
-                  **{field: draw(st.lists(st.sampled_from(LINK_TEXTS), max_size=2))
-                     for field in SNAPSHOT_FIELDS[4:]}}
+    for _ in range(draw(record_counts)):
+        label = draw(record_labels)
+        aliases = [label if name is LABEL else f" {label} " if name is PADDED_LABEL else name
+                   for name in draw(record_aliases)]
+        fields = {"qid": draw(record_qids), "label": label, "aliases": aliases,
+                  "description": draw(descriptions),
+                  **{field: draw(record_links) for field in SNAPSHOT_FIELDS[4:]}}
         keys, start, end = list(SNAPSHOT_FIELDS), "", "\n"
-        kind = draw(st.sampled_from(["none", "field", "drop", "start", "end"]))
+        kind = draw(record_perturbations)
         if kind == "field":
-            fields[draw(st.sampled_from(SNAPSHOT_FIELDS))] = draw(st.sampled_from(FIELD_VALUES))
+            fields[draw(snapshot_fields)] = draw(field_values)
         elif kind == "drop":
-            keys.remove(draw(st.sampled_from(SNAPSHOT_FIELDS)))
+            keys.remove(draw(snapshot_fields))
         elif kind == "start":
-            start = draw(st.sampled_from(["\ufeff", " ", "\t", "\x0b"]))
+            start = draw(line_starts)
         elif kind == "end":
-            end = LINE_ENDS[draw(st.sampled_from(sorted(LINE_ENDS)))]
+            end = LINE_ENDS[draw(line_end_names)]
         lines.append(record_line(**fields, start=start, end=end, ensure_ascii=draw(st.booleans()),
                                  keys=keys))
         if draw(st.booleans()):
-            lines.append(draw(st.sampled_from(["\n", " \n", "\r\n", ""])))
+            lines.append(draw(blank_lines))
     return lines
 
 
@@ -614,6 +631,26 @@ def with_text(line, text):
     return line.replace(MARK, text).replace(json.dumps(MARK)[1:-1], text)
 
 
+# The strategies documented_layout_snapshots draws from that do not depend on
+# a draw, built once.
+layout_counts = st.integers(1, 4)
+layout_names = st.sampled_from(LAYOUT_NAMES)
+layout_record_qids = st.sampled_from([f"Q{i}" for i in range(1, 10)] + ["Q" + "1" * 18])
+layout_aliases = st.lists(layout_names, max_size=2)
+layout_links = st.lists(st.sampled_from(["Q5", "Q515", "Q7"]), max_size=2)
+layout_perturbations = st.sampled_from(["none", "separator", "swap", "escape", "control", "edge",
+                                        "qid", "alias", "end"])
+edge_spaces = st.sampled_from(EDGE_SPACES)
+qid_fields = st.sampled_from(["qid", *SNAPSHOT_FIELDS[4:]])
+layout_qids = st.sampled_from(LAYOUT_QIDS)
+text_fields = st.sampled_from(["label", "aliases", "description"])
+escapes, controls = st.sampled_from(ESCAPES), st.sampled_from(CONTROLS)
+swapped_keys = st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True)
+layout_ends = st.sampled_from([" x\n", "\r\n", "", " \n"])
+layout_blank_lines = st.sampled_from(["\n", " \n", ""])
+spaced_separators = {separator: st.sampled_from(others) for separator, others in SEPARATORS.items()}
+
+
 @st.composite
 def documented_layout_snapshots(draw):
     """A few documented-layout records, with Q-ids, names and link texts drawn
@@ -622,27 +659,23 @@ def documented_layout_snapshots(draw):
     string, a space at a label's edge or a blank label, a Q-id off the plain
     form, an alias that is blank or the label, or another line end."""
     lines = []
-    for _ in range(draw(st.integers(1, 4))):
-        label = draw(st.sampled_from(LAYOUT_NAMES))
-        fields = {"qid": draw(st.sampled_from([f"Q{i}" for i in range(1, 10)] + ["Q" + "1" * 18])),
-                  "label": label,
-                  "aliases": draw(st.lists(st.sampled_from(LAYOUT_NAMES), max_size=2)),
-                  "description": draw(st.sampled_from(["", "a thing"])),
-                  **{field: draw(st.lists(st.sampled_from(["Q5", "Q515", "Q7"]), max_size=2))
-                     for field in SNAPSHOT_FIELDS[4:]}}
-        kind = draw(st.sampled_from(["none", "separator", "swap", "escape", "control", "edge",
-                                     "qid", "alias", "end"]))
+    for _ in range(draw(layout_counts)):
+        label = draw(layout_names)
+        fields = {"qid": draw(layout_record_qids), "label": label,
+                  "aliases": draw(layout_aliases), "description": draw(descriptions),
+                  **{field: draw(layout_links) for field in SNAPSHOT_FIELDS[4:]}}
+        kind = draw(layout_perturbations)
         if kind == "edge":
-            space = draw(st.sampled_from(EDGE_SPACES))
+            space = draw(edge_spaces)
             fields["label"] = draw(st.sampled_from([space + label, label + space, space]))
         elif kind == "qid":
-            field = draw(st.sampled_from(["qid", *SNAPSHOT_FIELDS[4:]]))
-            qid = draw(st.sampled_from(LAYOUT_QIDS))
+            field = draw(qid_fields)
+            qid = draw(layout_qids)
             fields[field] = qid if field == "qid" else [*fields[field], qid]
         elif kind == "alias":
             fields["aliases"].append(draw(st.sampled_from(["", " ", label, f" {label}"])))
         elif kind in ("escape", "control"):
-            field = draw(st.sampled_from(["label", "aliases", "description"]))
+            field = draw(text_fields)
             value = fields["description"] if field == "description" else label
             at = draw(st.integers(0, len(value)))
             marked = value[:at] + MARK + value[at:]
@@ -652,21 +685,20 @@ def documented_layout_snapshots(draw):
                 fields[field] = marked
         keys = list(SNAPSHOT_FIELDS)
         if kind == "swap":
-            i, j = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+            i, j = draw(swapped_keys)
             keys[i], keys[j] = keys[j], keys[i]
-        end = draw(st.sampled_from([" x\n", "\r\n", "", " \n"])) if kind == "end" else "\n"
+        end = draw(layout_ends) if kind == "end" else "\n"
         line = record_line(**fields, end=end, ensure_ascii=draw(st.booleans()), keys=keys)
         if kind in ("escape", "control"):
-            line = with_text(line, draw(st.sampled_from(ESCAPES if kind == "escape"
-                                                        else CONTROLS)))
+            line = with_text(line, draw(escapes if kind == "escape" else controls))
         elif kind == "separator":
             places = [(m.start(), m.group()) for m in re.finditer(", |: ", line)]
             at, separator = draw(st.sampled_from(places))
-            line = (line[:at] + draw(st.sampled_from(SEPARATORS[separator]))
+            line = (line[:at] + draw(spaced_separators[separator])
                     + line[at + len(separator):])
         lines.append(line)
         if draw(st.booleans()):
-            lines.append(draw(st.sampled_from(["\n", " \n", ""])))
+            lines.append(draw(layout_blank_lines))
     return lines
 
 

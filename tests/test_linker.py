@@ -1,6 +1,5 @@
 import json
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +15,8 @@ from finetype.linker import (
 )
 from finetype.tagger import MentionSpan
 from finetype.taxonomy import parse_hierarchy
+
+from conftest import pairwise_mean_cosine
 
 DEMO_CLASS_ROOTS = {
     "person": {5},
@@ -36,25 +37,6 @@ def demo_cfg(**kwargs):
 
 def demo_linker(hierarchy, table, kb=EMPTY_KB, **kwargs):
     return Linker(kb, hierarchy, table, demo_cfg(**kwargs))
-
-
-def pairwise_mean_oracle(desc_text, subtype_name, table):
-    """Brute-force high-precision mean over in-vocabulary token pairs."""
-    desc = [table.get(t) for t in tokenize(desc_text)]
-    sub = [table.get(t) for t in tokenize(subtype_name)]
-    scores = []
-    with mpmath.workdps(50):
-        for d in desc:
-            for s in sub:
-                if d is None or s is None:
-                    continue
-                dd = [mpmath.mpf(x) for x in d]
-                ss = [mpmath.mpf(x) for x in s]
-                dot = mpmath.fsum(a * b for a, b in zip(dd, ss))
-                nd = mpmath.sqrt(mpmath.fsum(a * a for a in dd))
-                ns = mpmath.sqrt(mpmath.fsum(b * b for b in ss))
-                scores.append(dot / (nd * ns))
-        return float(mpmath.fsum(scores) / len(scores)) if scores else None
 
 
 # --- config -----------------------------------------------------------------
@@ -80,114 +62,44 @@ def test_linker_names_every_missing_class_root(hierarchy, demo_table):
 
 # --- candidate fields ---------------------------------------------------------
 
-def test_person_uses_occupation():
-    rec = EntityRecord(id=1, label="x", occupation=(82955,), instance_of=(5,))
-    assert candidate_fields(rec, "person") == [82955]
+# Named cases of the typing evidence: a record's fields, the coarse tag and the
+# ids ``candidate_fields`` reads.
+CANDIDATE_FIELD_CASES = {
+    "person-uses-occupation": (dict(occupation=(82955,), instance_of=(515,)), "person", [82955]),
+    "location-uses-instance-of": (dict(occupation=(82955,), instance_of=(515,)), "location",
+                                  [515]),
+    "organization-uses-instance-of": (dict(occupation=(82955,), instance_of=(515,)),
+                                      "organization", [515]),
+    "empty-fields": ({}, "person", []),
+}
 
 
-def test_location_and_organization_use_instance_of():
-    rec = EntityRecord(id=1, label="x", occupation=(82955,), instance_of=(515,))
-    assert candidate_fields(rec, "location") == [515]
-    assert candidate_fields(rec, "organization") == [515]
-
-
-def test_empty_fields():
-    rec = EntityRecord(id=1, label="x")
-    assert candidate_fields(rec, "person") == []
+@pytest.mark.parametrize("case", CANDIDATE_FIELD_CASES)
+def test_candidate_fields_are_occupation_for_person_and_instance_of_otherwise(case):
+    fields, coarse, want = CANDIDATE_FIELD_CASES[case]
+    assert candidate_fields(EntityRecord(id=1, label="x", **fields), coarse) == want
 
 
 # --- clustering -----------------------------------------------------------------
 
-def test_ipad_clusters_to_computer(hierarchy, demo_table, demo_kb):
-    entity = demo_kb.lookup("iPad")
-    assert entity.id == 2796
-    got = cluster_to_subtype(demo_linker(hierarchy, demo_table), entity, "product")
-    assert got is not None
-    label, score = got
-    assert label == "product.computer"
-    expected = pairwise_mean_oracle("line of tablet computers", "computer", demo_table)
-    assert score == pytest.approx(expected, abs=1e-12)
-    assert score > 0.1
-
-
-def test_score_equal_to_threshold_is_rejected():
-    # engineered so the only defined similarity is exactly the threshold
-    table = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.1, np.sqrt(1 - 0.01)])})
-    h = parse_hierarchy(["thing", "thing.b"])
-    entity = EntityRecord(id=1, label="x", description="a")
-    cfg = LinkerConfig(threshold=0.1)
-    score = pairwise_mean_oracle("a", "b", table)
-    assert score == pytest.approx(0.1, abs=1e-12)
-    assert cluster_to_subtype(Linker(EMPTY_KB, h, table, cfg), entity, "thing") is None
-    # strictly above the threshold qualifies
-    lower = Linker(EMPTY_KB, h, table, LinkerConfig(threshold=0.09))
-    assert cluster_to_subtype(lower, entity, "thing") is not None
-
-
-def test_coarse_with_no_subtypes_returns_none(demo_table):
-    h = parse_hierarchy(["person"])
-    entity = EntityRecord(id=1, label="x", description="line of tablet computers")
-    assert cluster_to_subtype(demo_linker(h, demo_table), entity, "person") is None
-
-
-def test_label_that_is_no_root_returns_none(hierarchy, demo_table, demo_kb):
-    entity = demo_kb.lookup("iPad")
-    for coarse in ("product.computer", "date"):
-        assert cluster_to_subtype(demo_linker(hierarchy, demo_table), entity, coarse) is None
-
-
-def test_all_similarities_undefined_returns_none(hierarchy, demo_table):
-    entity = EntityRecord(id=1, label="x", description="zzz qqq")
-    assert cluster_to_subtype(demo_linker(hierarchy, demo_table), entity, "product") is None
-
-
-def test_empty_description_falls_back_to_candidate_field_labels(hierarchy, demo_table, demo_kb):
-    # no description: the occupation entity's label ("politician") is the evidence
-    entity = EntityRecord(id=999, label="Nameless", description="", occupation=(82955,))
-    got = cluster_to_subtype(demo_linker(hierarchy, demo_table, demo_kb), entity, "person")
-    assert got is not None
-    assert got[0] == "person.politician"
-
-
-def test_empty_description_without_kb_returns_none(hierarchy, demo_table):
-    entity = EntityRecord(id=999, label="Nameless", description="", occupation=(82955,))
-    assert cluster_to_subtype(demo_linker(hierarchy, demo_table), entity, "person") is None
-
-
-def test_tie_broken_by_document_order():
-    table = EmbeddingTable(2, {"x": np.array([1.0, 0.0]), "y": np.array([1.0, 0.0]),
-                               "z": np.array([1.0, 0.0])})
-    h = parse_hierarchy(["t", "t.y", "t.z"])
-    entity = EntityRecord(id=1, label="e", description="x")
-    got = cluster_to_subtype(Linker(EMPTY_KB, h, table, LinkerConfig()), entity, "t")
-    assert got[0] == "t.y"  # both score 1.0; first in document order wins
-
-
-def test_threshold_independent_argmax(hierarchy, demo_table, demo_kb):
-    entity = demo_kb.lookup("iPad")
-    low = cluster_to_subtype(demo_linker(hierarchy, demo_table, threshold=0.0), entity, "product")
-    mid = cluster_to_subtype(demo_linker(hierarchy, demo_table, threshold=0.5), entity, "product")
-    assert low[0] == mid[0] == "product.computer"
-    assert low[1] == mid[1]
-    # raising the threshold above the winning score only suppresses the result
-    high = cluster_to_subtype(demo_linker(hierarchy, demo_table, threshold=0.9), entity,
-                              "product")
-    assert high is None
-
-
-def per_subtype_oracle(entity, coarse, hierarchy, table, cfg, kb=None):
-    """The loop ``cluster_to_subtype`` replaced: one ``phrase_similarity`` call,
-    reducing the evidence again, per subtype."""
-    subtypes = hierarchy.subtypes_of(coarse)
-    if not subtypes:
-        return None
+def evidence_tokens(entity, coarse, kb=None):
+    """The entity's description tokens, or without any, the labels of its
+    candidate-field entities in ``kb``."""
     evidence = tokenize(entity.description)
     if not evidence and kb is not None:
         for linked_id in candidate_fields(entity, coarse):
             linked = kb.records.get(linked_id)
             if linked is not None:
                 evidence.extend(tokenize(linked.label))
-    if not evidence:
+    return evidence
+
+
+def per_subtype_oracle(entity, coarse, hierarchy, table, cfg, kb=None):
+    """The loop ``cluster_to_subtype`` replaced: one ``phrase_similarity`` call,
+    reducing the evidence again, per subtype."""
+    subtypes = hierarchy.subtypes_of(coarse) if coarse in map(str, hierarchy.roots) else []
+    evidence = evidence_tokens(entity, coarse, kb)
+    if not subtypes or not evidence:
         return None
     best = None
     for subtype in subtypes:
@@ -208,6 +120,73 @@ def assert_same_clustering(got, want, context):
     else:
         assert got is not None, context
         assert (str(got[0]), got[1]) == (str(want[0]), want[1]), context
+
+
+TABLET = EntityRecord(id=1, label="x", description="line of tablet computers")
+NAMELESS = EntityRecord(id=999, label="Nameless", description="", occupation=(82955,))
+# the only defined similarity of "a" and "b" is the default threshold, 0.1
+AT_THRESHOLD = EmbeddingTable(2, {"a": np.array([1.0, 0.0]),
+                                  "b": np.array([0.1, np.sqrt(1 - 0.01)])})
+PARALLEL = EmbeddingTable(2, {t: np.array([1.0, 0.0]) for t in "xyz"})
+
+
+def case(name, coarse, want, entity=None, lines=None, table=None, uses_demo_kb=False,
+         threshold=0.1):
+    """A named clustering case: ``entity`` (default: the demo's iPad, Q2796)
+    typed under ``coarse`` with the hierarchy of ``lines`` (default: the
+    packaged one), ``table`` (default: the demo's), the demo KB or an empty
+    one, and ``threshold``. ``want`` is the winning subtype or None, or that
+    subtype with its pinned score."""
+    return pytest.param(coarse, want, entity, lines, table, uses_demo_kb, threshold, id=name)
+
+
+CLUSTER_CASES = [
+    case("ipad-clusters-to-computer", "product", "product.computer"),
+    # the argmax does not depend on the threshold, which only suppresses it
+    case("ipad-at-threshold-0", "product", "product.computer", uses_demo_kb=True, threshold=0.0),
+    case("ipad-at-threshold-0.5", "product", "product.computer", uses_demo_kb=True, threshold=0.5),
+    case("ipad-above-its-score", "product", None, uses_demo_kb=True, threshold=0.9),
+    case("score-equal-to-the-threshold-is-rejected", "thing", None,
+         EntityRecord(id=1, label="x", description="a"), ["thing", "thing.b"], AT_THRESHOLD),
+    case("score-above-the-threshold-qualifies", "thing", ("thing.b", pytest.approx(0.1, abs=1e-12)),
+         EntityRecord(id=1, label="x", description="a"), ["thing", "thing.b"], AT_THRESHOLD,
+         threshold=0.09),
+    case("root-without-subtypes", "person", None, TABLET, ["person"]),
+    case("subtype-is-no-root", "product.computer", None),
+    case("date-is-no-root", "date", None),
+    case("all-similarities-undefined", "product", None,
+         EntityRecord(id=1, label="x", description="zzz qqq")),
+    # no description: the occupation entity's label ("politician") is the evidence
+    case("empty-description-uses-candidate-labels", "person", "person.politician", NAMELESS,
+         uses_demo_kb=True),
+    case("empty-description-without-kb", "person", None, NAMELESS),
+    # both score 1.0; the first in document order wins
+    case("tie-keeps-document-order", "t", "t.y", EntityRecord(id=1, label="e", description="x"),
+         ["t", "t.y", "t.z"], PARALLEL),
+    case("leaf-without-word-token-is-skipped", "product", "product.computer", TABLET,
+         ["product", "product.+", "product.computer"]),
+    case("only-leaf-without-word-token", "product", None, TABLET, ["product", "product.+"]),
+]
+
+
+@pytest.mark.parametrize("coarse, want, entity, lines, table, uses_demo_kb, threshold",
+                         CLUSTER_CASES)
+def test_clustering_matches_the_oracles(hierarchy, demo_table, demo_kb, coarse, want, entity,
+                                        lines, table, uses_demo_kb, threshold):
+    h = hierarchy if lines is None else parse_hierarchy(lines)
+    table = table or demo_table
+    entity = entity or demo_kb.records[2796]
+    kb = demo_kb if uses_demo_kb else None
+    cfg = demo_cfg(threshold=threshold)
+    got = cluster_to_subtype(Linker(kb or EMPTY_KB, h, table, cfg), entity, coarse)
+    assert_same_clustering(got, per_subtype_oracle(entity, coarse, h, table, cfg, kb), coarse)
+    if got is None:
+        assert want is None
+    else:
+        assert got == (want if isinstance(want, tuple) else (want, got[1]))
+        evidence = evidence_tokens(entity, coarse, kb)
+        assert got[1] == pytest.approx(
+            pairwise_mean_cosine(evidence, tokenize(got[0].leaf), table), abs=1e-12)
 
 
 def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, demo_table, demo_kb):
@@ -301,46 +280,27 @@ def linker(hierarchy, demo_table, demo_kb):
     return demo_linker(hierarchy, demo_table, demo_kb)
 
 
-def test_link_michael_jeffrey_jordan(linker):
-    tokens = "Michael Jeffrey Jordan in San Jose .".split()
-    span = MentionSpan(0, 3, "person")
-    got = link_mention(linker, span, tokens)
-    assert got.entity == 41421
-    assert got.fine_type == "person.athlete"
-    assert got.score is not None and got.score > 0.1
-
-
-def test_link_ipad(linker):
-    tokens = ["Apple", "'s", "iPad"]
-    got = link_mention(linker, MentionSpan(2, 3, "product"), tokens)
-    assert got.entity == 2796
-    assert got.fine_type == "product.computer"
-
-
-def test_link_unseen_surface_falls_back(linker):
-    got = link_mention(linker, MentionSpan(0, 1, "organization"), ["Zorgcorp"])
-    assert got == FineTypedMention(MentionSpan(0, 1, "organization"), None, "organization", None)
-
-
-def test_link_unmapped_coarse_tag_bypasses(linker):
-    got = link_mention(linker, MentionSpan(0, 1, "date"), ["2011"])
-    assert got.fine_type == "date"
-    assert got.entity is None and got.score is None
-
-
-def test_link_found_entity_below_threshold_keeps_entity(linker):
+# Named demo mentions: the tokens, the span, then the entity, the fine type and
+# whether it was clustered (with a score above the threshold).
+LINK_CASES = {
+    "michael-jeffrey-jordan": ("Michael Jeffrey Jordan in San Jose .", (0, 3, "person"),
+                               41421, "person.athlete", True),
+    "unseen-surface-falls-back": ("Zorgcorp", (0, 1, "organization"), None, "organization", False),
+    "unmapped-coarse-tag-bypasses": ("2011", (0, 1, "date"), None, "date", False),
     # Eiffel Tower resolves but its description tokens are out of vocabulary
-    got = link_mention(linker, MentionSpan(0, 2, "building"), ["Eiffel", "Tower"])
-    assert got.entity == 243
-    assert got.fine_type == "building"
-    assert got.score is None
-
-
-def test_link_respects_narrowing(linker):
+    "found-entity-below-threshold-keeps-entity": ("Eiffel Tower", (0, 2, "building"), 243,
+                                                  "building", False),
     # tagged person, but the surface only resolves to non-person entities
-    got = link_mention(linker, MentionSpan(0, 1, "person"), ["iPad"])
-    assert got.entity is None
-    assert got.fine_type == "person"
+    "narrowing": ("iPad", (0, 1, "person"), None, "person", False),
+}
+
+
+@pytest.mark.parametrize("case", LINK_CASES)
+def test_link_mention(linker, case):
+    text, span, entity, fine_type, clustered = LINK_CASES[case]
+    got = link_mention(linker, MentionSpan(*span), text.split())
+    assert (got.span, got.entity, got.fine_type) == (MentionSpan(*span), entity, fine_type)
+    assert (got.score is not None and got.score > 0.1) == clustered
 
 
 def test_hierarchy_consistency_over_demo_entities(hierarchy, linker):
@@ -384,9 +344,3 @@ def test_fallback_totality_random_spans(hierarchy, linker):
         got = link_mention(linker, span, tokens)
         assert isinstance(got, FineTypedMention)
         assert (got.score is not None) == (got.fine_type != span.coarse)
-
-
-def test_linked_output_json_round_trip(linker):
-    got = link_mention(linker, MentionSpan(0, 1, "product"), ["iPad"])
-    record = {"fine": str(got.fine_type), "entity": got.entity, "score": got.score}
-    assert json.loads(json.dumps(record))["fine"] == "product.computer"

@@ -68,31 +68,48 @@ odd_ends = st.sampled_from([" # x\n", "#", "\r\r\n", "\n\n"])
 blank_lines = st.sampled_from(["", "\n", "\r\n", " \t", "\xa0\n", "\x0b", "\r"])
 
 
+# The strategies sidecars draws from, each built once, with its defects left
+# out and let in: Hypothesis would otherwise set up each one again on every draw.
+sidecar_kinds = st.sampled_from(["none", "header", "values", "widths", "separators", "ends",
+                                 "all"])
+sidecar_dims = st.integers(1, 4)
+widths = {dim: (st.just(dim), st.one_of(st.just(dim), st.sampled_from([dim - 1, dim + 1])))
+          for dim in range(1, 5)}
+headers = {dim: (st.sampled_from([f"{dim}\n", f" {dim}\r\n"]),
+                 st.one_of(st.sampled_from([f"{dim}\n", f" {dim}\r\n"]),
+                           st.sampled_from(["0", "²", "x", f"{dim} {dim}", f"{dim + 1}"])))
+           for dim in range(1, 5)}
+row_values = (clean_values, st.one_of(clean_values, odd_values))
+row_separators = (clean_separators, st.one_of(clean_separators, odd_separators))
+row_ends = (clean_ends, st.one_of(clean_ends, odd_ends))
+leading_blanks = st.lists(blank_lines, max_size=2)
+sentence_gaps = st.lists(blank_lines, min_size=1, max_size=3)
+sentence_counts, row_counts = st.integers(0, 4), st.integers(1, 4)
+
+
 @st.composite
 def sidecars(draw):
     """Sidecar lines that either parse in one block or hold one kind of
     defect, or every kind, in places."""
-    kind = draw(st.sampled_from(["none", "header", "values", "widths", "separators", "ends",
-                                 "all"]))
+    kind = draw(sidecar_kinds)
 
-    def part(clean, odd, of):
-        return st.one_of(clean, odd) if kind in (of, "all") else clean
+    def part(strategies, of):
+        return strategies[kind in (of, "all")]
 
-    dim = draw(st.integers(1, 4))
-    widths = part(st.just(dim), st.sampled_from([dim - 1, dim + 1]), "widths")
-    values = part(clean_values, odd_values, "values")
-    separators = part(clean_separators, odd_separators, "separators")
-    ends = part(clean_ends, odd_ends, "ends")
-    lines = draw(st.lists(blank_lines, max_size=2))
-    headers = st.sampled_from(["0", "²", "x", f"{dim} {dim}", f"{dim + 1}"])
-    lines.append(draw(part(st.sampled_from([f"{dim}\n", f" {dim}\r\n"]), headers, "header")))
-    for _ in range(draw(st.integers(0, 4))):
-        for _ in range(draw(st.integers(1, 4))):
-            row = [draw(values) for _ in range(draw(widths))]
+    dim = draw(sidecar_dims)
+    width = part(widths[dim], "widths")
+    values = part(row_values, "values")
+    separators = part(row_separators, "separators")
+    ends = part(row_ends, "ends")
+    lines = draw(leading_blanks)
+    lines.append(draw(part(headers[dim], "header")))
+    for _ in range(draw(sentence_counts)):
+        for _ in range(draw(row_counts)):
+            row = [draw(values) for _ in range(draw(width))]
             lines.append(draw(separators).join(row) if draw(st.booleans())
                          else "".join(v + draw(separators) for v in row))
             lines[-1] += draw(ends)
-        lines.extend(draw(st.lists(blank_lines, min_size=1, max_size=3)))
+        lines.extend(draw(sentence_gaps))
     return lines
 
 
@@ -149,6 +166,11 @@ def test_parse_sidecar_matches_the_per_line_loop(lines):
     assert_matches_per_line_loop(parse_sidecar, parse_sidecar_lines, lines)
 
 
+table_headers = st.sampled_from(["drop", "keep", "count"])
+table_counts = st.integers(-1, 9)
+table_tokens = st.one_of(st.sampled_from(["a", "A", "é", "2", "nan"]), st.text())
+
+
 @st.composite
 def tables(draw):
     """Table lines made from a generated sidecar: a token before each row, and
@@ -158,12 +180,11 @@ def tables(draw):
         if not line.strip():
             lines.append(line)
         elif header is None:
-            header = draw(st.sampled_from(["drop", "keep", "count"]))
+            header = draw(table_headers)
             if header != "drop":
-                lines.append(line if header == "keep" else f"{draw(st.integers(-1, 9))} {line}")
+                lines.append(line if header == "keep" else f"{draw(table_counts)} {line}")
         else:
-            token = draw(st.one_of(st.sampled_from(["a", "A", "é", "2", "nan"]), st.text()))
-            lines.append(token + draw(clean_separators) + line)
+            lines.append(draw(table_tokens) + draw(clean_separators) + line)
     return lines
 
 

@@ -16,21 +16,20 @@ from finetype.tagger import (
     TaggerModel,
     TrainingError,
     _cell,
-    _forward,
     _gate_affine,
     attach_vectors,
-    batch_loss_grads,
     extract_spans,
     init_params,
     parse_conll,
     train,
 )
 
-from conftest import tags_of_spans
+from conftest import (desk_cfg, oracle_forward, relative_error, run_gradient_check,
+                      sentence_logits, synthetic_corpus)
 
 
 # ---------------------------------------------------------------------------
-# One sentence through the batched core
+# LSTM cell
 
 
 def lstm_cell_step(x, state, w, u, b):
@@ -43,46 +42,6 @@ def lstm_cell_step(x, state, w, u, b):
     c, tc, h = np.empty((3, 1, u.shape[1]))
     _cell(z, c_prev[None], c, tc, h, scale, shift)
     return h[0], c[0]
-
-
-def sentence_logits(params, x, cfg, dropout_mask=None):
-    """Per-token logits (L, K) and decoder input (L, width) of one sentence,
-    run through the packed forward as a batch of one, whose rows are the
-    sentence's tokens in order."""
-    masks = None if dropout_mask is None else [np.asarray(dropout_mask)]
-    logits, cache = _forward(params, cfg, [x], masks)
-    return logits, cache["dec_in"]
-
-
-def logits_of(model: TaggerModel, x) -> np.ndarray:
-    return sentence_logits(model.params, x, model.config)[0]
-
-
-def token_accuracy(model, corpus):
-    """Fraction of the corpus's tokens whose predicted tag equals the gold tag."""
-    predicted = model.predict_batch([ex.vectors for ex in corpus])
-    correct = sum(
-        p == g for ex, tags in zip(corpus, predicted) for p, g in zip(tags, ex.gold_tags)
-    )
-    return correct / sum(len(ex) for ex in corpus)
-
-
-# ---------------------------------------------------------------------------
-# LSTM cell
-
-
-def test_cell_zero_weights_zero_input_closed_form():
-    hidden, dim = 3, 2
-    w = np.zeros((4 * hidden, dim))
-    u = np.zeros((4 * hidden, hidden))
-    b = np.zeros(4 * hidden)
-    h0 = np.zeros(hidden)
-    c0 = np.zeros(hidden)
-    h, c = lstm_cell_step(np.zeros(dim), (h0, c0), w, u, b)
-    # gates all sigmoid(0) = 1/2, candidate tanh(0) = 0
-    assert np.array_equal(c, np.zeros(hidden))
-    assert np.array_equal(h, np.tanh(0.0) * (1.0 / (1.0 + np.exp(0.0))) * np.ones(hidden) * 0)
-    assert np.array_equal(h, np.zeros(hidden))
 
 
 def test_cell_scalar_step_against_high_precision_oracle():
@@ -130,205 +89,80 @@ def test_cell_saturated_forget_gate_grows_linearly():
 
 
 # ---------------------------------------------------------------------------
-# Encoder contracts
+# One sentence through the batched core, against the per-step oracle
 
 
-def make_model(cfg: TaggerConfig, tag_count=3, seed=5) -> TaggerModel:
-    rng = np.random.default_rng(seed)
+def logits_of(model: TaggerModel, x) -> np.ndarray:
+    return sentence_logits(model.params, x, model.config)[0]
+
+
+# Named cases of one sentence's forward pass: the config, the tag count, the
+# sentence lengths, and what is done to the initial parameters: nothing, the
+# output gate of each direction shut (bias -1e9, so h_t is exactly 0 and the
+# decoder reads the residual projection alone), or every parameter zeroed (every
+# gate 1/2, candidate 0, so cell, hidden state and logits are exactly 0).
+FORWARD_CASES = {
+    "forward": (dict(hidden_size=6, embedding_dim=3), 5, (1, 2, 11), None),
+    "bidirectional": (dict(hidden_size=6, embedding_dim=3, bidirectional=True), 5, (1, 2, 11),
+                      None),
+    "empty-sentence": (dict(hidden_size=4, embedding_dim=3), 3, (0,), None),
+    "shapes": (dict(hidden_size=6, embedding_dim=4), 5, (1, 2, 9), None),
+    "bidirectional-doubles-the-encoder-width": (
+        dict(hidden_size=4, embedding_dim=3, bidirectional=True), 2, (4,), None),
+    "no-dropout-without-masks": (dict(hidden_size=8, embedding_dim=4, dropout=0.5), 3, (6,),
+                                 None),
+    "output-gate-shut": (dict(hidden_size=5, embedding_dim=4), 3, (6,), "shut"),
+    "bidirectional-output-gates-shut": (
+        dict(hidden_size=5, embedding_dim=4, bidirectional=True), 3, (1, 6), "shut"),
+    "zero-weights": (dict(hidden_size=3, embedding_dim=2), 4, (1, 5), "zero"),
+}
+
+
+@pytest.mark.parametrize("case", FORWARD_CASES)
+def test_sentence_forward_matches_the_per_step_oracle(case):
+    kwargs, tag_count, lengths, tweak = FORWARD_CASES[case]
+    cfg = TaggerConfig(**kwargs)
+    rng = np.random.default_rng(8)
     params = init_params(cfg, tag_count, rng)
-    return TaggerModel(config=cfg, tags=[f"t{i}" for i in range(tag_count)], params=params)
-
-
-def test_encode_empty_sequence():
-    model = make_model(TaggerConfig(hidden_size=4, embedding_dim=3, epochs=1))
-    logits = logits_of(model, np.zeros((0, 3)))
-    assert logits.shape == (0, 3)
-    assert model.predict(np.zeros((0, 3))) == []
-
-
-def test_encode_shape_contract():
-    cfg = TaggerConfig(hidden_size=6, embedding_dim=4)
-    model = make_model(cfg, tag_count=5)
-    for length in (1, 2, 9):
-        logits = logits_of(model, np.random.default_rng(1).standard_normal((length, 4)))
-        assert logits.shape == (length, 5)
-
-
-def test_softmax_rows_normalize():
-    cfg = TaggerConfig(hidden_size=6, embedding_dim=4)
-    model = make_model(cfg, tag_count=5)
-    logits = logits_of(model, np.random.default_rng(2).standard_normal((7, 4)))
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_encode_inference_is_deterministic():
-    cfg = TaggerConfig(hidden_size=8, embedding_dim=4, dropout=0.5)
-    model = make_model(cfg)
-    x = np.random.default_rng(3).standard_normal((6, 4))
-    assert np.array_equal(logits_of(model, x), logits_of(model, x))
-
-
-def test_residual_identity_when_lstm_output_is_forced_to_zero():
-    # output-gate bias at -1e9 makes sigmoid exactly 0, so h_t is exactly 0
-    cfg = TaggerConfig(hidden_size=5, embedding_dim=4)
-    model = make_model(cfg)
-    hidden = cfg.hidden_size
-    model.params["lstm_b"][3 * hidden :] = -1e9
-    x = np.random.default_rng(4).standard_normal((6, 4))
-    logits, dec_in = sentence_logits(model.params, x, cfg)
-    proj = x @ model.params["proj_w"].T
-    assert np.array_equal(dec_in, proj)
-    assert np.array_equal(logits, proj @ model.params["dec_w"].T + model.params["dec_b"])
+    for name, value in params.items():
+        if tweak == "shut" and name.startswith("lstm_b"):
+            value[3 * cfg.hidden_size :] = -1e9
+        elif tweak == "zero":
+            value[...] = 0.0
+    width = cfg.hidden_size * (2 if cfg.bidirectional else 1)
+    assert params["dec_w"].shape == (tag_count, width)
+    for length in lengths:
+        x = rng.standard_normal((length, cfg.embedding_dim))
+        got, dec_in = sentence_logits(params, x, cfg)
+        want, _ = oracle_forward(params, x, cfg)
+        assert got.shape == want.shape == (length, tag_count)
+        assert not length or relative_error(got, want) <= 1e-12
+        if tweak == "shut":
+            proj = x @ params["proj_w"].T
+            assert np.array_equal(dec_in, proj)
+            assert np.array_equal(got, proj @ params["dec_w"].T + params["dec_b"])
+        elif tweak == "zero":
+            assert not dec_in.any() and not got.any()
 
 
 def test_encode_rejects_wrong_vector_dimension():
     cfg = TaggerConfig(hidden_size=4, embedding_dim=3)
-    model = make_model(cfg)
+    params = init_params(cfg, 3, np.random.default_rng(5))
     with pytest.raises(ValueError, match=r"\(L, 3\)"):
-        logits_of(model, np.zeros((2, 7)))
-
-
-def test_bidirectional_doubles_encoder_width():
-    cfg = TaggerConfig(hidden_size=4, embedding_dim=3, bidirectional=True)
-    model = make_model(cfg, tag_count=2)
-    assert model.params["dec_w"].shape == (2, 8)
-    logits = logits_of(model, np.random.default_rng(5).standard_normal((4, 3)))
-    assert logits.shape == (4, 2)
+        sentence_logits(params, np.zeros((2, 7)), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Gradient check against central finite differences
 
 
-def loss_only(params, x, targets, cfg):
-    logits, _ = sentence_logits(params, x, cfg)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(len(x)), targets].sum())
-
-
-def run_gradient_check(cfg, length=5, tag_count=3, seed=9):
-    rng = np.random.default_rng(seed)
-    params = init_params(cfg, tag_count, rng)
-    x = rng.standard_normal((length, cfg.embedding_dim))
-    targets = rng.integers(0, tag_count, size=length)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    batch_loss_grads(params, [x], [targets], cfg, grads, scale=1.0)
-    eps = 1e-5
-    worst = 0.0
-    for key, value in params.items():
-        it = np.nditer(value, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = value[idx]
-            value[idx] = orig + eps
-            plus = loss_only(params, x, targets, cfg)
-            value[idx] = orig - eps
-            minus = loss_only(params, x, targets, cfg)
-            value[idx] = orig
-            numeric = (plus - minus) / (2 * eps)
-            analytic = grads[key][idx]
-            rel = abs(analytic - numeric) / max(1e-6, abs(analytic), abs(numeric))
-            worst = max(worst, rel)
-    return worst
-
-
-def test_gradients_match_central_differences_forward():
-    cfg = TaggerConfig(hidden_size=6, embedding_dim=4, dropout=0.0)
-    assert run_gradient_check(cfg) < 1e-4
-
-
 def test_gradients_with_dropout_mask_fixed():
     cfg = TaggerConfig(hidden_size=4, embedding_dim=3, dropout=0.0)
-    rng = np.random.default_rng(13)
-    params = init_params(cfg, 3, rng)
-    x = rng.standard_normal((4, 3))
-    targets = rng.integers(0, 3, size=4)
-    mask = (rng.random((4, 4)) >= 0.5) / 0.5
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    batch_loss_grads(params, [x], [targets], cfg, grads, scale=1.0, dropout_masks=[mask])
-    # numeric check on one parameter block through the masked path
-    eps = 1e-5
-    key, idx = "proj_w", (1, 2)
-
-    def masked_loss():
-        logits, _ = sentence_logits(params, x, cfg, dropout_mask=mask)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return -float(lp[np.arange(4), targets].sum())
-
-    orig = params[key][idx]
-    params[key][idx] = orig + eps
-    plus = masked_loss()
-    params[key][idx] = orig - eps
-    minus = masked_loss()
-    params[key][idx] = orig
-    numeric = (plus - minus) / (2 * eps)
-    assert abs(grads[key][idx] - numeric) / max(1e-6, abs(numeric)) < 1e-4
+    assert run_gradient_check(cfg, length=4, seed=13, dropout=0.5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
 # Training
-
-
-def synthetic_corpus(dim=16, seed=21):
-    """Ten sentences over a small vocabulary with consistent per-token tags."""
-    vocab = {
-        "john": "B-per", "mary": "B-per", "smith": "I-per",
-        "paris": "B-loc", "berlin": "B-loc", "acme": "B-org", "corp": "I-org",
-        "visited": "O", "lives": "O", "in": "O", "works": "O", "at": "O",
-        "the": "O", "office": "O", ".": "O",
-    }
-    sentences = [
-        "john smith visited paris .",
-        "mary lives in berlin .",
-        "john works at acme corp .",
-        "mary smith visited berlin .",
-        "acme corp works in paris .",
-        "john visited the office .",
-        "mary works at acme corp .",
-        "john smith lives in paris .",
-        "the office in berlin .",
-        "mary visited john smith .",
-    ]
-    rng = np.random.default_rng(seed)
-    vectors = {tok: rng.standard_normal(dim) for tok in vocab}
-    corpus = []
-    for sent in sentences:
-        tokens = sent.split()
-        corpus.append(
-            SequenceExample(
-                tokens,
-                vectors=np.array([vectors[t] for t in tokens]),
-                gold_tags=[vocab[t] for t in tokens],
-            )
-        )
-    return corpus
-
-
-def desk_cfg(**kwargs):
-    base = dict(hidden_size=32, embedding_dim=16, dropout=0.1, batch_size=4,
-                epochs=50, learning_rate=0.02, seed=7)
-    base.update(kwargs)
-    return TaggerConfig(**base)
-
-
-def test_training_memorizes_synthetic_corpus():
-    corpus = synthetic_corpus()
-    model = train(corpus, desk_cfg())
-    assert token_accuracy(model, corpus) >= 0.95
-    assert model.final_loss is not None and model.final_loss < 1.0
-
-
-def test_training_is_bitwise_deterministic():
-    corpus = synthetic_corpus()
-    a = train(corpus, desk_cfg(epochs=8))
-    b = train(corpus, desk_cfg(epochs=8))
-    assert a.loss_curve == b.loss_curve
-    assert a.tags == b.tags
-    assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
 
 def test_zero_learning_rate_leaves_parameters_at_init():
@@ -353,12 +187,6 @@ def test_divergence_aborts_with_diagnostic():
     corpus = synthetic_corpus()
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite"):
         train(corpus, desk_cfg(epochs=10, learning_rate=1e200, dropout=0.0))
-
-
-def test_loss_curve_length_matches_epochs():
-    corpus = synthetic_corpus()
-    model = train(corpus, desk_cfg(epochs=5))
-    assert len(model.loss_curve) == 5
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -413,25 +241,24 @@ def reference_spans(tags):
     return spans
 
 
-def test_extract_simple_run():
-    assert extract_spans(["B-per", "I-per", "O"]) == [MentionSpan(0, 2, "per")]
+# Named tag sequences and the spans they hold.
+SPAN_CASES = {
+    "simple-run": (["B-per", "I-per", "O"], [(0, 2, "per")]),
+    "all-outside": (["O", "O", "O"], []),
+    "orphan-inside-starts-a-new-span": (["I-loc", "B-per"], [(0, 1, "loc"), (1, 2, "per")]),
+    "adjacent-b-tags": (["B-a", "B-a"], [(0, 1, "a"), (1, 2, "a")]),
+    "type-switch-inside": (["B-a", "I-b"], [(0, 1, "a"), (1, 2, "b")]),
+    "empty-sentence": ([], []),
+    "run-to-the-end": (["O", "B-loc", "I-loc"], [(1, 3, "loc")]),
+    "orphan-inside-run": (["O", "I-a", "I-a", "O"], [(1, 3, "a")]),
+}
 
 
-def test_extract_all_outside():
-    assert extract_spans(["O", "O", "O"]) == []
-
-
-def test_extract_orphan_inside_starts_new_span():
-    got = extract_spans(["I-loc", "B-per"])
-    assert got == [MentionSpan(0, 1, "loc"), MentionSpan(1, 2, "per")]
-
-
-def test_extract_adjacent_b_tags():
-    assert extract_spans(["B-a", "B-a"]) == [MentionSpan(0, 1, "a"), MentionSpan(1, 2, "a")]
-
-
-def test_extract_type_switch_inside():
-    assert extract_spans(["B-a", "I-b"]) == [MentionSpan(0, 1, "a"), MentionSpan(1, 2, "b")]
+@pytest.mark.parametrize("case", SPAN_CASES)
+def test_extract_spans_matches_the_scan_ahead_oracle(case):
+    tags, spans = SPAN_CASES[case]
+    assert reference_spans(tags) == spans
+    assert extract_spans(tags) == [MentionSpan(*span) for span in spans]
 
 
 def test_extract_rejects_malformed_tag():
@@ -447,23 +274,6 @@ def test_extract_matches_reference_fsm_exhaustively_len4():
         for tags in itertools.product(alphabet, repeat=length):
             got = [(s.start, s.end, s.coarse) for s in extract_spans(list(tags))]
             assert got == reference_spans(list(tags)), tags
-
-
-def test_tags_of_spans_round_trip():
-    spans = [MentionSpan(0, 2, "per"), MentionSpan(3, 4, "loc")]
-    tags = tags_of_spans(spans, 5)
-    assert tags == ["B-per", "I-per", "O", "B-loc", "O"]
-    assert extract_spans(tags) == spans
-
-
-def test_tags_of_spans_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        tags_of_spans([MentionSpan(0, 2, "a"), MentionSpan(1, 3, "b")], 4)
-
-
-def test_tags_of_spans_rejects_out_of_range():
-    with pytest.raises(ValueError, match="exceeds"):
-        tags_of_spans([MentionSpan(0, 9, "a")], 4)
 
 
 def test_span_validation():

@@ -1,8 +1,8 @@
 """The batched tagger against the per-sentence, per-timestep implementation it
-replaced, kept here as the oracle: the same recurrence, loss and gradients,
-and the same training trajectory, one sentence and one step at a time.
-Training and the streamed tagging path run the same recurrence over packed
-rows, and both are checked against it. Tagging in float32 is checked
+replaced, kept in ``conftest.py`` as the oracle: the same recurrence, loss and
+gradients, and here the same training trajectory, one sentence and one step
+at a time. Training and the streamed tagging path run the same recurrence over
+packed rows, and both are checked against it. Tagging in float32 is checked
 against the float64 streamed logits."""
 
 import itertools
@@ -31,109 +31,10 @@ from finetype.tagger import (
     train,
 )
 
-from test_tagger import sentence_logits, synthetic_corpus
+from conftest import oracle_forward, oracle_loss_grads, relative_error, synthetic_corpus
 
 # ---------------------------------------------------------------------------
-# Oracle: one sentence, one timestep at a time
-
-
-def oracle_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def oracle_lstm_forward(w, u, b, x):
-    length = len(x)
-    hidden = u.shape[1]
-    gates = np.zeros((length, 4 * hidden))
-    cs = np.zeros((length, hidden))
-    tcs = np.zeros((length, hidden))
-    hs = np.zeros((length, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    for t in range(length):
-        z = w @ x[t] + u @ h + b
-        i = oracle_sigmoid(z[:hidden])
-        f = oracle_sigmoid(z[hidden : 2 * hidden])
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = oracle_sigmoid(z[3 * hidden :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t] = np.concatenate([i, f, g, o])
-        cs[t] = c
-        tcs[t] = tc
-        hs[t] = h
-    return hs, {"gates": gates, "cs": cs, "tcs": tcs, "hs": hs, "x": x}
-
-
-def oracle_lstm_backward(u, cache, dhs, dw, du, db):
-    gates, cs, tcs, hs, x = cache["gates"], cache["cs"], cache["tcs"], cache["hs"], cache["x"]
-    length, hidden = tcs.shape
-    dh_carry = np.zeros(hidden)
-    dc_carry = np.zeros(hidden)
-    for t in range(length - 1, -1, -1):
-        i, f, g, o = np.split(gates[t], 4)
-        c_prev = cs[t - 1] if t > 0 else np.zeros(hidden)
-        h_prev = hs[t - 1] if t > 0 else np.zeros(hidden)
-        dh = dhs[t] + dh_carry
-        do = dh * tcs[t]
-        dc = dc_carry + dh * o * (1.0 - tcs[t] ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_carry = dc * f
-        dz = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)]
-        )
-        dw += np.outer(dz, x[t])
-        du += np.outer(dz, h_prev)
-        db += dz
-        dh_carry = u.T @ dz
-
-
-def oracle_forward(params, x, cfg, dropout_mask=None):
-    hs_fwd, cache_fwd = oracle_lstm_forward(
-        params["lstm_w"], params["lstm_u"], params["lstm_b"], x
-    )
-    cache = {"fwd": cache_fwd, "mask": dropout_mask}
-    hs = hs_fwd
-    if cfg.bidirectional:
-        hs_rev, cache["bwd"] = oracle_lstm_forward(
-            params["lstm_w_rev"], params["lstm_u_rev"], params["lstm_b_rev"], x[::-1]
-        )
-        hs = np.concatenate([hs_fwd, hs_rev[::-1]], axis=1)
-    if dropout_mask is not None:
-        hs = hs * dropout_mask
-    cache["dec_in"] = hs + x @ params["proj_w"].T
-    return cache["dec_in"] @ params["dec_w"].T + params["dec_b"], cache
-
-
-def oracle_loss_grads(params, x, targets, cfg, grads, scale=1.0, dropout_mask=None):
-    logits, cache = oracle_forward(params, x, cfg, dropout_mask)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(len(x))
-    nll = -float(log_probs[rows, targets].sum())
-    dlogits = np.exp(log_probs)
-    dlogits[rows, targets] -= 1.0
-    dlogits *= scale
-    grads["dec_w"] += dlogits.T @ cache["dec_in"]
-    grads["dec_b"] += dlogits.sum(axis=0)
-    ddec_in = dlogits @ params["dec_w"]
-    grads["proj_w"] += ddec_in.T @ x
-    dhs = ddec_in if dropout_mask is None else ddec_in * dropout_mask
-    hidden = cfg.hidden_size
-    oracle_lstm_backward(params["lstm_u"], cache["fwd"], dhs[:, :hidden],
-                         grads["lstm_w"], grads["lstm_u"], grads["lstm_b"])
-    if cfg.bidirectional:
-        oracle_lstm_backward(params["lstm_u_rev"], cache["bwd"], dhs[::-1, hidden:],
-                             grads["lstm_w_rev"], grads["lstm_u_rev"], grads["lstm_b_rev"])
-    return nll
+# Oracle: the trainer, one sentence at a time
 
 
 def oracle_train(corpus, cfg):
@@ -174,11 +75,6 @@ def oracle_train(corpus, cfg):
             epoch_tokens += total
         curve.append(epoch_nll / epoch_tokens)
     return params, curve
-
-
-def relative_error(got, want):
-    """Largest absolute difference, relative to the largest reference magnitude."""
-    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +122,6 @@ def test_batched_loss_and_gradients_match_oracle(lengths, bidirectional, dropout
     assert abs(got_nll - want_nll) <= 1e-12 * abs(want_nll)
     for key in params:
         assert relative_error(got[key], want[key]) <= 1e-12, key
-
-
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_sentence_forward_matches_oracle(bidirectional):
-    cfg = TaggerConfig(hidden_size=6, embedding_dim=3, bidirectional=bidirectional)
-    rng = np.random.default_rng(8)
-    params = init_params(cfg, 5, rng)
-    for length in (1, 2, 11):
-        x = rng.standard_normal((length, cfg.embedding_dim))
-        got, _ = sentence_logits(params, x, cfg)
-        want, _ = oracle_forward(params, x, cfg)
-        assert relative_error(got, want) <= 1e-12
 
 
 def test_training_follows_the_oracle_trajectory():
