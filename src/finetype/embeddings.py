@@ -230,8 +230,14 @@ def phrase_direction(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray
 
 
 def direction_similarity(left: np.ndarray, right: np.ndarray) -> float:
-    """The score of two ``phrase_direction`` results: their dot product, clipped to [-1, 1]."""
-    return float(np.clip(left @ right, -1.0, 1.0))
+    """The score of two ``phrase_direction`` results: their dot product, clipped to [-1, 1].
+
+    The dot is clipped as a Python float, which gives ``np.clip``'s value bit
+    for bit whenever the dot is finite. It always is: every row passed the
+    reader's finiteness bound, so a direction is a mean of unit vectors.
+    """
+    score = float(left @ right)
+    return -1.0 if score < -1.0 else 1.0 if score > 1.0 else score
 
 
 def phrase_similarity(

@@ -248,6 +248,18 @@ class KnowledgeBase:
         return frozenset(self.subclass_closure(roots))
 
 
+def _first_line(stored: dict[int, str], entity_id: int, blanks: list[int]) -> int:
+    """The line number of ``entity_id``'s first record. Assigning a key again
+    keeps its place in a dict, so its index in ``stored`` counts the records
+    before it; ``blanks``, in ascending order, are the lines that hold none."""
+    lineno = list(stored).index(entity_id) + 1
+    for blank in blanks:
+        if blank > lineno:
+            break
+        lineno += 1
+    return lineno
+
+
 def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     """Ingest newline-delimited JSON records; blank lines are skipped.
 
@@ -264,7 +276,7 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     kb = KnowledgeBase()
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
-    seen: dict[int, int] = {}
+    blanks: list[int] = []  # the number of each blank line, the one line that stores nothing
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
     shared: list[tuple[dict, object]] = []
@@ -316,18 +328,22 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
             except SnapshotError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from None
             if fields is None:
+                blanks.append(lineno)
                 continue
             entity_id, label, aliases, _, _, parents, _ = fields
             key = normalize_surface(label)
             alias_keys = [normalize_surface(alias) for alias in aliases]
-        if seen.setdefault(entity_id, lineno) != lineno:
-            raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
-                                f" (first seen on line {seen[entity_id]})")
         stored[entity_id] = raw
+        # Every line read so far but a blank one stored a record, so a
+        # duplicate id is the one case where the store did not grow.
+        if len(stored) != lineno - len(blanks):
+            raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
+                                f" (first seen on line {_first_line(stored, entity_id, blanks)})")
         if label_index.setdefault(key, entity_id) != entity_id:
             add(label_index, key, entity_id)
         for alias_key in alias_keys:
-            add(alias_index, alias_key, entity_id)
+            if alias_index.setdefault(alias_key, entity_id) != entity_id:
+                add(alias_index, alias_key, entity_id)
         for parent in parents:
             add(children, parent, entity_id)
     for index, key in shared:

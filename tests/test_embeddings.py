@@ -207,13 +207,27 @@ def test_phrase_similarity_matches_the_50_digit_pairwise_mean(case):
             assert got == pinned[0]
 
 
-def test_a_direction_scores_exactly_one_with_itself():
-    # normalized, the 8th 6-d draw of default_rng(0) has a self-dot of
-    # 1.0000000000000002, which the clip brings back to 1
-    table = EmbeddingTable(6, {"w": np.random.default_rng(0).standard_normal((8, 6))[7]})
-    direction = phrase_direction(["w"], table)
-    assert direction @ direction > 1.0
-    assert direction_similarity(direction, direction) == 1.0
+# The 7th and 8th 6-d draws of default_rng(0), normalized; the 8th has a
+# self-dot of 1.0000000000000002 and a dot with its negation of
+# -1.0000000000000002, which the clip brings back to 1 and -1.
+@pytest.mark.parametrize("left, right, score", [
+    ("w", "w", 1.0),
+    ("w", "-w", -1.0),
+    ("v", "w", None),  # inside [-1, 1]: the dot as a float, bit for bit
+], ids=["with-itself-clips-to-1", "with-its-negation-clips-to-minus-1", "inside-is-the-dot"])
+def test_a_direction_score_is_its_dot_clipped_to_the_unit_interval(left, right, score):
+    rows = np.random.default_rng(0).standard_normal((8, 6))
+    table = EmbeddingTable(6, {"v": rows[6], "w": rows[7]})
+    directions = {token: phrase_direction([token], table) for token in "vw"}
+    directions["-w"] = -directions["w"]
+    dot = float(directions[left] @ directions[right])
+    got = direction_similarity(directions[left], directions[right])
+    if score is None:
+        assert -1.0 < dot < 1.0
+        score = dot
+    else:
+        assert abs(dot) > 1.0
+    assert type(got) is float and got.hex() == score.hex()
 
 
 def test_empty_token_lists_rejected():

@@ -542,6 +542,25 @@ def test_ingest_error_text_matches_the_oracle(line, place):
         assert expected[0] == "error"
 
 
+Q1_LINE = record_line("Q1", "a")
+COMPACT_Q1_LINE = json.dumps({"qid": "Q1", "label": "a"}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("lines, error", [
+    # one str object twice: a duplicate told apart by identity would pass
+    ([Q1_LINE, Q1_LINE], "line 2: duplicate entity id Q1 (first seen on line 1)"),
+    (["\n", " \t\n", Q1_LINE, "\n", "   \n", record_line("Q2", "b"), "\r\n", "",
+      record_line("Q1", "c")], "line 9: duplicate entity id Q1 (first seen on line 3)"),
+    (["\n", record_line("Q1", "a"), "\n", record_line("Q2", "b"), "\n", record_line("Q3", "c"),
+      "\n", record_line("Q2", "d")], "line 8: duplicate entity id Q2 (first seen on line 4)"),
+    (["  \n", COMPACT_Q1_LINE, "\n", "\t\n", COMPACT_Q1_LINE],
+     "line 5: duplicate entity id Q1 (first seen on line 2)"),
+], ids=["same-str-object", "blank-lines-before-and-between", "blank-line-before-each-record",
+        "general-parser-after-blank-lines"])
+def test_duplicate_id_error_text_names_both_lines(lines, error):
+    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines) == ("error", error)
+
+
 # --- generated snapshots against the oracle ------------------------------------------
 
 LONG_QID = "Q" + "9" * 60

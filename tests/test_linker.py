@@ -122,6 +122,19 @@ def assert_same_clustering(got, want, context):
         assert (str(got[0]), got[1]) == (str(want[0]), want[1]), context
 
 
+def assert_winner_scores_the_50_digit_cosine(got, evidence, table, memo, context):
+    """A winning subtype's score is the 50-digit pairwise-mean cosine of the
+    evidence and its leaf, clipped to [-1, 1], at 1e-12; ``memo`` keeps each
+    (evidence, leaf) value computed for one table."""
+    if got is None:
+        return
+    key = (tuple(evidence), got[0].leaf)
+    if key not in memo:
+        memo[key] = min(max(pairwise_mean_cosine(evidence, tokenize(got[0].leaf), table), -1.0),
+                        1.0)
+    assert abs(got[1] - memo[key]) <= 1e-12, context
+
+
 TABLET = EntityRecord(id=1, label="x", description="line of tablet computers")
 NAMELESS = EntityRecord(id=999, label="Nameless", description="", occupation=(82955,))
 # the only defined similarity of "a" and "b" is the default threshold, 0.1
@@ -185,11 +198,11 @@ def test_clustering_matches_the_oracles(hierarchy, demo_table, demo_kb, coarse, 
     else:
         assert got == (want if isinstance(want, tuple) else (want, got[1]))
         evidence = evidence_tokens(entity, coarse, kb)
-        assert got[1] == pytest.approx(
-            pairwise_mean_cosine(evidence, tokenize(got[0].leaf), table), abs=1e-12)
+        assert_winner_scores_the_50_digit_cosine(got, evidence, table, {}, coarse)
 
 
 def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, demo_table, demo_kb):
+    exact = {}
     for threshold in (0.0, 0.1, 0.5):
         cfg = demo_cfg(threshold=threshold)
         for kb in (None, demo_kb):
@@ -199,6 +212,9 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_demo(hierarchy, dem
                     want = per_subtype_oracle(entity, coarse, hierarchy, demo_table, cfg, kb)
                     got = cluster_to_subtype(linker, entity, coarse)
                     assert_same_clustering(got, want, (entity.id, coarse, threshold))
+                    assert_winner_scores_the_50_digit_cosine(
+                        got, evidence_tokens(entity, coarse, kb), demo_table, exact,
+                        (entity.id, coarse, threshold))
 
 
 def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables():
@@ -226,6 +242,7 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables():
         scores = [phrase_similarity(evidence, tokenize(leaf), table)
                   for leaf in names if evidence and tokenize(leaf)]
         thresholds = [0.0, 0.1] + [s for s in scores if s is not None and 0.0 <= s <= 1.0]
+        exact = {}
         for threshold in thresholds:
             cfg = LinkerConfig(threshold=threshold)
             linker = Linker(EMPTY_KB, h, table, cfg)
@@ -233,6 +250,8 @@ def test_evidence_reduced_once_matches_per_subtype_oracle_on_random_tables():
                 got = cluster_to_subtype(linker, entity, coarse)
                 assert_same_clustering(got, per_subtype_oracle(entity, coarse, h, table, cfg),
                                        (case, names, entity.description, threshold, coarse))
+                assert_winner_scores_the_50_digit_cosine(
+                    got, evidence, table, exact, (case, names, entity.description, threshold))
                 assert coarse == "t" or got is None
 
 
