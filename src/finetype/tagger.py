@@ -394,56 +394,75 @@ class _Layout:
     token t is row ``offsets[t] + k`` and no padded slot exists. At that
     position the reverse direction reads token ``L_k - 1 - t``, row
     ``reverse[offsets[t] + k]``. ``previous`` holds, for each position after
-    step 0, the position its sentence held one step earlier."""
+    step 0, the position its sentence held one step earlier, and ``sentence``
+    and ``step`` the batch index and token of each position, from which
+    ``source`` packs an array of the sentences' rows with one gather."""
 
     def __init__(self, lengths: Sequence[int]):
-        lengths = np.asarray(lengths, dtype=int)
-        self.order = np.argsort(-lengths, kind="stable")  # batch indices, longest first
-        lengths = lengths[self.order]
+        self.lengths = np.asarray(lengths, dtype=int)
+        self.order = np.argsort(-self.lengths, kind="stable")  # batch indices, longest first
+        lengths = self.lengths[self.order]
         running = (lengths[:, None] > np.arange(lengths.max(initial=0))).sum(axis=0)
         self.offsets = np.concatenate([[0], np.cumsum(running)])  # then the row count
         bounds = self.offsets.tolist()
         self.steps = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        self.rows = [self.offsets[:n] + k for k, n in enumerate(lengths)]
-        step = np.repeat(np.arange(len(running)), running)
-        k = np.arange(self.offsets[-1]) - self.offsets[step]
-        self.reverse = self.offsets[lengths[k] - 1 - step] + k
-        later = step > 0
-        self.previous = self.offsets[step[later] - 1] + k[later]
+        self.step = np.repeat(np.arange(len(running)), running)
+        k = np.arange(self.offsets[-1]) - self.offsets[self.step]
+        self.sentence = self.order[k]  # the batch index of each row's sentence
+        self.reverse = self.offsets[lengths[k] - 1 - self.step] + k
+        later = self.step > 0
+        self.previous = self.offsets[self.step[later] - 1] + k[later]
 
-    def pack(self, arrays: Sequence[np.ndarray], dtype=None) -> np.ndarray:
-        """Per-sentence (L, ...) arrays, in batch order, laid out as packed
-        rows of ``dtype`` (by default the arrays')."""
-        out = np.empty((self.offsets[-1],) + arrays[0].shape[1:],
-                       dtype=arrays[0].dtype if dtype is None else dtype)
-        for rows, i in zip(self.rows, self.order):
-            out[rows] = arrays[i]
-        return out
+    def source(self, starts=None) -> np.ndarray:
+        """The row of each packed position in an array holding the batch's
+        sentences one after another, sentence j from row ``starts[j]``; by
+        default in batch order from row 0. Gathering those rows packs the
+        array."""
+        if starts is None:
+            starts = np.cumsum(self.lengths) - self.lengths
+        return starts[self.sentence] + self.step
+
+
+class _Scratch:
+    """Training's per-batch arrays, kept from batch to batch: ``take(key,
+    rows, *shape)`` is the first ``rows`` rows of the buffer ``key``, which
+    grows to the largest batch. Arrays allocated afresh for every batch
+    cost page faults each time the allocator has handed their memory back
+    to the system."""
+
+    def __init__(self):
+        self.buffers: dict = {}
+
+    def take(self, key, rows: int, *shape: int) -> np.ndarray:
+        buffer = self.buffers.get(key)
+        if buffer is None or len(buffer) < rows:
+            buffer = self.buffers[key] = np.empty((rows, *shape))
+        return buffer[:rows]
 
 
 class _Tape:
     """What training's forward pass keeps of one direction for backpropagation,
     a row per packed position: the input row the direction read there, the
-    gate activations, c, tanh(c) and h."""
+    gate activations, c, tanh(c) and h, in ``scratch``."""
 
-    def __init__(self, x: np.ndarray, hidden: int):
+    def __init__(self, x: np.ndarray, hidden: int, scratch: _Scratch, reverse: bool):
         self.x = x
-        self.gates = np.empty((len(x), 4 * hidden))
-        self.c, self.tc, self.h = np.empty((3, len(x), hidden))
+        self.gates = scratch.take(("gates", reverse), len(x), 4 * hidden)
+        self.c, self.tc, self.h = (scratch.take((name, reverse), len(x), hidden)
+                                   for name in ("c", "tc", "h"))
 
 
 def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Tape | None = None):
     """Run one direction of the LSTM over the packed rows ``x`` of ``layout``,
-    yielding each step's rows of ``x`` and its h. Step t updates the n
-    sentences still running, whose carries are the first n rows of step
-    t - 1's h and c.
+    yielding each step's rows and its h. Step t updates the n sentences still
+    running, whose carries are the first n rows of step t - 1's h and c.
 
     With a ``tape`` (training), the input term ``x W^T + b`` of every row is
     one product before the loop, and each step adds ``h_prev U^T`` to its rows
-    of the tape and writes its c, tanh(c) and h there. Without one (tagging),
-    each step projects its own rows of ``x`` into one step's scratch, and h and
-    c alternate between two buffers as wide as the batch, in the dtype of
-    ``x``."""
+    of the tape, the rows it yields, and writes its c, tanh(c) and h there.
+    Without one (tagging), each step projects its own rows of ``x``, the rows
+    it yields, into one step's scratch, and h and c alternate between two
+    buffers as wide as the batch, in the dtype of ``x``."""
     wt, ut, b, scale, shift = _folded(params, reverse)
     if tape is None:
         width, hidden = len(layout.order), ut.shape[0]
@@ -456,13 +475,13 @@ def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Ta
     h_prev = c_prev = None
     for t, pos in enumerate(layout.steps):
         n = pos.stop - pos.start
-        rows = layout.reverse[pos] if reverse else pos
         if tape is None:
+            rows = layout.reverse[pos] if reverse else pos
             z, tc, h, c = gates[:n], tcs[:n], hs[t % 2, :n], cs[t % 2, :n]
             np.matmul(x[rows], wt, out=z)
             z += b
         else:
-            z, tc, h, c = gates[pos], tcs[pos], hs[pos], cs[pos]
+            rows, z, tc, h, c = pos, gates[pos], tcs[pos], hs[pos], cs[pos]
         if t:
             z += h_prev[:n] @ ut
         _cell(z, c_prev[:n] if t else None, c, tc, h, scale, shift)
@@ -470,30 +489,30 @@ def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Ta
         h_prev, c_prev = h, c
 
 
-def _forward(params, cfg, xs: Sequence[np.ndarray], masks: Sequence[np.ndarray] | None = None):
-    """Per-token logits of a batch of sentences in the packed rows of their
-    ``_Layout``, and the cache backpropagation needs, with a ``_Tape`` per
-    direction. The residual path adds the projected input to the encoder
-    output times the dropout ``masks``."""
-    arrays = _checked_vectors(xs, cfg.embedding_dim)
-    layout = _Layout([len(x) for x in arrays])
-    x = layout.pack(arrays)
+def _forward(params, cfg, layout: _Layout, x: np.ndarray, mask: np.ndarray | None,
+             scratch: _Scratch):
+    """Per-token logits of the packed rows ``x`` of ``layout``, the decoder
+    input and a ``_Tape`` per direction, as backpropagation needs them. The
+    residual path adds the projected input to the encoder output times the
+    dropout ``mask``."""
     hidden = cfg.hidden_size
-    hs = np.empty((len(x), cfg.encoder_width))
     tapes = []
     for d in range(1 + cfg.bidirectional):
-        tape = _Tape(x[layout.reverse] if d else x, hidden)
+        tape = _Tape(x[layout.reverse] if d else x, hidden, scratch, d)
         for _ in _recurrence(params, d, x, layout, tape):
             pass  # the steps write the tape
-        hs[layout.reverse if d else slice(None), d * hidden : (d + 1) * hidden] = tape.h
         tapes.append(tape)
-    mask = None if masks is None else layout.pack(masks)
+    hs = tapes[0].h
+    if cfg.bidirectional:
+        hs = np.empty((len(x), 2 * hidden))
+        hs[:, :hidden] = tapes[0].h
+        hs[layout.reverse, hidden:] = tapes[1].h
     dec_in = (hs if mask is None else hs * mask) + x @ params["proj_w"].T
-    cache = {"layout": layout, "x": x, "mask": mask, "dec_in": dec_in, "tapes": tapes}
-    return dec_in @ params["dec_w"].T + params["dec_b"], cache
+    return dec_in @ params["dec_w"].T + params["dec_b"], dec_in, tapes
 
 
-def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, grads) -> None:
+def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, grads,
+                      scratch: _Scratch) -> None:
     """Add one direction's dW, dU and db into ``grads``, backpropagating
     dL/dh ``dhs`` (a row per token row of the batch) through the steps in
     reverse. The carries are as wide as the batch and step t updates the
@@ -503,20 +522,37 @@ def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, 
     suffix = "_rev" if reverse else ""
     u = params["lstm_u" + suffix]
     count, hidden = tape.c.shape
-    i, f, g, o = np.moveaxis(tape.gates.reshape(count, 4, hidden), 1, 0)
-    h_prev, c_prev = np.zeros((2, count, hidden))  # zero at step 0
-    later = slice(count - len(layout.previous), count)  # the rows after step 0
-    h_prev[later] = tape.h[layout.previous]
-    c_prev[later] = tape.c[layout.previous]
+    i, f, g, o = tape.gates.reshape(count, 4, hidden).transpose(1, 0, 2)
+    h_prev, c_prev = (scratch.take(name, count, hidden) for name in ("h_prev", "c_prev"))
+    first = count - len(layout.previous)  # the rows of step 0, where both are zero
+    h_prev[:first] = c_prev[:first] = 0.0
+    h_prev[first:] = tape.h[layout.previous]
+    c_prev[first:] = tape.c[layout.previous]
     if reverse:
         dhs = dhs[layout.reverse]
     # Everything but the carried dh and dc is known before the loop: dZ is dc
     # times via_c on the input, forget and candidate blocks and dh times
-    # via_h on the output block, and dc gains dh times dc_dh.
-    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
-    via_h = tape.tc * o * (1.0 - o)
-    dc_dh = o * (1.0 - tape.tc**2)
-    dz = np.empty((count, 4, hidden))
+    # via_h on the output block, and dc gains dh times dc_dh. Each is written
+    # in place, its factors multiplied in the order g i (1 - i),
+    # c_prev f (1 - f), i (1 - g^2), tanh(c) o (1 - o) and o (1 - tanh(c)^2).
+    one_minus = scratch.take("one_minus", count, 4, hidden)  # 1 - each gate
+    np.subtract(1.0, tape.gates.reshape(count, 4, hidden), out=one_minus)
+    via_c = scratch.take("via_c", count, 3, hidden)
+    via_i, via_f, via_g = via_c.transpose(1, 0, 2)
+    np.multiply(g, i, out=via_i)
+    via_i *= one_minus[:, 0]
+    np.multiply(c_prev, f, out=via_f)
+    via_f *= one_minus[:, 1]
+    np.square(g, out=via_g)
+    np.subtract(1.0, via_g, out=via_g)
+    via_g *= i
+    via_h, dc_dh = (scratch.take(name, count, hidden) for name in ("via_h", "dc_dh"))
+    np.multiply(tape.tc, o, out=via_h)
+    via_h *= one_minus[:, 3]
+    np.square(tape.tc, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dz = scratch.take("dz", count, 4, hidden)
     flat = dz.reshape(count, -1)
     dh_carry, dc_carry = np.zeros((2, len(layout.order), hidden))
     for pos in reversed(layout.steps):
@@ -533,23 +569,12 @@ def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, 
     grads["lstm_b" + suffix] += flat.sum(axis=0)
 
 
-def batch_loss_grads(
-    params: dict[str, np.ndarray],
-    xs: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
-    cfg: TaggerConfig,
-    grads: dict[str, np.ndarray],
-    scale: float = 1.0,
-    dropout_masks: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Summed token negative log-likelihood of a batch of sentences, run
-    together over packed rows; gradients of ``scale * nll_sum`` are
-    accumulated into ``grads``. Each sentence's targets and dropout mask go
-    into the rows of its vectors."""
-    logits, cache = _forward(params, cfg, xs, dropout_masks)
-    layout, x, mask, dec_in = cache["layout"], cache["x"], cache["mask"], cache["dec_in"]
+def _loss_grads(params, cfg, layout: _Layout, x, gold, mask, grads, scale: float,
+                scratch: _Scratch) -> float:
+    """``batch_loss_grads`` of the packed rows ``x`` of ``layout``, with
+    their targets ``gold`` and dropout ``mask`` in the same rows."""
+    logits, dec_in, tapes = _forward(params, cfg, layout, x, mask, scratch)
     rows = np.arange(len(x))
-    gold = layout.pack(targets)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     nll = -float(log_probs[rows, gold].sum())
@@ -564,9 +589,37 @@ def batch_loss_grads(
 
     dhs = ddec_in if mask is None else ddec_in * mask
     hidden = cfg.hidden_size
-    for d, tape in enumerate(cache["tapes"]):
-        _recurrence_grads(params, d, tape, layout, dhs[:, d * hidden : (d + 1) * hidden], grads)
+    for d, tape in enumerate(tapes):
+        _recurrence_grads(params, d, tape, layout, dhs[:, d * hidden : (d + 1) * hidden], grads,
+                          scratch)
     return nll
+
+
+def _packed(xs: Sequence[np.ndarray], dim: int, *others):
+    """The ``_Layout`` of a batch of sentences, their checked (L, dim)
+    vectors ``xs`` as packed rows, and each of ``others`` (per-sentence
+    arrays in the same order, or None) packed the same way."""
+    arrays = _checked_vectors(xs, dim)
+    layout = _Layout([len(x) for x in arrays])
+    rows = layout.source()
+    return layout, *(None if a is None else np.concatenate(a)[rows] for a in (arrays, *others))
+
+
+def batch_loss_grads(
+    params: dict[str, np.ndarray],
+    xs: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+    cfg: TaggerConfig,
+    grads: dict[str, np.ndarray],
+    scale: float = 1.0,
+    dropout_masks: Sequence[np.ndarray] | None = None,
+) -> float:
+    """Summed token negative log-likelihood of a batch of sentences, run
+    together over packed rows; gradients of ``scale * nll_sum`` are
+    accumulated into ``grads``. Each sentence's targets and dropout mask go
+    into the rows of its vectors."""
+    layout, x, gold, mask = _packed(xs, cfg.embedding_dim, targets, dropout_masks)
+    return _loss_grads(params, cfg, layout, x, gold, mask, grads, scale, _Scratch())
 
 
 def _group_logits(params, cfg, layout: _Layout, x: np.ndarray) -> np.ndarray:
@@ -605,9 +658,19 @@ def _near_tie(logits: np.ndarray) -> bool:
     return bool((gap <= NEAR_TIE * max(logits.max(), -logits.min(), 2.0**-60)).any())
 
 
+def _group_input(arrays: list[np.ndarray], group: list[int], dtype) -> tuple[_Layout, np.ndarray]:
+    """The ``_Layout`` of the sentences ``group`` of ``arrays`` and their
+    vectors as its packed rows of ``dtype``, gathered from one joined copy."""
+    layout = _Layout([len(arrays[i]) for i in group])
+    return layout, np.concatenate([arrays[i] for i in group], dtype=dtype)[layout.source()]
+
+
 def _sentence_logits(group: list[int], layout: _Layout, logits: np.ndarray):
-    """``(i, logits)`` of each sentence ``i`` of ``group`` from its packed logits."""
-    return ((group[j], logits[layout.rows[k]]) for k, j in enumerate(layout.order))
+    """``(i, logits)`` of each sentence ``i`` of ``group`` from its packed
+    logits, put back in sentence order by one scatter."""
+    joined = np.empty_like(logits)
+    joined[layout.source()] = logits
+    return zip(group, np.split(joined, np.cumsum(layout.lengths[:-1])))
 
 
 def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray], single=None):
@@ -629,9 +692,10 @@ def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray], single=None):
         groups = yield from _single_precision_groups(single, cfg, arrays, groups)
         single = None
     for group in groups:
-        layout = _Layout([len(arrays[i]) for i in group])
-        x = layout.pack([arrays[i] for i in group], params["dec_w"].dtype)
-        yield from _sentence_logits(group, layout, _group_logits(params, cfg, layout, x))
+        layout, x = _group_input(arrays, group, params["dec_w"].dtype)
+        pairs = _sentence_logits(group, layout, _group_logits(params, cfg, layout, x))
+        del x  # not held while the next group gathers
+        yield from pairs
 
 
 def _single_precision_groups(single, cfg, arrays: list[np.ndarray], groups: list[list[int]]):
@@ -642,9 +706,8 @@ def _single_precision_groups(single, cfg, arrays: list[np.ndarray], groups: list
     near a tie (``_near_tie``), where float32 may not have float64's argmax."""
     rerun = []
     for group in groups:
-        layout = _Layout([len(arrays[i]) for i in group])
         with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
-            x = layout.pack([arrays[i] for i in group], np.float32)
+            layout, x = _group_input(arrays, group, np.float32)
         logits = None
         if -SINGLE_PRECISION_BOUND <= x.min() and x.max() <= SINGLE_PRECISION_BOUND:
             logits = _group_logits(single, cfg, layout, x)
@@ -744,14 +807,20 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
 
     tag_set = sorted({t for ex in examples for t in (ex.gold_tags or [])} | {"O"})
     tag_index = {t: i for i, t in enumerate(tag_set)}
-    targets = [np.array([tag_index[t] for t in ex.gold_tags]) for ex in examples]
+    # Every sentence's vectors and targets, checked once and joined; a batch
+    # gathers its packed rows from these by ``_Layout.source``.
+    vectors = np.concatenate(_checked_vectors([ex.vectors for ex in examples], cfg.embedding_dim))
+    targets = np.array([tag_index[t] for ex in examples for t in ex.gold_tags])
+    lengths = np.array([len(ex) for ex in examples])
+    starts = np.cumsum(lengths) - lengths
 
     rng = np.random.default_rng(cfg.seed)
     init = init_params(cfg, len(tag_set), rng)
     # The parameters, their gradients and Adam's two moments are one flat
-    # array each, updated whole; ``params`` and ``grads`` hold reshaped views.
+    # array each, updated whole and in place through two scratch arrays;
+    # ``params`` and ``grads`` hold reshaped views.
     weights = np.concatenate([value.ravel() for value in init.values()])
-    grad, adam_m, adam_v = (np.zeros_like(weights) for _ in range(3))
+    grad, adam_m, adam_v, work, update = (np.zeros_like(weights) for _ in range(5))
     ends = np.cumsum([value.size for value in init.values()])
 
     def views(flat):
@@ -759,6 +828,7 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
                 for (key, value), end in zip(init.items(), ends)}
 
     params, grads = views(weights), views(grad)
+    scratch = _Scratch()
     step = 0
     width = cfg.encoder_width
 
@@ -769,19 +839,18 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
         epoch_tokens = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
-            lengths = [len(examples[i]) for i in batch]
-            total_tokens = sum(lengths)
-            masks = None
+            layout = _Layout(lengths[batch])
+            rows = layout.source(starts[batch])
+            total_tokens = len(rows)
+            mask = None
             if cfg.dropout > 0.0:
-                # one draw per batch, split by sentence: the same stream as a
-                # draw per sentence in batch order
+                # one draw per batch, its rows the batch's tokens sentence by
+                # sentence: the same stream as a draw per sentence in batch order
                 keep = rng.random((total_tokens, width)) >= cfg.dropout
-                masks = np.split(keep / (1.0 - cfg.dropout), np.cumsum(lengths[:-1]))
+                mask = keep[layout.source()] / (1.0 - cfg.dropout)
             grad.fill(0.0)
-            batch_nll = batch_loss_grads(
-                params, [examples[i].vectors for i in batch], [targets[i] for i in batch],
-                cfg, grads, scale=1.0 / total_tokens, dropout_masks=masks,
-            )
+            batch_nll = _loss_grads(params, cfg, layout, vectors[rows], targets[rows], mask,
+                                    grads, 1.0 / total_tokens, scratch)
             loss = batch_nll / total_tokens
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -789,13 +858,23 @@ def train(corpus: Sequence[SequenceExample], cfg: TaggerConfig) -> TaggerModel:
                     "lower the learning rate or check the input vectors"
                 )
             step += 1
-            bias1 = 1.0 - ADAM_BETA1**step
-            bias2 = 1.0 - ADAM_BETA2**step
+            # Adam in place, rounding as m = b1 m + (1 - b1) g,
+            # v = b2 v + (1 - b2) g^2 and
+            # weights -= lr ((m / (1 - b1^step)) / (sqrt(v / (1 - b2^step)) + eps))
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
             adam_m *= ADAM_BETA1
-            adam_m += (1.0 - ADAM_BETA1) * grad
+            adam_m += work
+            np.square(grad, out=work)
+            work *= 1.0 - ADAM_BETA2
             adam_v *= ADAM_BETA2
-            adam_v += (1.0 - ADAM_BETA2) * grad**2
-            weights -= cfg.learning_rate * ((adam_m / bias1) / (np.sqrt(adam_v / bias2) + ADAM_EPS))
+            adam_v += work
+            np.divide(adam_v, 1.0 - ADAM_BETA2**step, out=work)
+            np.sqrt(work, out=work)
+            work += ADAM_EPS
+            np.divide(adam_m, 1.0 - ADAM_BETA1**step, out=update)
+            update /= work
+            update *= cfg.learning_rate
+            weights -= update
             epoch_nll += batch_nll
             epoch_tokens += total_tokens
         loss_curve.append(epoch_nll / epoch_tokens if epoch_tokens else 0.0)

@@ -13,7 +13,7 @@ from finetype import load_embeddings, load_hierarchy, load_snapshot
 from finetype.embeddings import EmbeddingError, EmbeddingTable, _sidecar_dim, bounded_rows
 from finetype.kb import EntityRecord, SnapshotError, format_qid, normalize_surface, parse_qid
 from finetype.tagger import (MentionSpan, SequenceExample, StaticVectors, TaggerConfig, _forward,
-                             batch_loss_grads, init_params, read_conll)
+                             _Scratch, _packed, batch_loss_grads, init_params, read_conll)
 from finetype.taxonomy import default_hierarchy_path
 
 DATA_DIR = Path(default_hierarchy_path()).parent
@@ -426,8 +426,8 @@ def sentence_logits(params, x, cfg, dropout_mask=None):
     run through the packed forward as a batch of one, whose rows are the
     sentence's tokens in order."""
     masks = None if dropout_mask is None else [np.asarray(dropout_mask)]
-    logits, cache = _forward(params, cfg, [x], masks)
-    return logits, cache["dec_in"]
+    logits, dec_in, _ = _forward(params, cfg, *_packed([x], cfg.embedding_dim, masks), _Scratch())
+    return logits, dec_in
 
 
 def token_accuracy(model, corpus):

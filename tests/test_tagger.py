@@ -15,8 +15,6 @@ from finetype.tagger import (
     TaggerConfig,
     TaggerModel,
     TrainingError,
-    _cell,
-    _gate_affine,
     attach_vectors,
     extract_spans,
     init_params,
@@ -29,66 +27,6 @@ from conftest import (desk_cfg, oracle_forward, relative_error, run_gradient_che
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
-
-
-def lstm_cell_step(x, state, w, u, b):
-    """One gated update with the recurrence's own gate math: ``w`` is (4H, D),
-    ``u`` is (4H, H), ``b`` is (4H,), gate blocks input, forget, candidate,
-    output. Returns (h, c)."""
-    h_prev, c_prev = state
-    scale, shift = _gate_affine(u.shape[1])
-    z = ((w @ x + u @ h_prev + b) * scale)[None]  # folded, as ``_folded`` folds it
-    c, tc, h = np.empty((3, 1, u.shape[1]))
-    _cell(z, c_prev[None], c, tc, h, scale, shift)
-    return h[0], c[0]
-
-
-def test_cell_scalar_step_against_high_precision_oracle():
-    w = np.array([[0.5], [-0.3], [0.8], [0.2]])
-    u = np.array([[0.1], [0.4], [-0.2], [0.3]])
-    b = np.array([0.05, -0.1, 0.2, 0.15])
-    x = np.array([0.7])
-    h0, c0 = np.array([0.4]), np.array([-0.2])
-
-    with mpmath.workdps(50):
-        sig = lambda z: 1 / (1 + mpmath.e**-z)
-        i = sig(mpmath.mpf("0.5") * mpmath.mpf("0.7") + mpmath.mpf("0.1") * mpmath.mpf("0.4") + mpmath.mpf("0.05"))
-        f = sig(mpmath.mpf("-0.3") * mpmath.mpf("0.7") + mpmath.mpf("0.4") * mpmath.mpf("0.4") + mpmath.mpf("-0.1"))
-        g = mpmath.tanh(mpmath.mpf("0.8") * mpmath.mpf("0.7") + mpmath.mpf("-0.2") * mpmath.mpf("0.4") + mpmath.mpf("0.2"))
-        o = sig(mpmath.mpf("0.2") * mpmath.mpf("0.7") + mpmath.mpf("0.3") * mpmath.mpf("0.4") + mpmath.mpf("0.15"))
-        c_exp = f * mpmath.mpf("-0.2") + i * g
-        h_exp = o * mpmath.tanh(c_exp)
-
-    h, c = lstm_cell_step(x, (h0, c0), w, u, b)
-    assert abs(c[0] - float(c_exp)) < 1e-9
-    assert abs(h[0] - float(h_exp)) < 1e-9
-
-
-def test_cell_saturated_forget_gate_grows_linearly():
-    hidden, dim = 2, 3
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((4 * hidden, dim))
-    u = np.zeros((4 * hidden, hidden))  # sever recurrence: gates depend on x only
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1e9  # forget gate saturates to exactly 1
-    x = np.array([0.3, -0.5, 0.7])
-
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    cells = []
-    for _ in range(50):
-        h, c = lstm_cell_step(x, (h, c), w, u, b)
-        cells.append(c.copy())
-    cells = np.array(cells)
-    deltas = np.diff(cells, axis=0)
-    assert np.allclose(deltas, deltas[0], rtol=1e-12, atol=1e-12)
-    assert np.allclose(cells[-1], 50 * deltas[0], rtol=1e-9)
-    # hidden output stays bounded even as the cell grows
-    assert np.all(np.abs(h) <= 1.0)
-
-
-# ---------------------------------------------------------------------------
 # One sentence through the batched core, against the per-step oracle
 
 
@@ -96,11 +34,37 @@ def logits_of(model: TaggerModel, x) -> np.ndarray:
     return sentence_logits(model.params, x, model.config)[0]
 
 
+def high_precision_logits(params, x) -> np.ndarray:
+    """The logits of a unidirectional H = D = 1 model over the sentence
+    ``x``, one token at a time at 50 digits from the exact values of the
+    float parameters, with the sigmoid as 1 / (1 + e^-z)."""
+    with mpmath.workdps(50):
+        w, u, b, proj, dec_w, dec_b = ([mpmath.mpf(float(v)) for v in params[key].ravel()]
+                                       for key in ("lstm_w", "lstm_u", "lstm_b", "proj_w",
+                                                   "dec_w", "dec_b"))
+        sigmoid = lambda z: 1 / (1 + mpmath.exp(-z))
+        h = c = mpmath.mpf(0)
+        rows = []
+        for token in x[:, 0]:
+            token = mpmath.mpf(float(token))
+            i, f, g, o = (w[k] * token + u[k] * h + b[k] for k in range(4))
+            c = sigmoid(f) * c + sigmoid(i) * mpmath.tanh(g)
+            h = sigmoid(o) * mpmath.tanh(c)
+            rows.append([float(weight * (h + proj[0] * token) + bias)
+                         for weight, bias in zip(dec_w, dec_b)])
+    return np.array(rows)
+
+
 # Named cases of one sentence's forward pass: the config, the tag count, the
 # sentence lengths, and what is done to the initial parameters: nothing, the
 # output gate of each direction shut (bias -1e9, so h_t is exactly 0 and the
-# decoder reads the residual projection alone), or every parameter zeroed (every
-# gate 1/2, candidate 0, so cell, hidden state and logits are exactly 0).
+# decoder reads the residual projection alone), every parameter zeroed (every
+# gate 1/2, candidate 0, so cell, hidden state and logits are exactly 0), the
+# forget and output gates saturated open (bias 1e9, so both are exactly 1) with
+# the recurrence and the residual cut (U = 0 and proj_w = 0) over one token
+# repeated, so the decoder reads h = tanh(c) and c grows by the same step each
+# token. A scalar model (H = D = 1) is also checked against the 50-digit
+# ``high_precision_logits``.
 FORWARD_CASES = {
     "forward": (dict(hidden_size=6, embedding_dim=3), 5, (1, 2, 11), None),
     "bidirectional": (dict(hidden_size=6, embedding_dim=3, bidirectional=True), 5, (1, 2, 11),
@@ -115,6 +79,10 @@ FORWARD_CASES = {
     "bidirectional-output-gates-shut": (
         dict(hidden_size=5, embedding_dim=4, bidirectional=True), 3, (1, 6), "shut"),
     "zero-weights": (dict(hidden_size=3, embedding_dim=2), 4, (1, 5), "zero"),
+    "scalar-against-high-precision": (dict(hidden_size=1, embedding_dim=1), 3, (1, 2, 9),
+                                      "high-precision"),
+    "saturated-forget-gate-grows-linearly": (dict(hidden_size=1, embedding_dim=1), 2, (50,),
+                                             "saturated"),
 }
 
 
@@ -127,12 +95,16 @@ def test_sentence_forward_matches_the_per_step_oracle(case):
     for name, value in params.items():
         if tweak == "shut" and name.startswith("lstm_b"):
             value[3 * cfg.hidden_size :] = -1e9
-        elif tweak == "zero":
+        elif tweak == "zero" or tweak == "saturated" and name in ("lstm_u", "proj_w"):
             value[...] = 0.0
+    if tweak == "saturated":
+        params["lstm_b"][[1, 3]] = 1e9
     width = cfg.hidden_size * (2 if cfg.bidirectional else 1)
     assert params["dec_w"].shape == (tag_count, width)
     for length in lengths:
         x = rng.standard_normal((length, cfg.embedding_dim))
+        if tweak == "saturated":
+            x[:] = x[0]
         got, dec_in = sentence_logits(params, x, cfg)
         want, _ = oracle_forward(params, x, cfg)
         assert got.shape == want.shape == (length, tag_count)
@@ -143,6 +115,13 @@ def test_sentence_forward_matches_the_per_step_oracle(case):
             assert np.array_equal(got, proj @ params["dec_w"].T + params["dec_b"])
         elif tweak == "zero":
             assert not dec_in.any() and not got.any()
+        elif tweak == "high-precision":
+            assert relative_error(got, high_precision_logits(params, x)) <= 1e-14
+        elif tweak == "saturated":
+            cells = np.arctanh(dec_in[:, 0])
+            assert np.allclose(np.diff(cells), cells[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(cells[-1], length * cells[0], rtol=1e-9)
+            assert np.all(np.abs(dec_in) < 1.0)  # h stays bounded as the cell grows
 
 
 def test_encode_rejects_wrong_vector_dimension():

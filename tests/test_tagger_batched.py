@@ -2,8 +2,10 @@
 replaced, kept in ``conftest.py`` as the oracle: the same recurrence, loss and
 gradients, and here the same training trajectory, one sentence and one step
 at a time. Training and the streamed tagging path run the same recurrence over
-packed rows, and both are checked against it. Tagging in float32 is checked
-against the float64 streamed logits."""
+packed rows, and both are checked against it. Training is also checked bit
+for bit against the batch loop it replaced, which packed each batch from the
+sentences' own arrays. Tagging in float32 is checked against the float64
+streamed logits."""
 
 import itertools
 import tracemalloc
@@ -37,9 +39,13 @@ from conftest import oracle_forward, oracle_loss_grads, relative_error, syntheti
 # Oracle: the trainer, one sentence at a time
 
 
-def oracle_train(corpus, cfg):
+def oracle_train(corpus, cfg, batched=False):
     """The trainer as it ran per sentence: same permutation, same per-sentence
-    dropout draws in batch order, same Adam update."""
+    dropout draws in batch order, same Adam update. With ``batched``, the
+    trainer's batch loop before it gathered batches from the joined corpus:
+    one ``batch_loss_grads`` call per batch over the sentences' own arrays,
+    with the batch's one dropout draw split by sentence."""
+    corpus = [ex for ex in corpus if len(ex)]
     tags = sorted({t for ex in corpus for t in ex.gold_tags} | {"O"})
     targets = [np.array([tags.index(t) for t in ex.gold_tags]) for ex in corpus]
     rng = np.random.default_rng(cfg.seed)
@@ -53,16 +59,26 @@ def oracle_train(corpus, cfg):
         epoch_nll, epoch_tokens = 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
-            total = sum(len(corpus[i]) for i in batch)
+            lengths = [len(corpus[i]) for i in batch]
+            total = sum(lengths)
             grads = {k: np.zeros_like(v) for k, v in params.items()}
-            batch_nll = 0.0
-            for i in batch:
-                mask = None
+            if batched:
+                masks = None
                 if cfg.dropout > 0.0:
-                    keep = rng.random((len(corpus[i]), cfg.encoder_width)) >= cfg.dropout
-                    mask = keep / (1.0 - cfg.dropout)
-                batch_nll += oracle_loss_grads(params, corpus[i].vectors, targets[i], cfg,
-                                               grads, 1.0 / total, mask)
+                    keep = rng.random((total, cfg.encoder_width)) >= cfg.dropout
+                    masks = np.split(keep / (1.0 - cfg.dropout), np.cumsum(lengths[:-1]))
+                batch_nll = batch_loss_grads(params, [corpus[i].vectors for i in batch],
+                                             [targets[i] for i in batch], cfg, grads,
+                                             1.0 / total, masks)
+            else:
+                batch_nll = 0.0
+                for i in batch:
+                    mask = None
+                    if cfg.dropout > 0.0:
+                        keep = rng.random((len(corpus[i]), cfg.encoder_width)) >= cfg.dropout
+                        mask = keep / (1.0 - cfg.dropout)
+                    batch_nll += oracle_loss_grads(params, corpus[i].vectors, targets[i], cfg,
+                                                   grads, 1.0 / total, mask)
             step += 1
             for key in params:
                 adam_m[key] = ADAM_BETA1 * adam_m[key] + (1.0 - ADAM_BETA1) * grads[key]
@@ -137,6 +153,59 @@ def test_training_follows_the_oracle_trajectory():
     assert relative_error(np.array(model.loss_curve), np.array(want_curve)) <= 1e-12
     for key, value in want_params.items():
         assert relative_error(model.params[key], value) <= 1e-12, key
+
+
+def tagged_corpus(lengths, dim, seed):
+    """Sentences of ``lengths`` with random vectors and random BIO tags."""
+    rng = np.random.default_rng(seed)
+    tags = ["O", "B-a", "I-a", "B-b"]
+    return [SequenceExample([f"w{k}" for k in range(n)], vectors=rng.standard_normal((n, dim)),
+                            gold_tags=[tags[j] for j in rng.integers(0, len(tags), size=n)])
+            for n in lengths]
+
+
+def assert_trains_as_the_batch_loop(corpus, cfg):
+    model = train(corpus, cfg)
+    want_params, want_curve = oracle_train(corpus, cfg, batched=True)
+    assert np.array_equal(model.loss_curve, want_curve)
+    assert model.params.keys() == want_params.keys()
+    for key, value in want_params.items():
+        assert np.array_equal(model.params[key], value), key
+
+
+# Named training runs that ``train`` must reproduce bit for bit: the corpus's
+# sentence lengths (an empty sentence is dropped before training) and the
+# config beyond hidden_size=5, embedding_dim=4, epochs=3, learning_rate=0.02.
+TRAINING_CASES = {
+    "ragged-batches-with-length-one": ((1, 6, 1, 0, 3, 1, 9, 4, 1), dict(batch_size=3)),
+    "batch-size-does-not-divide-the-corpus": ((4, 2, 5, 3, 1, 6, 2, 4, 3, 5), dict(batch_size=4)),
+    "dropout-0": ((1, 6, 1, 3, 1, 9, 4), dict(batch_size=3, dropout=0.0)),
+    "dropout-0.3": ((1, 6, 1, 3, 1, 9, 4), dict(batch_size=3, dropout=0.3)),
+    "bidirectional": ((1, 6, 1, 3, 1, 9, 4), dict(batch_size=3, dropout=0.3, bidirectional=True)),
+    "epochs-0": ((1, 6, 1, 3), dict(batch_size=2, epochs=0)),
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_CASES)
+def test_training_equals_the_per_batch_loop(case):
+    lengths, kwargs = TRAINING_CASES[case]
+    cfg = TaggerConfig(**{**dict(hidden_size=5, embedding_dim=4, epochs=3, learning_rate=0.02,
+                                 seed=5), **kwargs})
+    assert_trains_as_the_batch_loop(tagged_corpus(lengths, cfg.embedding_dim, 13), cfg)
+
+
+@settings(derandomize=True, deadline=None)
+@given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any),
+       hidden=st.integers(1, 6), dim=st.integers(1, 5), bidirectional=st.booleans(),
+       batch_size=st.integers(1, 8), epochs=st.integers(0, 3),
+       dropout=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+       learning_rate=st.floats(1e-3, 0.1), seed=st.integers(0, 2**16))
+def test_training_equals_the_per_batch_loop_on_generated_corpora(
+        lengths, hidden, dim, bidirectional, batch_size, epochs, dropout, learning_rate, seed):
+    cfg = TaggerConfig(hidden_size=hidden, embedding_dim=dim, bidirectional=bidirectional,
+                       batch_size=batch_size, epochs=epochs, dropout=dropout,
+                       learning_rate=learning_rate, seed=seed)
+    assert_trains_as_the_batch_loop(tagged_corpus(lengths, dim, seed), cfg)
 
 
 # ---------------------------------------------------------------------------
