@@ -683,7 +683,9 @@ def _streamed_logits(params, cfg, sentences: Sequence[np.ndarray], single=None):
     With ``single``, a float32 copy of ``params`` from ``_single_precision``,
     the groups first run in float32 (``_single_precision_groups``) and yield
     float32 logits; those it hands back run with ``params`` once the float32
-    copy is dropped, so the two precisions' weights are never held at once."""
+    copy is dropped, so no float32 copy is held while a group runs in
+    float64. Each pass drops a group's input and packed logits before the
+    next group gathers its input."""
     arrays = _checked_vectors(sentences, cfg.embedding_dim)
     order = sorted((i for i, x in enumerate(arrays) if len(x)), key=lambda i: len(arrays[i]))
     groups = [order[lo : lo + INFERENCE_GROUP_SIZE]
@@ -708,13 +710,15 @@ def _single_precision_groups(single, cfg, arrays: list[np.ndarray], groups: list
     for group in groups:
         with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
             layout, x = _group_input(arrays, group, np.float32)
-        logits = None
+        logits, pairs = None, ()
         if -SINGLE_PRECISION_BOUND <= x.min() and x.max() <= SINGLE_PRECISION_BOUND:
             logits = _group_logits(single, cfg, layout, x)
         if logits is None or _near_tie(logits):
             rerun.append(group)
         else:
-            yield from _sentence_logits(group, layout, logits)
+            pairs = _sentence_logits(group, layout, logits)
+        del x, logits  # not held while the next group gathers
+        yield from pairs
     return rerun
 
 

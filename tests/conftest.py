@@ -21,9 +21,10 @@ DEMO_DIR = DATA_DIR / "demo"
 
 # A longer run of the derandomized oracle properties, for a CI step that runs
 # them alone: the two vector readers' per-line loops, the snapshot ingest's
-# oracle and keys properties (tests/test_kb.py) and float32 tagging, at
-# --hypothesis-profile=fuzz-2000. Tier-1 runs each at the default count; each
-# generator has its own property, so each gets the whole count.
+# oracle and keys properties (tests/test_kb.py), float32 tagging and training
+# against its per-batch loop, at --hypothesis-profile=fuzz-2000. Tier-1 runs
+# each at the default count; each generator has its own property, so each gets
+# the whole count.
 settings.register_profile("fuzz-2000", max_examples=2000, derandomize=True, deadline=None)
 
 

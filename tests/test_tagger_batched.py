@@ -26,6 +26,9 @@ from finetype.tagger import (
     SequenceExample,
     TaggerConfig,
     TaggerModel,
+    _loss_grads,
+    _packed,
+    _Scratch,
     _single_precision,
     _streamed_logits,
     batch_loss_grads,
@@ -138,6 +141,35 @@ def test_batched_loss_and_gradients_match_oracle(lengths, bidirectional, dropout
     assert abs(got_nll - want_nll) <= 1e-12 * abs(want_nll)
     for key in params:
         assert relative_error(got[key], want[key]) <= 1e-12, key
+
+
+def test_backward_factors_are_the_documented_products():
+    # Training's float64 results are fixed by the order of each product, and
+    # the oracle comparisons above allow 1e-12. Elementwise IEEE products round
+    # alike on every CPU, so the factors the backward pass leaves in its
+    # scratch (the reverse direction's, which runs last) must equal these bit
+    # for bit.
+    cfg = TaggerConfig(hidden_size=6, embedding_dim=4, bidirectional=True)
+    rng = np.random.default_rng(17)
+    params = init_params(cfg, 4, rng)
+    xs = [rng.standard_normal((n, cfg.embedding_dim)) for n in LENGTH_SETS["ragged"]]
+    targets = [rng.integers(0, 4, size=len(x)) for x in xs]
+    layout, x, gold = _packed(xs, cfg.embedding_dim, targets)
+    scratch = _Scratch()
+    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    _loss_grads(params, cfg, layout, x, gold, None, grads, 1.0, scratch)
+    count, hidden = len(x), cfg.hidden_size
+    gates = scratch.buffers["gates", True][:count]
+    i, f, g, o = gates.reshape(count, 4, hidden).transpose(1, 0, 2)
+    c, tc = scratch.buffers["c", True][:count], scratch.buffers["tc", True][:count]
+    c_prev = np.zeros_like(c)
+    c_prev[count - len(layout.previous):] = c[layout.previous]
+    via_c = scratch.buffers["via_c"][:count]
+    assert np.array_equal(via_c[:, 0], g * i * (1 - i))
+    assert np.array_equal(via_c[:, 1], c_prev * f * (1 - f))
+    assert np.array_equal(via_c[:, 2], i * (1 - g * g))
+    assert np.array_equal(scratch.buffers["via_h"][:count], tc * o * (1 - o))
+    assert np.array_equal(scratch.buffers["dc_dh"][:count], o * (1 - tc * tc))
 
 
 def test_training_follows_the_oracle_trajectory():
@@ -313,6 +345,32 @@ def test_streamed_tagging_peak_memory_stays_within_the_recorded_bound():
     finally:
         tracemalloc.stop()
     assert peak <= PADDED_PATH_PEAK_BYTES
+
+
+# tracemalloc peak of the float32 pass tagging ``contextual_corpus``, taken as
+# the first float64 group starts (numpy 2.4.6): 2,267,698 bytes with each
+# group's input and logits dropped before the next group gathers its input,
+# 2,533,303 with them held across that gather. The bound lies between.
+FLOAT32_PASS_PEAK_BYTES = 2_400_000
+
+
+def test_float32_pass_drops_a_groups_input_before_the_next_gathers(monkeypatch):
+    model, sentences = contextual_corpus()
+    peaks = []
+    group_input = tagger_module._group_input
+
+    def recording(arrays, group, dtype):
+        if dtype == np.float64 and not peaks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return group_input(arrays, group, dtype)
+
+    monkeypatch.setattr(tagger_module, "_group_input", recording)
+    tracemalloc.start()
+    try:
+        model.predict_batch(sentences)
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < FLOAT32_PASS_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
