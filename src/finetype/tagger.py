@@ -324,17 +324,21 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, 1.0 - scale
 
 
-def _folded(params, reverse: bool):
+def _folded(params, reverse: bool, order: str):
     """One direction's ``(W^T, U^T, b, scale, shift)`` with ``_gate_affine``'s
     inner scale folded into W, U and b, so a step's pre-activation is already
     ``s * z``, all in the parameters' dtype. The scales are 0.5 and 1, powers
     of two, so the fold is exact short of subnormals: each product and sum is
-    the unfolded one times s, rounded the same way."""
+    the unfolded one times s, rounded the same way.
+
+    W^T and U^T are laid out in memory ``order``: "C" for row-major, "K" for
+    the transposes of row-major W and U. Their values are the same either
+    way; the layout picks the BLAS kernel that multiplies by them."""
     suffix = "_rev" if reverse else ""
     u = params["lstm_u" + suffix]
     scale, shift = (a.astype(u.dtype) for a in _gate_affine(u.shape[1]))
-    return ((params["lstm_w" + suffix] * scale[:, None]).T, (u * scale[:, None]).T,
-            params["lstm_b" + suffix] * scale, scale, shift)
+    return (np.multiply(params["lstm_w" + suffix].T, scale, order=order),
+            np.multiply(u.T, scale, order=order), params["lstm_b" + suffix] * scale, scale, shift)
 
 
 def _cell(z, c_prev, c, tc, h, scale, shift) -> None:
@@ -462,8 +466,14 @@ def _recurrence(params, reverse: bool, x: np.ndarray, layout: _Layout, tape: _Ta
     of the tape, the rows it yields, and writes its c, tanh(c) and h there.
     Without one (tagging), each step projects its own rows of ``x``, the rows
     it yields, into one step's scratch, and h and c alternate between two
-    buffers as wide as the batch, in the dtype of ``x``."""
-    wt, ut, b, scale, shift = _folded(params, reverse)
+    buffers as wide as the batch, in the dtype of ``x``.
+
+    Tagging multiplies by row-major W^T and U^T, with which OpenBLAS's sgemm
+    skips its transposed-operand path and runs a step's product 1.5 to 3.4
+    times as fast (README, "Operand layout"). Training keeps the transposed
+    views: it ran no faster with row-major copies, and another kernel would
+    move the last bits of a trained model."""
+    wt, ut, b, scale, shift = _folded(params, reverse, "C" if tape is None else "K")
     if tape is None:
         width, hidden = len(layout.order), ut.shape[0]
         gates, tcs = np.empty((width, 4 * hidden), x.dtype), np.empty((width, hidden), x.dtype)
@@ -571,8 +581,9 @@ def _recurrence_grads(params, reverse: bool, tape: _Tape, layout: _Layout, dhs, 
 
 def _loss_grads(params, cfg, layout: _Layout, x, gold, mask, grads, scale: float,
                 scratch: _Scratch) -> float:
-    """``batch_loss_grads`` of the packed rows ``x`` of ``layout``, with
-    their targets ``gold`` and dropout ``mask`` in the same rows."""
+    """Summed token negative log-likelihood of the packed rows ``x`` of
+    ``layout``, with their targets ``gold`` and dropout ``mask`` in the same
+    rows; gradients of ``scale * nll_sum`` are accumulated into ``grads``."""
     logits, dec_in, tapes = _forward(params, cfg, layout, x, mask, scratch)
     rows = np.arange(len(x))
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -593,33 +604,6 @@ def _loss_grads(params, cfg, layout: _Layout, x, gold, mask, grads, scale: float
         _recurrence_grads(params, d, tape, layout, dhs[:, d * hidden : (d + 1) * hidden], grads,
                           scratch)
     return nll
-
-
-def _packed(xs: Sequence[np.ndarray], dim: int, *others):
-    """The ``_Layout`` of a batch of sentences, their checked (L, dim)
-    vectors ``xs`` as packed rows, and each of ``others`` (per-sentence
-    arrays in the same order, or None) packed the same way."""
-    arrays = _checked_vectors(xs, dim)
-    layout = _Layout([len(x) for x in arrays])
-    rows = layout.source()
-    return layout, *(None if a is None else np.concatenate(a)[rows] for a in (arrays, *others))
-
-
-def batch_loss_grads(
-    params: dict[str, np.ndarray],
-    xs: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
-    cfg: TaggerConfig,
-    grads: dict[str, np.ndarray],
-    scale: float = 1.0,
-    dropout_masks: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Summed token negative log-likelihood of a batch of sentences, run
-    together over packed rows; gradients of ``scale * nll_sum`` are
-    accumulated into ``grads``. Each sentence's targets and dropout mask go
-    into the rows of its vectors."""
-    layout, x, gold, mask = _packed(xs, cfg.embedding_dim, targets, dropout_masks)
-    return _loss_grads(params, cfg, layout, x, gold, mask, grads, scale, _Scratch())
 
 
 def _group_logits(params, cfg, layout: _Layout, x: np.ndarray) -> np.ndarray:

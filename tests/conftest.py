@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from finetype import load_embeddings, load_hierarchy, load_snapshot
 from finetype.embeddings import EmbeddingError, EmbeddingTable, _sidecar_dim, bounded_rows
 from finetype.kb import EntityRecord, SnapshotError, format_qid, normalize_surface, parse_qid
-from finetype.tagger import (MentionSpan, SequenceExample, StaticVectors, TaggerConfig, _forward,
-                             _Scratch, _packed, batch_loss_grads, init_params, read_conll)
+from finetype.tagger import (MentionSpan, SequenceExample, StaticVectors, TaggerConfig,
+                             _checked_vectors, _forward, _Layout, _loss_grads, _Scratch,
+                             init_params, read_conll)
 from finetype.taxonomy import default_hierarchy_path
 
 DATA_DIR = Path(default_hierarchy_path()).parent
@@ -422,12 +423,31 @@ def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
+def packed(xs, dim, *others):
+    """The ``_Layout`` of a batch of sentences, their checked (L, dim)
+    vectors ``xs`` as packed rows, and each of ``others`` (per-sentence
+    arrays in the same order, or None) packed the same way."""
+    arrays = _checked_vectors(xs, dim)
+    layout = _Layout([len(x) for x in arrays])
+    rows = layout.source()
+    return layout, *(None if a is None else np.concatenate(a)[rows] for a in (arrays, *others))
+
+
+def batch_loss_grads(params, xs, targets, cfg, grads, scale=1.0, dropout_masks=None) -> float:
+    """Summed token negative log-likelihood of a batch of sentences, run
+    together over packed rows as ``train`` runs a batch; gradients of
+    ``scale * nll_sum`` are accumulated into ``grads``. Each sentence's
+    targets and dropout mask go into the rows of its vectors."""
+    layout, x, gold, mask = packed(xs, cfg.embedding_dim, targets, dropout_masks)
+    return _loss_grads(params, cfg, layout, x, gold, mask, grads, scale, _Scratch())
+
+
 def sentence_logits(params, x, cfg, dropout_mask=None):
     """Per-token logits (L, K) and decoder input (L, width) of one sentence,
     run through the packed forward as a batch of one, whose rows are the
     sentence's tokens in order."""
     masks = None if dropout_mask is None else [np.asarray(dropout_mask)]
-    logits, dec_in, _ = _forward(params, cfg, *_packed([x], cfg.embedding_dim, masks), _Scratch())
+    logits, dec_in, _ = _forward(params, cfg, *packed([x], cfg.embedding_dim, masks), _Scratch())
     return logits, dec_in
 
 

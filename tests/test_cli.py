@@ -31,20 +31,23 @@ from finetype.textfile import open_utf8
 from conftest import DATA_DIR, DEMO_DIR, demo_sidecar_sentences, rational_prf, sidecar_text
 
 class Base(NamedTuple):
-    """A run that twins must reproduce: its config, its output directory and
-    what ``ingest-kb`` prints for its KB."""
+    """A run that twins must reproduce: its config, its output directory,
+    what ``ingest-kb`` prints for its KB and the model it tagged with."""
     config: Path
     out: Path
     summary: str
+    model: Path
 
 
 def base_run(config, out):
-    """The ``Base`` of ``pipeline`` run on ``config`` into ``out``."""
+    """The ``Base`` of ``pipeline`` run on ``config`` into ``out``: it trains
+    ``{out}/model.npz`` unless ``config`` supplies a model."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["pipeline", "--config", str(config), "--output-dir", str(out)]) == 0
+    cfg = load_config(config)
     with contextlib.redirect_stdout(io.StringIO()) as summary:
-        assert main(["ingest-kb", str(load_config(config).kb)]) == 0
-    return Base(config, out, summary.getvalue())
+        assert main(["ingest-kb", str(cfg.kb)]) == 0
+    return Base(config, out, summary.getvalue(), cfg.model or out / "model.npz")
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +56,33 @@ def demo_run(tmp_path_factory, demo_config_path):
     return base_run(demo_config_path, tmp_path_factory.mktemp("pipeline"))
 
 
-@pytest.fixture(scope="module")
-def train_tag_run(tmp_path_factory):
-    """The inputs ``perfbench/generate.py`` writes for the train-tag workload
-    at seed 1, run as the benchmark runs them: the twins' second base."""
+def generated(workload, tmp_path_factory):
+    """The files ``perfbench/generate.py`` writes for ``workload`` at seed 1."""
     generate = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"))
-    inputs = generate["generate"](generate["WORKLOADS"]["train-tag"], 1,
-                                  tmp_path_factory.mktemp("inputs"))
-    return base_run(inputs.files["config"], tmp_path_factory.mktemp("train-tag"))
+    return generate["generate"](generate["WORKLOADS"][workload], 1,
+                                tmp_path_factory.mktemp("inputs")).files
+
+
+@pytest.fixture(scope="module")
+def train_tag_run(tmp_path_factory):
+    """The train-tag workload's inputs, run as the benchmark runs them: the
+    twins' second base."""
+    files = generated("train-tag", tmp_path_factory)
+    return base_run(files["config"], tmp_path_factory.mktemp("train-tag"))
+
+
+@pytest.fixture(scope="module")
+def infer_contextual_run(tmp_path_factory):
+    """The infer-contextual workload's inputs, with its supplied bidirectional
+    model trained as the benchmark trains it before timing: the twins' third
+    base."""
+    files = generated("infer-contextual", tmp_path_factory)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(files["train_config"]), "--model",
+                     str(files["model"]), "--output-dir",
+                     str(tmp_path_factory.mktemp("model-train"))]) == 0
+    return base_run(files["config"], tmp_path_factory.mktemp("infer-contextual"))
 
 
 # --- config parsing ------------------------------------------------------------
@@ -759,11 +780,12 @@ def test_refused_run_exits_1_before_work(tmp_path, demo_run, monkeypatch, capsys
 class Twin(NamedTuple):
     """How a run differs from a ``Base`` run, whose files it must write byte
     for byte. Each of ``commands`` is a template of the fields ``prepared``
-    sets, with ``{base}`` the base run's output directory, and runs with
-    ``--config {cfg} --output-dir {out}``, except ``ingest-kb``, which must
-    print what it prints for the base's KB. ``cfg`` and ``edit(tmp, base)``
-    are applied by ``prepared``; ``patch`` is ``(module, name, replacement)``,
-    put in place for the run, which must call it."""
+    sets, with ``{base}`` the base run's output directory and ``{model}`` the
+    model it tagged with, and runs with ``--config {cfg} --output-dir {out}``,
+    except ``ingest-kb``, which must print what it prints for the base's KB.
+    ``cfg`` and ``edit(tmp, base)`` are applied by ``prepared``; ``patch`` is
+    ``(module, name, replacement)``, put in place for the run, which must
+    call it."""
     commands: tuple
     cfg: dict | None = None
     edit: Callable | None = None
@@ -789,7 +811,7 @@ def with_unused_alias(obj):  # no corpus mention uses it, and its key needs NFC
     return {**obj, "aliases": [*obj["aliases"], "Zoë Ørsted"]}
 
 
-WITH_MODEL = ("ingest-kb {tmp}/kb.jsonl", "pipeline --model {base}/model.npz")
+WITH_MODEL = ("ingest-kb {tmp}/kb.jsonl", "pipeline --model {model}")
 KB = {"kb": "{tmp}/kb.jsonl"}
 # The demo's lines take the documented-layout pattern and its ASCII key
 # shortcut. With compact separators every line takes the general parser; with
@@ -813,7 +835,7 @@ KB_TWINS = {
     "kb-blank-lines": Twin(WITH_MODEL, KB, kb_lines(
         lambda records: [line for obj in records for line in ("", " \t", json.dumps(obj))])),
     # every group then tags in float64
-    "tagged-in-float64-only": Twin(("tag --model {base}/model.npz", "link", "evaluate"),
+    "tagged-in-float64-only": Twin(("tag --model {model}", "link", "evaluate"),
                                    patch=(tagger, "_single_precision", lambda params: None)),
     # each vector row is then read through float
     "vector-rows-read-one-by-one": Twin(("pipeline",), patch=(np, "loadtxt", refuse)),
@@ -822,7 +844,7 @@ TWINS = {
     "staged-commands-match-pipeline": Twin(("train", "tag --model {out}/model.npz", "link",
                                             "evaluate")),
     "evaluate-stage-isolation": Twin(("evaluate --pred {base}/linked.jsonl",)),
-    "tag-with-the-saved-model": Twin(("tag --model {base}/model.npz",)),
+    "tag-with-the-saved-model": Twin(("tag --model {model}",)),
     # its tags are over hierarchy roots (person, ...) and labels outside it (date)
     "link-tagged-takes-coarse-labels": Twin(("link --tagged {base}/tagged.conll",)),
     # identical vectors and seed: the whole run reproduces the static-table one
@@ -847,11 +869,17 @@ WRITES = {"train": ["model.npz"], "tag": ["tagged.conll"], "link": ["linked.json
           "pipeline": ["tagged.conll", "linked.jsonl", "report.json", "report.txt"]}
 
 
+# Float32-first tagging of the benchmark's contextual model, and its sidecar's
+# block parse, against their slow twins.
+CONTEXTUAL_TWINS = ("tagged-in-float64-only", "vector-rows-read-one-by-one")
+
+
 @pytest.mark.parametrize("base, case", [*(("demo", case) for case in TWINS),
-                                        *(("train-tag", case) for case in KB_TWINS)])
+                                        *(("train-tag", case) for case in KB_TWINS),
+                                        *(("infer-contextual", case) for case in CONTEXTUAL_TWINS)])
 def test_twin_writes_the_demo_files(request, tmp_path, monkeypatch, capsys, base, case):
     base, row = request.getfixturevalue(f"{base.replace('-', '_')}_run"), TWINS[case]
-    fields = prepared(row, tmp_path, base.config, base, base=base.out)
+    fields = prepared(row, tmp_path, base.config, base, base=base.out, model=base.model)
     calls = []
     if row.patch:
         module, name, replacement = row.patch
@@ -869,7 +897,8 @@ def test_twin_writes_the_demo_files(request, tmp_path, monkeypatch, capsys, base
             continue
         code = main([*argv, "--config", str(fields["cfg"]), "--output-dir", str(fields["out"])])
         assert code == 0, capsys.readouterr().err
-        trains = argv[0] == "pipeline" and "--model" not in argv
+        trains = (argv[0] == "pipeline" and "--model" not in argv
+                  and base.model == base.out / "model.npz")
         written_files |= {*WRITES[argv[0]], *(["model.npz"] if trains else [])}
     capsys.readouterr()
     assert bool(calls) == bool(row.patch)

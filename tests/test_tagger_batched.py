@@ -27,16 +27,15 @@ from finetype.tagger import (
     TaggerConfig,
     TaggerModel,
     _loss_grads,
-    _packed,
     _Scratch,
     _single_precision,
     _streamed_logits,
-    batch_loss_grads,
     init_params,
     train,
 )
 
-from conftest import oracle_forward, oracle_loss_grads, relative_error, synthetic_corpus
+from conftest import (batch_loss_grads, oracle_forward, oracle_loss_grads, packed,
+                      relative_error, synthetic_corpus)
 
 # ---------------------------------------------------------------------------
 # Oracle: the trainer, one sentence at a time
@@ -154,7 +153,7 @@ def test_backward_factors_are_the_documented_products():
     params = init_params(cfg, 4, rng)
     xs = [rng.standard_normal((n, cfg.embedding_dim)) for n in LENGTH_SETS["ragged"]]
     targets = [rng.integers(0, 4, size=len(x)) for x in xs]
-    layout, x, gold = _packed(xs, cfg.embedding_dim, targets)
+    layout, x, gold = packed(xs, cfg.embedding_dim, targets)
     scratch = _Scratch()
     grads = {key: np.zeros_like(value) for key, value in params.items()}
     _loss_grads(params, cfg, layout, x, gold, None, grads, 1.0, scratch)
@@ -371,6 +370,33 @@ def test_float32_pass_drops_a_groups_input_before_the_next_gathers(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks and peaks[0] < FLOAT32_PASS_PEAK_BYTES
+
+
+def test_tagging_reads_row_major_folds_and_training_the_transposed_views(monkeypatch):
+    # Tagging's step products take sgemm's fast path with row-major W^T and
+    # U^T; training keeps the transposes of row-major W and U, whose kernel
+    # fixes the last bits of a trained model. Both layouts hold the same values.
+    received = []
+    folded = tagger_module._folded
+
+    def recording(params, reverse, order):
+        row_major, transposed = (folded(params, reverse, o)[:2] for o in "CF")
+        assert all(map(np.array_equal, row_major, transposed))
+        result = folded(params, reverse, order)
+        received.append((reverse, *result[:2]))
+        return result
+
+    monkeypatch.setattr(tagger_module, "_folded", recording)
+    model, sentences = contextual_corpus()
+    model.predict_batch(sentences)
+    assert {reverse for reverse, *_ in received} == {False, True}
+    assert all(a.flags.c_contiguous for _, *pair in received for a in pair)
+    received.clear()
+    cfg = TaggerConfig(hidden_size=5, embedding_dim=4, bidirectional=True, epochs=1)
+    train(tagged_corpus((1, 6, 3), cfg.embedding_dim, 13), cfg)
+    assert {reverse for reverse, *_ in received} == {False, True}
+    assert all(a.T.flags.c_contiguous and not a.flags.c_contiguous
+               for _, *pair in received for a in pair)
 
 
 # ---------------------------------------------------------------------------
