@@ -32,6 +32,7 @@ from .kb import (
 )
 from .linker import FineTypedMention, Linker, LinkerConfig, link_mention
 from .tagger import (
+    MAX_RATE_STEPS,
     CorpusError,
     ModelError,
     PrecomputedVectors,
@@ -264,8 +265,9 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     Every path is checked before the "load inputs" stage opens; every
     condition spanning inputs (class roots for the linker, the vector
     dimension, the parameter cap at that dimension, the sidecar's sentence
-    count, a nonempty training set with gold tags, a gold corpus tagged
-    throughout) is checked inside it, before any command does work.
+    count, a nonempty training set with gold tags, the learning rate against
+    the training steps, a gold corpus tagged throughout) is checked inside
+    it, before any command does work.
     """
     overrides = {key: getattr(args, key) for key in (*_FLAG_KEYS, "kb")
                  if getattr(args, key, None) is not None}
@@ -345,6 +347,16 @@ def load_inputs(args, keys: set[str]) -> Inputs:
             if any(ex.gold_tags is None for ex in examples):
                 raise ConfigError(f"training corpus {source} has untagged sentences:"
                                   " supply a trained model via 'model ='")
+            # the learning-rate rule: MAX_RATE_STEPS in tagger.py derives it
+            tagger_cfg = cfg.tagger
+            batches = (sum(1 for ex in examples if len(ex)) + tagger_cfg.batch_size - 1
+                       ) // tagger_cfg.batch_size
+            steps = tagger_cfg.epochs * batches
+            if tagger_cfg.learning_rate * steps > MAX_RATE_STEPS:
+                raise ConfigError(
+                    f"key 'learning_rate': {tagger_cfg.learning_rate!r} times {steps} training"
+                    f" steps ({tagger_cfg.epochs} epochs of {batches} batches) is more than"
+                    f" {MAX_RATE_STEPS}")
             inputs.training = [
                 dataclasses.replace(ex, gold_tags=project_tags_to_coarse(ex.gold_tags,
                                                                          inputs.hierarchy))

@@ -246,6 +246,24 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# The largest product of a run's learning rate and its Adam steps (epochs x
+# batches per epoch), 2**26; ``load_inputs`` refuses a larger one before training.
+# One step moves a weight by lr |m^| / (sqrt(v^) + eps). The bias-corrected
+# moments weigh the past gradients g_k by a_k = (1 - b1) b1^(t-k) / (1 - b1^t)
+# and b_k = (1 - b2) b2^(t-k) / (1 - b2^t), so by Cauchy-Schwarz
+# |m^| / sqrt(v^) <= sqrt(sum a_k^2 / b_k), which grows with t towards
+# (1 - b1) / sqrt((1 - b2) (1 - b1^2 / b2)) = 7.2703 < 7.5. Kingma & Ba's 3.16
+# (section 2.1) is the case of one nonzero gradient; a geometrically decaying
+# gradient reaches 7.27. Glorot initialization starts every weight within
+# sqrt(3) and every bias within 1, so after S steps each parameter lies within
+# 2 + 7.5 lr S <= 2 + 7.5 * 2**26 < 2**29, SINGLE_PRECISION_BOUND. For inputs
+# within that bound too, that bound's derivation keeps every pre-activation
+# and logit below 2**127; so the loss, the decoder's gradients, their squares
+# (below 2**1024) and every update (at most 7.5 lr) are finite. The recurrent
+# gradients compound over a sentence's steps and have no bound of this kind:
+# training still checks each batch's loss and fails if it is not finite.
+MAX_RATE_STEPS = 2**26
+
 
 @dataclass
 class TaggerConfig:

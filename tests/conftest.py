@@ -1,4 +1,5 @@
 import json
+import runpy
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -47,6 +48,14 @@ def demo_table():
 @pytest.fixture(scope="session")
 def demo_config_path():
     return DEMO_DIR / "pipeline.cfg"
+
+
+def generated(workload, directory):
+    """The files ``perfbench/generate.py`` writes for ``workload`` at seed 1
+    into ``directory``, by name."""
+    generate = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"))
+    return generate["generate"](generate["WORKLOADS"][workload], 1, directory).files
 
 
 def demo_sidecar_sentences():

@@ -3,7 +3,6 @@ import io
 import json
 import random
 import re
-import runpy
 import shlex
 import tempfile
 import warnings
@@ -28,7 +27,9 @@ from finetype.tagger import TaggerConfig, TaggerModel, _streamed_logits, init_pa
 from finetype.taxonomy import parse_hierarchy
 from finetype.textfile import open_utf8
 
-from conftest import DATA_DIR, DEMO_DIR, demo_sidecar_sentences, rational_prf, sidecar_text
+from conftest import (DATA_DIR, DEMO_DIR, demo_sidecar_sentences, generated, rational_prf,
+                      sidecar_text)
+
 
 class Base(NamedTuple):
     """A run that twins must reproduce: its config, its output directory,
@@ -56,19 +57,11 @@ def demo_run(tmp_path_factory, demo_config_path):
     return base_run(demo_config_path, tmp_path_factory.mktemp("pipeline"))
 
 
-def generated(workload, tmp_path_factory):
-    """The files ``perfbench/generate.py`` writes for ``workload`` at seed 1."""
-    generate = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"))
-    return generate["generate"](generate["WORKLOADS"][workload], 1,
-                                tmp_path_factory.mktemp("inputs")).files
-
-
 @pytest.fixture(scope="module")
 def train_tag_run(tmp_path_factory):
     """The train-tag workload's inputs, run as the benchmark runs them: the
     twins' second base."""
-    files = generated("train-tag", tmp_path_factory)
+    files = generated("train-tag", tmp_path_factory.mktemp("inputs"))
     return base_run(files["config"], tmp_path_factory.mktemp("train-tag"))
 
 
@@ -77,7 +70,7 @@ def infer_contextual_run(tmp_path_factory):
     """The infer-contextual workload's inputs, with its supplied bidirectional
     model trained as the benchmark trains it before timing: the twins' third
     base."""
-    files = generated("infer-contextual", tmp_path_factory)
+    files = generated("infer-contextual", tmp_path_factory.mktemp("inputs"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--config", str(files["train_config"]), "--model",
                      str(files["model"]), "--output-dir",
@@ -271,15 +264,25 @@ def test_pipeline_with_zero_epochs_runs(tmp_path, demo_config_path, capsys):
     assert (out / "linked.jsonl").exists()
 
 
-def test_pipeline_runtime_failure_exits_2(tmp_path, demo_config_path, capsys):
-    cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(edited_config(demo_config_path, {"learning_rate": "1e200", "dropout": "0.0"}))
-    with np.errstate(all="ignore"):
-        code = main(["pipeline", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+def test_pipeline_runtime_failure_exits_2(tmp_path, demo_config_path, monkeypatch, capsys):
+    def failing_step(*args):
+        raise RuntimeError("injected training step failure")
+
+    monkeypatch.setattr(tagger, "_loss_grads", failing_step)
+    code = main(["pipeline", "--config", str(demo_config_path), "--output-dir",
+                 str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
-    assert "stage failed: train tagger" in captured.err
-    assert "non-finite" in captured.err
+    assert captured.err == "stage failed: train tagger\nerror: injected training step failure\n"
+
+
+def test_pipeline_at_the_largest_accepted_learning_rate_exits_0(tmp_path, demo_config_path):
+    # the demo trains for 80 steps: 40 epochs of two 4-sentence batches
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(edited_config(demo_config_path,
+                                 {"learning_rate": repr(tagger.MAX_RATE_STEPS / 80)}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pipeline", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
 
 
 # --- evaluate ---------------------------------------------------------------------------
@@ -591,6 +594,11 @@ REFUSED = {
         "ingest-kb {tmp}/duplicate.jsonl",
         "{tmp}/duplicate.jsonl: line 35: duplicate entity id Q515 (first seen on line 4)",
         edit=written("duplicate.jsonl", f"\n\n{SNAPSHOT}\n\n{SNAPSHOT.splitlines()[1]}\n")),
+    # the learning rate times the demo's 80 training steps, past MAX_RATE_STEPS
+    **{f"learning-rate-{rate}": Refused(
+        PIPELINE, f"key 'learning_rate': {float(rate)!r} times 80 training steps (40 epochs of"
+        f" 2 batches) is more than {tagger.MAX_RATE_STEPS}", cfg={"learning_rate": rate})
+       for rate in ("1e200", "838860.9")},
     "pipeline-missing-embeddings": Refused(PIPELINE, "embeddings does not exist: {tmp}/missing.vec",
                                            None, {"embeddings": "{tmp}/missing.vec"}),
     # without gold tags, pipeline needs a model to tag the corpus with

@@ -1,20 +1,19 @@
+import contextlib
 import gc
-import importlib.util
 import json
 import random
 import re
-import sys
 import tracemalloc
 import unicodedata
-from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEMO_DIR, SNAPSHOT_FIELDS, json_values, numbers, oracle_ingest,
-                      record_line)
+from conftest import (DEMO_DIR, SNAPSHOT_FIELDS, generated, json_values, numbers,
+                      oracle_ingest, record_line)
 from finetype import kb as kb_module
 from finetype.cli import project_tags_to_coarse
 from finetype.kb import (
@@ -51,223 +50,16 @@ FIXTURE_LINES = [
     record_line("Q312", "Apple Inc.", aliases=["Apple"], instance_of=["Q4830453"]),
     record_line("Q3665646", "basketball player"),
 ]
-
-
-@pytest.fixture()
-def fixture_kb():
-    return ingest_snapshot(FIXTURE_LINES)
-
-
-# --- qids and normalization -------------------------------------------------
-
-def test_parse_qid():
-    assert parse_qid("Q41421") == 41421
-    assert format_qid(41421) == "Q41421"
-
-
-@pytest.mark.parametrize("bad", ["41421", "Q0", "Q-3", "Q1.5", "", "Q01"])
-def test_parse_qid_rejects(bad):
-    with pytest.raises(SnapshotError):
-        parse_qid(bad)
-
-
-def test_normalize_surface_collapses_case_and_whitespace():
-    assert normalize_surface("  Michael\t Jordan ") == "michael jordan"
-    assert normalize_surface("E\u0301TE\u0301  Stra\u00dfe") == "\u00e9t\u00e9 strasse"
-
-
-# --- ingestion ---------------------------------------------------------------
-
-def test_ingest_counts_and_indices(fixture_kb):
-    assert len(fixture_kb) == 10
-    # indices are complete: every label and alias resolves to its record
-    for rec in fixture_kb.records.values():
-        assert fixture_kb.lookup(rec.label) is not None
-        for alias in rec.aliases:
-            assert fixture_kb.lookup(alias) is not None
-
-
-def test_ingest_empty_stream():
-    kb = ingest_snapshot([])
-    assert len(kb) == 0
-    assert kb.lookup("anything") is None
-
-
-def test_null_aliases_are_dropped():
-    line = json.dumps({"qid": "Q1", "label": "x", "aliases": [None, "y", None]})
-    kb = ingest_snapshot([line])
-    assert kb.records[1].aliases == ("y",)
-    assert kb.lookup("None") is None
-
-
-def test_alias_equal_to_label_is_dropped():
-    kb = ingest_snapshot([record_line("Q7", "Foo", aliases=["Foo", "Bar", "Bar"])])
-    assert kb.records[7].aliases == ("Bar",)
-
-
-def test_unknown_fields_ignored():
-    line = json.dumps({"qid": "Q9", "label": "thing", "sitelinks": {"en": "x"}})
-    kb = ingest_snapshot([line])
-    assert kb.records[9].label == "thing"
-
-
-# --- lookup ------------------------------------------------------------------
-
-def test_lookup_label_exact_match(fixture_kb):
-    assert fixture_kb.lookup("Paris").id == 90
-
-
-def test_lookup_alias_redirection(fixture_kb):
-    # label lookup fails for the full name; the also-known-as list redirects
-    assert fixture_kb.lookup("Michael Jeffrey Jordan").id == 41421
-
-
-def test_lookup_homonym_returns_lowest_qid(fixture_kb):
-    assert fixture_kb.lookup("iPad").id == 2796
-    assert fixture_kb.lookup("Michael Jordan").id == 41421
-
-
-def test_lookup_no_match(fixture_kb):
-    assert fixture_kb.lookup("zzz-unseen-entity") is None
-
-
-def test_lookup_empty_surface_rejected(fixture_kb):
-    with pytest.raises(ValueError):
-        fixture_kb.lookup("   ")
-
-
-def test_lookup_stage_precedence_label_beats_alias():
-    # Q2 has the surface as an alias with a lower id; Q10's exact label must win.
-    kb = ingest_snapshot([
-        record_line("Q2", "other", aliases=["target"]),
-        record_line("Q10", "target"),
-    ])
-    assert kb.lookup("target").id == 10
-
-
-def test_lookup_candidate_restriction(fixture_kb):
-    # two "Michael Jordan" labels: Q41421 an instance of Q5, Q27069141 of Q515
-    kb = ingest_snapshot(FIXTURE_LINES[:4] + [
-        record_line("Q27069141", "Michael Jordan", instance_of=["Q515"]),
-    ])
-    assert kb.lookup("Michael Jordan", classes={515}).id == 27069141
-    assert kb.lookup("Michael Jordan", classes={5}).id == 41421
-    assert fixture_kb.lookup("Michael Jordan", classes=set()) is None
-    # alias hits are filtered the same way
-    assert fixture_kb.lookup("Michael Jeffrey Jordan", classes={515}) is None
-
-
-def test_lookup_falls_back_to_aliases_when_classes_drop_every_label_hit():
-    # the label stage hits only Q3, of the wrong class; the alias stage then finds Q8
-    kb = ingest_snapshot([
-        record_line("Q3", "Jordan", instance_of=["Q6256"]),
-        record_line("Q8", "Michael Jordan", aliases=["Jordan"], instance_of=["Q5"]),
-    ])
-    assert kb.lookup("Jordan").id == 3
-    assert kb.lookup("Jordan", classes={5}).id == 8
-    assert kb.lookup("Jordan", classes={515}) is None
-
-
-def test_lookup_case_insensitive_by_default(fixture_kb):
-    assert fixture_kb.lookup("michael jordan").id == 41421
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    labels=st.lists(st.sampled_from(["ada", "bob", "core", "dot"]), min_size=1, max_size=6),
-    extra_aliases=st.lists(st.sampled_from(["ada", "bob", "core", "dot", "eve"]), max_size=4),
-    probe=st.sampled_from(["ada", "bob", "core", "dot", "eve"]),
-)
-def test_alias_monotonicity(labels, extra_aliases, probe):
-    # adding aliases never removes a resolvable surface
-    base = [record_line(f"Q{i+1}", lab) for i, lab in enumerate(labels)]
-    kb_before = ingest_snapshot(base)
-    enriched = base[:-1] + [record_line(f"Q{len(labels)}", labels[-1], aliases=extra_aliases)]
-    kb_after = ingest_snapshot(enriched)
-    if kb_before.lookup(probe) is not None:
-        assert kb_after.lookup(probe) is not None
-
-
-# --- subclass closure and narrowing -------------------------------------------
-
-def test_closure_single_node_no_subclasses():
-    kb = ingest_snapshot([record_line("Q1", "root")])
-    assert kb.subclass_closure({1}) == {1}
-
-
-def test_closure_chain():
-    # Z subclass_of Y subclass_of X: closure({X}) found by reverse reachability
-    kb = ingest_snapshot([
-        record_line("Q1", "X"),
-        record_line("Q2", "Y", subclass_of=["Q1"]),
-        record_line("Q3", "Z", subclass_of=["Q2"]),
-    ])
-    assert kb.subclass_closure({1}) == {1, 2, 3}
-    assert kb.subclass_closure({2}) == {2, 3}
-
-
-def test_closure_terminates_on_cycle():
-    kb = ingest_snapshot([
-        record_line("Q1", "A", subclass_of=["Q2"]),
-        record_line("Q2", "B", subclass_of=["Q1"]),
-    ])
-    assert kb.subclass_closure({1}) == {1, 2}
-
-
-def test_closure_is_a_fixed_point(fixture_kb):
-    first = fixture_kb.subclass_closure({2221906})
-    assert fixture_kb.subclass_closure(first) == first
-
-
-def test_narrow_person_filters_by_instance_of(fixture_kb):
-    classes = fixture_kb.narrow_candidates("person", {"person": {5}})
-    assert classes == {5}
-    assert fixture_kb.lookup("Michael Jordan", classes=classes).id == 41421
-    # Paris is no instance of human, and iPad has no instance-of links at all
-    assert fixture_kb.lookup("Paris", classes=classes) is None
-    assert fixture_kb.lookup("iPad", classes=classes) is None
-
-
-def test_narrow_product_returns_all_ids(fixture_kb):
-    # not narrowed: every entity stays searchable, with or without instance-of links
-    assert fixture_kb.narrow_candidates("product", {}) is None
-    for rec in fixture_kb.records.values():
-        assert fixture_kb.lookup(rec.label, classes=None) is not None
-
-
-def test_narrow_person_on_empty_kb():
-    kb = ingest_snapshot([])
-    classes = kb.narrow_candidates("person", {"person": {5}})
-    assert classes == {5}  # absent roots are kept
-    assert kb.lookup("Michael Jordan", classes=classes) is None
-
-
-def test_narrow_missing_class_roots():
-    kb = ingest_snapshot([record_line("Q1", "x")])
-    with pytest.raises(MissingClassRootsError, match="person"):
-        kb.narrow_candidates("person", {})
-
-
-def test_narrow_location_uses_closure(fixture_kb):
-    classes = fixture_kb.narrow_candidates("location", {"location": {2221906}})
-    assert classes == {2221906, 515}
-    # Paris: instance of city, city subclass of the root
-    assert fixture_kb.lookup("Paris", classes=classes).id == 90
-    assert fixture_kb.lookup("Michael Jordan", classes=classes) is None
-
-
-# --- narrowed lookup against the scan-then-intersect oracle -------------------
-
-NARROWED_ROOTS = {"person": {5}, "location": {2221906}, "organization": {43229}}
-
-
-def scan_narrow_oracle(kb, coarse, class_roots):
-    """Narrowing by scanning the whole KB: the ids whose instance-of links
-    meet the class-root closure, or every id for a category not narrowed."""
-    if coarse not in NARROWED_ROOTS:
-        return set(kb.records)
-    allowed = kb.subclass_closure(class_roots[coarse])
-    return {rec.id for rec in kb.records.values() if allowed.intersection(rec.instance_of)}
+DEMO_LINES = (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True)
+LONG_QID = "Q" + "9" * 60  # over-long for a real Q-id, but a valid one
+
+
+def result(call, *args, **kwargs):
+    """What ``call`` returns, or the ValueError it raises as (type, text)."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def id_set(hit):
@@ -285,6 +77,123 @@ def id_sets(index):
     return {key: id_set(hit) for key, hit in index.items()}
 
 
+def outcome(ingest, lines):
+    """Everything an ingest yields, as comparable values: the error text, or the
+    records in order and the three indexes."""
+    try:
+        result = ingest(lines)
+    except SnapshotError as exc:
+        return ("error", str(exc))
+    if isinstance(result, KnowledgeBase):
+        result = (dict(result.records), id_sets(result._label_index),
+                  id_sets(result._alias_index), id_sets(result._subclass_children))
+    records, *indexes = result
+    return ("ok", list(records.items()), *indexes)
+
+
+def ingested(lines, indexes=None):
+    """The KB of ``lines``, which ingest must read as oracle_ingest does; each
+    of ``indexes`` (an attribute name and its value) must be a whole KB index."""
+    expected = outcome(oracle_ingest, lines)
+    assert expected[0] == "ok"
+    assert outcome(ingest_snapshot, lines) == expected
+    kb = ingest_snapshot(lines)
+    for name, index in (indexes or {}).items():
+        assert getattr(kb, name) == index
+    return kb
+
+
+# --- Q-ids and surface keys ----------------------------------------------------
+
+# Named cases: a key function, and each text it keys with the key it must give
+# or the error it must raise, as (type, text).
+KEYS = {
+    "parse-qid": (parse_qid, [("Q41421", 41421)]),
+    **{f"parse-qid-rejects-{bad or 'empty'}": (parse_qid, [(bad, (SnapshotError,
+                                                                  f"not a Q-id: {bad!r}"))])
+       for bad in ["41421", "Q0", "Q-3", "Q1.5", "", "Q01"]},
+    "normalize-surface-collapses-case-and-whitespace": (normalize_surface, [
+        ("  Michael\t Jordan ", "michael jordan"),
+        ("E\u0301TE\u0301  Stra\u00dfe", "\u00e9t\u00e9 strasse")]),
+}
+
+
+@pytest.mark.parametrize("case", KEYS)
+def test_keys_of_qid_and_surface_text(case):
+    key, pairs = KEYS[case]
+    for text, want in pairs:
+        assert result(key, text) == want
+        if key is parse_qid and type(want) is int:
+            assert format_qid(want) == text
+
+
+# --- subclass closure ------------------------------------------------------------
+
+class Closures(NamedTuple):
+    """Snapshot lines and the subclass closure of each set of roots, which
+    must also be the scan oracle's and a fixed point; ``children`` pins the
+    subclass-children index whole."""
+    lines: list
+    closures: list
+    children: dict | None = None
+
+
+CLOSURES = {
+    "closure-single-node-no-subclasses": Closures([record_line("Q1", "root")], [({1}, {1})]),
+    # Z subclass_of Y subclass_of X: closure({X}) found by reverse reachability
+    "closure-chain": Closures(
+        [record_line("Q1", "X"), record_line("Q2", "Y", subclass_of=["Q1"]),
+         record_line("Q3", "Z", subclass_of=["Q2"])],
+        [({1}, {1, 2, 3}), ({2}, {2, 3})]),
+    "closure-terminates-on-cycle": Closures(
+        [record_line("Q1", "A", subclass_of=["Q2"]), record_line("Q2", "B", subclass_of=["Q1"])],
+        [({1}, {1, 2})]),
+    "closure-is-a-fixed-point": Closures(FIXTURE_LINES, [({2221906}, {2221906, 515})]),
+    "class-with-more-than-two-subclass-children": Closures(
+        [record_line("Q1", "root"),
+         *(record_line(f"Q{c}", f"class {c}", subclass_of=["Q1"]) for c in (9, 3, 12, 4)),
+         record_line("Q20", "leaf", subclass_of=["Q3", "Q12"]),
+         record_line("Q21", "twig", subclass_of=["Q3"])],
+        [({1}, {1, 3, 4, 9, 12, 20, 21}), ({12, 4}, {4, 12, 20})],
+        {1: (9, 3, 12, 4), 3: (20, 21), 12: 20}),
+}
+
+
+def scan_closure_oracle(kb, roots):
+    """The subclass closure of ``roots``, by scanning every record until it
+    stops growing."""
+    closure = set(roots)
+    while True:
+        grown = closure | {rec.id for rec in kb.records.values()
+                           if closure.intersection(rec.subclass_of)}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+@pytest.mark.parametrize("case", CLOSURES)
+def test_subclass_closure_matches_the_scan_oracle(case):
+    row = CLOSURES[case]
+    kb = ingested(row.lines, None if row.children is None else
+                  {"_subclass_children": row.children})
+    for roots, want in row.closures:
+        assert kb.subclass_closure(roots) == scan_closure_oracle(kb, roots) == want
+        assert kb.subclass_closure(want) == want
+
+
+# --- narrowed lookup against the scan-then-intersect oracle -------------------
+
+NARROWED_ROOTS = {"person": {5}, "location": {2221906}, "organization": {43229}}
+
+
+def candidates_of(kb, classes):
+    """The ids a lookup restricted to ``classes`` may return, by scanning the
+    whole KB: those with an instance-of link in it, or every id for None."""
+    if classes is None:
+        return set(kb.records)
+    return {rec.id for rec in kb.records.values() if classes.intersection(rec.instance_of)}
+
+
 def intersect_lookup_oracle(kb, surface, candidates):
     """Lookup restricted to a candidate id set by intersecting each stage's hits."""
     key = normalize_surface(surface)
@@ -295,7 +204,7 @@ def intersect_lookup_oracle(kb, surface, candidates):
     return None
 
 
-def random_class_kb(seed):
+def random_class_lines(seed):
     """Homonyms and shared aliases over a random subclass tree under the
     three narrowed roots plus foreign classes."""
     rng = random.Random(seed)
@@ -314,25 +223,110 @@ def random_class_kb(seed):
             aliases=[f"name {rng.randrange(40)}" for _ in range(rng.randrange(3))],
             instance_of=[f"Q{c}" for c in rng.sample(classes, rng.randrange(3))],
         ))
-    return ingest_snapshot(lines)
+    return lines
 
 
-@pytest.mark.parametrize("kb_name", ["demo", "fixture", "random"])
-def test_narrowed_lookup_matches_scan_oracle(kb_name, demo_kb, fixture_kb):
-    kb = {"demo": demo_kb, "fixture": fixture_kb, "random": random_class_kb(3)}[kb_name]
+class Lookups(NamedTuple):
+    """Snapshot lines whose KB must answer every lookup of a label or alias
+    under each category's narrowing by ``roots`` as the scan-then-intersect
+    oracle does, and what the row pins: ``probes``, each a surface, its
+    classes (None, a set of class ids, or a category that narrow_candidates
+    narrows by ``roots``) and the answer (the id found, None, or the error as
+    (type, text)), which the oracle must give too; ``narrowed``, each
+    category's narrow_candidates result; and KB ``indexes`` whole."""
+    lines: list
+    probes: list = []
+    narrowed: dict = {}
+    roots: dict = NARROWED_ROOTS
+    indexes: dict = {}
+
+
+ACME_LINES = [record_line("Q5", "human"), record_line("Q8", "foreign"),
+              record_line("Q6", "person", subclass_of=["Q5"]),
+              record_line("Q7", "acme", instance_of=["Q8"]),
+              record_line("Q300", "acme", aliases=["ACME corp"], instance_of=["Q6"]),
+              record_line("Q42", "ACME", instance_of=["Q5", "Q8"]),
+              record_line("Q9", "other", aliases=["acme corp"], instance_of=["Q8"])]
+LOOKUPS = {
+    "demo": Lookups(DEMO_LINES),
+    "fixture": Lookups(FIXTURE_LINES),
+    "random": Lookups(random_class_lines(3)),
+    "lookup-label-exact-match": Lookups(FIXTURE_LINES, [("Paris", None, 90)]),
+    # label lookup fails for the full name; the also-known-as list redirects
+    "lookup-alias-redirection": Lookups(FIXTURE_LINES, [("Michael Jeffrey Jordan", None, 41421)]),
+    "lookup-homonym-returns-lowest-qid": Lookups(
+        FIXTURE_LINES, [("iPad", None, 2796), ("Michael Jordan", None, 41421)]),
+    "lookup-no-match": Lookups(FIXTURE_LINES, [("zzz-unseen-entity", None, None)]),
+    "lookup-empty-surface-rejected": Lookups(
+        FIXTURE_LINES, [("   ", None, (ValueError, "lookup surface must be nonempty"))]),
+    # Q2 has the surface as an alias with a lower id; Q10's exact label must win
+    "lookup-stage-precedence-label-beats-alias": Lookups(
+        [record_line("Q2", "other", aliases=["target"]), record_line("Q10", "target")],
+        [("target", None, 10)]),
+    # two "Michael Jordan" labels: Q41421 an instance of Q5, Q27069141 of Q515
+    "lookup-candidate-restriction": Lookups(
+        FIXTURE_LINES[:4] + [record_line("Q27069141", "Michael Jordan", instance_of=["Q515"])],
+        [("Michael Jordan", {515}, 27069141), ("Michael Jordan", {5}, 41421)]),
+    # no class admits a label hit, and alias hits are filtered the same way
+    "lookup-candidate-restriction-on-fixture": Lookups(
+        FIXTURE_LINES, [("Michael Jordan", set(), None), ("Michael Jeffrey Jordan", {515}, None)]),
+    # the label stage hits only Q3, of the wrong class; the alias stage then finds Q8
+    "lookup-falls-back-to-aliases-when-classes-drop-every-label-hit": Lookups(
+        [record_line("Q3", "Jordan", instance_of=["Q6256"]),
+         record_line("Q8", "Michael Jordan", aliases=["Jordan"], instance_of=["Q5"])],
+        [("Jordan", None, 3), ("Jordan", {5}, 8), ("Jordan", {515}, None)]),
+    "lookup-case-insensitive-by-default": Lookups(FIXTURE_LINES, [("michael jordan", None, 41421)]),
+    # Paris is no instance of human, and iPad has no instance-of links at all
+    "narrow-person-filters-by-instance-of": Lookups(
+        FIXTURE_LINES, [("Michael Jordan", "person", 41421), ("Paris", "person", None),
+                        ("iPad", "person", None)],
+        {"person": {5}}, {"person": {5}}),
+    # not narrowed: every entity stays searchable, with or without instance-of links
+    "narrow-product-returns-all-ids": Lookups(FIXTURE_LINES, narrowed={"product": None}, roots={}),
+    # absent roots are kept
+    "narrow-person-on-empty-kb": Lookups([], [("Michael Jordan", "person", None)],
+                                         {"person": {5}}, {"person": {5}}),
+    "narrow-missing-class-roots": Lookups([record_line("Q1", "x")], narrowed={"person": (
+        MissingClassRootsError, "no class roots configured for narrowable category 'person'")},
+        roots={}),
+    # Paris: instance of city, city subclass of the root
+    "narrow-location-uses-closure": Lookups(
+        FIXTURE_LINES, [("Paris", "location", 90), ("Michael Jordan", "location", None)],
+        {"location": {2221906, 515}}, {"location": {2221906}}),
+    # the lowest id of the "acme" label and of the "acme corp" alias is of a
+    # foreign class
+    "homonym-whose-lowest-id-lies-outside-the-closure": Lookups(
+        ACME_LINES, [("Acme", None, 7), ("Acme", "person", 42), ("acme corp", None, 9),
+                     ("acme corp", "person", 300), ("acme", {8}, 7), ("acme", {99}, None),
+                     ("acme corp", {8}, 9), ("acme corp", {99}, None)],
+        {"person": {5, 6}}, {"person": {5}},
+        {"_label_index": {"human": 5, "foreign": 8, "person": 6, "acme": (7, 300, 42),
+                          "other": 9}}),
+}
+
+
+@pytest.mark.parametrize("case", LOOKUPS)
+def test_narrowed_lookup_matches_scan_oracle(case):
+    row = LOOKUPS[case]
+    kb = ingested(row.lines, row.indexes)
     surfaces = {s for rec in kb.records.values() for s in (rec.label, *rec.aliases)}
-    for coarse in [*NARROWED_ROOTS, "product"]:
-        classes = kb.narrow_candidates(coarse, NARROWED_ROOTS)
-        candidates = scan_narrow_oracle(kb, coarse, NARROWED_ROOTS)
+    for coarse in [*row.roots, "product"]:
+        classes = kb.narrow_candidates(coarse, row.roots)
+        candidates = candidates_of(kb, scan_closure_oracle(kb, row.roots[coarse])
+                                   if coarse in row.roots else None)
         for surface in sorted(surfaces):
-            assert (kb.lookup(surface, classes=classes)
-                    == intersect_lookup_oracle(kb, surface, candidates)), (coarse, surface)
-
-
-def test_entity_record_defaults():
-    rec = EntityRecord(id=3, label="thing")
-    assert rec.qid == "Q3"
-    assert rec.aliases == () and rec.occupation == ()
+            hit = kb.lookup(surface, classes=classes)
+            assert hit == intersect_lookup_oracle(kb, surface, candidates), (coarse, surface)
+            assert hit is not None or classes is not None, surface
+    for coarse, want in row.narrowed.items():
+        assert result(kb.narrow_candidates, coarse, row.roots) == want
+    for surface, classes, want in row.probes:
+        if isinstance(classes, str):
+            classes = kb.narrow_candidates(classes, row.roots)
+        hit = result(kb.lookup, surface, classes=classes)
+        assert (hit.id if isinstance(hit, EntityRecord) else hit) == want, (surface, classes)
+        if not isinstance(want, tuple):
+            assert hit == intersect_lookup_oracle(kb, surface, candidates_of(kb, classes))
 
 
 def test_linker_computes_each_closure_once(hierarchy, demo_kb, demo_table, monkeypatch):
@@ -356,33 +350,35 @@ def test_linker_computes_each_closure_once(hierarchy, demo_kb, demo_table, monke
     assert calls == []
 
 
-# --- records built on first access ---------------------------------------------
-
-def test_records_mapping_builds_each_record_once(fixture_kb):
-    records = fixture_kb.records
-    rec = records[41421]
-    assert rec is records[41421] is records.get(41421) is fixture_kb.lookup("MJ")
-    assert rec == EntityRecord(41421, "Michael Jordan", ("Michael Jeffrey Jordan", "MJ"),
-                               "american basketball player", (5,), (), (3665646,))
-    assert 41421 in records and 41422 not in records and "Q41421" not in records
-    assert records.get(41422) is None
-    with pytest.raises(KeyError):
-        records[41422]
-    assert len(records) == len(fixture_kb) == 10
-    assert sorted(records) == sorted(rec.id for rec in records.values())
-    assert any(r is rec for r in records.values())
-    with pytest.raises(TypeError):
-        records[1] = rec
-
-
-def test_entity_record_has_slots():
-    rec = EntityRecord(id=3, label="thing")
-    assert not hasattr(rec, "__dict__")
-    with pytest.raises(AttributeError):
-        rec.label = "other"
+@settings(max_examples=100, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(["ada", "bob", "core", "dot"]), min_size=1, max_size=6),
+    extra_aliases=st.lists(st.sampled_from(["ada", "bob", "core", "dot", "eve"]), max_size=4),
+    probe=st.sampled_from(["ada", "bob", "core", "dot", "eve"]),
+)
+def test_alias_monotonicity(labels, extra_aliases, probe):
+    # adding aliases never removes a resolvable surface
+    base = [record_line(f"Q{i+1}", lab) for i, lab in enumerate(labels)]
+    kb_before = ingest_snapshot(base)
+    enriched = base[:-1] + [record_line(f"Q{len(labels)}", labels[-1], aliases=extra_aliases)]
+    kb_after = ingest_snapshot(enriched)
+    if kb_before.lookup(probe) is not None:
+        assert kb_after.lookup(probe) is not None
 
 
 # --- ingest leaves the cyclic GC alone ----------------------------------------------
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic GC switched on or off inside the block, and back as it was
+    after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("lines, error", [
@@ -398,9 +394,7 @@ def test_ingest_leaves_caller_gc_setting_untouched(caller_gc, lines, error):
             seen.append(gc.isenabled())
             yield line
 
-    was = gc.isenabled()
-    (gc.enable if caller_gc else gc.disable)()
-    try:
+    with collector(caller_gc):
         if error is None:
             assert len(ingest_snapshot(observed())) == 2
         else:
@@ -408,25 +402,9 @@ def test_ingest_leaves_caller_gc_setting_untouched(caller_gc, lines, error):
                 ingest_snapshot(observed())
         assert gc.isenabled() is caller_gc
         assert seen == [caller_gc, caller_gc]
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 # --- ingest against the record-by-record oracle --------------------------------
-
-def outcome(ingest, lines):
-    """Everything an ingest yields, as comparable values: the error text, or the
-    records in order and the three indexes."""
-    try:
-        result = ingest(lines)
-    except SnapshotError as exc:
-        return ("error", str(exc))
-    if isinstance(result, KnowledgeBase):
-        result = (dict(result.records), id_sets(result._label_index),
-                  id_sets(result._alias_index), id_sets(result._subclass_children))
-    records, *indexes = result
-    return ("ok", list(records.items()), *indexes)
-
 
 def random_snapshot_lines(seed):
     """Homonyms, null, blank, duplicate and label-equal aliases, whitespace and
@@ -452,10 +430,129 @@ def random_snapshot_lines(seed):
         lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["\n", " \r\n", ""]))
         if rng.random() < 0.05:
             lines.append(rng.choice(["\n", "   \n", ""]))
-    long_id = "Q" + "9" * 60  # over-long for a real Q-id, but a valid one
-    lines.append(json.dumps({"qid": long_id, "label": "Ada", "instance_of": [long_id]}))
+    lines.append(json.dumps({"qid": LONG_QID, "label": "Ada", "instance_of": [LONG_QID]}))
     return lines
 
+
+class Ingest(NamedTuple):
+    """Snapshot lines that ingest must read as oracle_ingest does: to the same
+    records, each built once from its own source line and reached by its
+    label and aliases, or to ``error``. The row pins the record ``count``,
+    ``records`` whole, the id each surface in ``finds`` resolves to (or None)
+    and KB ``indexes`` whole."""
+    lines: list
+    count: int | None = None
+    records: dict = {}
+    finds: dict = {}
+    indexes: dict = {}
+    error: str | None = None
+
+
+SOURCE_LINE_SHAPES = {
+    "leading-whitespace": record_line("Q11", "lead", aliases=["in front"], start=" \t"),
+    "bom-in-values": record_line("Q12", "\ufeffbom", aliases=["\ufeff", "b\ufeffom"],
+                                 description="\ufeffa thing"),
+    "bom-in-values-unescaped": json.dumps(
+        {"qid": "Q13", "label": "\ufeffBOM", "aliases": ["x\ufeff"], "description": "\ufeff"},
+        ensure_ascii=False) + "\n",
+    "vertical-tab-in-values": record_line("Q14", "\x0bvt\x0b", aliases=["a\x0bb", "\x0b"],
+                                          description="\x0b"),
+    "crlf": record_line("Q15", "crlf", aliases=["CR LF"], instance_of=["Q5"], end="\r\n"),
+    "space-crlf": record_line("Q16", "crlf", instance_of=["Q515"], end=" \r\n"),
+    "no-newline": record_line("Q17", "last", subclass_of=["Q5"], end=""),
+    "60-digit-qids": record_line(LONG_QID, "long", instance_of=[LONG_QID],
+                                 subclass_of=["Q5", LONG_QID], occupation=[LONG_QID]),
+}
+Q1_LINE = record_line("Q1", "a")
+COMPACT_Q1_LINE = json.dumps({"qid": "Q1", "label": "a"}, separators=(",", ":")) + "\n"
+INGESTS = {
+    "demo": Ingest(DEMO_LINES),
+    "fixture": Ingest(FIXTURE_LINES),
+    "random": Ingest(random_snapshot_lines(5)),
+    "ingest-counts-and-indices": Ingest(FIXTURE_LINES, 10),
+    "ingest-empty-stream": Ingest([], 0, finds={"anything": None}),
+    "null-aliases-are-dropped": Ingest(
+        [json.dumps({"qid": "Q1", "label": "x", "aliases": [None, "y", None]})],
+        records={1: EntityRecord(1, "x", ("y",))}, finds={"None": None}),
+    "alias-equal-to-label-is-dropped": Ingest(
+        [record_line("Q7", "Foo", aliases=["Foo", "Bar", "Bar"])],
+        records={7: EntityRecord(7, "Foo", ("Bar",))}),
+    "unknown-fields-ignored": Ingest(
+        [json.dumps({"qid": "Q9", "label": "thing", "sitelinks": {"en": "x"}})],
+        records={9: EntityRecord(9, "thing")}),
+    # the record's defaults are what ingest gives a line with no other field
+    "entity-record-defaults": Ingest([json.dumps({"qid": "Q3", "label": "thing"})],
+                                     records={3: EntityRecord(id=3, label="thing")}),
+    "entity-record-has-slots": Ingest([record_line("Q3", "thing")],
+                                      records={3: EntityRecord(id=3, label="thing")}),
+    "records-mapping-builds-each-record-once": Ingest(
+        FIXTURE_LINES, 10, {41421: EntityRecord(
+            41421, "Michael Jordan", ("Michael Jeffrey Jordan", "MJ"),
+            "american basketball player", (5,), (), (3665646,))}, {"MJ": 41421}),
+    "one-entity-keeps-one-id-under-a-key-its-aliases-share": Ingest(
+        [record_line("Q2", "y", aliases=["bar"]),
+         record_line("Q3", "x", aliases=["Foo", "foo", "FOO "]),
+         record_line("Q4", "z", aliases=["Bar", "BAR"]),
+         record_line("Q5", "w", subclass_of=["Q1", "Q1"])],
+        indexes={"_alias_index": {"bar": (2, 4), "foo": 3}, "_subclass_children": {1: 5}}),
+    # each kept source line after the fixture's
+    **{f"source-line-{shape}": Ingest(FIXTURE_LINES + [line])
+       for shape, line in SOURCE_LINE_SHAPES.items()},
+    # one str object twice: a duplicate told apart by identity would pass
+    "duplicate-id-same-str-object": Ingest(
+        [Q1_LINE, Q1_LINE], error="line 2: duplicate entity id Q1 (first seen on line 1)"),
+    "duplicate-id-blank-lines-before-and-between": Ingest(
+        ["\n", " \t\n", Q1_LINE, "\n", "   \n", record_line("Q2", "b"), "\r\n", "",
+         record_line("Q1", "c")], error="line 9: duplicate entity id Q1 (first seen on line 3)"),
+    "duplicate-id-blank-line-before-each-record": Ingest(
+        ["\n", record_line("Q1", "a"), "\n", record_line("Q2", "b"), "\n",
+         record_line("Q3", "c"), "\n", record_line("Q2", "d")],
+        error="line 8: duplicate entity id Q2 (first seen on line 4)"),
+    "duplicate-id-general-parser-after-blank-lines": Ingest(
+        ["  \n", COMPACT_Q1_LINE, "\n", "\t\n", COMPACT_Q1_LINE],
+        error="line 5: duplicate entity id Q1 (first seen on line 2)"),
+}
+
+
+@pytest.mark.parametrize("case", INGESTS)
+def test_one_pass_ingest_matches_oracle(case):
+    row = INGESTS[case]
+    if row.error is not None:
+        assert (outcome(ingest_snapshot, row.lines) == outcome(oracle_ingest, row.lines)
+                == ("error", row.error))
+        return
+    kb = ingested(row.lines, row.indexes)
+    records, expected = kb.records, oracle_ingest(row.lines)[0]
+    assert len(records) == len(kb) == len(expected) == (row.count or len(expected))
+    for line, (entity_id, want) in zip([line for line in row.lines if line.strip()],
+                                       expected.items()):
+        assert kb._lines[entity_id] is line
+        rec = records[entity_id]
+        assert rec == want and rec is records[entity_id] is records.get(entity_id)
+        for surface in (rec.label, *rec.aliases):
+            hit = kb.lookup(surface)
+            assert hit is records[hit.id], surface
+    for rec in (*records.values(), *row.records.values()):
+        assert rec.qid == f"Q{rec.id}" and not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.label = "other"
+    absent = max(records, default=0) + 1
+    assert absent not in records and records.get(absent) is None
+    assert f"Q{absent - 1}" not in records
+    with pytest.raises(KeyError):
+        records[absent]
+    with pytest.raises(TypeError):
+        records[1] = EntityRecord(1, "x")
+    assert sorted(records) == sorted(rec.id for rec in records.values())
+    assert all(rec is records[rec.id] for rec in records.values())
+    for entity_id, want in row.records.items():
+        assert records[entity_id] == want
+    for surface, want in row.finds.items():
+        hit = kb.lookup(surface)
+        assert (None if hit is None else hit.id) == want, surface
+
+
+# --- error text against the oracle ----------------------------------------------
 
 MALFORMED_LINES = [
     "{not json", "", "[1, 2]", "null", "1" * 5000, '"Q1"', '{"label": "x"}',
@@ -478,22 +575,6 @@ MALFORMED_LINES = [
     '{"qid": "Q1", "label": "x", "label": ""}',
     json.dumps({"qid": "Q41421", "label": "duplicate"}),
 ]
-
-
-def assert_matches_oracle(lines):
-    expected = outcome(oracle_ingest, lines)
-    assert expected[0] == "ok"
-    assert outcome(ingest_snapshot, lines) == expected
-
-
-@pytest.mark.parametrize("name", ["demo", "fixture", "random"])
-def test_one_pass_ingest_matches_oracle(name):
-    lines = {"demo": (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8").splitlines(True),
-             "fixture": FIXTURE_LINES, "random": random_snapshot_lines(5)}[name]
-    assert_matches_oracle(lines)
-    kb = ingest_snapshot(lines)
-    for rec in kb.records.values():
-        assert kb.lookup(rec.label) is kb.records[kb.lookup(rec.label).id]
 
 
 MIXED_LINK_LINES = [
@@ -542,28 +623,9 @@ def test_ingest_error_text_matches_the_oracle(line, place):
         assert expected[0] == "error"
 
 
-Q1_LINE = record_line("Q1", "a")
-COMPACT_Q1_LINE = json.dumps({"qid": "Q1", "label": "a"}, separators=(",", ":")) + "\n"
-
-
-@pytest.mark.parametrize("lines, error", [
-    # one str object twice: a duplicate told apart by identity would pass
-    ([Q1_LINE, Q1_LINE], "line 2: duplicate entity id Q1 (first seen on line 1)"),
-    (["\n", " \t\n", Q1_LINE, "\n", "   \n", record_line("Q2", "b"), "\r\n", "",
-      record_line("Q1", "c")], "line 9: duplicate entity id Q1 (first seen on line 3)"),
-    (["\n", record_line("Q1", "a"), "\n", record_line("Q2", "b"), "\n", record_line("Q3", "c"),
-      "\n", record_line("Q2", "d")], "line 8: duplicate entity id Q2 (first seen on line 4)"),
-    (["  \n", COMPACT_Q1_LINE, "\n", "\t\n", COMPACT_Q1_LINE],
-     "line 5: duplicate entity id Q1 (first seen on line 2)"),
-], ids=["same-str-object", "blank-lines-before-and-between", "blank-line-before-each-record",
-        "general-parser-after-blank-lines"])
-def test_duplicate_id_error_text_names_both_lines(lines, error):
-    assert outcome(ingest_snapshot, lines) == outcome(oracle_ingest, lines) == ("error", error)
-
 
 # --- generated snapshots against the oracle ------------------------------------------
 
-LONG_QID = "Q" + "9" * 60
 record_objects = st.dictionaries(st.sampled_from(SNAPSHOT_FIELDS), json_values)
 # Arbitrary text, numbers, and records of any JSON values padded at either end.
 generated_lines = st.lists(st.one_of(
@@ -843,86 +905,6 @@ def test_snapshot_ingest_matches_the_oracle(lines):
     assert_ingest_matches_the_oracle(lines)
 
 
-# --- the compact KB: source lines, and int or tuple index values -------------------
-
-def test_one_entity_keeps_one_id_under_a_key_its_aliases_share():
-    lines = [record_line("Q2", "y", aliases=["bar"]),
-             record_line("Q3", "x", aliases=["Foo", "foo", "FOO "]),
-             record_line("Q4", "z", aliases=["Bar", "BAR"]),
-             record_line("Q5", "w", subclass_of=["Q1", "Q1"])]
-    assert_matches_oracle(lines)
-    kb = ingest_snapshot(lines)
-    assert kb._alias_index == {"bar": (2, 4), "foo": 3}
-    assert kb._subclass_children == {1: 5}
-
-
-def test_homonym_whose_lowest_id_lies_outside_the_closure():
-    lines = [record_line("Q5", "human"), record_line("Q8", "foreign"),
-             record_line("Q6", "person", subclass_of=["Q5"]),
-             record_line("Q7", "acme", instance_of=["Q8"]),
-             record_line("Q300", "acme", aliases=["ACME corp"], instance_of=["Q6"]),
-             record_line("Q42", "ACME", instance_of=["Q5", "Q8"]),
-             record_line("Q9", "other", aliases=["acme corp"], instance_of=["Q8"])]
-    assert_matches_oracle(lines)
-    kb = ingest_snapshot(lines)
-    assert kb._label_index["acme"] == (7, 300, 42)
-    people = kb.narrow_candidates("person", {"person": {5}})
-    assert people == {5, 6}
-    assert kb.lookup("Acme").id == 7
-    assert kb.lookup("Acme", classes=people).id == 42
-    assert kb.lookup("acme corp").id == 9
-    assert kb.lookup("acme corp", classes=people).id == 300
-    assert kb.lookup("acme", classes={8}).id == 7
-    assert kb.lookup("acme", classes={99}) is None
-    for surface in ("acme", "acme corp"):
-        for classes in (None, people, {8}, {99}):
-            candidates = set(kb.records) if classes is None else {
-                rec.id for rec in kb.records.values() if classes.intersection(rec.instance_of)}
-            assert kb.lookup(surface, classes=classes) == intersect_lookup_oracle(
-                kb, surface, candidates)
-
-
-def test_class_with_more_than_two_subclass_children():
-    lines = [record_line("Q1", "root"),
-             *(record_line(f"Q{c}", f"class {c}", subclass_of=["Q1"]) for c in (9, 3, 12, 4)),
-             record_line("Q20", "leaf", subclass_of=["Q3", "Q12"]),
-             record_line("Q21", "twig", subclass_of=["Q3"])]
-    assert_matches_oracle(lines)
-    kb = ingest_snapshot(lines)
-    assert kb._subclass_children == {1: (9, 3, 12, 4), 3: (20, 21), 12: 20}
-    assert kb.subclass_closure({1}) == {1, 3, 4, 9, 12, 20, 21}
-    assert kb.subclass_closure({12, 4}) == {4, 12, 20}
-
-
-SOURCE_LINE_SHAPES = {
-    "leading-whitespace": record_line("Q11", "lead", aliases=["in front"], start=" \t"),
-    "bom-in-values": record_line("Q12", "\ufeffbom", aliases=["\ufeff", "b\ufeffom"],
-                                 description="\ufeffa thing"),
-    "bom-in-values-unescaped": json.dumps(
-        {"qid": "Q13", "label": "\ufeffBOM", "aliases": ["x\ufeff"], "description": "\ufeff"},
-        ensure_ascii=False) + "\n",
-    "vertical-tab-in-values": record_line("Q14", "\x0bvt\x0b", aliases=["a\x0bb", "\x0b"],
-                                          description="\x0b"),
-    "crlf": record_line("Q15", "crlf", aliases=["CR LF"], instance_of=["Q5"], end="\r\n"),
-    "space-crlf": record_line("Q16", "crlf", instance_of=["Q515"], end=" \r\n"),
-    "no-newline": record_line("Q17", "last", subclass_of=["Q5"], end=""),
-    "60-digit-qids": record_line(LONG_QID, "long", instance_of=[LONG_QID],
-                                 subclass_of=["Q5", LONG_QID], occupation=[LONG_QID]),
-}
-
-
-@pytest.mark.parametrize("line", SOURCE_LINE_SHAPES.values(), ids=SOURCE_LINE_SHAPES.keys())
-def test_records_decode_each_kept_source_line_to_the_oracle_record(line):
-    lines = FIXTURE_LINES + [line]
-    assert_matches_oracle(lines)
-    expected = oracle_ingest(lines)[0]
-    kb = ingest_snapshot(lines)
-    entity_id = list(expected)[-1]
-    assert kb._lines[entity_id] is line
-    for entity_id, record in expected.items():
-        assert kb.records[entity_id] == record
-
-
 # --- the lines ingest reads without _parse ----------------------------------------
 
 # Lines outside the documented layout, each in its own way.
@@ -958,9 +940,6 @@ def seeded_snapshot_lines(seed):
     return lines
 
 
-GENERATE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
-
-
 def in_documented_layout(line):
     """Whether ``line`` is a record as json.dumps writes the documented fields
     by default, in their order, with or without ``ensure_ascii``, followed by
@@ -982,14 +961,9 @@ def in_documented_layout(line):
             and all(isinstance(alias, str) for alias in obj["aliases"]))
 
 
-def benchmark_kb_lines(tmp_path, monkeypatch):
+def benchmark_kb_lines(tmp_path):
     """The KB lines perfbench/generate.py writes for its smallest workload."""
-    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE_PATH)
-    generate = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, generate)  # its dataclasses look it up
-    spec.loader.exec_module(generate)
-    generate.generate(generate.WORKLOADS["train-tag"], 1, tmp_path)
-    return (tmp_path / "kb.jsonl").read_text(encoding="utf-8").splitlines(True)
+    return generated("train-tag", tmp_path)["kb"].read_text(encoding="utf-8").splitlines(True)
 
 
 # The same records with raw and with escaped non-ASCII text: only the first
@@ -1000,20 +974,13 @@ NON_ASCII_LINES = [record_line(qid, "Zoë Ørsted", ["東京", " Zoë "], "née"
 
 
 @pytest.mark.parametrize("name", ["demo", "seeded", "benchmark"])
-def test_documented_layout_lines_are_not_parsed(name, monkeypatch, tmp_path):
-    lines = {"demo": lambda: (DEMO_DIR / "snapshot.jsonl").read_text(encoding="utf-8")
-             .splitlines(True),
+def test_documented_layout_lines_are_not_parsed(name, tmp_path):
+    lines = {"demo": lambda: DEMO_LINES,
              "seeded": lambda: seeded_snapshot_lines(3) + NON_ASCII_LINES,
-             "benchmark": lambda: benchmark_kb_lines(tmp_path, monkeypatch)}[name]()
-    parsed = []
-    parse = kb_module._parse
-
-    def counting_parse(line):
-        parsed.append(line)
-        return parse(line)
-
-    monkeypatch.setattr(kb_module, "_parse", counting_parse)
-    kb = ingest_snapshot(lines)
+             "benchmark": lambda: benchmark_kb_lines(tmp_path)}[name]()
+    with mock.patch.object(kb_module, "_parse", wraps=kb_module._parse) as parse:
+        kb = ingest_snapshot(lines)
+    parsed = [call.args[0] for call in parse.call_args_list]
     assert len(kb) == sum(1 for line in lines if line.strip())
     assert any(in_documented_layout(line) for line in lines)
     assert [line for line in lines if not in_documented_layout(line)] == parsed
@@ -1027,7 +994,7 @@ def test_only_non_ascii_keys_are_nfc_normalized(monkeypatch, tmp_path):
     # Every label and alias of the benchmark KB is ASCII without a double
     # space, so each key takes the one-casefold shortcut; a non-ASCII key is
     # NFC-normalized whether its line is read from the pattern or by _parse.
-    lines = benchmark_kb_lines(tmp_path, monkeypatch)
+    lines = benchmark_kb_lines(tmp_path)
     nfc = mock.Mock(wraps=unicodedata.normalize)
     monkeypatch.setattr(unicodedata, "normalize", nfc)
     surface = mock.Mock(wraps=normalize_surface)
@@ -1105,17 +1072,13 @@ def scaled_snapshot_lines(records):
 def test_ingest_leaves_the_collector_nothing_that_grows_with_the_kb():
     small, large = scaled_snapshot_lines(2_000), scaled_snapshot_lines(20_000)
     growth = []
-    was = gc.isenabled()
-    gc.disable()
-    try:
+    with collector(False):
         for lines in (small, large):
             before = len(gc.get_objects())
             kb = ingest_snapshot(lines)
             growth.append(len(gc.get_objects()) - before)
             assert len(kb) == len(lines)
             del kb
-    finally:
-        (gc.enable if was else gc.disable)()
     assert abs(growth[1] - growth[0]) < 100, growth
 
 
@@ -1127,15 +1090,13 @@ def test_ingest_with_the_collector_on_runs_no_full_collection():
         if phase == "start" and info["generation"] == 2:
             full.append(info)
 
-    was = gc.isenabled()
-    gc.enable()
-    gc.collect()
-    gc.callbacks.append(on_collection)
-    try:
-        kb = ingest_snapshot(lines)
-    finally:
-        gc.callbacks.remove(on_collection)
-        (gc.enable if was else gc.disable)()
+    with collector(True):
+        gc.collect()
+        gc.callbacks.append(on_collection)
+        try:
+            kb = ingest_snapshot(lines)
+        finally:
+            gc.callbacks.remove(on_collection)
     assert len(kb) == len(lines)
     assert full == []
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 from finetype.taxonomy import (
@@ -9,109 +11,93 @@ from finetype.taxonomy import (
 from finetype import default_hierarchy_path
 
 
-def test_shipped_document_has_112_labels(hierarchy):
-    assert hierarchy.total_count == 112
+class Document(NamedTuple):
+    """A hierarchy document's lines (None for the shipped one), and what
+    loading it must give twice over: ``count`` labels, of which the roots and
+    their subtypes tile those of depth 1 and 2, each label with the accessors
+    its text implies; and as pinned the ``roots``, each root's subtype leaves
+    in document order and each label's coarse root."""
+    lines: list | None
+    count: int
+    roots: list | None = None
+    subtypes: dict = {}
+    coarse: dict = {}
 
 
-def test_shipped_roots_are_the_seven_mapped_categories_plus_miscellaneous(hierarchy):
-    assert [str(r) for r in hierarchy.roots] == [
+DOCUMENTS = {
+    "shipped-document-has-112-labels": Document(None, 112),
+    "shipped-roots-are-the-seven-mapped-categories-plus-miscellaneous": Document(None, 112, [
         "person", "location", "organization", "event",
         "product", "building", "art", "miscellaneous",
-    ]
-
-
-def test_minimal_document_single_root():
-    h = parse_hierarchy(["widget"])
-    assert h.total_count == 1
-    assert h.subtypes_of("widget") == []
-
-
-@pytest.mark.parametrize("lines, message", [
-    (["person", "person.artist", "person.artist"], "duplicate.*person.artist"),
-    (["location", "person.artist"], "orphan"),
-    (["person", "# comment", "person..artist"], "line 3"),
-])
-def test_parse_hierarchy_error_text(lines, message):
-    with pytest.raises(HierarchyError, match=message):
-        parse_hierarchy(lines)
-
-
-def test_comments_and_blank_lines_ignored():
-    h = parse_hierarchy(["# header", "", "person  # trailing", "person.artist"])
-    assert h.total_count == 2
-
-
-def test_labels_are_lowercased():
-    h = parse_hierarchy(["Person", "Person.Artist"])
-    assert "person.artist" in h
-
-
-def test_deeper_paths_accepted_for_forward_compatibility():
-    h = parse_hierarchy(["a", "a.b", "a.b.c"])
-    assert h.total_count == 3
-    assert h.coarse_of("a.b.c") == "a"
-
-
-def test_coarse_of_fine_label(hierarchy):
-    assert hierarchy.coarse_of("person.artist") == "person"
-    assert hierarchy.coarse_of("product.computer") == "product"
-
-
-def test_coarse_of_root_is_fixed_point(hierarchy):
-    assert hierarchy.coarse_of("location") == "location"
-
-
-def test_coarse_of_unknown_label(hierarchy):
-    with pytest.raises(HierarchyError, match="unknown"):
-        hierarchy.coarse_of("person.wizard")
-
-
-def test_product_subtypes_match_document_order(hierarchy):
-    leaves = [s.leaf for s in hierarchy.subtypes_of("product")]
-    assert leaves == [
+    ]),
+    "minimal-document-single-root": Document(["widget"], 1, subtypes={"widget": []}),
+    "comments-and-blank-lines-ignored": Document(
+        ["# header", "", "person  # trailing", "person.artist"], 2),
+    "labels-are-lowercased": Document(["Person", "Person.Artist"], 2,
+                                      coarse={"person.artist": "person"}),
+    "deeper-paths-accepted-for-forward-compatibility": Document(["a", "a.b", "a.b.c"], 3,
+                                                                coarse={"a.b.c": "a"}),
+    "coarse-of-fine-label": Document(None, 112, coarse={"person.artist": "person",
+                                                        "product.computer": "product"}),
+    "coarse-of-root-is-fixed-point": Document(None, 112, coarse={"location": "location"}),
+    "product-subtypes-match-document-order": Document(None, 112, subtypes={"product": [
         "engine", "airplane", "car", "ship", "spacecraft", "train", "camera",
         "mobile phone", "computer", "software", "game", "instrument", "weapon",
-    ]
-
-
-def test_subtypes_of_rejects_fine_label(hierarchy):
-    with pytest.raises(HierarchyError, match="not a root"):
-        hierarchy.subtypes_of("person.artist")
-
-
-def test_partition_property(hierarchy):
+    ]}),
     # roots plus every root's children exactly tile the label set
-    collected = list(hierarchy.roots)
-    for root in hierarchy.roots:
-        collected.extend(hierarchy.subtypes_of(root))
-    assert len(collected) == hierarchy.total_count
-    assert set(collected) == set(hierarchy.labels())
+    "partition-property": Document(None, 112),
+    "round-trip-every-fine-label": Document(None, 112),
+    "load-is-deterministic": Document(None, 112),
+    "type-label-accessors": Document(["Product", "Product.Mobile  Phone"], 2,
+                                     subtypes={"product": ["mobile phone"]},
+                                     coarse={"product.mobile phone": "product"}),
+}
 
 
-def test_round_trip_every_fine_label(hierarchy):
-    for label in hierarchy.labels():
+@pytest.mark.parametrize("case", DOCUMENTS)
+def test_hierarchy_document_loads(case):
+    row = DOCUMENTS[case]
+    load = ((lambda: load_hierarchy(default_hierarchy_path())) if row.lines is None
+            else (lambda: parse_hierarchy(row.lines)))
+    h, again = load(), load()
+    assert h.total_count == row.count
+    assert again.labels() == h.labels() and again.roots == h.roots
+    assert all(again.subtypes_of(r) == h.subtypes_of(r) for r in h.roots)
+    collected = list(h.roots)
+    for root in h.roots:
+        collected.extend(h.subtypes_of(root))
+    two_level = [label for label in h.labels() if label.depth <= 2]
+    assert len(collected) == len(two_level) and set(collected) == set(two_level)
+    for label in h.labels():
+        path = str(label).split(".")
+        assert label == TypeLabel(str(label).upper())
+        assert (label.depth, label.root, label.leaf) == (len(path), path[0], path[-1])
+        assert label.parent == (None if len(path) == 1 else ".".join(path[:-1]))
         if label.depth == 2:
-            assert label in hierarchy.subtypes_of(hierarchy.coarse_of(label))
+            assert label in h.subtypes_of(h.coarse_of(label))
+    if row.roots is not None:
+        assert [str(r) for r in h.roots] == row.roots
+    for root, leaves in row.subtypes.items():
+        assert [s.leaf for s in h.subtypes_of(root)] == leaves
+    for label, root in row.coarse.items():
+        assert label in h and h.coarse_of(label) == root
 
 
-def test_load_is_deterministic():
-    a = load_hierarchy(default_hierarchy_path())
-    b = load_hierarchy(default_hierarchy_path())
-    assert a.labels() == b.labels()
-    assert a.roots == b.roots
-    assert all(a.subtypes_of(r) == b.subtypes_of(r) for r in a.roots)
+# Named cases: a call given the shipped hierarchy, and the error text it must
+# raise HierarchyError with.
+HIERARCHY_ERRORS = {
+    "duplicate": (lambda h: parse_hierarchy(["person", "person.artist", "person.artist"]),
+                  "duplicate.*person.artist"),
+    "orphan": (lambda h: parse_hierarchy(["location", "person.artist"]), "orphan"),
+    "line-3": (lambda h: parse_hierarchy(["person", "# comment", "person..artist"]), "line 3"),
+    "coarse-of-unknown-label": (lambda h: h.coarse_of("person.wizard"), "unknown"),
+    "subtypes-of-rejects-fine-label": (lambda h: h.subtypes_of("person.artist"), "not a root"),
+    "empty-label-rejected": (lambda h: TypeLabel("   "), "empty type label"),
+}
 
 
-def test_type_label_accessors():
-    label = TypeLabel("Product.Mobile  Phone")
-    assert label == "product.mobile phone"
-    assert label.depth == 2
-    assert label.root == "product"
-    assert label.leaf == "mobile phone"
-    assert TypeLabel("product").parent is None
-    assert label.parent == "product"
-
-
-def test_empty_label_rejected():
-    with pytest.raises(HierarchyError):
-        TypeLabel("   ")
+@pytest.mark.parametrize("case", HIERARCHY_ERRORS)
+def test_hierarchy_error_text(hierarchy, case):
+    call, message = HIERARCHY_ERRORS[case]
+    with pytest.raises(HierarchyError, match=message):
+        call(hierarchy)
