@@ -249,9 +249,9 @@ class KnowledgeBase:
 
 
 def _first_line(stored: dict[int, str], entity_id: int, blanks: list[int]) -> int:
-    """The line number of ``entity_id``'s first record. Assigning a key again
-    keeps its place in a dict, so its index in ``stored`` counts the records
-    before it; ``blanks``, in ascending order, are the lines that hold none."""
+    """The line number of ``entity_id``'s first record. ``stored`` holds the
+    records in line order, so its index there counts the records before it;
+    ``blanks``, in ascending order, are the lines that hold none."""
     lineno = list(stored).index(entity_id) + 1
     for blank in blanks:
         if blank > lineno:
@@ -266,16 +266,18 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
     One pass reads, validates and indexes each line; unknown fields are
     ignored. A line in the layout that json.dumps writes by default for the
     seven documented fields is read with one compiled pattern and no JSON
-    decode; a line in any other layout is decoded by the general parser,
+    decode: it costs that match, one probe of the stored ids and its index
+    inserts. A line in any other layout is decoded by the general parser,
     which gives the same result more slowly. A matched label or alias that is
     ASCII with no double space is keyed by one casefold, the key
     normalize_surface gives it; all other text is keyed by normalize_surface.
     Raises SnapshotError with the offending line number on malformed input or
-    duplicate ids.
+    duplicate ids; line numbers are worked out only then, and for blank lines.
     """
     kb = KnowledgeBase()
     stored, children = kb._lines, kb._subclass_children
     label_index, alias_index = kb._label_index, kb._alias_index
+    label_setdefault, alias_setdefault = label_index.setdefault, alias_index.setdefault
     blanks: list[int] = []  # the number of each blank line, the one line that stores nothing
     # A key's second id turns its value into a list, made a tuple after the
     # loop, so that a key shared by n records costs O(n) and not O(n^2).
@@ -293,59 +295,72 @@ def ingest_snapshot(lines: Iterable[str]) -> KnowledgeBase:
         elif hit[-1] != entity_id:  # one record adds all its ids to a key together
             hit.append(entity_id)
 
-    for lineno, raw in enumerate(lines, start=1):
+    def current_line() -> int:
+        # Every line before this one stored a record or is in blanks.
+        return len(stored) + len(blanks) + 1
+
+    def numbered(message: object) -> SnapshotError:
+        return SnapshotError(f"line {current_line()}: {message}")
+
+    def duplicate(entity_id: int) -> SnapshotError:
+        return numbered(f"duplicate entity id {format_qid(entity_id)}"
+                        f" (first seen on line {_first_line(stored, entity_id, blanks)})")
+
+    for raw in lines:
         # A line in the documented layout with a label that is not blank is
         # read from the match, with no decode. Every other line, whatever its
         # layout, goes to _parse, which words the errors.
         documented = documented_layout(raw)
-        if documented:
+        if documented is not None:
             digits, label, names, sub = documented.groups()
             label = label.strip()
-        if documented and label:
-            entity_id = int(digits)
-            # A matched string holds no control character, so its only ASCII
-            # whitespace is " ". Stripped and free of double spaces, ASCII
-            # text is then its own split-and-join and skips NFC, so
-            # normalize_surface would only casefold it.
-            key = (label.casefold() if label.isascii() and "  " not in label
-                   else normalize_surface(label))
-            if names:
-                # No matched string holds a '"', so '", "' only separates
-                # aliases.
-                alias_keys = []
-                for alias in names[1:-1].split('", "'):
-                    alias = alias.strip()
-                    if alias and alias != label:
-                        alias_keys.append(
-                            alias.casefold() if alias.isascii() and "  " not in alias
-                            else normalize_surface(alias))
-            else:
-                alias_keys = ()
-            parents = [int(v.strip('"Q')) for v in sub.split(", ")] if sub else ()
-        else:
+        if documented is None or not label:
             try:
                 fields = _parse(raw)
             except SnapshotError as exc:
-                raise SnapshotError(f"line {lineno}: {exc}") from None
+                raise numbered(exc) from None
             if fields is None:
-                blanks.append(lineno)
+                blanks.append(current_line())
                 continue
             entity_id, label, aliases, _, _, parents, _ = fields
+            if entity_id in stored:
+                raise duplicate(entity_id)
+            stored[entity_id] = raw
             key = normalize_surface(label)
-            alias_keys = [normalize_surface(alias) for alias in aliases]
+            if label_setdefault(key, entity_id) != entity_id:
+                add(label_index, key, entity_id)
+            for alias in aliases:
+                alias_key = normalize_surface(alias)
+                if alias_setdefault(alias_key, entity_id) != entity_id:
+                    add(alias_index, alias_key, entity_id)
+            for parent in parents:
+                add(children, parent, entity_id)
+            continue
+        entity_id = int(digits)
+        # A first record keeps its place in stored, which _first_line reads.
+        if entity_id in stored:
+            raise duplicate(entity_id)
         stored[entity_id] = raw
-        # Every line read so far but a blank one stored a record, so a
-        # duplicate id is the one case where the store did not grow.
-        if len(stored) != lineno - len(blanks):
-            raise SnapshotError(f"line {lineno}: duplicate entity id {format_qid(entity_id)}"
-                                f" (first seen on line {_first_line(stored, entity_id, blanks)})")
-        if label_index.setdefault(key, entity_id) != entity_id:
+        # A matched string holds no control character, so its only ASCII
+        # whitespace is " ". Stripped and free of double spaces, ASCII text is
+        # then its own split-and-join and skips NFC, so normalize_surface
+        # would only casefold it.
+        key = (label.casefold() if label.isascii() and "  " not in label
+               else normalize_surface(label))
+        if label_setdefault(key, entity_id) != entity_id:
             add(label_index, key, entity_id)
-        for alias_key in alias_keys:
-            if alias_index.setdefault(alias_key, entity_id) != entity_id:
-                add(alias_index, alias_key, entity_id)
-        for parent in parents:
-            add(children, parent, entity_id)
+        if names:
+            # No matched string holds a '"', so '", "' only separates aliases.
+            for alias in names[1:-1].split('", "'):
+                alias = alias.strip()
+                if alias and alias != label:
+                    alias_key = (alias.casefold() if alias.isascii() and "  " not in alias
+                                 else normalize_surface(alias))
+                    if alias_setdefault(alias_key, entity_id) != entity_id:
+                        add(alias_index, alias_key, entity_id)
+        if sub:
+            for parent in sub.split(", "):
+                add(children, int(parent.strip('"Q')), entity_id)
     for index, key in shared:
         index[key] = tuple(index[key])
     return kb

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import random
 import re
 import shlex
@@ -283,6 +284,45 @@ def test_pipeline_at_the_largest_accepted_learning_rate_exits_0(tmp_path, demo_c
                                  {"learning_rate": repr(tagger.MAX_RATE_STEPS / 80)}))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["pipeline", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def largest_accepted_rate(steps):
+    """The largest float whose product with ``steps`` is at most MAX_RATE_STEPS."""
+    rate = tagger.MAX_RATE_STEPS / steps
+    while rate * steps > tagger.MAX_RATE_STEPS:
+        rate = math.nextafter(rate, 0)
+    while math.nextafter(rate, math.inf) * steps <= tagger.MAX_RATE_STEPS:
+        rate = math.nextafter(rate, math.inf)
+    return rate
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(epochs=st.integers(1, 10**7), batch_size=st.integers(1, 16))
+def test_learning_rate_rule_loads_the_largest_rate_and_refuses_the_next(demo_config_path, epochs,
+                                                                         batch_size):
+    # load_inputs as `train` calls it, so that no example trains; no demo
+    # sentence is empty, so each epoch has ceil(8 / batch_size) batches
+    batches = -(-len(DEMO_SENTENCES) // batch_size)
+    steps = epochs * batches
+    largest = largest_accepted_rate(steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "rate.cfg"
+
+        def load(rate):
+            cfg.write_text(edited_config(demo_config_path, {
+                "epochs": epochs, "batch_size": batch_size, "learning_rate": repr(rate)}))
+            args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+            return cli.load_inputs(args, {"hierarchy", "train", "output_dir"})
+
+        inputs = load(largest)
+        assert inputs.cfg.tagger.learning_rate == largest
+        assert len(inputs.training) == len(DEMO_SENTENCES)
+        above = math.nextafter(largest, math.inf)
+        with pytest.raises(ConfigError) as refused:
+            load(above)
+    assert str(refused.value) == (
+        f"key 'learning_rate': {above!r} times {steps} training steps ({epochs} epochs of"
+        f" {batches} batches) is more than 67108864")
 
 
 # --- evaluate ---------------------------------------------------------------------------

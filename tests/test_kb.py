@@ -465,6 +465,7 @@ SOURCE_LINE_SHAPES = {
 }
 Q1_LINE = record_line("Q1", "a")
 COMPACT_Q1_LINE = json.dumps({"qid": "Q1", "label": "a"}, separators=(",", ":")) + "\n"
+COMPACT_Q2_LINE = json.dumps({"qid": "Q2", "label": "b"}, separators=(",", ":")) + "\n"
 INGESTS = {
     "demo": Ingest(DEMO_LINES),
     "fixture": Ingest(FIXTURE_LINES),
@@ -511,6 +512,15 @@ INGESTS = {
     "duplicate-id-general-parser-after-blank-lines": Ingest(
         ["  \n", COMPACT_Q1_LINE, "\n", "\t\n", COMPACT_Q1_LINE],
         error="line 5: duplicate entity id Q1 (first seen on line 2)"),
+    # a _parse error after blank lines and records read by the pattern and by
+    # _parse: its number is worked out from the counts of both
+    "invalid-json-after-blank-lines-and-both-paths": Ingest(
+        ["\n", Q1_LINE, " \t\n", COMPACT_Q2_LINE, "\n", "", "{broken\n"],
+        error="line 7: invalid JSON at column 2: Expecting property name enclosed in double"
+              " quotes"),
+    "blank-label-after-blank-lines-and-both-paths": Ingest(
+        ["  \n", COMPACT_Q1_LINE, "\n", record_line("Q2", "b"), "\r\n", "\n",
+         record_line("Q3", "  ")], error="line 7: record Q3 has an empty label"),
 }
 
 

@@ -273,15 +273,6 @@ def test_clustering_ignores_each_word_vector_scale(hierarchy, demo_table, demo_k
     assert results > 0
 
 
-def test_leaf_without_word_token_is_skipped(demo_table):
-    h = parse_hierarchy(["product", "product.+", "product.computer"])
-    entity = EntityRecord(id=1, label="x", description="line of tablet computers")
-    got = cluster_to_subtype(demo_linker(h, demo_table), entity, "product")
-    assert got is not None and got[0] == "product.computer"
-    only = parse_hierarchy(["product", "product.+"])
-    assert cluster_to_subtype(demo_linker(only, demo_table), entity, "product") is None
-
-
 def test_roots_without_usable_subtypes_fall_back_to_coarse_label(demo_table):
     kb = ingest_snapshot([json.dumps({"qid": "Q2796", "label": "iPad",
                                       "description": "line of tablet computers"})])
