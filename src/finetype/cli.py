@@ -257,7 +257,9 @@ def load_inputs(args, keys: set[str]) -> Inputs:
     (``pipeline`` then skips scoring). ``output_dir`` checks that the output
     directory is one or can be made. ``model`` loads the configured model and
     ``train`` builds a coarse-tagged training set from ``train_corpus``
-    (default: the corpus, read once for both); given both, a configured model
+    (default: the corpus, read once for both) and checks that the file the
+    model is saved to (``model``, default ``<output_dir>/model.npz``) is no
+    directory and lies under no file; given both, a configured model
     is used and nothing is trained. With either, vectors from ``token_vectors`` are
     attached to the sentences read: a table, or under ``vector_source =
     precomputed`` a sidecar.
@@ -293,6 +295,13 @@ def load_inputs(args, keys: set[str]) -> Inputs:
         existing = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists())
         if not existing.is_dir():
             problems.append(f"output_dir is not a directory: {existing}")
+    if training:  # the model is saved there, its missing directories created
+        saved = cfg.model or cfg.output_dir / "model.npz"
+        existing = next(p for p in saved.parents if p.exists())
+        if saved.is_dir():
+            problems.append(f"model is a directory: {saved}")
+        elif cfg.model and not existing.is_dir():  # the output_dir check covers the default
+            problems.append(f"model is under a file: {existing}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -397,7 +406,8 @@ def train_tagger(inputs: Inputs) -> TaggerModel:
     with _stage("train tagger"):
         cfg = inputs.cfg
         model = train(inputs.training, cfg.tagger)
-        path = cfg.model or _output_dir(cfg) / "model.npz"
+        path = cfg.model or cfg.output_dir / "model.npz"
+        path.parent.mkdir(parents=True, exist_ok=True)
         model.save(path)
         loss = "none" if model.final_loss is None else f"{model.final_loss:.6f}"
         print(f"train: {cfg.tagger.epochs} epochs, final loss {loss} -> {path}")
@@ -439,8 +449,8 @@ def write_linked(path: Path, corpus: list[SequenceExample],
                 "start": span.start,
                 "end": span.end,
                 "surface": " ".join(corpus[doc].tokens[span.start : span.end]),
-                "coarse": str(span.coarse),
-                "fine": str(mention.fine_type),
+                "coarse": span.coarse,
+                "fine": mention.fine_type,
                 "entity": format_qid(mention.entity) if mention.entity is not None else None,
                 "score": mention.score,
             }
@@ -501,14 +511,14 @@ def evaluate_linked(inputs: Inputs, pred: Path) -> None:
                                 f" != corpus text {surface!r}")
             label = rec["fine"]
             if coarse and label in hierarchy:
-                label = str(hierarchy.coarse_of(label))
+                label = hierarchy.coarse_of(label)
             span = (doc, start, end, label)
             if span in pred_spans:
                 raise EvalError(f"{pred}: line {lineno}: duplicate predicted span: {span},"
                                 f" first on line {pred_spans[span]}")
             pred_spans[span] = lineno
         gold_spans = [
-            (doc, s.start, s.end, str(s.coarse))
+            (doc, s.start, s.end, s.coarse)
             for doc, ex in enumerate(gold_corpus)
             for s in extract_spans(project_tags_to_coarse(ex.gold_tags, hierarchy)
                                    if coarse else ex.gold_tags)
@@ -517,15 +527,10 @@ def evaluate_linked(inputs: Inputs, pred: Path) -> None:
         print(_write_report(counts, hierarchy, inputs.cfg.granularity, _output_dir(inputs.cfg)))
 
 
-def _report_order(hierarchy: TypeHierarchy, granularity: str) -> list[str]:
-    if granularity == "coarse":
-        return [str(r) for r in hierarchy.roots]
-    return [str(label) for label in hierarchy.labels()]
-
-
 def _write_report(counts: dict[str, Counts], hierarchy: TypeHierarchy, granularity: str,
                   output_dir: Path) -> str:
-    report = build_report(counts, order=_report_order(hierarchy, granularity))
+    order = hierarchy.roots if granularity == "coarse" else hierarchy.labels()
+    report = build_report(counts, order=order)
     table = format_report(report)
     (output_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
     payload = {"granularity": granularity, **report}

@@ -26,7 +26,7 @@ from .embeddings import (
 )
 from .kb import NARROWED_CATEGORIES, EntityRecord, KnowledgeBase, MissingClassRootsError
 from .tagger import MentionSpan
-from .taxonomy import TypeHierarchy, TypeLabel
+from .taxonomy import TypeHierarchy
 
 
 @dataclass
@@ -60,7 +60,7 @@ class Linker:
 
     def __init__(self, kb: KnowledgeBase, hierarchy: TypeHierarchy, table: EmbeddingTable,
                  cfg: LinkerConfig):
-        roots = list(map(str, hierarchy.roots))
+        roots = hierarchy.roots
         missing = [f"class_roots.{root}" for root in roots
                    if root in NARROWED_CATEGORIES and not cfg.class_roots.get(root)]
         if missing:
@@ -68,10 +68,10 @@ class Linker:
                                          f" set {', '.join(missing)}")
         self.kb, self.table, self.cfg = kb, table, cfg
         self.classes = {root: kb.narrow_candidates(root, cfg.class_roots) for root in roots}
-        self.leaves: dict[str, list[tuple[TypeLabel, np.ndarray]]] = {}
+        self.leaves: dict[str, list[tuple[str, np.ndarray]]] = {}
         for root in roots:
-            directions = [(s, phrase_direction(tokenize(s.leaf), table))
-                          for s in hierarchy.subtypes_of(root)]
+            directions = [(s, phrase_direction(tokenize(leaf), table))
+                          for s, leaf in hierarchy.subtypes_of(root).items()]
             self.leaves[root] = [(s, leaf) for s, leaf in directions if leaf is not None]
 
 
@@ -89,14 +89,14 @@ class FineTypedMention:
 
 def candidate_fields(entity: EntityRecord, coarse: str) -> list[int]:
     """Typing evidence links: occupation for person, instance-of otherwise."""
-    if str(coarse) == "person":
+    if coarse == "person":
         return list(entity.occupation)
     return list(entity.instance_of)
 
 
 def cluster_to_subtype(
     linker: Linker, entity: EntityRecord, coarse: str
-) -> tuple[TypeLabel, float] | None:
+) -> tuple[str, float] | None:
     """Best subtype of the root ``coarse`` for the entity, with its similarity score.
 
     The entity description is tokenized and reduced once by
@@ -107,7 +107,7 @@ def cluster_to_subtype(
     the threshold qualify; ties keep the earliest subtype. Returns None when
     nothing qualifies, no side has a usable vector, or ``coarse`` is no root.
     """
-    leaves = linker.leaves.get(str(coarse), ())
+    leaves = linker.leaves.get(coarse, ())
     if not leaves:
         return None
     tokens = tokenize(entity.description)
@@ -119,7 +119,7 @@ def cluster_to_subtype(
     evidence = phrase_direction(tokens, linker.table)
     if evidence is None:
         return None
-    best: tuple[TypeLabel, float] | None = None
+    best: tuple[str, float] | None = None
     for subtype, leaf in leaves:
         score = direction_similarity(evidence, leaf)
         if score > linker.cfg.threshold and (best is None or score > best[1]):
@@ -134,7 +134,7 @@ def link_mention(linker: Linker, span: MentionSpan, tokens: list[str]) -> FineTy
     linking entirely. Lookup misses and below-threshold clusterings fall
     back to the coarse label, keeping whatever entity was resolved.
     """
-    coarse = str(span.coarse)
+    coarse = span.coarse
     if coarse not in linker.classes:
         return FineTypedMention(span, entity=None, fine_type=coarse, score=None)
     surface = " ".join(tokens[span.start : span.end])

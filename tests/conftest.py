@@ -23,10 +23,10 @@ DEMO_DIR = DATA_DIR / "demo"
 
 # A longer run of the derandomized oracle properties, for a CI step that runs
 # them alone: the two vector readers' per-line loops, the snapshot ingest's
-# oracle and keys properties (tests/test_kb.py), float32 tagging and training
-# against its per-batch loop, at --hypothesis-profile=fuzz-2000. Tier-1 runs
-# each at the default count; each generator has its own property, so each gets
-# the whole count.
+# oracle and keys properties (tests/test_kb.py), float32 tagging, training
+# against its per-batch loop and the hierarchy parser's two-level property, at
+# --hypothesis-profile=fuzz-2000. Tier-1 runs each at the default count; each
+# generator has its own property, so each gets the whole count.
 settings.register_profile("fuzz-2000", max_examples=2000, derandomize=True, deadline=None)
 
 
@@ -56,6 +56,23 @@ def generated(workload, directory):
     generate = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"))
     return generate["generate"](generate["WORKLOADS"][workload], 1, directory).files
+
+
+def assert_two_level(h):
+    """``h``'s labels are plain strings with at most one dot. The roots and
+    their subtypes, in document order, tile them: the roots are the labels
+    without a dot, and each root's subtypes those with the root before their
+    dot, each mapped to the text after it. ``coarse_of`` gives the text
+    before a label's dot."""
+    labels = h.labels()
+    assert all(type(label) is str and label.count(".") <= 1 for label in labels)
+    assert h.roots == tuple(label for label in labels if "." not in label)
+    for root in h.roots:
+        assert list(h.subtypes_of(root).items()) == [
+            (label, label.partition(".")[2]) for label in labels
+            if "." in label and label.partition(".")[0] == root]
+    assert len(h) == len(labels) == len(h.roots) + sum(map(len, map(h.subtypes_of, h.roots)))
+    assert all(h.coarse_of(label) == label.partition(".")[0] for label in labels)
 
 
 def demo_sidecar_sentences():

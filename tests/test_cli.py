@@ -439,6 +439,11 @@ def written(name, content):
     return edit
 
 
+def made(name):
+    """An edit making the directory ``{tmp}/name`` and its parents."""
+    return lambda tmp, source: (tmp / name).mkdir(parents=True)
+
+
 def set_fields(lines, lineno, **fields):
     lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
 
@@ -729,10 +734,25 @@ REFUSED = {
         "output_dir is not a directory: {tmp}/afile", None,
         edit=written("afile", "not a directory\n"))
        for name, output_dir in [("afile", "afile"), ("afile-sub", "afile/sub")]},
+    # the file a training run saves its model to, also checked with the paths
+    **{f"model-path-{name}": Refused(
+        command + " --config {cfg} --output-dir {out}" + given, tail, None, edit=edit)
+       for name, command, given, tail, edit in [
+           ("is-a-directory-train", "train", " --model {tmp}/adir",
+            "model is a directory: {tmp}/adir", made("adir")),
+           ("is-a-directory-pipeline", "pipeline", "", "model is a directory: {out}/model.npz",
+            made("out/model.npz")),
+           ("under-a-file-afile", "train", " --model {tmp}/afile/model.npz",
+            "model is under a file: {tmp}/afile", written("afile", "not a directory\n")),
+           ("under-a-file-afile-sub", "train", " --model {tmp}/afile/sub/model.npz",
+            "model is under a file: {tmp}/afile", written("afile", "not a directory\n"))]},
     **{f"bad-input-line-{case}-not-utf8": bad_line(case, "caf\xe9".encode("latin-1"),
                                                    "not UTF-8 text") for case in BAD_LINE_RUNS},
     **{f"bad-input-line-{case}-malformed": bad_line(case, *MALFORMED_LINES[case])
        for case in BAD_LINE_RUNS},
+    "hierarchy-label-deeper-than-two-levels": bad_line(
+        "hierarchy", b"Person.Artist.Painter",
+        "label 'person.artist.painter' is deeper than root.leaf"),
     **{f"bad-input-line-{case}-not-bio": bad_line(case, b"Paris\tX-date", "not a BIO tag: 'X-date'")
        for case in ("corpus", "train_corpus", "tagged", "gold")},
     # every reader refuses nan and ±inf; the vector readers also refuse a row whose
@@ -823,6 +843,15 @@ def test_refused_run_exits_1_before_work(tmp_path, demo_run, monkeypatch, capsys
     assert tree(tmp_path) == written_before
 
 
+def test_train_saves_the_model_into_directories_it_makes(tmp_path, demo_run):
+    model = tmp_path / "new" / "sub" / "model.npz"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(demo_run.config), "--model", str(model),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    assert tree(tmp_path) == {"new": None, "new/sub": None,
+                              "new/sub/model.npz": (demo_run.out / "model.npz").read_bytes()}
+
+
 # --- twins that must write the demo's files ---------------------------------------------
 
 class Twin(NamedTuple):
@@ -905,6 +934,12 @@ TWINS = {
     "only-the-tagger-needs-token-vectors-evaluate": Twin(("evaluate --pred {base}/linked.jsonl",),
                                                          {"token_vectors": None}),
     "similarity-mode-pairwise-mean": Twin(("pipeline",), {"similarity_mode": "pairwise-mean"}),
+    # every label capitalized word by word, with its spaces doubled: labels
+    # are lowercased and each whitespace run collapsed as they load
+    "pipeline-reads-hierarchy-labels-normalized": Twin(
+        ("pipeline",), {"hierarchy": "{tmp}/types"},
+        written("types", "".join(line.title().replace(" ", "  ") + "\n" for line in
+                                 (DATA_DIR / "wikigold.types").read_text().splitlines()))),
     # a subtype without a word token: the demo has no mention it could take,
     # so linking is unchanged
     "pipeline-skips-subtype-without-word-token": Twin(

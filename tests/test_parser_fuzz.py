@@ -5,8 +5,9 @@ validation handling as a runtime failure (exit 2) without a line number.
 Each property draws arbitrary text lines mixed with lines shaped like the
 format, so generated input also reaches the checks past the first token. The
 two vector readers are also checked against their per-line oracles, bit for
-bit and error for error; the snapshot ingest's oracle properties are in
-tests/test_kb.py. Runs are derandomized so the suite stays deterministic.
+bit and error for error, and each hierarchy that loads is checked to be
+two-level; the snapshot ingest's oracle properties are in tests/test_kb.py.
+Runs are derandomized so the suite stays deterministic.
 """
 
 import io
@@ -25,7 +26,8 @@ from finetype.evaluation import EvalError
 from finetype.tagger import CorpusError, parse_conll
 from finetype.taxonomy import HierarchyError, parse_hierarchy
 
-from conftest import json_values, numbers, parse_embeddings_lines, parse_sidecar_lines
+from conftest import (assert_two_level, json_values, numbers, parse_embeddings_lines,
+                      parse_sidecar_lines)
 
 fuzz = settings(derandomize=True, deadline=None)  # made at collection, as in test_kb.py
 
@@ -233,11 +235,40 @@ def test_read_linked_fuzz(lines):
         assert all(type(record[key]) is str for key in ("surface", "fine"))
 
 
+def declared(labels):
+    """``labels`` in order without repeats, each subtype after its root."""
+    return list(dict.fromkeys(line for label in labels for line in (label.split(".")[0], label)))
+
+
+def inserted(lines, extra):
+    """``lines`` with each (position, line) of ``extra`` inserted in turn."""
+    for position, line in extra:
+        lines.insert(position, line)
+    return lines
+
+
+# Hierarchy documents over a segment alphabet spelled one way each, so that
+# most load: labels of one or two segments, each subtype after its root, and
+# up to two more lines anywhere, arbitrary or of a kind refused (a duplicate
+# by case, an orphan, an empty segment, three levels).
+hierarchy_documents = st.builds(
+    inserted,
+    st.lists(st.lists(st.sampled_from(["a", "B", "c  d", "É"]), min_size=1, max_size=2)
+             .map(".".join), max_size=6).map(declared),
+    st.lists(st.tuples(st.integers(0, 12), st.one_of(st.text(max_size=6), st.sampled_from(
+        ["", "# note", "b", "A . B", "a.B.c", "É.  ", "x.a", "B #.a"]))), max_size=2))
+
+
 @fuzz
-@given(lines_of(st.lists(st.text(max_size=6), min_size=1, max_size=3).map(".".join)))
+@given(hierarchy_documents)
 @example(["²"])
+@example(["a", "a.B.c"])
 def test_parse_hierarchy_fuzz(lines):
-    returns_or_raises(HierarchyError, parse_hierarchy, lines)
+    try:
+        h = parse_hierarchy(lines)
+    except HierarchyError:
+        return
+    assert_two_level(h)
 
 
 config_keys = st.one_of(

@@ -4,19 +4,20 @@ import pytest
 
 from finetype.taxonomy import (
     HierarchyError,
-    TypeLabel,
     load_hierarchy,
     parse_hierarchy,
 )
 from finetype import default_hierarchy_path
 
+from conftest import assert_two_level
+
 
 class Document(NamedTuple):
     """A hierarchy document's lines (None for the shipped one), and what
-    loading it must give twice over: ``count`` labels, of which the roots and
-    their subtypes tile those of depth 1 and 2, each label with the accessors
-    its text implies; and as pinned the ``roots``, each root's subtype leaves
-    in document order and each label's coarse root."""
+    loading it must give twice over: ``count`` labels, of at most two levels,
+    which the roots and their subtypes tile (``assert_two_level``); and as
+    pinned the ``roots``, each root's subtype leaves in document order and
+    each label's coarse root."""
     lines: list | None
     count: int
     roots: list | None = None
@@ -35,8 +36,6 @@ DOCUMENTS = {
         ["# header", "", "person  # trailing", "person.artist"], 2),
     "labels-are-lowercased": Document(["Person", "Person.Artist"], 2,
                                       coarse={"person.artist": "person"}),
-    "deeper-paths-accepted-for-forward-compatibility": Document(["a", "a.b", "a.b.c"], 3,
-                                                                coarse={"a.b.c": "a"}),
     "coarse-of-fine-label": Document(None, 112, coarse={"person.artist": "person",
                                                         "product.computer": "product"}),
     "coarse-of-root-is-fixed-point": Document(None, 112, coarse={"location": "location"}),
@@ -48,9 +47,9 @@ DOCUMENTS = {
     "partition-property": Document(None, 112),
     "round-trip-every-fine-label": Document(None, 112),
     "load-is-deterministic": Document(None, 112),
-    "type-label-accessors": Document(["Product", "Product.Mobile  Phone"], 2,
-                                     subtypes={"product": ["mobile phone"]},
-                                     coarse={"product.mobile phone": "product"}),
+    "inner-whitespace-collapsed": Document(["Product", "Product.Mobile  Phone"], 2,
+                                           subtypes={"product": ["mobile phone"]},
+                                           coarse={"product.mobile phone": "product"}),
 }
 
 
@@ -60,44 +59,47 @@ def test_hierarchy_document_loads(case):
     load = ((lambda: load_hierarchy(default_hierarchy_path())) if row.lines is None
             else (lambda: parse_hierarchy(row.lines)))
     h, again = load(), load()
-    assert h.total_count == row.count
-    assert again.labels() == h.labels() and again.roots == h.roots
-    assert all(again.subtypes_of(r) == h.subtypes_of(r) for r in h.roots)
-    collected = list(h.roots)
-    for root in h.roots:
-        collected.extend(h.subtypes_of(root))
-    two_level = [label for label in h.labels() if label.depth <= 2]
-    assert len(collected) == len(two_level) and set(collected) == set(two_level)
-    for label in h.labels():
-        path = str(label).split(".")
-        assert label == TypeLabel(str(label).upper())
-        assert (label.depth, label.root, label.leaf) == (len(path), path[0], path[-1])
-        assert label.parent == (None if len(path) == 1 else ".".join(path[:-1]))
-        if label.depth == 2:
-            assert label in h.subtypes_of(h.coarse_of(label))
+    assert len(h) == row.count and again.labels() == h.labels()
+    assert_two_level(h)
+    assert_two_level(again)
     if row.roots is not None:
-        assert [str(r) for r in h.roots] == row.roots
+        assert list(h.roots) == row.roots
     for root, leaves in row.subtypes.items():
-        assert [s.leaf for s in h.subtypes_of(root)] == leaves
+        assert list(h.subtypes_of(root).values()) == leaves
     for label, root in row.coarse.items():
         assert label in h and h.coarse_of(label) == root
 
 
-# Named cases: a call given the shipped hierarchy, and the error text it must
-# raise HierarchyError with.
+def loaded(lines):
+    """A call writing ``lines`` to ``{tmp}/types`` and loading it."""
+    def call(h, tmp):
+        (tmp / "types").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load_hierarchy(tmp / "types")
+    return call
+
+
+# Named cases: a call given the shipped hierarchy and a directory, and the
+# whole text of the HierarchyError it must raise, ``{tmp}`` the directory.
 HIERARCHY_ERRORS = {
-    "duplicate": (lambda h: parse_hierarchy(["person", "person.artist", "person.artist"]),
-                  "duplicate.*person.artist"),
-    "orphan": (lambda h: parse_hierarchy(["location", "person.artist"]), "orphan"),
-    "line-3": (lambda h: parse_hierarchy(["person", "# comment", "person..artist"]), "line 3"),
-    "coarse-of-unknown-label": (lambda h: h.coarse_of("person.wizard"), "unknown"),
-    "subtypes-of-rejects-fine-label": (lambda h: h.subtypes_of("person.artist"), "not a root"),
-    "empty-label-rejected": (lambda h: TypeLabel("   "), "empty type label"),
+    "duplicate": (lambda h, tmp: parse_hierarchy(["person", "person.artist", "person.artist"]),
+                  "line 3: duplicate label 'person.artist' (first declared on line 2)"),
+    "orphan": (lambda h, tmp: parse_hierarchy(["location", "person.artist"]),
+               "line 2: orphan label 'person.artist': parent 'person' not declared"),
+    # the label is cited as written, before it is lowercased and its spaces collapsed
+    "line-3": (loaded(["Person", "# comment", "Person. .Artist"]),
+               "{tmp}/types: line 3: label has an empty path segment: 'Person. .Artist'"),
+    "deeper-path-refused": (lambda h, tmp: parse_hierarchy(["a", "a.b", "A.b.C"]),
+                            "line 3: label 'a.b.c' is deeper than root.leaf"),
+    "coarse-of-unknown-label": (lambda h, tmp: h.coarse_of("person.wizard"),
+                                "unknown label: 'person.wizard'"),
+    "subtypes-of-rejects-fine-label": (lambda h, tmp: h.subtypes_of("person.artist"),
+                                       "not a root label: 'person.artist'"),
 }
 
 
 @pytest.mark.parametrize("case", HIERARCHY_ERRORS)
-def test_hierarchy_error_text(hierarchy, case):
+def test_hierarchy_error_text(hierarchy, tmp_path, case):
     call, message = HIERARCHY_ERRORS[case]
-    with pytest.raises(HierarchyError, match=message):
-        call(hierarchy)
+    with pytest.raises(HierarchyError) as raised:
+        call(hierarchy, tmp_path)
+    assert str(raised.value) == message.format(tmp=tmp_path)
